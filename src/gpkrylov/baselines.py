@@ -9,16 +9,15 @@ the constant-memory bookkeeping of the short-recurrence solvers.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from .convergence import BREAKDOWN, CONVERGED, MAXIT, ConvergenceRecord, SolveResult
-from .linop import PartitionedSystem, assemble_dense, residual_norm
+from .convergence import SolveResult, _solve
+from .linop import PartitionedSystem, apply_partitioned, assemble_dense
 from .rotations import plane_rotation
 
 __all__ = [
     "HessenbergProcessState",
+    "GPMRState",
     "OracleWorkspace",
     "gpmr_solve",
     "oracle_minnorm",
@@ -167,6 +166,74 @@ class _GrowingQR:
         return z
 
 
+class GPMRState:
+    """gpmr as a solver state: one Hessenberg step and one incremental QR
+    pair per iteration.  With ``restart`` a cycle ends after that many steps
+    and the next one starts from the residual blocks of the cycle's iterate.
+    """
+
+    tracks_transfer = False
+
+    def __init__(self, sys: PartitionedSystem, restart: int | None = None):
+        self.sys = sys
+        self.restart = restart
+        self.k = 0
+        self.stopped = False
+        self.x = np.zeros(sys.m)  # iterate at the start of the cycle
+        self.y = np.zeros(sys.n)
+        self._start_cycle(sys.b, sys.c)
+
+    def _start_cycle(self, b0, c0):
+        self.proc = HessenbergProcessState(self.sys, b0, c0)
+        self.qr = _GrowingQR(np.array([self.proc.beta, self.proc.gamma]))
+
+    def advance(self) -> None:
+        proc, qr = self.proc, self.qr
+        alive = proc.step()
+        self.k += 1
+        qr.grow_rhs(2)
+        col_x, col_y = _projected_column_pair(self.sys, proc, proc.k)
+        qr.push_column(col_x)
+        qr.push_column(col_y)
+        self.res = qr.residual_norm()
+        self.stopped = not alive
+        if alive and self.restart is not None and proc.k >= self.restart:
+            self._restart()
+
+    def _restart(self):
+        x, y = self.iterate()
+        top, bot = apply_partitioned(self.sys, x, y)
+        b0, c0 = self.sys.b - top, self.sys.c - bot
+        nb0, nc0 = np.linalg.norm(b0), np.linalg.norm(c0)
+        if nb0 == 0.0 or nc0 == 0.0:
+            # one block already solved exactly; the process cannot restart
+            self.res = float(np.hypot(nb0, nc0))
+            self.stopped = True
+            return
+        self.x, self.y = x, y
+        self._start_cycle(b0, c0)
+
+    def estimate(self) -> float:
+        return self.res
+
+    def iterate(self):
+        """Cycle start plus the basis combination of the projected minimum."""
+        if not self.qr.r_cols:
+            return self.x, self.y
+        z = self.qr.solve()
+        k = len(z) // 2
+        return (self.x + self.proc.V(k) @ z[0::2],
+                self.y + self.proc.U(k) @ z[1::2])
+
+    def settle_breakdown(self, tol) -> bool:
+        # an invariant subspace was reached: the projected minimum is final
+        return False
+
+    def result(self, reason, residual, record) -> SolveResult:
+        x, y = self.iterate()
+        return SolveResult(x, y, self.k, reason, float(residual), record)
+
+
 def gpmr_solve(sys: PartitionedSystem, tol: float = 1e-8, maxit: int | None = None,
                restart: int | None = None, explicit_residual: bool = False,
                ) -> SolveResult:
@@ -181,62 +248,7 @@ def gpmr_solve(sys: PartitionedSystem, tol: float = 1e-8, maxit: int | None = No
         Also evaluate the true residual of the assembled iterate each step
         (one extra pair of operator applications) and stop on it.
     """
-    m, n = sys.m, sys.n
-    if maxit is None:
-        maxit = 2 * (m + n)
-    x = np.zeros(m)
-    y = np.zeros(n)
-    record = ConvergenceRecord()
-    t0 = time.perf_counter()
-    total_k = 0
-    reason = MAXIT if maxit == 0 else None
-    res = sys.rhs_norm
-
-    while reason is None:
-        b0 = sys.b - (sys.lam * x + sys.A.apply(y))
-        c0 = sys.c - (sys.B.apply(x) + sys.mu * y)
-        nb0, nc0 = np.linalg.norm(b0), np.linalg.norm(c0)
-        if nb0 == 0.0 or nc0 == 0.0:
-            # one block already solved exactly; the process cannot restart
-            res = float(np.hypot(nb0, nc0))
-            reason = CONVERGED if res <= tol else BREAKDOWN
-            break
-        proc = HessenbergProcessState(sys, b0, c0)
-        qr = _GrowingQR(np.array([proc.beta, proc.gamma]))
-        cycle_done = False
-        while not cycle_done:
-            alive = proc.step()
-            k = proc.k
-            total_k += 1
-            qr.grow_rhs(2)
-            col_x, col_y = _projected_column_pair(sys, proc, k)
-            qr.push_column(col_x)
-            qr.push_column(col_y)
-            res = qr.residual_norm()
-            true_res = None
-            if explicit_residual:
-                xk, yk = _assemble_iterate(proc, qr, x, y)
-                true_res = residual_norm(sys, xk, yk)
-                res = true_res
-            record.append(total_k, qr.residual_norm(), true_res,
-                          elapsed=time.perf_counter() - t0)
-            if res <= tol:
-                reason = CONVERGED
-                cycle_done = True
-            elif total_k >= maxit:
-                reason = MAXIT
-                cycle_done = True
-            elif not alive:
-                # invariant subspace reached: the projected minimum is final
-                reason = CONVERGED if res <= tol else BREAKDOWN
-                cycle_done = True
-            elif restart is not None and k >= restart:
-                cycle_done = True
-        x, y = _assemble_iterate(proc, qr, x, y)
-
-    record.finalize(reason)
-    final = residual_norm(sys, x, y) if explicit_residual else res
-    return SolveResult(x, y, total_k, reason, float(final), record)
+    return _solve(sys, GPMRState(sys, restart), tol, maxit, explicit_residual)
 
 
 def _projected_column_pair(sys, proc, k):
@@ -249,14 +261,6 @@ def _projected_column_pair(sys, proc, k):
     col_y[0::2] = proc.h_cols[k - 1]
     col_y[2 * k - 1] = sys.mu
     return col_x, col_y
-
-
-def _assemble_iterate(proc, qr, x0, y0):
-    z = qr.solve()
-    k = len(z) // 2
-    x = x0 + proc.V(k) @ z[0::2]
-    y = y0 + proc.U(k) @ z[1::2]
-    return x, y
 
 
 # -- dense oracles ----------------------------------------------------------

@@ -41,11 +41,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _default_tol() -> float:
-    env = os.environ.get("GPKRYLOV_TOL")
-    return float(env) if env else 1e-8
-
-
 def _add_system_args(p):
     p.add_argument("--a", metavar="A.mtx", help="Matrix Market file for A")
     p.add_argument("--b", metavar="B.mtx", help="Matrix Market file for B")
@@ -70,8 +65,8 @@ def _add_system_args(p):
 
 
 def _add_solver_args(p):
-    p.add_argument("--tol", type=float, default=_default_tol(),
-                   help="residual tolerance (env GPKRYLOV_TOL overrides default)")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="residual tolerance")
     p.add_argument("--maxit", type=int, default=None,
                    help="iteration limit (default 2(m+n))")
     p.add_argument("--restart", type=int, default=9,

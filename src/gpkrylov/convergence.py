@@ -1,10 +1,15 @@
-"""Per-iteration convergence records and the common solve result."""
+"""Per-iteration convergence records, the common solve result, and the
+solve loop that every method runs."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .linop import PartitionedSystem, residual_norm
+from .reduction import BreakdownReport
 
 __all__ = ["IterationRow", "ConvergenceRecord", "SolveResult",
            "CONVERGED", "MAXIT", "BREAKDOWN"]
@@ -58,9 +63,10 @@ class ConvergenceRecord:
 class SolveResult:
     """Outcome of one solver run.
 
-    ``x``/``y`` is the iterate of the monitored method at termination.  The
-    GPBiLQ driver also fills ``x_l``/``y_l`` (always defined) and
-    ``x_c``/``y_c`` (last step at which the transfer existed, or None).
+    ``x``/``y`` is the iterate of the monitored method at termination.  Once
+    gpbilq/gpbicg has run a step it also fills ``x_l``/``y_l`` (the
+    minimum-norm iterate) and ``x_c``/``y_c`` (the transfer iterate if it
+    exists at the final step, else None).
     """
 
     x: np.ndarray
@@ -78,3 +84,55 @@ class SolveResult:
     @property
     def converged(self) -> bool:
         return self.reason == CONVERGED
+
+
+def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
+           explicit_residual: bool) -> SolveResult:
+    """The loop behind every public solve function.
+
+    ``state`` is the BreakdownReport of a process that could not start, or
+    a method state with: ``k`` (iterations done), ``advance()``,
+    ``estimate()`` (the monitored residual, None where the monitored iterate
+    does not exist), ``iterate()`` (its x, y), ``stopped`` (the process can
+    build nothing more), ``tracks_transfer`` (rows record whether the
+    iterate existed), ``settle_breakdown(tol)`` (True if a stopped run
+    converged after all) and ``result(reason, residual, record)``.
+
+    The record starts with a k=0 row at the initial residual norm; each
+    iteration is tested converged, then breakdown, then maxit.  With
+    ``explicit_residual`` the true residual is recorded next to the
+    estimate and replaces it in the stopping test.
+    """
+    if maxit is None:
+        maxit = 2 * (sys.m + sys.n)
+    t0 = time.perf_counter()
+    rhs_norm = sys.rhs_norm
+    record = ConvergenceRecord()
+    record.append(0, rhs_norm, rhs_norm if explicit_residual else None,
+                  elapsed=time.perf_counter() - t0)
+    report = state if isinstance(state, BreakdownReport) else None
+    if report is not None or maxit == 0:
+        reason = MAXIT if report is None else BREAKDOWN
+        record.finalize(reason)
+        return SolveResult(np.zeros(sys.m), np.zeros(sys.n), 0, reason,
+                           rhs_norm, record, breakdown=report)
+    while True:
+        state.advance()
+        est = state.estimate()
+        true = None
+        if explicit_residual and est is not None:
+            true = residual_norm(sys, *state.iterate())
+        res = true if explicit_residual else est
+        record.append(state.k, np.nan if est is None else est, true,
+                      (est is not None) if state.tracks_transfer else None,
+                      time.perf_counter() - t0)
+        if res is not None and res <= tol:
+            reason = CONVERGED
+        elif state.stopped:
+            reason = CONVERGED if state.settle_breakdown(tol) else BREAKDOWN
+        elif state.k >= maxit:
+            reason = MAXIT
+        else:
+            continue
+        record.finalize(reason)
+        return state.result(reason, res, record)

@@ -20,16 +20,16 @@ are allocated after startup.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .convergence import BREAKDOWN, CONVERGED, MAXIT, ConvergenceRecord, SolveResult
+from .convergence import CONVERGED, SolveResult, _solve
 from .linop import PartitionedSystem, residual_norm
 from .reduction import (BreakdownReport, StepCoeffs, reduction_init,
                         reduction_step)
-from .rotations import Band, SingularWindowError, plane_rotation
+from .rotations import (Band, SingularWindowError, bundle_product,
+                        plane_rotation, rotation_block, rotation_bundle)
 
 __all__ = [
     "LQWindow",
@@ -158,21 +158,11 @@ def lq_step(w: LQWindow, gamma_k, eta_k, alpha_k, theta_k,
     w.i = i
 
 
-def rotation_block(c1, s1, c2, s2, c3, s3, c4, s4) -> np.ndarray:
-    """Trailing 4x4 of one column-rotation bundle (product of four rotations)."""
-    r1 = np.array([[c1, 0, 0, -s1], [0, 1, 0, 0], [0, 0, 1, 0], [s1, 0, 0, c1]])
-    r2 = np.array([[c2, -s2, 0, 0], [s2, c2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    r3 = np.array([[1, 0, 0, 0], [0, c3, 0, -s3], [0, 0, 1, 0], [0, s3, 0, c3]])
-    r4 = np.array([[1, 0, 0, 0], [0, c4, -s4, 0], [0, s4, c4, 0], [0, 0, 0, 1]])
-    return r1 @ r2 @ r3 @ r4
-
-
-def _row_rhs(r, beta1, delta1):
-    if r == 1:
-        return beta1
-    if r == 2:
-        return delta1
-    return 0.0
+def _row_rest(w: LQWindow, varpi: Band, r, beta1, delta1) -> float:
+    """rhs_r - xi_r w_{r-4} - zeta_r w_{r-3} - omega_r w_{r-2} of row r."""
+    rhs = beta1 if r == 1 else delta1 if r == 2 else 0.0
+    return (rhs - w.xi[r] * varpi[r - 4] - w.zeta[r] * varpi[r - 3]
+            - w.omega[r] * varpi[r - 2])
 
 
 def substitute_step(w: LQWindow, varpi: Band, beta1, delta1) -> tuple[float, float]:
@@ -187,37 +177,32 @@ def substitute_step(w: LQWindow, varpi: Band, beta1, delta1) -> tuple[float, flo
         rho_r = w.rho[r]
         if rho_r == 0.0:
             raise SingularWindowError(f"zero diagonal {r} in forward substitution")
-        s = (_row_rhs(r, beta1, delta1)
-             - w.xi[r] * varpi[r - 4] - w.zeta[r] * varpi[r - 3]
-             - w.omega[r] * varpi[r - 2] - w.nu[r] * varpi[r - 1])
-        val = s / rho_r
+        val = (_row_rest(w, varpi, r, beta1, delta1)
+               - w.nu[r] * varpi[r - 1]) / rho_r
         varpi.push(val)
         out.append(val)
     return out[0], out[1]
 
 
-def transfer_scalars(w: LQWindow, varpi: Band, beta1, delta1,
-                     det_rtol: float = 1e-13):
+def transfer_scalars(w: LQWindow, varpi: Band, beta1, delta1):
     """Rotation and substitution scalars for the square-system iterate.
 
     Returns (c_k, s_k, w_odd, w_even) for the current step k = i+1, or None
-    when the trailing 2x2 determinant is negligible (iterate does not exist).
+    when the trailing 2x2 determinant is at most 1e-13 of its two products
+    (iterate does not exist).
     """
     rb1, ab, nb1, rb2 = w.c_rho1, w.c_alpha, w.c_nu1, w.c_rho2
     det = rb1 * rb2 - ab * nb1
-    if abs(det) <= det_rtol * (abs(rb1 * rb2) + abs(ab * nb1)):
+    if abs(det) <= 1e-13 * (abs(rb1 * rb2) + abs(ab * nb1)):
         return None
     c_k, s_k, rho_dd1 = plane_rotation(rb1, ab)
     nu_dd = c_k * nb1 + s_k * rb2
     rho_dd2 = -s_k * nb1 + c_k * rb2
     k = w.i + 1
     r1, r2 = 2 * k - 1, 2 * k
-    w_odd = (_row_rhs(r1, beta1, delta1)
-             - w.xi[r1] * varpi[r1 - 4] - w.zeta[r1] * varpi[r1 - 3]
-             - w.omega[r1] * varpi[r1 - 2] - w.nu[r1] * varpi[r1 - 1]) / rho_dd1
-    w_even = (_row_rhs(r2, beta1, delta1)
-              - w.xi[r2] * varpi[r2 - 4] - w.zeta[r2] * varpi[r2 - 3]
-              - w.omega[r2] * varpi[r2 - 2] - nu_dd * w_odd) / rho_dd2
+    w_odd = (_row_rest(w, varpi, r1, beta1, delta1)
+             - w.nu[r1] * varpi[r1 - 1]) / rho_dd1
+    w_even = (_row_rest(w, varpi, r2, beta1, delta1) - nu_dd * w_odd) / rho_dd2
     return c_k, s_k, w_odd, w_even
 
 
@@ -230,14 +215,7 @@ def dense_gk(w: LQWindow, k: int | None = None) -> np.ndarray:
         k = w.i + 1
     if k > w.i + 1:
         raise ValueError("window has not advanced that far")
-    G = np.eye(2 * k)
-    for i in range(1, k):
-        block = rotation_block(*w.rotations[i - 1])
-        lo = 2 * i - 2
-        emb = np.eye(2 * k)
-        emb[lo:lo + 4, lo:lo + 4] = block
-        G = G @ emb
-    return G
+    return bundle_product(w.rotations[:k - 1], 2 * k)
 
 
 def dense_lq_factors(w: LQWindow) -> tuple[np.ndarray, np.ndarray]:
@@ -283,9 +261,6 @@ class BiLQResidualEstimate:
     chi: float
     varsigma: float
     est_norm_l: float
-    chi_t: float | None = None
-    varsigma_t: float | None = None
-    est_norm_c: float | None = None
 
 
 class BiLQState:
@@ -294,12 +269,17 @@ class BiLQState:
     Direction pairs are stored in fixed buffers: (f1x, f1y)/(f2x, f2y) hold
     the two columns consumed by the iterate update and (ft1x, ft1y)/
     (ft2x, ft2y) the two provisional columns carried to the next step.
+    ``monitor`` picks the iterate the solve loop follows: the minimum-norm
+    one ("l") or the square-system one ("c").
     """
 
-    def __init__(self, sys: PartitionedSystem, red):
+    def __init__(self, sys: PartitionedSystem, red, monitor: str = "l"):
         m, n = sys.m, sys.n
         self.sys = sys
         self.red = red
+        self.monitor = monitor
+        self.tracks_transfer = monitor == "c"
+        self.settled = None  # true residual of the transfer iterate at a breakdown
         self.window = None
         self.varpi = Band(1)
         self.k = 1
@@ -318,12 +298,6 @@ class BiLQState:
         self.x_c = None
         self.y_c = None
 
-    # one lazily created pair of extra buffers for the square-system iterate
-    def _ensure_c_buffers(self):
-        if self.x_c is None:
-            self.x_c = np.zeros(self.sys.m)
-            self.y_c = np.zeros(self.sys.n)
-
     def startup(self) -> StepCoeffs:
         """Run reduction step 1 and seed the LQ carries (solver step k=1)."""
         coeffs = reduction_step(self.red, self.sys)
@@ -334,8 +308,10 @@ class BiLQState:
         return coeffs
 
     def advance(self) -> StepCoeffs:
-        """One full solver step k >= 2: reduction, bundle, substitution,
-        direction update, iterate update."""
+        """One solver step: ``startup`` at k=1, else reduction, bundle,
+        substitution, direction update, iterate update."""
+        if self.window is None:
+            return self.startup()
         red = self.red
         coeffs = reduction_step(red, self.sys)
         self.k = coeffs.k
@@ -353,7 +329,7 @@ class BiLQState:
     def _update_directions(self):
         """Mix the provisional pair with the new basis columns through the
         trailing 4x4 of the latest rotation bundle (all updates in place)."""
-        M = rotation_block(*self.window.rotations[-1])
+        M = rotation_bundle(self.window.rotations[-1])
         red = self.red
         s1, s2 = red.scratch_m1, red.scratch_m2
         _mix_columns(self.ft1x, self.ft2x, red.q_prev, M[0], M[1], M[2],
@@ -378,17 +354,18 @@ class BiLQState:
         np.multiply(self.f2y, w2, out=red.scratch_n1)
         self.y += red.scratch_n1
 
-    def attempt_transfer(self, det_rtol: float = 1e-13) -> bool:
+    def attempt_transfer(self) -> bool:
         """Compute the square-system iterate at the current step if it exists."""
         t = transfer_scalars(self.window, self.varpi,
-                             self.red.beta1, self.red.delta1, det_rtol)
+                             self.red.beta1, self.red.delta1)
         if t is None:
             self.transfer = None
             return False
         c_k, s_k, w_odd, w_even = t
         a = c_k * w_odd - s_k * w_even
         b = s_k * w_odd + c_k * w_even
-        self._ensure_c_buffers()
+        if self.x_c is None:  # created on the first transfer
+            self.x_c, self.y_c = np.zeros(self.sys.m), np.zeros(self.sys.n)
         red = self.red
         np.multiply(self.ft1x, a, out=self.x_c)
         np.multiply(self.ft2x, b, out=red.scratch_m1)
@@ -404,19 +381,15 @@ class BiLQState:
     # -- residual estimates -------------------------------------------------
 
     def _z_tail(self):
-        """Last four entries of the expanded minimum-norm solution."""
-        k = self.k
-        w6 = np.array([self.varpi[2 * k - 5], self.varpi[2 * k - 4],
-                       self.varpi[2 * k - 3], self.varpi[2 * k - 2], 0.0, 0.0])
-        m2 = rotation_block(*self.window.rotations[-1])
-        p6 = np.eye(6)
-        p6[2:, 2:] = m2
+        """Last four entries of the expanded minimum-norm solution: the last
+        two bundles applied to the trailing substitution entries."""
+        k, varpi, rots = self.k, self.varpi, self.window.rotations
+        z3, z4, z5, z6 = rotation_bundle(
+            rots[-1], (varpi[2 * k - 3], varpi[2 * k - 2], 0.0, 0.0))
         if k >= 3:
-            m1 = np.eye(6)
-            m1[:4, :4] = rotation_block(*self.window.rotations[-2])
-            p6 = m1 @ p6
-        zw = p6 @ w6
-        return zw[2], zw[3], zw[4], zw[5]
+            _, _, z3, z4 = rotation_bundle(
+                rots[-2], (varpi[2 * k - 5], varpi[2 * k - 4], z3, z4))
+        return z3, z4, z5, z6
 
     def estimate_residual_l(self) -> BiLQResidualEstimate:
         """Residual norm of the current minimum-norm iterate (k >= 2),
@@ -448,11 +421,9 @@ class BiLQState:
         a = c_k * w_odd - s_k * w_even
         b = s_k * w_odd + c_k * w_even
         if self.k >= 2:
-            w4 = np.array([self.varpi[2 * self.k - 3],
-                           self.varpi[2 * self.k - 2], a, b])
-            m2 = rotation_block(*self.window.rotations[-1])
-            z_odd = float(m2[2] @ w4)
-            z_even = float(m2[3] @ w4)
+            _, _, z_odd, z_even = rotation_bundle(
+                self.window.rotations[-1],
+                (self.varpi[2 * self.k - 3], self.varpi[2 * self.k - 2], a, b))
         else:
             z_odd, z_even = a, b
         co = self.coeffs
@@ -461,12 +432,51 @@ class BiLQState:
         red = self.red
         return float(np.hypot(chi_t * red.q_norm, varsigma_t * red.u_norm))
 
+    # -- solve-loop protocol (see convergence._solve) ------------------------
+
+    @property
+    def stopped(self) -> bool:
+        return self.red.breakdown is not None
+
+    def estimate(self) -> float | None:
+        if self.monitor == "c":
+            return self.estimate_residual_c() if self.attempt_transfer() else None
+        return self.sys.rhs_norm if self.k < 2 else self.estimate_residual_l().est_norm_l
+
+    def iterate(self):
+        return (self.x, self.y) if self.monitor == "l" else (self.x_c, self.y_c)
+
+    def settle_breakdown(self, tol) -> bool:
+        """A lucky breakdown makes the square-system iterate exact; try it as
+        a last resort even when it was not monitored."""
+        if not self.attempt_transfer():
+            return False
+        self.settled = residual_norm(self.sys, self.x_c, self.y_c)
+        return self.settled <= tol
+
+    def result(self, reason, residual, record) -> SolveResult:
+        """The monitored iterate, or the transfer iterate of a breakdown
+        rescue; gpbicg falls back to the minimum-norm iterate (with its true
+        residual) when the square-system one does not exist at the end."""
+        x, y = self.x, self.y
+        x_c = y_c = None
+        if self.transfer is not None:
+            x_c, y_c = self.x_c, self.y_c
+        rescued = reason == CONVERGED and self.settled is not None
+        if x_c is not None and (self.monitor == "c" or rescued):
+            x, y = x_c, y_c
+            if self.settled is not None:
+                residual = self.settled
+        elif self.monitor == "c":  # no square-system iterate at the final step
+            residual = residual_norm(self.sys, x, y)
+        return SolveResult(x, y, self.k, reason, float(residual), record,
+                           breakdown=self.red.breakdown,
+                           x_l=self.x, y_l=self.y, x_c=x_c, y_c=y_c)
+
 
 def gpbilq_solve(sys: PartitionedSystem, tol: float = 1e-8,
                  maxit: int | None = None, monitor: str = "l",
-                 explicit_residual: bool = False,
-                 want_transfer: bool | None = None,
-                 breakdown_tol: float | None = None) -> SolveResult:
+                 explicit_residual: bool = False) -> SolveResult:
     """Run the solver until the monitored residual drops below tol.
 
     Parameters
@@ -474,15 +484,13 @@ def gpbilq_solve(sys: PartitionedSystem, tol: float = 1e-8,
     monitor : {"l", "c"}
         Which iterate drives the stopping test: the always-defined
         minimum-norm iterate ("l") or the square-system iterate ("c",
-        skipped at steps where it does not exist).
+        skipped at steps where it does not exist).  The square-system
+        iterate is computed each step only when monitored; on breakdown it
+        is attempted either way, since a lucky breakdown makes it exact.
     explicit_residual : bool
         Evaluate true residuals of the monitored iterate each iteration and
         stop on them (two extra operator applications per step); otherwise
         the exact closed-form estimates are used.
-    want_transfer : bool or None
-        Compute the square-system iterate each step.  Defaults to True when
-        monitoring "c", else False.  On breakdown a final transfer is
-        attempted either way, since a lucky breakdown makes it exact.
 
     Iteration counting follows the reduction index: iteration k=1 is the
     startup step whose minimum-norm iterate is zero.  The record starts with
@@ -490,84 +498,10 @@ def gpbilq_solve(sys: PartitionedSystem, tol: float = 1e-8,
     """
     if monitor not in ("l", "c"):
         raise ValueError("monitor must be 'l' or 'c'")
-    if want_transfer is None:
-        want_transfer = monitor == "c"
-    if maxit is None:
-        maxit = 2 * (sys.m + sys.n)
-    t0 = time.perf_counter()
-    record = ConvergenceRecord()
-    rhs_norm = sys.rhs_norm
-    record.append(0, rhs_norm, rhs_norm if explicit_residual else None,
-                  elapsed=time.perf_counter() - t0)
-    zero_result = SolveResult(np.zeros(sys.m), np.zeros(sys.n), 0, "",
-                              rhs_norm, record)
-    zero_result.x_l, zero_result.y_l = zero_result.x, zero_result.y
-
-    init = (reduction_init(sys) if breakdown_tol is None
-            else reduction_init(sys, breakdown_tol))
-    if isinstance(init, BreakdownReport):
-        record.finalize(BREAKDOWN)
-        zero_result.reason = BREAKDOWN
-        zero_result.breakdown = init
-        return zero_result
-    if maxit == 0:
-        record.finalize(MAXIT)
-        zero_result.reason = MAXIT
-        return zero_result
-
-    state = BiLQState(sys, init)
-    reason = None
-    res_l = rhs_norm
-    res_c = None
-    while True:
-        if state.k == 1 and state.window is None:
-            state.startup()
-        else:
-            state.advance()
-            res_l = state.estimate_residual_l().est_norm_l
-        transfer_ok = state.attempt_transfer() if want_transfer else False
-        if transfer_ok:
-            res_c = state.estimate_residual_c()
-        if explicit_residual:
-            res_l = residual_norm(sys, state.x, state.y)
-            if transfer_ok:
-                res_c = residual_norm(sys, state.x_c, state.y_c)
-        res_mon = res_l if monitor == "l" else (res_c if transfer_ok else None)
-        record.append(state.k,
-                      res_mon if res_mon is not None else np.nan,
-                      (res_mon if explicit_residual and res_mon is not None else None),
-                      transfer_defined=transfer_ok if want_transfer else None,
-                      elapsed=time.perf_counter() - t0)
-        if res_mon is not None and res_mon <= tol:
-            reason = CONVERGED
-            break
-        if state.red.breakdown is not None:
-            reason = BREAKDOWN
-            break
-        if state.k >= maxit:
-            reason = MAXIT
-            break
-
-    # A lucky breakdown makes the square-system iterate exact; try it as a
-    # last resort even when it was not monitored.
-    if reason == BREAKDOWN and state.attempt_transfer():
-        res_c = residual_norm(sys, state.x_c, state.y_c)
-        if res_c <= tol:
-            reason = CONVERGED
-    record.finalize(reason)
-
-    x_c = y_c = None
-    if state.transfer is not None:
-        x_c, y_c = state.x_c, state.y_c
-    if monitor == "c" and x_c is not None:
-        x, y, final = x_c, y_c, res_c
-    elif reason == CONVERGED and monitor == "l" and res_l > tol and x_c is not None:
-        x, y, final = x_c, y_c, res_c  # breakdown rescue path
-    else:
-        x, y, final = state.x, state.y, res_l
-    return SolveResult(x, y, state.k, reason, float(final), record,
-                       breakdown=state.red.breakdown,
-                       x_l=state.x, y_l=state.y, x_c=x_c, y_c=y_c)
+    init = reduction_init(sys)
+    state = (init if isinstance(init, BreakdownReport)
+             else BiLQState(sys, init, monitor))
+    return _solve(sys, state, tol, maxit, explicit_residual)
 
 
 def _mix_columns(a1, a2, a3, r1, r2, r3, out1, out2, stage1, stage2):

@@ -17,21 +17,18 @@ exist).  The staging is exact, it only reorders scalar assignments.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from .convergence import BREAKDOWN, CONVERGED, MAXIT, ConvergenceRecord, SolveResult
+from .convergence import SolveResult, _solve
 from .linop import PartitionedSystem, residual_norm
 from .reduction import BreakdownReport, reduction_init, reduction_step
-from .rotations import Band, SingularWindowError, plane_rotation
+from .rotations import Band, SingularWindowError, bundle_product, plane_rotation
 
 __all__ = [
     "QRWindow",
     "QMRState",
     "qr_step",
     "rotate_rhs",
-    "rotation_block",
     "dense_qr_factors",
     "gpqmr_solve",
 ]
@@ -168,15 +165,6 @@ def rotate_rhs(w: QRWindow, carry: tuple[float, float]):
     return f1, f2, b3, b4
 
 
-def rotation_block(c1, s1, c2, s2, c3, s3, c4, s4) -> np.ndarray:
-    """4x4 block of one row-rotation bundle (rotations premultiply)."""
-    r1 = np.array([[c1, 0, 0, s1], [0, 1, 0, 0], [0, 0, 1, 0], [-s1, 0, 0, c1]])
-    r2 = np.array([[c2, s2, 0, 0], [-s2, c2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    r3 = np.array([[1, 0, 0, 0], [0, c3, 0, s3], [0, 0, 1, 0], [0, -s3, 0, c3]])
-    r4 = np.array([[1, 0, 0, 0], [0, c4, s4, 0], [0, -s4, c4, 0], [0, 0, 0, 1]])
-    return r4 @ r3 @ r2 @ r1
-
-
 def dense_qr_factors(w: QRWindow, k: int | None = None):
     """(Q_hat, R_hat) with Q_hat (2k+2)x(2k+2) orthogonal and R_hat 2k x 2k.
 
@@ -188,14 +176,6 @@ def dense_qr_factors(w: QRWindow, k: int | None = None):
         k = w.i
     if k > w.i:
         raise ValueError("window has not advanced that far")
-    dim = 2 * k + 2
-    Qt = np.eye(dim)
-    for i in range(1, k + 1):
-        block = rotation_block(*w.rotations[i - 1])
-        emb = np.eye(dim)
-        lo = 2 * i - 2
-        emb[lo:lo + 4, lo:lo + 4] = block
-        Qt = emb @ Qt
     R = np.zeros((2 * k, 2 * k))
     for r in range(1, 2 * k + 1):
         for name, off in (("rho", 0), ("nu", 1), ("omega", 2), ("zeta", 3), ("xi", 4)):
@@ -203,12 +183,15 @@ def dense_qr_factors(w: QRWindow, k: int | None = None):
             if col > 2 * k:
                 continue
             R[r - 1, col - 1] = getattr(w, name)[r]
-    return Qt.T, R
+    # the row-rotation bundles premultiply, so Q_hat is their transposed product
+    return bundle_product(w.rotations[:k], 2 * k + 2), R
 
 
 class QMRState:
     """Single-owner solver state: reduction window, QR window, a six-slot
     ring of direction pairs, and the rotated right-hand-side carries."""
+
+    tracks_transfer = False
 
     def __init__(self, sys: PartitionedSystem, red):
         m, n = sys.m, sys.n
@@ -279,10 +262,30 @@ class QMRState:
         self.coeffs = coeffs
         return coeffs
 
+    # -- solve-loop protocol (see convergence._solve) ------------------------
+
+    @property
+    def stopped(self) -> bool:
+        return self.red.breakdown is not None
+
+    def estimate(self) -> float:
+        return self.quasi
+
+    def iterate(self):
+        return self.x, self.y
+
+    def settle_breakdown(self, tol) -> bool:
+        # the in-flight step is finished; nothing further can be built
+        return residual_norm(self.sys, self.x, self.y) <= tol
+
+    def result(self, reason, residual, record) -> SolveResult:
+        return SolveResult(self.x, self.y, self.k, reason, float(residual),
+                           record, breakdown=self.red.breakdown)
+
 
 def gpqmr_solve(sys: PartitionedSystem, tol: float = 1e-8,
-                maxit: int | None = None, explicit_residual: bool = False,
-                breakdown_tol: float | None = None) -> SolveResult:
+                maxit: int | None = None,
+                explicit_residual: bool = False) -> SolveResult:
     """Run GPQMR until the quasi-residual (or true residual) drops below tol.
 
     The quasi-residual is the projected least-squares residual norm; the true
@@ -290,47 +293,6 @@ def gpqmr_solve(sys: PartitionedSystem, tol: float = 1e-8,
     evaluates and stops on true residuals instead (two extra operator
     applications per step), mirroring comparison-grade runs.
     """
-    if maxit is None:
-        maxit = 2 * (sys.m + sys.n)
-    t0 = time.perf_counter()
-    record = ConvergenceRecord()
-    rhs_norm = sys.rhs_norm
-    record.append(0, rhs_norm, rhs_norm if explicit_residual else None,
-                  elapsed=time.perf_counter() - t0)
-
-    init = (reduction_init(sys) if breakdown_tol is None
-            else reduction_init(sys, breakdown_tol))
-    if isinstance(init, BreakdownReport):
-        record.finalize(BREAKDOWN)
-        return SolveResult(np.zeros(sys.m), np.zeros(sys.n), 0, BREAKDOWN,
-                           rhs_norm, record, breakdown=init)
-    if maxit == 0:
-        record.finalize(MAXIT)
-        return SolveResult(np.zeros(sys.m), np.zeros(sys.n), 0, MAXIT,
-                           rhs_norm, record)
-
-    state = QMRState(sys, init)
-    reason = None
-    res = rhs_norm
-    while reason is None:
-        state.advance()
-        res = state.quasi
-        true_res = None
-        if explicit_residual:
-            true_res = residual_norm(sys, state.x, state.y)
-            res = true_res
-        record.append(state.k, state.quasi, true_res,
-                      elapsed=time.perf_counter() - t0)
-        if res <= tol:
-            reason = CONVERGED
-        elif state.red.breakdown is not None:
-            # finished the in-flight step; nothing further can be built
-            if residual_norm(sys, state.x, state.y) <= tol:
-                reason = CONVERGED
-            else:
-                reason = BREAKDOWN
-        elif state.k >= maxit:
-            reason = MAXIT
-    record.finalize(reason)
-    return SolveResult(state.x, state.y, state.k, reason, float(res), record,
-                       breakdown=state.red.breakdown)
+    init = reduction_init(sys)
+    state = init if isinstance(init, BreakdownReport) else QMRState(sys, init)
+    return _solve(sys, state, tol, maxit, explicit_residual)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
+from scipy.io import mmread, mmwrite
 
 from .convergence import ConvergenceRecord
 from .linop import Operator, PartitionedSystem
@@ -34,26 +35,27 @@ class MatrixMarketError(ValueError):
     """Malformed or unsupported Matrix Market content."""
 
 
-def _data_lines(path):
+def _header_and_size(path):
+    """First line and the size line (first non-comment line after it)."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        header = fh.readline()
-        yield header
+        header = fh.readline().split()
         for line in fh:
             line = line.strip()
             if line and not line.startswith("%"):
-                yield line
+                return header, line.split()
+    return header, None
 
 
 def read_matrix_market(path) -> sparse.csr_matrix:
-    """Parse a real coordinate or array Matrix Market file into CSR.
+    """Parse a real coordinate or array Matrix Market file into float64 CSR.
 
     Symmetric and skew-symmetric files are mirrored to full storage;
-    duplicate coordinates are summed; indices are converted to 0-based.
-    Pattern and complex fields are rejected.
+    duplicate coordinates are summed; integer fields are read as float64.
+    Pattern and complex fields are rejected.  The header and size line are
+    validated here; the entries are parsed by ``scipy.io.mmread``.
     """
     path = Path(path)
-    lines = _data_lines(path)
-    header = next(lines).strip().split()
+    header, size = _header_and_size(path)
     if len(header) != 5 or header[0] != "%%MatrixMarket":
         raise MatrixMarketError(f"{path}: missing %%MatrixMarket header")
     _, obj, fmt, field, symmetry = (tok.lower() for tok in header)
@@ -69,61 +71,31 @@ def read_matrix_market(path) -> sparse.csr_matrix:
         raise MatrixMarketError(f"{path}: unsupported field '{field}'")
     if symmetry not in ("general", "symmetric", "skew-symmetric"):
         raise MatrixMarketError(f"{path}: unsupported symmetry '{symmetry}'")
-
-    try:
-        size = next(lines).split()
-    except StopIteration:
-        raise MatrixMarketError(f"{path}: missing size line") from None
-
+    if size is None:
+        raise MatrixMarketError(f"{path}: missing size line")
     if fmt == "array":
         if len(size) != 2:
             raise MatrixMarketError(f"{path}: array size line must have 2 entries")
         if symmetry != "general":
             raise MatrixMarketError(f"{path}: non-general array symmetry unsupported")
-        nrows, ncols = int(size[0]), int(size[1])
-        data = [float(tok) for line in lines for tok in line.split()]
-        if len(data) != nrows * ncols:
-            raise MatrixMarketError(f"{path}: expected {nrows * ncols} array values, "
-                                    f"found {len(data)}")
-        dense = np.asarray(data).reshape((ncols, nrows)).T  # column-major listing
-        return sparse.csr_matrix(dense)
-
-    if len(size) != 3:
+        expected = f"{int(size[0]) * int(size[1])} array values"
+    elif len(size) != 3:
         raise MatrixMarketError(f"{path}: coordinate size line must have 3 entries")
-    nrows, ncols, nnz = int(size[0]), int(size[1]), int(size[2])
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz)
-    for idx in range(nnz):
-        try:
-            parts = next(lines).split()
-        except StopIteration:
-            raise MatrixMarketError(f"{path}: expected {nnz} entries, found {idx}") from None
-        if len(parts) != 3:
-            raise MatrixMarketError(f"{path}: bad entry line '{' '.join(parts)}'")
-        r, c, v = int(parts[0]), int(parts[1]), float(parts[2])
-        if not (1 <= r <= nrows and 1 <= c <= ncols):
-            raise MatrixMarketError(f"{path}: index ({r},{c}) out of bounds "
-                                    f"for {nrows}x{ncols}")
-        rows[idx], cols[idx], vals[idx] = r - 1, c - 1, v
-    if symmetry in ("symmetric", "skew-symmetric"):
-        off = rows != cols
-        sign = -1.0 if symmetry == "skew-symmetric" else 1.0
-        rows, cols, vals = (np.concatenate([rows, cols[off]]),
-                            np.concatenate([cols, rows[off]]),
-                            np.concatenate([vals, sign * vals[off]]))
-    mat = sparse.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols))
-    return mat.tocsr()  # duplicate coordinates are summed here
+    else:
+        expected = f"{size[2]} entries"
+    try:
+        mat = mmread(path)
+    except ValueError as exc:
+        raise MatrixMarketError(
+            f"{path}: expected {expected}, none out of bounds for "
+            f"{size[0]}x{size[1]} ({exc})") from exc
+    return sparse.csr_matrix(mat, dtype=np.float64)
 
 
 def write_matrix_market(mat, path) -> None:
-    """Write a matrix in real general coordinate format (value text %.17g)."""
-    coo = sparse.coo_matrix(mat)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r + 1} {c + 1} {v:.17g}\n")
+    """Write a matrix in real general coordinate format."""
+    with open(path, "wb") as fh:
+        mmwrite(fh, sparse.coo_matrix(mat), field="real", symmetry="general")
 
 
 # -- benchmark systems -------------------------------------------------------

@@ -19,6 +19,7 @@ so that p^T q = u^T v = 1 after each normalization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -91,7 +92,7 @@ class ReductionState:
         "k", "p_prev", "p_cur", "q_prev", "q_cur", "u_prev", "u_cur",
         "v_prev", "v_cur", "alpha", "theta", "beta", "gamma", "delta", "eta",
         "beta1", "delta1", "q_norm", "u_norm", "q_prev_norm", "u_prev_norm",
-        "vec_scale", "breakdown", "breakdown_tol",
+        "vec_scale", "breakdown",
         "scratch_m1", "scratch_m2", "scratch_n1", "scratch_n2",
     )
 
@@ -109,9 +110,7 @@ class ReductionState:
         self.scratch_n2 = None
 
 
-def reduction_init(sys: PartitionedSystem,
-                   breakdown_tol: float = BREAKDOWN_RTOL,
-                   ) -> Union[ReductionState, BreakdownReport]:
+def reduction_init(sys: PartitionedSystem) -> Union[ReductionState, BreakdownReport]:
     """Scale the starting vectors into the first biorthogonal quadruple.
 
     Returns the initialized state, or a BreakdownReport at iteration 1 when
@@ -123,16 +122,16 @@ def reduction_init(sys: PartitionedSystem,
     nf, nb = np.linalg.norm(f), np.linalg.norm(b)
     nc, ng = np.linalg.norm(c), np.linalg.norm(g)
     scale = max(1.0, nf, nb, nc, ng)
-    if abs(fb) <= breakdown_tol * max(1.0, nf * nb):
+    if abs(fb) <= BREAKDOWN_RTOL * max(1.0, nf * nb):
         lucky = bool(min(nf, nb) <= LUCKY_VEC_RTOL * scale)
         return BreakdownReport("p_q", abs(fb), 1, lucky)
-    if abs(cg) <= breakdown_tol * max(1.0, nc * ng):
+    if abs(cg) <= BREAKDOWN_RTOL * max(1.0, nc * ng):
         lucky = bool(min(nc, ng) <= LUCKY_VEC_RTOL * scale)
         return BreakdownReport("u_v", abs(cg), 1, lucky)
 
-    eta1 = np.sqrt(abs(fb))
+    eta1 = math.sqrt(abs(fb))
     beta1 = fb / eta1
-    delta1 = np.sqrt(abs(cg))
+    delta1 = math.sqrt(abs(cg))
     gamma1 = cg / delta1
 
     st = ReductionState()
@@ -152,7 +151,6 @@ def reduction_init(sys: PartitionedSystem,
     st.q_prev_norm = 0.0
     st.u_prev_norm = 0.0
     st.vec_scale = scale
-    st.breakdown_tol = breakdown_tol
     return st
 
 
@@ -204,8 +202,8 @@ def reduction_step(state: ReductionState, sys: PartitionedSystem) -> StepCoeffs:
     nu, nv = np.linalg.norm(Bq), np.linalg.norm(ATp)
     state.vec_scale = max(state.vec_scale, np_, nq, nu, nv)
 
-    pq_down = abs(pq) <= state.breakdown_tol * max(1.0, np_ * nq)
-    uv_down = abs(uv) <= state.breakdown_tol * max(1.0, nu * nv)
+    pq_down = abs(pq) <= BREAKDOWN_RTOL * max(1.0, np_ * nq)
+    uv_down = abs(uv) <= BREAKDOWN_RTOL * max(1.0, nu * nv)
 
     vec_tol = LUCKY_VEC_RTOL * state.vec_scale
     if pq_down or uv_down:
@@ -227,7 +225,7 @@ def reduction_step(state: ReductionState, sys: PartitionedSystem) -> StepCoeffs:
         state.q_prev.fill(0.0)
         nq_next = 0.0
     else:
-        eta_next = np.sqrt(abs(pq))
+        eta_next = math.sqrt(abs(pq))
         beta_next = pq / eta_next
         np.divide(BTv, eta_next, out=state.p_prev)
         np.divide(Au, beta_next, out=state.q_prev)
@@ -238,7 +236,7 @@ def reduction_step(state: ReductionState, sys: PartitionedSystem) -> StepCoeffs:
         state.v_prev.fill(0.0)
         nu_next = 0.0
     else:
-        delta_next = np.sqrt(abs(uv))
+        delta_next = math.sqrt(abs(uv))
         gamma_next = uv / delta_next
         np.divide(Bq, delta_next, out=state.u_prev)
         np.divide(ATp, gamma_next, out=state.v_prev)

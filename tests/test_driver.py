@@ -1,0 +1,66 @@
+"""Contract of the solve loop shared by every public solver."""
+
+import numpy as np
+import pytest
+
+from gpkrylov import (PartitionedSystem, gpbilq_solve, gpmr_solve, gpqmr_solve,
+                      residual_norm)
+
+from conftest import make_system
+
+SOLVERS = {
+    "gpbilq": lambda s, **kw: gpbilq_solve(s, monitor="l", **kw),
+    "gpbicg": lambda s, **kw: gpbilq_solve(s, monitor="c", **kw),
+    "gpqmr": gpqmr_solve,
+    "gpmr": gpmr_solve,
+}
+
+
+def desk_system(**kw):
+    return make_system(12, 9, seed=600, **kw)
+
+
+@pytest.mark.parametrize("method", SOLVERS)
+def test_maxit_zero_returns_the_zero_iterate(method):
+    sys_ = desk_system()
+    res = SOLVERS[method](sys_, tol=1e-10, maxit=0)
+    assert res.reason == "maxit" and res.iterations == 0
+    assert not res.x.any() and not res.y.any()
+    assert [(r.k, r.est_residual) for r in res.record.rows] == [(0, sys_.rhs_norm)]
+
+
+@pytest.mark.parametrize("method", SOLVERS)
+def test_budget_exhaustion_records_every_iteration(method):
+    res = SOLVERS[method](desk_system(), tol=1e-30, maxit=5)
+    assert res.reason == "maxit" and res.iterations == 5
+    assert [r.k for r in res.record.rows] == list(range(6))
+    assert res.record.reason == res.reason
+
+
+@pytest.mark.parametrize("method", SOLVERS)
+def test_explicit_residual_is_that_of_the_returned_iterate(method):
+    sys_ = desk_system()
+    res = SOLVERS[method](sys_, tol=1e-30, maxit=5, explicit_residual=True)
+    assert res.residual == pytest.approx(residual_norm(sys_, res.x, res.y),
+                                         rel=1e-12)
+
+
+@pytest.mark.parametrize("method", ["gpbilq", "gpbicg", "gpqmr"])
+def test_orthogonal_start_vectors_break_down_at_once(method):
+    sys_ = desk_system()
+    f = np.random.default_rng(601).standard_normal(sys_.m)
+    f -= (f @ sys_.b) / (sys_.b @ sys_.b) * sys_.b
+    sys_ = PartitionedSystem(sys_.lam, sys_.mu, sys_.A, sys_.B, sys_.b, sys_.c,
+                             f=f)
+    res = SOLVERS[method](sys_, tol=1e-10, maxit=10)
+    assert res.reason == "breakdown" and res.iterations == 0
+    assert res.breakdown.iteration == 1
+
+
+def test_gpbicg_without_transfer_at_exit_returns_the_gpbilq_iterate():
+    from test_acceptance import _singular_mid_run_system
+    sys_ = _singular_mid_run_system()  # square-system iterate undefined at k=2
+    res = gpbilq_solve(sys_, tol=1e-30, maxit=2, monitor="c")
+    assert res.reason == "maxit" and res.record.rows[-1].transfer_defined is False
+    assert res.x_c is None and res.x is res.x_l
+    assert res.residual == residual_norm(sys_, res.x, res.y)

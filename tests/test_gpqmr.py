@@ -4,9 +4,9 @@ from numpy.testing import assert_allclose
 
 from gpkrylov import (Operator, PartitionedSystem, QMRState, gpmr_solve,
                       gpqmr_solve, oracle_lsq, reduction_init, residual_norm)
-from gpkrylov.gpqmr import dense_qr_factors, rotation_block
+from gpkrylov.gpqmr import dense_qr_factors
 from gpkrylov.reduction import ReductionHistory
-from gpkrylov.rotations import plane_rotation
+from gpkrylov.rotations import plane_rotation, rotation_block
 
 from conftest import make_system
 

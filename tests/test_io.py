@@ -111,6 +111,27 @@ def test_truncated_entries(tmp_path):
         read_matrix_market(path)
 
 
+def test_entries_beyond_the_declared_count(tmp_path):
+    path = write(tmp_path, """%%MatrixMarket matrix coordinate real general
+2 2 1
+1 1 1.0
+2 2 5.0
+""")
+    with pytest.raises(MatrixMarketError, match="expected 1"):
+        read_matrix_market(path)
+
+
+def test_integer_field_reads_as_float64(tmp_path):
+    path = write(tmp_path, """%%MatrixMarket matrix coordinate integer general
+2 2 2
+1 1 3
+2 2 -4
+""")
+    mat = read_matrix_market(path)
+    assert mat.dtype == np.float64
+    assert_allclose(mat.toarray(), [[3.0, 0.0], [0.0, -4.0]])
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 31 - 1))
 def test_writer_reader_round_trip(nrows, ncols, seed):
