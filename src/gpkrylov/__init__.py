@@ -7,21 +7,21 @@ simultaneous biorthogonal tridiagonal reduction; gpmr_solve is the
 long-recurrence minimum-residual baseline.
 """
 
-from .baselines import (HessenbergProcessState, OracleWorkspace, gpmr_solve,
-                        oracle_dense_solve, oracle_lsq, oracle_minnorm)
+from .baselines import HessenbergProcessState, gpmr_solve
 from .convergence import (BREAKDOWN, CONVERGED, MAXIT, ConvergenceRecord,
                           SolveResult)
 from .gpbilq import BiLQState, gpbilq_solve
 from .gpqmr import QMRState, gpqmr_solve
-from .checks import run_invariant_suite
 from .io import (EXPERIMENTS, build_experiment, build_system,
                  read_convergence_csv, read_matrix_market,
                  write_convergence_csv, write_matrix_market)
 from .linop import (Operator, PartitionedSystem, apply_partitioned,
                     assemble_dense, residual_norm)
-from .reduction import (BreakdownReport, ReductionHistory, ReductionState,
-                        build_projected_h, reduction_init, reduction_step)
+from .reduction import (BreakdownReport, ReductionState, reduction_init,
+                        reduction_step)
 from .rotations import SingularWindowError
+from .verify import (ReductionHistory, build_projected_h, oracle_dense_solve,
+                     oracle_lsq, oracle_minnorm, run_invariant_suite)
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,7 @@ __all__ = [
     "reduction_init", "reduction_step", "ReductionState", "ReductionHistory",
     "BreakdownReport", "build_projected_h",
     "gpbilq_solve", "BiLQState", "gpqmr_solve", "QMRState",
-    "gpmr_solve", "HessenbergProcessState", "OracleWorkspace",
+    "gpmr_solve", "HessenbergProcessState",
     "oracle_minnorm", "oracle_lsq", "oracle_dense_solve",
     "SolveResult", "ConvergenceRecord", "CONVERGED", "MAXIT", "BREAKDOWN",
     "read_matrix_market", "write_matrix_market", "build_system",

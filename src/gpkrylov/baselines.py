@@ -1,10 +1,10 @@
-"""GPMR reference solver and the dense oracles used by the property tests.
+"""GPMR: the long-recurrence minimum-residual baseline.
 
-GPMR here is the long-recurrence baseline: it builds two orthonormal bases
-with a simultaneous Hessenberg reduction and minimizes the true residual over
-the interleaved subspace via an incrementally updated QR of the projected
-matrix.  Full bases are stored; clarity and verifiability are preferred over
-the constant-memory bookkeeping of the short-recurrence solvers.
+It builds two orthonormal bases with a simultaneous Hessenberg reduction
+and minimizes the true residual over the interleaved subspace via an
+incrementally updated QR of the projected matrix.  Full bases are stored;
+clarity and verifiability are preferred over the constant-memory
+bookkeeping of the short-recurrence solvers.
 """
 
 from __future__ import annotations
@@ -12,17 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from .convergence import SolveResult, _solve
-from .linop import PartitionedSystem, apply_partitioned, assemble_dense
+from .linop import PartitionedSystem, apply_partitioned
 from .rotations import plane_rotation
 
 __all__ = [
     "HessenbergProcessState",
     "GPMRState",
-    "OracleWorkspace",
     "gpmr_solve",
-    "oracle_minnorm",
-    "oracle_lsq",
-    "oracle_dense_solve",
 ]
 
 
@@ -248,6 +244,8 @@ def gpmr_solve(sys: PartitionedSystem, tol: float = 1e-8, maxit: int | None = No
         Also evaluate the true residual of the assembled iterate each step
         (one extra pair of operator applications) and stop on it.
     """
+    if restart is not None and restart < 1:
+        raise ValueError(f"restart must be >= 1, got {restart}")
     return _solve(sys, GPMRState(sys, restart), tol, maxit, explicit_residual)
 
 
@@ -261,64 +259,3 @@ def _projected_column_pair(sys, proc, k):
     col_y[0::2] = proc.h_cols[k - 1]
     col_y[2 * k - 1] = sys.mu
     return col_x, col_y
-
-
-# -- dense oracles ----------------------------------------------------------
-
-
-class OracleWorkspace:
-    """Dense snapshots of a desk-scale run for brute-force verification."""
-
-    def __init__(self, sys: PartitionedSystem, history):
-        self.sys = sys
-        self.history = history
-        self.K = assemble_dense(sys)
-
-    def W(self, k: int) -> np.ndarray:
-        return self.history.W(k)
-
-    def projected(self, k: int) -> np.ndarray:
-        return self.history.projected(self.sys.lam, self.sys.mu, k)
-
-    def rhs(self, k: int) -> np.ndarray:
-        out = np.zeros(2 * k)
-        out[0] = self.history.betas[0]
-        out[1] = self.history.deltas[0]
-        return out
-
-
-def oracle_minnorm(H: np.ndarray, rhs: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Minimum-norm solution of a consistent underdetermined system.
-
-    Raises when H is row-rank deficient or the system is inconsistent.
-    """
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    rhs = np.asarray(rhs, dtype=float)
-    z, _, rank, _ = np.linalg.lstsq(H, rhs, rcond=None)
-    if rank < H.shape[0]:
-        raise ValueError(f"constraint matrix is rank deficient (rank {rank} < {H.shape[0]})")
-    gap = np.linalg.norm(H @ z - rhs)
-    if gap > rtol * max(1.0, np.linalg.norm(rhs)):
-        raise ValueError(f"constraints are inconsistent (residual {gap:.3e})")
-    return z
-
-
-def oracle_lsq(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Dense least-squares solution; raises on column-rank deficiency."""
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    rhs = np.asarray(rhs, dtype=float)
-    z, _, rank, _ = np.linalg.lstsq(H, rhs, rcond=None)
-    if rank < H.shape[1]:
-        raise ValueError(f"matrix is column-rank deficient (rank {rank} < {H.shape[1]})")
-    return z
-
-
-def oracle_dense_solve(sys: PartitionedSystem):
-    """Direct dense solution (ground truth for convergence tests)."""
-    K = assemble_dense(sys)
-    rhs = np.concatenate([sys.b, sys.c])
-    try:
-        sol = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("assembled system matrix is singular") from exc
-    return sol[:sys.m], sol[sys.m:]

@@ -25,7 +25,7 @@ from .gpqmr import gpqmr_solve
 from .io import (EXPERIMENTS, build_experiment, build_system,
                  read_matrix_market, write_convergence_csv)
 from .linop import Operator, PartitionedSystem
-from .checks import run_invariant_suite
+from .verify import run_invariant_suite
 
 __all__ = ["main"]
 
@@ -122,8 +122,6 @@ def _run_method(method, sys_, args):
     if method == "gpmr":
         return gpmr_solve(sys_, args.tol, args.maxit, explicit_residual=explicit)
     if method == "gpmr_restarted":
-        if args.restart < 1:
-            raise ValueError("--restart must be >= 1")
         return gpmr_solve(sys_, args.tol, args.maxit, restart=args.restart,
                           explicit_residual=explicit)
     raise ValueError(f"unknown method {method}")

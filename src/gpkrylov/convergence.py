@@ -105,6 +105,8 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
     """
     if maxit is None:
         maxit = 2 * (sys.m + sys.n)
+    if maxit < 0:
+        raise ValueError(f"maxit must be >= 0, got {maxit}")
     t0 = time.perf_counter()
     rhs_norm = sys.rhs_norm
     record = ConvergenceRecord()

@@ -20,8 +20,6 @@ are allocated after startup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .convergence import CONVERGED, SolveResult, _solve
@@ -34,7 +32,6 @@ from .rotations import (Band, SingularWindowError, bundle_product,
 __all__ = [
     "LQWindow",
     "BiLQState",
-    "BiLQResidualEstimate",
     "lq_window_init",
     "lq_step",
     "substitute_step",
@@ -209,13 +206,9 @@ def transfer_scalars(w: LQWindow, varpi: Band, beta1, delta1):
 # -- dense reconstruction (verification support) ----------------------------
 
 
-def dense_gk(w: LQWindow, k: int | None = None) -> np.ndarray:
-    """Accumulated 2k x 2k product of the first k-1 rotation bundles."""
-    if k is None:
-        k = w.i + 1
-    if k > w.i + 1:
-        raise ValueError("window has not advanced that far")
-    return bundle_product(w.rotations[:k - 1], 2 * k)
+def dense_gk(w: LQWindow) -> np.ndarray:
+    """Accumulated 2k x 2k product of the k-1 rotation bundles (k = i+1)."""
+    return bundle_product(w.rotations, 2 * w.i + 2)
 
 
 def dense_lq_factors(w: LQWindow) -> tuple[np.ndarray, np.ndarray]:
@@ -245,22 +238,11 @@ def dense_lq_factors(w: LQWindow) -> tuple[np.ndarray, np.ndarray]:
     L[dim - 1, dim - 1] = rho_dd2
     gt = np.eye(dim)
     gt[dim - 2:, dim - 2:] = np.array([[c_k, -s_k], [s_k, c_k]])
-    Q = (dense_gk(w, k) @ gt).T
+    Q = (dense_gk(w) @ gt).T
     return L, Q
 
 
 # -- solver ------------------------------------------------------------------
-
-
-@dataclass
-class BiLQResidualEstimate:
-    """Closed-form residual norms recovered from window scalars."""
-
-    vartheta: float
-    varrho: float
-    chi: float
-    varsigma: float
-    est_norm_l: float
 
 
 class BiLQState:
@@ -391,7 +373,7 @@ class BiLQState:
                 rots[-2], (varpi[2 * k - 5], varpi[2 * k - 4], z3, z4))
         return z3, z4, z5, z6
 
-    def estimate_residual_l(self) -> BiLQResidualEstimate:
+    def estimate_residual_l(self) -> float:
         """Residual norm of the current minimum-norm iterate (k >= 2),
         recovered exactly from window scalars and four basis-vector norms."""
         if self.k < 2:
@@ -410,8 +392,7 @@ class BiLQState:
             + 2.0 * vartheta * chi * qq + (chi * red.q_norm) ** 2
         u_part = (varrho * red.u_prev_norm) ** 2 \
             + 2.0 * varrho * varsigma * uu + (varsigma * red.u_norm) ** 2
-        est = float(np.sqrt(max(q_part, 0.0) + max(u_part, 0.0)))
-        return BiLQResidualEstimate(vartheta, varrho, chi, varsigma, est)
+        return float(np.sqrt(max(q_part, 0.0) + max(u_part, 0.0)))
 
     def estimate_residual_c(self) -> float:
         """Residual norm of the square-system iterate at the current step."""
@@ -441,7 +422,7 @@ class BiLQState:
     def estimate(self) -> float | None:
         if self.monitor == "c":
             return self.estimate_residual_c() if self.attempt_transfer() else None
-        return self.sys.rhs_norm if self.k < 2 else self.estimate_residual_l().est_norm_l
+        return self.sys.rhs_norm if self.k < 2 else self.estimate_residual_l()
 
     def iterate(self):
         return (self.x, self.y) if self.monitor == "l" else (self.x_c, self.y_c)

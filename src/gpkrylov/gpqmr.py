@@ -165,17 +165,14 @@ def rotate_rhs(w: QRWindow, carry: tuple[float, float]):
     return f1, f2, b3, b4
 
 
-def dense_qr_factors(w: QRWindow, k: int | None = None):
-    """(Q_hat, R_hat) with Q_hat (2k+2)x(2k+2) orthogonal and R_hat 2k x 2k.
+def dense_qr_factors(w: QRWindow):
+    """(Q_hat, R_hat) at k = i: Q_hat (2k+2)x(2k+2) orthogonal, R_hat 2k x 2k.
 
     All entries of R_hat within its 2k columns are finalized once bundle k's
     early stage has run, so reconstruction of the projected matrix as
-    Q_hat @ [R_hat; 0] is exact for any k <= i.
+    Q_hat @ [R_hat; 0] is exact.
     """
-    if k is None:
-        k = w.i
-    if k > w.i:
-        raise ValueError("window has not advanced that far")
+    k = w.i
     R = np.zeros((2 * k, 2 * k))
     for r in range(1, 2 * k + 1):
         for name, off in (("rho", 0), ("nu", 1), ("omega", 2), ("zeta", 3), ("xi", 4)):
@@ -184,7 +181,7 @@ def dense_qr_factors(w: QRWindow, k: int | None = None):
                 continue
             R[r - 1, col - 1] = getattr(w, name)[r]
     # the row-rotation bundles premultiply, so Q_hat is their transposed product
-    return bundle_product(w.rotations[:k], 2 * k + 2), R
+    return bundle_product(w.rotations, 2 * k + 2), R
 
 
 class QMRState:
@@ -207,9 +204,6 @@ class QMRState:
         self.varpi = Band(1)  # finalized rotated right-hand-side entries
         self.quasi = float(np.hypot(red.beta1, red.delta1))
         self.coeffs = None
-
-    def varpi_entry(self, idx: int) -> float:
-        return self.varpi[idx]
 
     def _slot(self, idx):
         return self.fx[idx % 6], self.fy[idx % 6]

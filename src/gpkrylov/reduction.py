@@ -31,10 +31,8 @@ __all__ = [
     "BreakdownReport",
     "ReductionState",
     "StepCoeffs",
-    "ReductionHistory",
     "reduction_init",
     "reduction_step",
-    "build_projected_h",
     "BREAKDOWN_RTOL",
     "LUCKY_VEC_RTOL",
 ]
@@ -261,122 +259,3 @@ def reduction_step(state: ReductionState, sys: PartitionedSystem) -> StepCoeffs:
     state.scratch_m1, state.scratch_m2 = Au, BTv
     state.scratch_n1, state.scratch_n2 = Bq, ATp
     return coeffs
-
-
-class ReductionHistory:
-    """Opt-in dense accumulation of basis vectors and coefficients.
-
-    Production solvers keep only the sliding window; the history exists for
-    verification (biorthogonality, factorization residuals, projected-system
-    oracles) and is limited to desk-scale problems by memory.
-    """
-
-    def __init__(self, state: ReductionState):
-        self.ps = [state.p_cur.copy()]
-        self.qs = [state.q_cur.copy()]
-        self.us = [state.u_cur.copy()]
-        self.vs = [state.v_cur.copy()]
-        self.alphas: list[float] = []
-        self.thetas: list[float] = []
-        self.betas = [state.beta]
-        self.gammas = [state.gamma]
-        self.deltas = [state.delta]
-        self.etas = [state.eta]
-
-    def update(self, state: ReductionState, coeffs: StepCoeffs) -> None:
-        self.ps.append(state.p_cur.copy())
-        self.qs.append(state.q_cur.copy())
-        self.us.append(state.u_cur.copy())
-        self.vs.append(state.v_cur.copy())
-        self.alphas.append(coeffs.alpha)
-        self.thetas.append(coeffs.theta)
-        self.betas.append(coeffs.beta_next)
-        self.gammas.append(coeffs.gamma_next)
-        self.deltas.append(coeffs.delta_next)
-        self.etas.append(coeffs.eta_next)
-
-    # -- dense views -------------------------------------------------------
-
-    def P(self, k: int) -> np.ndarray:
-        return np.column_stack(self.ps[:k])
-
-    def Q(self, k: int) -> np.ndarray:
-        return np.column_stack(self.qs[:k])
-
-    def U(self, k: int) -> np.ndarray:
-        return np.column_stack(self.us[:k])
-
-    def V(self, k: int) -> np.ndarray:
-        return np.column_stack(self.vs[:k])
-
-    def S(self, k: int) -> np.ndarray:
-        """k x k tridiagonal with diagonal alpha, subdiagonal beta, superdiagonal gamma."""
-        return _tridiag(self.alphas, self.betas, self.gammas, k)
-
-    def T(self, k: int) -> np.ndarray:
-        """k x k tridiagonal with diagonal theta, subdiagonal delta, superdiagonal eta."""
-        return _tridiag(self.thetas, self.deltas, self.etas, k)
-
-    def S_rect(self, k: int) -> np.ndarray:
-        """(k+1) x k extension of S with trailing row beta_{k+1} e_k^T."""
-        out = np.zeros((k + 1, k))
-        out[:k, :] = self.S(k)
-        out[k, k - 1] = self.betas[k]
-        return out
-
-    def T_rect(self, k: int) -> np.ndarray:
-        out = np.zeros((k + 1, k))
-        out[:k, :] = self.T(k)
-        out[k, k - 1] = self.deltas[k]
-        return out
-
-    def W(self, k: int) -> np.ndarray:
-        """Interleaved basis [q_1|0, 0|u_1, q_2|0, 0|u_2, ...] of width 2k."""
-        m = self.qs[0].shape[0]
-        n = self.us[0].shape[0]
-        out = np.zeros((m + n, 2 * k))
-        for j in range(k):
-            out[:m, 2 * j] = self.qs[j]
-            out[m:, 2 * j + 1] = self.us[j]
-        return out
-
-    def projected(self, lam: float, mu: float, k: int) -> np.ndarray:
-        return build_projected_h(self.alphas, self.thetas, self.betas,
-                                 self.gammas, self.deltas, self.etas,
-                                 lam, mu, k)
-
-
-def _tridiag(diag, sub, sup, k):
-    out = np.zeros((k, k))
-    for i in range(k):
-        out[i, i] = diag[i]
-        if i + 1 < k:
-            out[i + 1, i] = sub[i + 1]
-            out[i, i + 1] = sup[i + 1]
-    return out
-
-
-def build_projected_h(alphas, thetas, betas, gammas, deltas, etas,
-                      lam: float, mu: float, k: int) -> np.ndarray:
-    """(2k+2) x 2k projected block-tridiagonal matrix.
-
-    Built from 2x2 blocks: diagonal [lam, alpha_i; theta_i, mu], subdiagonal
-    [0, beta_i; delta_i, 0], superdiagonal [0, gamma_i; eta_i, 0]; the
-    coefficient sequences are 1-based lists (``betas[i-1]`` is beta_i) and
-    must extend through index k+1 for the subdiagonal scalars.
-    """
-    if len(alphas) < k or len(betas) < k + 1:
-        raise ValueError(f"need k={k} diagonal and k+1 coupling coefficients")
-    H = np.zeros((2 * k + 2, 2 * k))
-    for i in range(1, k + 1):
-        r = 2 * (i - 1)
-        H[r, r] = lam
-        H[r, r + 1] = alphas[i - 1]
-        H[r + 1, r] = thetas[i - 1]
-        H[r + 1, r + 1] = mu
-        H[r + 2, r + 1] = betas[i]
-        H[r + 3, r] = deltas[i]
-        if i < k:
-            H[r, r + 3] = gammas[i]
-            H[r + 1, r + 2] = etas[i]
-    return H

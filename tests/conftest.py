@@ -1,7 +1,7 @@
-import numpy as np
 import pytest
 
 from gpkrylov import Operator, PartitionedSystem
+from gpkrylov.verify import random_system as make_system
 
 ACCEPTANCE_RESULTS = []
 
@@ -20,29 +20,6 @@ def pytest_terminal_summary(terminalreporter):
         if detail:
             line += f"  [{detail}]"
         terminalreporter.write_line(line)
-
-
-def make_system(m, n, seed, lam=1.0, mu=-0.5, symmetric=False, sparse_ops=False,
-                fg_random=False):
-    """Seeded dense-backed random system (f=b, g=c unless fg_random)."""
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((m, n))
-    if symmetric:
-        assert m == n
-        B = A.T.copy()
-    else:
-        B = rng.standard_normal((n, m))
-    if sparse_ops:
-        from scipy import sparse
-        opA = Operator.from_matrix(sparse.csr_matrix(A))
-        opB = Operator.from_matrix(sparse.csr_matrix(B))
-    else:
-        opA, opB = Operator.from_matrix(A), Operator.from_matrix(B)
-    b = rng.standard_normal(m)
-    c = rng.standard_normal(n)
-    f = rng.standard_normal(m) if fg_random else None
-    g = rng.standard_normal(n) if fg_random else None
-    return PartitionedSystem(lam, mu, opA, opB, b, c, f, g)
 
 
 @pytest.fixture

@@ -12,25 +12,14 @@ import numpy as np
 import pytest
 
 from gpkrylov import (BiLQState, Operator, PartitionedSystem, QMRState,
-                      build_experiment, build_projected_h, gpbilq_solve,
-                      gpmr_solve, gpqmr_solve, oracle_lsq, oracle_minnorm,
+                      build_experiment, gpbilq_solve, gpmr_solve, gpqmr_solve,
                       reduction_init, reduction_step, residual_norm)
-from gpkrylov.gpbilq import dense_lq_factors
-from gpkrylov.gpqmr import dense_qr_factors
-from gpkrylov.reduction import ReductionHistory
+from gpkrylov.verify import (ReductionHistory, build_projected_h,
+                             estimate_gaps, lq_errors, lsq_gaps, minnorm_gap,
+                             projected_system, qr_errors, reduction_errors,
+                             stepped, transfer_gap)
 
 from conftest import make_system, record_acceptance
-
-
-def bilq_stepped(sys_, steps):
-    red = reduction_init(sys_)
-    hist = ReductionHistory(red)
-    st = BiLQState(sys_, red)
-    hist.update(red, st.startup())
-    yield st, hist
-    for _ in range(steps - 1):
-        hist.update(red, st.advance())
-        yield st, hist
 
 
 def test_criterion_1_reduction_invariants():
@@ -43,20 +32,10 @@ def test_criterion_1_reduction_invariants():
         hist = ReductionHistory(red)
         for _ in range(10):
             hist.update(red, reduction_step(red, sys_))
-        k = 10
-        P, Q, U, V = hist.P(k), hist.Q(k), hist.U(k), hist.V(k)
-        worst_bi = max(worst_bi,
-                       np.max(np.abs(P.T @ Q - np.eye(k))),
-                       np.max(np.abs(U.T @ V - np.eye(k))))
+        biortho, (au, atp, bq, btv) = reduction_errors(hist, A, B)
         nA, nB = np.linalg.norm(A), np.linalg.norm(B)
-        S_wide = np.hstack([hist.S(k), hist.gammas[k] * np.eye(k)[:, -1:]])
-        T_wide = np.hstack([hist.T(k), hist.etas[k] * np.eye(k)[:, -1:]])
-        worst_rel = max(
-            worst_rel,
-            np.linalg.norm(A @ U - hist.Q(k + 1) @ hist.S_rect(k)) / nA,
-            np.linalg.norm(A.T @ P - hist.V(k + 1) @ S_wide.T) / nA,
-            np.linalg.norm(B @ Q - hist.U(k + 1) @ hist.T_rect(k)) / nB,
-            np.linalg.norm(B.T @ V - hist.P(k + 1) @ T_wide.T) / nB)
+        worst_bi = max(worst_bi, biortho)
+        worst_rel = max(worst_rel, au / nA, atp / nA, bq / nB, btv / nB)
     elapsed = time.perf_counter() - t0
     ok = worst_bi <= 1e-8 and worst_rel <= 1e-10 and elapsed < 1.0
     record_acceptance("1 reduction invariants (10 systems, k=10)", ok,
@@ -85,19 +64,12 @@ def test_criterion_3_minimum_norm_oracle_equivalence():
     rank_ok = True
     for seed in range(5):
         sys_ = make_system(12, 12, seed=520 + seed, fg_random=True)
-        for st, hist in bilq_stepped(sys_, 8):
-            k = st.k
-            if k < 2:
+        for st, hist in stepped(BiLQState, sys_, 8):
+            if st.k < 2:
                 continue
-            H = hist.projected(sys_.lam, sys_.mu, k)[:2 * k - 2, :]
-            svals = np.linalg.svd(H, compute_uv=False)
-            rank_ok = rank_ok and svals[-1] > 1e-10
-            rhs = np.zeros(2 * k - 2)
-            rhs[0], rhs[1] = st.red.beta1, st.red.delta1
-            sol = hist.W(k) @ oracle_minnorm(H, rhs)
-            got = np.concatenate([st.x, st.y])
-            worst = max(worst, np.linalg.norm(got - sol)
-                        / max(1.0, np.linalg.norm(sol)))
+            H, _ = projected_system(st, hist, 2 * st.k - 2)
+            rank_ok = rank_ok and np.linalg.svd(H, compute_uv=False)[-1] > 1e-10
+            worst = max(worst, minnorm_gap(st, hist))
     ok = worst <= 1e-8 and rank_ok
     record_acceptance("3 minimum-norm iterate equals dense oracle", ok,
                       f"worst {worst:.2e}, full row rank {rank_ok}")
@@ -111,21 +83,11 @@ def test_criterion_4_least_squares_oracle_equivalence():
     mono_ok = True
     for seed in range(5):
         sys_ = make_system(12, 12, seed=530 + seed, fg_random=True)
-        red = reduction_init(sys_)
-        hist = ReductionHistory(red)
-        st = QMRState(sys_, red)
         prev = np.inf
-        for k in range(1, 9):
-            hist.update(red, st.advance())
-            H = hist.projected(sys_.lam, sys_.mu, k)
-            svals = np.linalg.svd(H, compute_uv=False)
-            rank_ok = rank_ok and svals[-1] > 1e-10
-            rhs = np.zeros(2 * k + 2)
-            rhs[0], rhs[1] = red.beta1, red.delta1
-            sol = hist.W(k) @ oracle_lsq(H, rhs)
-            got = np.concatenate([st.x, st.y])
-            worst = max(worst, np.linalg.norm(got - sol)
-                        / max(1.0, np.linalg.norm(sol)))
+        for st, hist in stepped(QMRState, sys_, 8):
+            H, _ = projected_system(st, hist, 2 * st.k + 2)
+            rank_ok = rank_ok and np.linalg.svd(H, compute_uv=False)[-1] > 1e-10
+            worst = max(worst, lsq_gaps(st, hist)[0])
             mono_ok = mono_ok and st.quasi <= prev + 1e-12
             prev = st.quasi
     ok = worst <= 1e-8 and rank_ok and mono_ok
@@ -178,18 +140,11 @@ def test_criterion_5_transfer_iterate():
     defined_steps = 0
     for seed in range(5):
         sys_ = make_system(12, 12, seed=540 + seed, fg_random=True)
-        for st, hist in bilq_stepped(sys_, 8):
-            if not st.attempt_transfer():
-                continue
-            defined_steps += 1
-            k = st.k
-            H = hist.projected(sys_.lam, sys_.mu, k)[:2 * k, :]
-            rhs = np.zeros(2 * k)
-            rhs[0], rhs[1] = st.red.beta1, st.red.delta1
-            sol = hist.W(k) @ np.linalg.solve(H, rhs)
-            got = np.concatenate([st.x_c, st.y_c])
-            worst = max(worst, np.linalg.norm(got - sol)
-                        / max(1.0, np.linalg.norm(sol)))
+        for st, hist in stepped(BiLQState, sys_, 8):
+            gap = transfer_gap(st, hist)
+            if gap is not None:
+                defined_steps += 1
+                worst = max(worst, gap)
     # engineered singular step: flagged not-defined, run continues
     res = gpbilq_solve(_singular_mid_run_system(), tol=1e-30, maxit=5,
                        monitor="c")
@@ -210,22 +165,15 @@ def test_criterion_6_residual_estimates():
     bound_ok = True
     for seed in range(5):
         sys_ = make_system(12, 12, seed=550 + seed, fg_random=True)
-        for st, hist in bilq_stepped(sys_, 8):
+        for st, _ in stepped(BiLQState, sys_, 8):
             if st.k < 2:
                 continue
-            est = st.estimate_residual_l().est_norm_l
-            true = residual_norm(sys_, st.x, st.y)
-            worst_l = max(worst_l, abs(est - true) / max(1.0, true))
-            if st.attempt_transfer():
-                est_c = st.estimate_residual_c()
-                true_c = residual_norm(sys_, st.x_c, st.y_c)
-                worst_c = max(worst_c, abs(est_c - true_c) / max(1.0, true_c))
-        red = reduction_init(sys_)
-        hist = ReductionHistory(red)
-        st = QMRState(sys_, red)
-        for k in range(1, 9):
-            hist.update(red, st.advance())
-            bound = np.linalg.norm(hist.W(k + 1), 2) * st.quasi
+            gap_l, gap_c = estimate_gaps(st)
+            worst_l = max(worst_l, gap_l)
+            if gap_c is not None:
+                worst_c = max(worst_c, gap_c)
+        for st, hist in stepped(QMRState, sys_, 8):
+            bound = np.linalg.norm(hist.W(st.k + 1), 2) * st.quasi
             bound_ok = bound_ok and \
                 residual_norm(sys_, st.x, st.y) <= bound + 1e-9
     ok = worst_l <= 1e-8 and worst_c <= 1e-8 and bound_ok
@@ -241,32 +189,16 @@ def test_criterion_7_factorization_checks():
     sys_ = make_system(12, 12, seed=560, fg_random=True)
     worst_lq = worst_qr = 0.0
     band_ok = True
-    for st, hist in bilq_stepped(sys_, 7):
-        k = st.k
-        if k < 2:
+    for st, hist in stepped(BiLQState, sys_, 7):
+        if st.k < 2:
             continue
-        L, Qf = dense_lq_factors(st.window)
-        H = hist.projected(sys_.lam, sys_.mu, k)[:2 * k, :]
-        worst_lq = max(worst_lq, np.linalg.norm(L @ Qf - H),
-                       np.linalg.norm(Qf @ Qf.T - np.eye(2 * k)))
-        band_ok = band_ok and all(
-            abs(L[r, cc]) <= 1e-14
-            for r in range(2 * k) for cc in range(2 * k)
-            if cc > r or r - cc > 4)
-    red = reduction_init(sys_)
-    hist = ReductionHistory(red)
-    st = QMRState(sys_, red)
-    for k in range(1, 8):
-        hist.update(red, st.advance())
-        Qh, Rh = dense_qr_factors(st.window, k)
-        H = hist.projected(sys_.lam, sys_.mu, k)
-        worst_qr = max(worst_qr,
-                       np.linalg.norm(Qh @ np.vstack([Rh, np.zeros((2, 2 * k))]) - H),
-                       np.linalg.norm(Qh @ Qh.T - np.eye(2 * k + 2)))
-        band_ok = band_ok and all(
-            abs(Rh[r, cc]) <= 1e-14
-            for r in range(2 * k) for cc in range(2 * k)
-            if cc < r or cc - r > 4)
+        recon, orth, off_band = lq_errors(st, hist)
+        worst_lq = max(worst_lq, recon, orth)
+        band_ok = band_ok and off_band <= 1e-14
+    for st, hist in stepped(QMRState, sys_, 7):
+        recon, orth, off_band = qr_errors(st, hist)
+        worst_qr = max(worst_qr, recon, orth)
+        band_ok = band_ok and off_band <= 1e-14
     ok = worst_lq <= 1e-12 and worst_qr <= 1e-12 and band_ok
     record_acceptance("7 sliding LQ/QR reproduce the projected matrix", ok,
                       f"LQ {worst_lq:.2e}, QR {worst_qr:.2e}, bands {band_ok}")

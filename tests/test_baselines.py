@@ -3,9 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gpkrylov import (HessenbergProcessState, assemble_dense, gpmr_solve,
-                      oracle_dense_solve, oracle_lsq, oracle_minnorm,
                       residual_norm)
 from gpkrylov.linop import Operator, PartitionedSystem
+from gpkrylov.verify import oracle_dense_solve, oracle_lsq, oracle_minnorm
 
 from conftest import make_system
 
@@ -139,6 +139,12 @@ def test_restarted_needs_at_least_as_many_iterations():
     assert full.converged
     if part.converged:
         assert part.iterations >= full.iterations
+
+
+@pytest.mark.parametrize("restart", [0, -2])
+def test_restart_below_one_is_rejected(restart):
+    with pytest.raises(ValueError, match="restart"):
+        gpmr_solve(make_system(12, 9, seed=202), restart=restart)
 
 
 def test_converges_to_dense_solution():

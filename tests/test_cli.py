@@ -133,6 +133,13 @@ def test_check_oversize_exits_one():
     assert exc.value.code == 1
 
 
+def test_check_size_one_exits_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("check", "--size", "1")
+    assert exc.value.code == 1
+    assert "size 1" in capsys.readouterr().err
+
+
 def test_experiment_missing_files_exit_one(tmp_path, capsys):
     code = run("solve", "--method", "gpqmr", "--experiment", "well1033",
                "--matrix-dir", str(tmp_path))

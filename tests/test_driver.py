@@ -30,6 +30,12 @@ def test_maxit_zero_returns_the_zero_iterate(method):
 
 
 @pytest.mark.parametrize("method", SOLVERS)
+def test_negative_maxit_is_rejected(method):
+    with pytest.raises(ValueError, match="maxit"):
+        SOLVERS[method](desk_system(), tol=1e-10, maxit=-1)
+
+
+@pytest.mark.parametrize("method", SOLVERS)
 def test_budget_exhaustion_records_every_iteration(method):
     res = SOLVERS[method](desk_system(), tol=1e-30, maxit=5)
     assert res.reason == "maxit" and res.iterations == 5

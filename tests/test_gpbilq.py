@@ -3,23 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gpkrylov import (BiLQState, Operator, PartitionedSystem, gpbilq_solve,
-                      oracle_minnorm, reduction_init, residual_norm)
+                      reduction_init, residual_norm)
 from gpkrylov.gpbilq import (dense_gk, dense_lq_factors, lq_window_init,
                              rotation_block, substitute_step, transfer_scalars)
-from gpkrylov.reduction import ReductionHistory
 from gpkrylov.rotations import Band, plane_rotation
+from gpkrylov.verify import (estimate_gaps, lq_errors, minnorm_gap,
+                             projected_system, stepped, transfer_gap)
 
 from conftest import make_system
-
-
-def stepped_state(sys_, steps):
-    red = reduction_init(sys_)
-    hist = ReductionHistory(red)
-    st = BiLQState(sys_, red)
-    hist.update(red, st.startup())
-    for _ in range(steps - 1):
-        hist.update(red, st.advance())
-    return st, hist
 
 
 # -- rotation kernel and window ----------------------------------------------
@@ -44,26 +35,19 @@ def test_first_rotation_identity_when_gamma_zero():
 
 def test_lq_reconstruction_over_steps():
     sys_ = make_system(10, 8, seed=30, fg_random=True)
-    red = reduction_init(sys_)
-    hist = ReductionHistory(red)
-    st = BiLQState(sys_, red)
-    hist.update(red, st.startup())
-    for k in range(2, 7):
-        hist.update(red, st.advance())
-        L, Q = dense_lq_factors(st.window)
-        H = hist.projected(sys_.lam, sys_.mu, k)[:2 * k, :]
-        assert np.linalg.norm(L @ Q - H) <= 1e-12 * max(1.0, np.linalg.norm(H))
-        assert np.linalg.norm(Q @ Q.T - np.eye(2 * k)) <= 1e-12
-        # lower bandwidth 4 outside the rotated trailing corner
-        for r in range(2 * k):
-            for cc in range(2 * k):
-                if cc > r or r - cc > 4:
-                    assert abs(L[r, cc]) <= 1e-14
+    for st, hist in stepped(BiLQState, sys_, 6):
+        if st.k < 2:
+            continue
+        H, _ = projected_system(st, hist, 2 * st.k)
+        recon, orth, off_band = lq_errors(st, hist)
+        assert recon <= 1e-12 * max(1.0, np.linalg.norm(H))
+        assert orth <= 1e-12
+        assert off_band <= 1e-14  # lower bandwidth 4 outside the rotated corner
 
 
 def test_rotation_factors_orthogonal():
     sys_ = make_system(8, 8, seed=31)
-    st, _ = stepped_state(sys_, 5)
+    *_, (st, _) = stepped(BiLQState, sys_, 5)
     for quad in st.window.rotations:
         M = rotation_block(*quad)
         assert np.linalg.norm(M @ M.T - np.eye(4)) <= 1e-14
@@ -91,13 +75,12 @@ def test_substitution_startup_rows():
 
 def test_substitution_solves_banded_system():
     sys_ = make_system(9, 9, seed=32, fg_random=True)
-    st, hist = stepped_state(sys_, 6)
+    *_, (st, hist) = stepped(BiLQState, sys_, 6)
     k = st.k
     L, _ = dense_lq_factors(st.window)
     Lk1 = L[:2 * k - 2, :2 * k - 2]
     t = np.array([st.varpi[r] for r in range(1, 2 * k - 1)])
-    rhs = np.zeros(2 * k - 2)
-    rhs[0], rhs[1] = st.red.beta1, st.red.delta1
+    _, rhs = projected_system(st, hist, 2 * k - 2)
     assert np.linalg.norm(Lk1 @ t - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
 
 
@@ -110,14 +93,10 @@ def test_identity_rotation_passes_directions_through():
 
 def test_directions_match_dense_product():
     sys_ = make_system(9, 7, seed=33, fg_random=True)
-    red = reduction_init(sys_)
-    hist = ReductionHistory(red)
-    st = BiLQState(sys_, red)
-    hist.update(red, st.startup())
-    for k in range(2, 8):
-        hist.update(red, st.advance())
-        F = hist.W(k) @ dense_gk(st.window)
-        m = sys_.m
+    for st, hist in stepped(BiLQState, sys_, 7):
+        if st.k < 2:
+            continue
+        F = hist.W(st.k) @ dense_gk(st.window)
         got = np.column_stack([
             np.concatenate([st.f1x, st.f1y]),
             np.concatenate([st.f2x, st.f2y]),
@@ -138,7 +117,7 @@ def test_startup_directions_are_basis_columns():
 
 def test_iterate_is_zero_at_startup():
     sys_ = make_system(6, 5, seed=35)
-    st, _ = stepped_state(sys_, 1)
+    *_, (st, _) = stepped(BiLQState, sys_, 1)
     assert_allclose(st.x, 0.0)
     assert_allclose(st.y, 0.0)
 
@@ -146,19 +125,9 @@ def test_iterate_is_zero_at_startup():
 def test_iterate_matches_minimum_norm_oracle():
     for seed in range(5):
         sys_ = make_system(12, 12, seed=40 + seed, fg_random=True)
-        red = reduction_init(sys_)
-        hist = ReductionHistory(red)
-        st = BiLQState(sys_, red)
-        hist.update(red, st.startup())
-        for k in range(2, 9):
-            hist.update(red, st.advance())
-            H = hist.projected(sys_.lam, sys_.mu, k)[:2 * k - 2, :]
-            rhs = np.zeros(2 * k - 2)
-            rhs[0], rhs[1] = red.beta1, red.delta1
-            z = oracle_minnorm(H, rhs)
-            sol = hist.W(k) @ z
-            got = np.concatenate([st.x, st.y])
-            assert np.linalg.norm(got - sol) <= 1e-8 * max(1.0, np.linalg.norm(sol))
+        for st, hist in stepped(BiLQState, sys_, 8):
+            if st.k >= 2:
+                assert minnorm_gap(st, hist) <= 1e-8
 
 
 # -- transfer ----------------------------------------------------------------
@@ -180,22 +149,12 @@ def test_transfer_guard_on_zero_determinant():
 
 def test_transfer_matches_square_solve():
     sys_ = make_system(11, 11, seed=50, fg_random=True)
-    red = reduction_init(sys_)
-    hist = ReductionHistory(red)
-    st = BiLQState(sys_, red)
-    hist.update(red, st.startup())
     defined = 0
-    for k in range(2, 9):
-        hist.update(red, st.advance())
-        if not st.attempt_transfer():
-            continue
-        defined += 1
-        H = hist.projected(sys_.lam, sys_.mu, k)[:2 * k, :]
-        rhs = np.zeros(2 * k)
-        rhs[0], rhs[1] = red.beta1, red.delta1
-        sol = hist.W(k) @ np.linalg.solve(H, rhs)
-        got = np.concatenate([st.x_c, st.y_c])
-        assert np.linalg.norm(got - sol) <= 1e-8 * max(1.0, np.linalg.norm(sol))
+    for st, hist in stepped(BiLQState, sys_, 8):
+        gap = transfer_gap(st, hist) if st.k >= 2 else None
+        if gap is not None:
+            defined += 1
+            assert gap <= 1e-8
     assert defined >= 5  # generically defined
 
 
@@ -204,29 +163,24 @@ def test_transfer_matches_square_solve():
 def test_estimates_match_explicit_residuals():
     for seed, symmetric in ((60, False), (61, True)):
         sys_ = make_system(13, 13, seed=seed, symmetric=symmetric, mu=-1.0)
-        st, _ = stepped_state(sys_, 1)
-        for k in range(2, 9):
-            st.advance()
-            est = st.estimate_residual_l().est_norm_l
-            true = residual_norm(sys_, st.x, st.y)
-            assert abs(est - true) <= 1e-9 * max(1.0, true)
-            if st.attempt_transfer():
-                est_c = st.estimate_residual_c()
-                true_c = residual_norm(sys_, st.x_c, st.y_c)
-                assert abs(est_c - true_c) <= 1e-9 * max(1.0, true_c)
+        for st, _ in stepped(BiLQState, sys_, 8):
+            if st.k < 2:
+                continue
+            gap_l, gap_c = estimate_gaps(st)
+            assert gap_l <= 1e-9
+            assert gap_c is None or gap_c <= 1e-9
 
 
 def test_estimate_zero_when_substitution_vanishes():
     sys_ = make_system(7, 7, seed=62)
-    st, _ = stepped_state(sys_, 3)
+    *_, (st, _) = stepped(BiLQState, sys_, 3)
     st.varpi._vals = [0.0] * len(st.varpi._vals)
-    est = st.estimate_residual_l()
-    assert est.est_norm_l == 0.0
+    assert st.estimate_residual_l() == 0.0
 
 
 def test_estimate_requires_a_full_step():
     sys_ = make_system(6, 6, seed=63)
-    st, _ = stepped_state(sys_, 1)
+    *_, (st, _) = stepped(BiLQState, sys_, 1)
     with pytest.raises(ValueError, match="step"):
         st.estimate_residual_l()
     with pytest.raises(ValueError, match="transfer"):

@@ -1,23 +1,13 @@
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 from gpkrylov import (Operator, PartitionedSystem, QMRState, gpmr_solve,
-                      gpqmr_solve, oracle_lsq, reduction_init, residual_norm)
+                      gpqmr_solve, reduction_init, residual_norm)
 from gpkrylov.gpqmr import dense_qr_factors
-from gpkrylov.reduction import ReductionHistory
 from gpkrylov.rotations import plane_rotation, rotation_block
+from gpkrylov.verify import lsq_gaps, projected_system, qr_errors, stepped
 
 from conftest import make_system
-
-
-def stepped_state(sys_, steps):
-    red = reduction_init(sys_)
-    hist = ReductionHistory(red)
-    st = QMRState(sys_, red)
-    for _ in range(steps):
-        hist.update(red, st.advance())
-    return st, hist
 
 
 # -- factorization window ----------------------------------------------------
@@ -37,26 +27,18 @@ def test_first_step_diagonal_one_by_one(one_by_one):
 
 def test_qr_reconstruction_over_steps():
     sys_ = make_system(10, 8, seed=90, fg_random=True)
-    red = reduction_init(sys_)
-    hist = ReductionHistory(red)
-    st = QMRState(sys_, red)
-    for k in range(1, 7):
-        hist.update(red, st.advance())
-        Qh, Rh = dense_qr_factors(st.window, k)
-        H = hist.projected(sys_.lam, sys_.mu, k)
-        rec = Qh @ np.vstack([Rh, np.zeros((2, 2 * k))])
-        assert np.linalg.norm(rec - H) <= 1e-12 * max(1.0, np.linalg.norm(H))
-        assert np.linalg.norm(Qh @ Qh.T - np.eye(2 * k + 2)) <= 1e-12
-        for r in range(2 * k):
-            for cc in range(2 * k):
-                if cc < r or cc - r > 4:
-                    assert abs(Rh[r, cc]) <= 1e-14
-        assert all(Rh[j, j] > 0 for j in range(2 * k))
+    for st, hist in stepped(QMRState, sys_, 6):
+        H, _ = projected_system(st, hist, 2 * st.k + 2)
+        recon, orth, off_band = qr_errors(st, hist)
+        assert recon <= 1e-12 * max(1.0, np.linalg.norm(H))
+        assert orth <= 1e-12
+        assert off_band <= 1e-14
+        assert all(st.window.rho[r] > 0 for r in range(1, 2 * st.k + 1))
 
 
 def test_rotation_factors_orthogonal():
     sys_ = make_system(8, 8, seed=91)
-    st, _ = stepped_state(sys_, 5)
+    *_, (st, _) = stepped(QMRState, sys_, 5)
     for quad in st.window.rotations:
         M = rotation_block(*quad)
         assert np.linalg.norm(M @ M.T - np.eye(4)) <= 1e-14
@@ -66,16 +48,12 @@ def test_rotation_factors_orthogonal():
 
 def test_rotated_rhs_accumulates_orthogonally():
     sys_ = make_system(9, 9, seed=92, fg_random=True)
-    red = reduction_init(sys_)
-    hist = ReductionHistory(red)
-    st = QMRState(sys_, red)
-    for k in range(1, 7):
-        hist.update(red, st.advance())
-        Qh, _ = dense_qr_factors(st.window, k)
-        rhs = np.zeros(2 * k + 2)
-        rhs[0], rhs[1] = red.beta1, red.delta1
+    for st, hist in stepped(QMRState, sys_, 6):
+        k = st.k
+        Qh, _ = dense_qr_factors(st.window)
+        _, rhs = projected_system(st, hist, 2 * k + 2)
         full = Qh.T @ rhs
-        got = np.array([st.varpi_entry(j) for j in range(1, 2 * k + 1)]
+        got = np.array([st.varpi[j] for j in range(1, 2 * k + 1)]
                        + [st.rhs_carry[0], st.rhs_carry[1]])
         assert_allclose(got, full, atol=1e-12)
 
@@ -107,13 +85,9 @@ def test_startup_direction_columns():
 
 def test_directions_satisfy_back_recurrence_dense():
     sys_ = make_system(9, 7, seed=94, fg_random=True)
-    red = reduction_init(sys_)
-    hist = ReductionHistory(red)
-    st = QMRState(sys_, red)
-    for k in range(1, 7):
-        hist.update(red, st.advance())
+    *_, (st, hist) = stepped(QMRState, sys_, 6)
     k = st.k
-    _, Rh = dense_qr_factors(st.window, k)
+    _, Rh = dense_qr_factors(st.window)
     W = hist.W(k)
     for j in (2 * k - 1, 2 * k):  # the freshly formed pair uses the live ring
         # W e_j = sum_i F_i R[i, j] over the depth-4 band
@@ -128,24 +102,14 @@ def test_directions_satisfy_back_recurrence_dense():
 def test_iterate_matches_least_squares_oracle():
     for seed in range(5):
         sys_ = make_system(12, 12, seed=100 + seed, fg_random=True)
-        red = reduction_init(sys_)
-        hist = ReductionHistory(red)
-        st = QMRState(sys_, red)
-        for k in range(1, 9):
-            hist.update(red, st.advance())
-            H = hist.projected(sys_.lam, sys_.mu, k)
-            rhs = np.zeros(2 * k + 2)
-            rhs[0], rhs[1] = red.beta1, red.delta1
-            z = oracle_lsq(H, rhs)
-            sol = hist.W(k) @ z
-            got = np.concatenate([st.x, st.y])
-            assert np.linalg.norm(got - sol) <= 1e-8 * max(1.0, np.linalg.norm(sol))
-            assert st.quasi == pytest.approx(np.linalg.norm(H @ z - rhs), abs=1e-12)
+        for st, hist in stepped(QMRState, sys_, 8):
+            iterate_gap, quasi_gap = lsq_gaps(st, hist)
+            assert iterate_gap <= 1e-8
+            assert quasi_gap <= 1e-12
 
 
 def test_quasi_residual_monotone():
     sys_ = make_system(14, 14, seed=110, fg_random=True)
-    st, _ = stepped_state(sys_, 10)
     quasis = [row.est_residual
               for row in gpqmr_solve(sys_, tol=1e-30, maxit=10).record.rows]
     assert all(b <= a + 1e-12 for a, b in zip(quasis, quasis[1:]))
@@ -153,13 +117,8 @@ def test_quasi_residual_monotone():
 
 def test_true_residual_bounded_by_basis_norm_times_quasi():
     sys_ = make_system(10, 10, seed=111, fg_random=True)
-    red = reduction_init(sys_)
-    hist = ReductionHistory(red)
-    st = QMRState(sys_, red)
-    for k in range(1, 8):
-        hist.update(red, st.advance())
-        W_next = hist.W(k + 1)
-        bound = np.linalg.norm(W_next, 2) * st.quasi
+    for st, hist in stepped(QMRState, sys_, 7):
+        bound = np.linalg.norm(hist.W(st.k + 1), 2) * st.quasi
         assert residual_norm(sys_, st.x, st.y) <= bound + 1e-9
 
 
