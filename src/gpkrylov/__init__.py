@@ -8,8 +8,8 @@ long-recurrence minimum-residual baseline.
 """
 
 from .baselines import HessenbergProcessState, gpmr_solve
-from .convergence import (BREAKDOWN, CONVERGED, MAXIT, ConvergenceRecord,
-                          SolveResult)
+from .convergence import (BREAKDOWN, CONVERGED, MAXIT, NONFINITE,
+                          ConvergenceRecord, SolveResult)
 from .gpbilq import BiLQState, gpbilq_solve
 from .gpqmr import QMRState, gpqmr_solve
 from .io import (EXPERIMENTS, build_experiment, build_system,
@@ -34,6 +34,7 @@ __all__ = [
     "gpmr_solve", "HessenbergProcessState",
     "oracle_minnorm", "oracle_lsq", "oracle_dense_solve",
     "SolveResult", "ConvergenceRecord", "CONVERGED", "MAXIT", "BREAKDOWN",
+    "NONFINITE",
     "read_matrix_market", "write_matrix_market", "build_system",
     "build_experiment", "EXPERIMENTS",
     "write_convergence_csv", "read_convergence_csv",

@@ -6,7 +6,7 @@ solution is the vector of ones, or drawn at random) or from one of the named
 benchmark recipes.
 
 Exit codes: 0 tolerance reached, 1 usage error, 2 iteration limit,
-3 breakdown.
+3 breakdown, 4 non-finite residual.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .baselines import gpmr_solve
-from .convergence import BREAKDOWN, CONVERGED, MAXIT
+from .convergence import BREAKDOWN, CONVERGED, MAXIT, NONFINITE
 from .gpbilq import gpbilq_solve
 from .gpqmr import gpqmr_solve
 from .io import (EXPERIMENTS, build_experiment, build_system,
@@ -31,7 +31,7 @@ __all__ = ["main"]
 
 METHODS = ("gpbilq", "gpbicg", "gpqmr", "gpmr", "gpmr_restarted")
 
-_EXIT_FOR_REASON = {CONVERGED: 0, MAXIT: 2, BREAKDOWN: 3}
+_EXIT_FOR_REASON = {CONVERGED: 0, MAXIT: 2, BREAKDOWN: 3, NONFINITE: 4}
 
 
 class _Parser(argparse.ArgumentParser):

@@ -3,6 +3,7 @@ solve loop that every method runs."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -12,11 +13,12 @@ from .linop import PartitionedSystem, residual_norm
 from .reduction import BreakdownReport
 
 __all__ = ["IterationRow", "ConvergenceRecord", "SolveResult",
-           "CONVERGED", "MAXIT", "BREAKDOWN"]
+           "CONVERGED", "MAXIT", "BREAKDOWN", "NONFINITE"]
 
 CONVERGED = "converged"
 MAXIT = "maxit"
 BREAKDOWN = "breakdown"
+NONFINITE = "nonfinite"
 
 
 @dataclass
@@ -99,7 +101,8 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
     converged after all) and ``result(reason, residual, record)``.
 
     The record starts with a k=0 row at the initial residual norm; each
-    iteration is tested converged, then breakdown, then maxit.  With
+    iteration is tested converged, then nonfinite (the monitored residual is
+    NaN or infinite), then breakdown, then maxit.  With
     ``explicit_residual`` the true residual is recorded next to the
     estimate and replaces it in the stopping test.
     """
@@ -130,6 +133,8 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
                       time.perf_counter() - t0)
         if res is not None and res <= tol:
             reason = CONVERGED
+        elif res is not None and not math.isfinite(res):
+            reason = NONFINITE
         elif state.stopped:
             reason = CONVERGED if state.settle_breakdown(tol) else BREAKDOWN
         elif state.k >= maxit:

@@ -9,13 +9,16 @@ direction update advance the iterate per step.
 
 GPBiCG solves the square projected system instead.  Its iterate need not
 exist at every step; when the trailing 2x2 of the LQ factor is nonsingular
-it is obtained from the GPBiLQ iterate with one extra rotation and two
-axpy updates.
+it is obtained from the GPBiLQ iterate with one extra rotation and one
+two-column matmul per side.
 
 The steady-state loop performs exactly four operator applications per
-iteration and reuses a fixed set of nine m-vectors and nine n-vectors
-(plus the retired operator results as scratch); no fresh length-m/n arrays
-are allocated after startup.
+iteration and keeps a fixed working set of eleven m-vectors and eleven
+n-vectors: the iterate, two reduction basis pairs and two (len x 3)
+direction blocks per side; the transfer iterate adds one vector per side
+once formed, and the reduction holds its last operator results.  Each
+side's direction update and iterate increment are one matmul; no fresh
+length-m/n arrays are allocated after startup.
 """
 
 from __future__ import annotations
@@ -248,11 +251,14 @@ def dense_lq_factors(w: LQWindow) -> tuple[np.ndarray, np.ndarray]:
 class BiLQState:
     """Single-owner solver state: reduction window, LQ window, directions.
 
-    Direction pairs are stored in fixed buffers: (f1x, f1y)/(f2x, f2y) hold
-    the two columns consumed by the iterate update and (ft1x, ft1y)/
-    (ft2x, ft2y) the two provisional columns carried to the next step.
-    ``monitor`` picks the iterate the solve loop follows: the minimum-norm
-    one ("l") or the square-system one ("c").
+    Each side's live directions form one Fortran-ordered block, ``fx``
+    (m x 3) and ``fy`` (n x 3): columns 0 and 1 hold the provisional pair
+    carried to the next step, and column 2 takes the newest basis vector
+    while a step runs.  One matmul per side writes the next provisional pair
+    and the iterate increment into the spare block ``gx``/``gy``, and the
+    blocks swap; the retired pair is never formed.  ``monitor`` picks the
+    iterate the solve loop follows: the minimum-norm one ("l") or the
+    square-system one ("c").
     """
 
     def __init__(self, sys: PartitionedSystem, red, monitor: str = "l"):
@@ -267,14 +273,13 @@ class BiLQState:
         self.k = 1
         self.x = np.zeros(m)
         self.y = np.zeros(n)
-        self.f1x = np.zeros(m)
-        self.f2x = np.zeros(m)
-        self.ft1x = red.q_cur.copy()
-        self.ft2x = np.zeros(m)
-        self.f1y = np.zeros(n)
-        self.f2y = np.zeros(n)
-        self.ft1y = np.zeros(n)
-        self.ft2y = red.u_cur.copy()
+        self.fx = np.zeros((m, 3), order="F")
+        self.fy = np.zeros((n, 3), order="F")
+        self.fx[:, 0] = red.q_cur
+        self.fy[:, 1] = red.u_cur
+        self.gx = np.empty((m, 3), order="F")
+        self.gy = np.empty((n, 3), order="F")
+        self.coef = np.empty((3, 3))
         self.coeffs: StepCoeffs | None = None
         self.transfer = None      # (c_k, s_k, w_odd, w_even) at current step
         self.x_c = None
@@ -291,7 +296,7 @@ class BiLQState:
 
     def advance(self) -> StepCoeffs:
         """One solver step: ``startup`` at k=1, else reduction, bundle,
-        substitution, direction update, iterate update."""
+        substitution, direction update and iterate update."""
         if self.window is None:
             return self.startup()
         red = self.red
@@ -302,39 +307,17 @@ class BiLQState:
                 coeffs.beta_next, coeffs.delta_next)
         w1, w2 = substitute_step(self.window, self.varpi,
                                  red.beta1, red.delta1)
-        self._update_directions()
-        self._apply_iterate_update(w1, w2)
+        # the trailing 4x4 of the latest bundle mixes [ft1, ft2, q_k, u_k]
+        r1, r2, rq, ru = rotation_bundle(self.window.rotations[-1])
+        _mix(self.fx, self.gx, red.q_prev, (r1, r2, rq), w1, w2, self.coef)
+        _mix(self.fy, self.gy, red.u_prev, (r1, r2, ru), w1, w2, self.coef)
+        self.fx, self.gx = self.gx, self.fx
+        self.fy, self.gy = self.gy, self.fy
+        self.x += self.fx[:, 2]
+        self.y += self.fy[:, 2]
         self.coeffs = coeffs
         self.transfer = None
         return coeffs
-
-    def _update_directions(self):
-        """Mix the provisional pair with the new basis columns through the
-        trailing 4x4 of the latest rotation bundle (all updates in place)."""
-        M = rotation_bundle(self.window.rotations[-1])
-        red = self.red
-        s1, s2 = red.scratch_m1, red.scratch_m2
-        _mix_columns(self.ft1x, self.ft2x, red.q_prev, M[0], M[1], M[2],
-                     self.f1x, self.f2x, s1, s2)
-        self.ft1x, red.scratch_m1 = s1, self.ft1x
-        self.ft2x, red.scratch_m2 = s2, self.ft2x
-        s1, s2 = red.scratch_n1, red.scratch_n2
-        _mix_columns(self.ft1y, self.ft2y, red.u_prev, M[0], M[1], M[3],
-                     self.f1y, self.f2y, s1, s2)
-        self.ft1y, red.scratch_n1 = s1, self.ft1y
-        self.ft2y, red.scratch_n2 = s2, self.ft2y
-
-    def _apply_iterate_update(self, w1, w2):
-        # the retired provisional buffers act as axpy scratch
-        red = self.red
-        np.multiply(self.f1x, w1, out=red.scratch_m1)
-        self.x += red.scratch_m1
-        np.multiply(self.f2x, w2, out=red.scratch_m1)
-        self.x += red.scratch_m1
-        np.multiply(self.f1y, w1, out=red.scratch_n1)
-        self.y += red.scratch_n1
-        np.multiply(self.f2y, w2, out=red.scratch_n1)
-        self.y += red.scratch_n1
 
     def attempt_transfer(self) -> bool:
         """Compute the square-system iterate at the current step if it exists."""
@@ -344,18 +327,12 @@ class BiLQState:
             self.transfer = None
             return False
         c_k, s_k, w_odd, w_even = t
-        a = c_k * w_odd - s_k * w_even
-        b = s_k * w_odd + c_k * w_even
+        ab = (c_k * w_odd - s_k * w_even, s_k * w_odd + c_k * w_even)
         if self.x_c is None:  # created on the first transfer
             self.x_c, self.y_c = np.zeros(self.sys.m), np.zeros(self.sys.n)
-        red = self.red
-        np.multiply(self.ft1x, a, out=self.x_c)
-        np.multiply(self.ft2x, b, out=red.scratch_m1)
-        self.x_c += red.scratch_m1
+        np.matmul(self.fx[:, :2], ab, out=self.x_c)
         self.x_c += self.x
-        np.multiply(self.ft1y, a, out=self.y_c)
-        np.multiply(self.ft2y, b, out=red.scratch_n1)
-        self.y_c += red.scratch_n1
+        np.matmul(self.fy[:, :2], ab, out=self.y_c)
         self.y_c += self.y
         self.transfer = t
         return True
@@ -485,28 +462,13 @@ def gpbilq_solve(sys: PartitionedSystem, tol: float = 1e-8,
     return _solve(sys, state, tol, maxit, explicit_residual)
 
 
-def _mix_columns(a1, a2, a3, r1, r2, r3, out1, out2, stage1, stage2):
-    """Four-column mix: out/stage columns are combinations of the three live
-    source columns with coefficient rows r1, r2, r3 of the rotation block.
-    out1 doubles as term scratch until it is written last."""
-    np.multiply(a1, r1[2], out=stage1)
-    np.multiply(a2, r2[2], out=out1)
-    stage1 += out1
-    np.multiply(a3, r3[2], out=out1)
-    stage1 += out1
-    np.multiply(a1, r1[3], out=stage2)
-    np.multiply(a2, r2[3], out=out1)
-    stage2 += out1
-    np.multiply(a3, r3[3], out=out1)
-    stage2 += out1
-    np.multiply(a1, r1[1], out=out2)
-    np.multiply(a2, r2[1], out=out1)
-    out2 += out1
-    np.multiply(a3, r3[1], out=out1)
-    out2 += out1
-    # last combination consumes a1 in place
-    a1 *= r1[0]
-    np.multiply(a2, r2[0], out=out1)
-    out1 += a1
-    np.multiply(a3, r3[0], out=a1)
-    out1 += a1
+def _mix(block, spare, basis, rows, w1, w2, coef):
+    """spare = block @ coef after the basis vector is copied into column 2.
+
+    ``rows`` are the bundle rows of the three source columns; their entries
+    0..3 mix into (f1, f2, ft1', ft2').  Only ft1', ft2' and the increment
+    w1 f1 + w2 f2 (its only use) are written.
+    """
+    block[:, 2] = basis
+    coef[...] = [(r[2], r[3], w1 * r[0] + w2 * r[1]) for r in rows]
+    np.matmul(block, coef, out=spare)

@@ -185,8 +185,16 @@ def dense_qr_factors(w: QRWindow):
 
 
 class QMRState:
-    """Single-owner solver state: reduction window, QR window, a six-slot
-    ring of direction pairs, and the rotated right-hand-side carries."""
+    """Single-owner solver state: reduction window, QR window, directions
+    and the rotated right-hand-side carries.
+
+    Each side's direction ring is one Fortran-ordered block, ``fx`` (m x 6)
+    and ``fy`` (n x 6), with column idx in slot idx % 6: the four columns the
+    depth-4 back-recurrence reads, and two dead slots, one of which takes the
+    newest basis vector.  One matmul per side writes the two new columns and
+    the iterate increment into ``gx``/``gy`` (len x 3); the columns are then
+    copied into the dead slots.
+    """
 
     tracks_transfer = False
 
@@ -198,22 +206,15 @@ class QMRState:
         self.k = 0
         self.x = np.zeros(m)
         self.y = np.zeros(n)
-        self.fx = [np.zeros(m) for _ in range(6)]
-        self.fy = [np.zeros(n) for _ in range(6)]
+        self.fx = np.zeros((m, 6), order="F")  # slots of columns < 1 stay zero
+        self.fy = np.zeros((n, 6), order="F")
+        self.gx = np.empty((m, 3), order="F")
+        self.gy = np.empty((n, 3), order="F")
+        self.coef = np.empty((6, 3))
         self.rhs_carry = (red.beta1, red.delta1)
         self.varpi = Band(1)  # finalized rotated right-hand-side entries
         self.quasi = float(np.hypot(red.beta1, red.delta1))
         self.coeffs = None
-
-    def _slot(self, idx):
-        return self.fx[idx % 6], self.fy[idx % 6]
-
-    def _col(self, idx):
-        """Direction pair at 1-based column idx; zero before the start."""
-        if idx < 1:
-            m, n = self.sys.m, self.sys.n
-            return np.zeros(m), np.zeros(n)
-        return self._slot(idx)
 
     def advance(self):
         """One solver step: reduction, staged bundle, rhs rotation,
@@ -230,29 +231,22 @@ class QMRState:
         self.varpi.push(w2)
         self.quasi = float(np.hypot(b3, b4))
 
+        # n1 = (q_k - xi f_{r1-4} - zeta f_{r1-3} - omega f_{r1-2}
+        #       - nu f_{r1-1}) / rho_{r1}, then n2 likewise over f_{r1-3},
+        # f_{r1-2}, f_{r1-1}, n1 with u_k; q_k enters the x side only, u_k
+        # the y side only, and n2's dependence on n1 is folded into b
         r1, r2 = 2 * k - 1, 2 * k
-        qk, uk = self.red.q_prev, self.red.u_prev
-        f5x, f5y = self._col(r1 - 4)
-        f4x, f4y = self._col(r1 - 3)
-        f3x, f3y = self._col(r1 - 2)
-        f2x, f2y = self._col(r1 - 1)
-        n1x = (qk - w.xi[r1 - 4] * f5x - w.zeta[r1 - 3] * f4x
-               - w.omega[r1 - 2] * f3x - w.nu[r1 - 1] * f2x) / w.rho[r1]
-        n1y = (-w.xi[r1 - 4] * f5y - w.zeta[r1 - 3] * f4y
-               - w.omega[r1 - 2] * f3y - w.nu[r1 - 1] * f2y) / w.rho[r1]
-        n2x = (-w.xi[r2 - 4] * f4x - w.zeta[r2 - 3] * f3x
-               - w.omega[r2 - 2] * f2x - w.nu[r2 - 1] * n1x) / w.rho[r2]
-        n2y = (uk - w.xi[r2 - 4] * f4y - w.zeta[r2 - 3] * f3y
-               - w.omega[r2 - 2] * f2y - w.nu[r2 - 1] * n1y) / w.rho[r2]
-        sx1, sy1 = self._slot(r1)
-        sx2, sy2 = self._slot(r2)
-        np.copyto(sx1, n1x)
-        np.copyto(sy1, n1y)
-        np.copyto(sx2, n2x)
-        np.copyto(sy2, n2y)
-
-        self.x += w1 * sx1 + w2 * sx2
-        self.y += w1 * sy1 + w2 * sy2
+        rho1, rho2, nu2 = w.rho[r1], w.rho[r2], w.nu[r2 - 1]
+        a = [-w.xi[r1 - 4] / rho1, -w.zeta[r1 - 3] / rho1,
+             -w.omega[r1 - 2] / rho1, -w.nu[r1 - 1] / rho1]
+        b = [(bj - nu2 * aj) / rho2 for aj, bj in
+             zip(a, (0.0, -w.xi[r2 - 4], -w.zeta[r2 - 3], -w.omega[r2 - 2]))]
+        _recur(self.fx, self.gx, self.red.q_prev, r1,
+               a + [1.0 / rho1], b + [-nu2 / (rho1 * rho2)], w1, w2, self.coef)
+        _recur(self.fy, self.gy, self.red.u_prev, r1,
+               a + [0.0], b + [1.0 / rho2], w1, w2, self.coef)
+        self.x += self.gx[:, 2]
+        self.y += self.gy[:, 2]
         self.coeffs = coeffs
         return coeffs
 
@@ -290,3 +284,18 @@ def gpqmr_solve(sys: PartitionedSystem, tol: float = 1e-8,
     init = reduction_init(sys)
     state = init if isinstance(init, BreakdownReport) else QMRState(sys, init)
     return _solve(sys, state, tol, maxit, explicit_residual)
+
+
+def _recur(ring, out, basis, r1, a, b, w1, w2, coef):
+    """Both new direction columns r1, r1+1 and the increment w1 n1 + w2 n2
+    from one matmul; ``a``/``b`` hold the coefficients of n1/n2 on columns
+    r1-4..r1, where column r1 is the basis vector copied into its dead slot."""
+    ring[:, r1 % 6] = basis
+    rows = [(aj, bj, w1 * aj + w2 * bj) for aj, bj in zip(a, b)]
+    rows.append((0.0, 0.0, 0.0))  # column r1+1: the other dead slot
+    o = (r1 - 4) % 6
+    coef[o:] = rows[:6 - o]
+    coef[:o] = rows[6 - o:]
+    np.matmul(ring, coef, out=out)
+    ring[:, r1 % 6] = out[:, 0]
+    ring[:, (r1 + 1) % 6] = out[:, 1]

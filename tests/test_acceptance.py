@@ -6,6 +6,7 @@ GPKRYLOV_MATRIX_DIR (or place the .mtx files in ./data) to enable it.
 
 import os
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -271,10 +272,60 @@ def test_criterion_9_benchmark_reproduction():
     assert elapsed < 30.0
 
 
+# Transient bytes a steady-state iteration may allocate beyond the four
+# operator results: Python scalars, tuples and array headers (about 1 KB
+# measured).  It is below one n-vector at the audit sizes, so a single
+# extra length-m/n temporary fails the audit.
+PEAK_SLACK = 4096
+AUDIT_M, AUDIT_N = 1200, 1000
+AUDITED = {"gpbilq": (BiLQState, "l"), "gpbicg": (BiLQState, "c"),
+           "gpqmr": (QMRState, None)}
+
+
+def peak_above_operator_results(method, warmup=4, steps=6):
+    """Largest traced peak, over ``steps`` iterations after ``warmup``
+    untraced ones, of the bytes allocated within one iteration (``advance``
+    plus ``estimate``, which runs ``attempt_transfer`` for gpbicg), less
+    the four operator results."""
+    m, n = AUDIT_M, AUDIT_N
+    rng = np.random.default_rng(81)
+    sys_ = PartitionedSystem(1.0, -0.5,
+                             Operator.from_matrix(rng.standard_normal((m, n))),
+                             Operator.from_matrix(rng.standard_normal((n, m))),
+                             rng.standard_normal(m), rng.standard_normal(n))
+    state_cls, monitor = AUDITED[method]
+    red = reduction_init(sys_)
+    st = state_cls(sys_, red) if monitor is None else state_cls(sys_, red, monitor)
+    for _ in range(warmup):
+        st.advance()
+        st.estimate()
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(steps):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            st.advance()
+            st.estimate()
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    return max(peaks) - (16 * m + 16 * n)
+
+
+@pytest.mark.parametrize("method", AUDITED)
+def test_steady_state_peak_is_the_operator_results(method):
+    assert peak_above_operator_results(method) <= PEAK_SLACK
+
+
 def test_criterion_10_storage_audit():
     from test_gpbilq import test_steady_state_allocates_only_operator_results
     test_steady_state_allocates_only_operator_results()
-    record_acceptance("10 steady-state loop allocates only the four "
-                      "operator results", True,
-                      "2 m-vectors + 2 n-vectors per iteration, "
-                      "fixed 9+9 working set")
+    above = {method: peak_above_operator_results(method) for method in AUDITED}
+    ok = all(v <= PEAK_SLACK for v in above.values())
+    record_acceptance("10 steady-state BiLQState and QMRState iterations "
+                      "allocate only the four operator results", ok,
+                      "2 m-vectors + 2 n-vectors per iteration, traced peak "
+                      f"above them {above} B; working set per side: "
+                      "11 vectors (gpbilq), 14 (gpqmr)")
+    assert ok

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import gpkrylov
 from gpkrylov import read_convergence_csv, write_matrix_market
 from gpkrylov.cli import main
 
@@ -59,6 +64,15 @@ def test_breakdown_exits_three(tmp_path):
                "--b-transpose-a", "--mu", "-1.0", "--rhs", "random",
                "--tol", "1e-12", "--maxit", "50")
     assert code == 3
+
+
+def test_nonfinite_exits_four(tmp_path):
+    A = np.random.default_rng(402).standard_normal((6, 4))
+    A[2, 1] = np.nan
+    write_matrix_market(A, tmp_path / "A.mtx")
+    code = run("solve", "--method", "gpqmr", "--a", str(tmp_path / "A.mtx"),
+               "--b-transpose-a", "--tol", "1e-10", "--maxit", "50")
+    assert code == 4
 
 
 def test_solve_svg_output(matrices):
@@ -145,3 +159,14 @@ def test_experiment_missing_files_exit_one(tmp_path, capsys):
                "--matrix-dir", str(tmp_path))
     assert code == 1
     assert "SuiteSparse" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg costs about 8 MB of resident memory on import
+    src = os.path.dirname(os.path.dirname(gpkrylov.__file__))
+    code = ("import sys, gpkrylov, gpkrylov.cli; "
+            "print('scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gpkrylov import (PartitionedSystem, gpbilq_solve, gpmr_solve, gpqmr_solve,
-                      residual_norm)
+from gpkrylov import (NONFINITE, Operator, PartitionedSystem, gpbilq_solve,
+                      gpmr_solve, gpqmr_solve, residual_norm)
 
 from conftest import make_system
 
@@ -70,3 +70,31 @@ def test_gpbicg_without_transfer_at_exit_returns_the_gpbilq_iterate():
     assert res.reason == "maxit" and res.record.rows[-1].transfer_defined is False
     assert res.x_c is None and res.x is res.x_l
     assert res.residual == residual_norm(sys_, res.x, res.y)
+
+
+def _nan_from_call(sys_, first):
+    """``sys_`` with every operator result NaN from call ``first`` on
+    (calls counted over A, A^T, B and B^T together)."""
+    calls = [0]
+
+    def wrap(fn):
+        def apply(v):
+            calls[0] += 1
+            return fn(v) * np.nan if calls[0] >= first else fn(v)
+        return apply
+
+    A, B = sys_.A, sys_.B
+    return PartitionedSystem(
+        sys_.lam, sys_.mu,
+        Operator(A.nrows, A.ncols, wrap(A.apply), wrap(A.apply_transpose)),
+        Operator(B.nrows, B.ncols, wrap(B.apply), wrap(B.apply_transpose)),
+        sys_.b, sys_.c)
+
+
+@pytest.mark.parametrize("method", SOLVERS)
+def test_nan_operator_stops_as_nonfinite(method):
+    sys_ = _nan_from_call(make_system(30, 20, seed=602), first=5)
+    res = SOLVERS[method](sys_, tol=1e-8, maxit=100)
+    assert res.reason == NONFINITE == res.record.reason
+    assert 1 <= res.iterations <= 3
+    assert np.isnan(res.residual)

@@ -92,27 +92,32 @@ def test_identity_rotation_passes_directions_through():
 
 
 def test_directions_match_dense_product():
+    """The live pair is the last two columns of F = W G; the retired pair
+    is never stored, so it is checked through its only use, the iterate
+    increment w1 F[:, -4] + w2 F[:, -3]."""
     sys_ = make_system(9, 7, seed=33, fg_random=True)
+    prev = None
     for st, hist in stepped(BiLQState, sys_, 7):
-        if st.k < 2:
-            continue
-        F = hist.W(st.k) @ dense_gk(st.window)
-        got = np.column_stack([
-            np.concatenate([st.f1x, st.f1y]),
-            np.concatenate([st.f2x, st.f2y]),
-            np.concatenate([st.ft1x, st.ft1y]),
-            np.concatenate([st.ft2x, st.ft2y])])
-        assert np.linalg.norm(F[:, -4:] - got) <= 1e-11 * max(1.0, np.linalg.norm(F))
+        xy = np.concatenate([st.x, st.y])
+        if st.k >= 2:
+            F = hist.W(st.k) @ dense_gk(st.window)
+            tol = 1e-11 * max(1.0, np.linalg.norm(F))
+            live = np.vstack([st.fx[:, :2], st.fy[:, :2]])
+            assert np.linalg.norm(F[:, -2:] - live) <= tol
+            w1, w2 = st.varpi[2 * st.k - 3], st.varpi[2 * st.k - 2]
+            step = w1 * F[:, -4] + w2 * F[:, -3]
+            assert np.linalg.norm(xy - prev - step) <= tol
+        prev = xy
 
 
 def test_startup_directions_are_basis_columns():
     sys_ = make_system(5, 4, seed=34)
     red = reduction_init(sys_)
     st = BiLQState(sys_, red)
-    assert_allclose(st.ft1x, red.q_cur)
-    assert_allclose(st.ft2y, red.u_cur)
-    assert_allclose(st.ft1y, 0.0)
-    assert_allclose(st.ft2x, 0.0)
+    assert_allclose(st.fx[:, 0], red.q_cur)
+    assert_allclose(st.fy[:, 1], red.u_cur)
+    assert_allclose(st.fy[:, 0], 0.0)
+    assert_allclose(st.fx[:, 1], 0.0)
 
 
 def test_iterate_is_zero_at_startup():
@@ -247,7 +252,7 @@ def _tracked(arr):
 def test_steady_state_allocates_only_operator_results():
     """After warmup, each iteration allocates exactly the four operator
     results (two m-vectors, two n-vectors); every other vector update
-    reuses the fixed working set of nine m- and nine n-buffers."""
+    reuses the fixed working set of eleven m- and eleven n-vectors."""
     m, n = 48, 40
     rng = np.random.default_rng(80)
     A = rng.standard_normal((m, n))

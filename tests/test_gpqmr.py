@@ -76,10 +76,10 @@ def test_startup_direction_columns():
     st.advance()
     q1 = red.q_prev  # index-1 basis vector after the first step
     w = st.window
-    fx1, fy1 = st.fx[1 % 6], st.fy[1 % 6]
+    fx1, fy1 = st.fx[:, 1 % 6], st.fy[:, 1 % 6]
     assert_allclose(fx1, q1 / w.rho[1], atol=1e-14)
     assert_allclose(fy1, 0.0, atol=1e-14)
-    fx2, fy2 = st.fx[2 % 6], st.fy[2 % 6]
+    fx2, fy2 = st.fx[:, 2 % 6], st.fy[:, 2 % 6]
     assert_allclose(fx2, -w.nu[1] * fx1 / w.rho[2], atol=1e-14)
 
 
@@ -92,7 +92,7 @@ def test_directions_satisfy_back_recurrence_dense():
     for j in (2 * k - 1, 2 * k):  # the freshly formed pair uses the live ring
         # W e_j = sum_i F_i R[i, j] over the depth-4 band
         lhs = W[:, j - 1]
-        rhs = sum(np.concatenate([st.fx[i % 6], st.fy[i % 6]]) * Rh[i - 1, j - 1]
+        rhs = sum(np.concatenate([st.fx[:, i % 6], st.fy[:, i % 6]]) * Rh[i - 1, j - 1]
                   for i in range(max(1, j - 4), j + 1))
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1.0, np.linalg.norm(lhs))
 
