@@ -2,12 +2,14 @@
 
 It builds two orthonormal bases with a simultaneous Hessenberg reduction
 and minimizes the true residual over the interleaved subspace via an
-incrementally updated QR of the projected matrix.  Full bases are stored;
-clarity and verifiability are preferred over the constant-memory
-bookkeeping of the short-recurrence solvers.
+incrementally updated QR of the projected matrix.  Both bases are stored in
+full, each as one preallocated Fortran-ordered block, so that one
+Gram-Schmidt pass per side is two matrix-vector products.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,16 +23,22 @@ __all__ = [
     "gpmr_solve",
 ]
 
+FIRST_BLOCK = 16  # basis columns reserved by a run whose length is not bounded
+
 
 class HessenbergProcessState:
     """Simultaneous orthonormal bases V (m-side) and U (n-side).
 
-    One step extends both bases by modified Gram-Schmidt so that
+    One step extends both bases by block classical Gram-Schmidt with a DGKS
+    second pass (Daniel, Gragg, Kaufman & Stewart, 1976), so that
     V^T A U = H and U^T B V = F hold on the accumulated prefix, with H, F
-    upper Hessenberg and nonnegative subdiagonals.
+    upper Hessenberg and nonnegative subdiagonals.  The bases are the
+    leading columns of two Fortran-ordered blocks of ``capacity`` columns,
+    which double when a step needs more; ``V(k)``/``U(k)`` are views.
     """
 
-    def __init__(self, sys: PartitionedSystem, b0=None, c0=None):
+    def __init__(self, sys: PartitionedSystem, b0=None, c0=None,
+                 capacity: int = FIRST_BLOCK):
         self.sys = sys
         b0 = sys.b if b0 is None else b0
         c0 = sys.c if c0 is None else c0
@@ -38,8 +46,10 @@ class HessenbergProcessState:
         self.gamma = float(np.linalg.norm(c0))
         if self.beta == 0.0 or self.gamma == 0.0:
             raise ValueError("starting vectors must be nonzero")
-        self.vs = [b0 / self.beta]
-        self.us = [c0 / self.gamma]
+        self.vb = np.empty((sys.m, capacity), order="F")
+        self.ub = np.empty((sys.n, capacity), order="F")
+        np.divide(b0, self.beta, out=self.vb[:, 0])
+        np.divide(c0, self.gamma, out=self.ub[:, 0])
         self.h_cols: list[np.ndarray] = []
         self.f_cols: list[np.ndarray] = []
         self.terminated = False
@@ -53,32 +63,27 @@ class HessenbergProcessState:
         if self.terminated:
             raise RuntimeError("process has terminated")
         k = self.k
-        w = self.sys.A.apply(self.us[k])
-        z = self.sys.B.apply(self.vs[k])
-        h = np.zeros(k + 2)
-        f = np.zeros(k + 2)
-        for i in range(k + 1):
-            h[i] = self.vs[i] @ w
-            w -= h[i] * self.vs[i]
-            f[i] = self.us[i] @ z
-            z -= f[i] * self.us[i]
-        h[k + 1] = np.linalg.norm(w)
-        f[k + 1] = np.linalg.norm(z)
+        w = self.sys.A.apply(self.ub[:, k])
+        z = self.sys.B.apply(self.vb[:, k])
+        h = _orthogonalize(w, self.vb[:, :k + 1])
+        f = _orthogonalize(z, self.ub[:, :k + 1])
         self.h_cols.append(h)
         self.f_cols.append(f)
         vec_scale = max(1.0, np.max(np.abs(h[:k + 1])), np.max(np.abs(f[:k + 1])))
         if h[k + 1] <= 1e-13 * vec_scale or f[k + 1] <= 1e-13 * vec_scale:
             self.terminated = True
             return False
-        self.vs.append(w / h[k + 1])
-        self.us.append(z / f[k + 1])
+        if k + 1 == self.vb.shape[1]:
+            self.vb, self.ub = _doubled(self.vb), _doubled(self.ub)
+        np.divide(w, h[k + 1], out=self.vb[:, k + 1])
+        np.divide(z, f[k + 1], out=self.ub[:, k + 1])
         return True
 
     def V(self, k: int) -> np.ndarray:
-        return np.column_stack(self.vs[:k])
+        return self.vb[:, :k]
 
     def U(self, k: int) -> np.ndarray:
-        return np.column_stack(self.us[:k])
+        return self.ub[:, :k]
 
     def H(self, k: int) -> np.ndarray:
         """(k+1) x k Hessenberg projection of A."""
@@ -110,52 +115,70 @@ class HessenbergProcessState:
         return M
 
 
+def _orthogonalize(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Project w, in place, off the orthonormal columns of Q by classical
+    Gram-Schmidt, with a second pass when the first one removed more than
+    half of ||w||^2 (the DGKS test).  Returns the projection coefficients
+    followed by the norm of what remains."""
+    before = np.linalg.norm(w)
+    d = Q.T @ w
+    w -= Q @ d
+    after = np.linalg.norm(w)
+    if after <= before * math.sqrt(0.5):
+        e = Q.T @ w
+        w -= Q @ e
+        d += e
+        after = np.linalg.norm(w)
+    return np.append(d, after)
+
+
+def _doubled(block: np.ndarray) -> np.ndarray:
+    out = np.empty((block.shape[0], 2 * block.shape[1]), order="F")
+    out[:, :block.shape[1]] = block
+    return out
+
+
 class _GrowingQR:
     """Incremental QR of the interleaved projected matrix (GMRES-style).
 
     Columns arrive two at a time; Givens rotations are stored and replayed on
     each new column, so the minimum projected residual is available every
-    step without refactorizing.
+    step without refactorizing.  The replay runs on Python floats, which is
+    the same arithmetic as on numpy scalars at a fraction of the cost.
     """
 
-    def __init__(self, rhs0: np.ndarray):
-        self.r_cols: list[np.ndarray] = []
+    def __init__(self, beta: float, gamma: float):
+        self.r_cols: list[list[float]] = []
         self.rots: list[tuple[int, float, float]] = []
-        self.g = rhs0.copy()
+        self.g = [beta, gamma]
 
-    def _apply_rots(self, col: np.ndarray) -> np.ndarray:
+    def push_column(self, col: np.ndarray) -> None:
+        j = len(self.r_cols)
+        col, g = col.tolist(), self.g
+        g += [0.0] * (len(col) - len(g))  # new rows start at zero
         for i, c, s in self.rots:
             a, b = col[i], col[i + 1]
             col[i] = c * a + s * b
             col[i + 1] = -s * a + c * b
-        return col
-
-    def push_column(self, col: np.ndarray) -> None:
-        j = len(self.r_cols)
-        col = self._apply_rots(col.copy())
         for i in range(len(col) - 1, j, -1):
             if col[i] == 0.0:
                 continue
             c, s, r = plane_rotation(col[i - 1], col[i])
             col[i - 1], col[i] = r, 0.0
             self.rots.append((i - 1, c, s))
-            a, b = self.g[i - 1], self.g[i]
-            self.g[i - 1] = c * a + s * b
-            self.g[i] = -s * a + c * b
-        self.r_cols.append(col)
-
-    def grow_rhs(self, extra: int) -> None:
-        self.g = np.concatenate([self.g, np.zeros(extra)])
+            a, b = g[i - 1], g[i]
+            g[i - 1] = c * a + s * b
+            g[i] = -s * a + c * b
+        self.r_cols.append(col[:j + 1])
 
     def residual_norm(self) -> float:
-        j = len(self.r_cols)
-        return float(np.linalg.norm(self.g[j:]))
+        return math.hypot(*self.g[len(self.r_cols):])
 
     def solve(self) -> np.ndarray:
         j = len(self.r_cols)
         R = np.zeros((j, j))
         for col_idx, col in enumerate(self.r_cols):
-            R[:col_idx + 1, col_idx] = col[:col_idx + 1]
+            R[:col_idx + 1, col_idx] = col
         z = np.zeros(j)
         for i in range(j - 1, -1, -1):
             z[i] = (self.g[i] - R[i, i + 1:] @ z[i + 1:]) / R[i, i]
@@ -166,13 +189,21 @@ class GPMRState:
     """gpmr as a solver state: one Hessenberg step and one incremental QR
     pair per iteration.  With ``restart`` a cycle ends after that many steps
     and the next one starts from the residual blocks of the cycle's iterate.
+    ``maxit`` is the solve's iteration limit; it sizes the basis blocks.
     """
 
     tracks_transfer = False
 
-    def __init__(self, sys: PartitionedSystem, restart: int | None = None):
+    def __init__(self, sys: PartitionedSystem, restart: int | None = None,
+                 maxit: int | None = None):
         self.sys = sys
         self.restart = restart
+        # basis columns a cycle can fill: the start vector plus at most maxit,
+        # restart or min(m, n) steps (a basis stops once it spans its space);
+        # a run without maxit reserves a first block and grows past it
+        bound = min(sys.m, sys.n, restart or sys.m,
+                    sys.m if maxit is None else max(maxit, 0)) + 1
+        self.capacity = bound if maxit is not None else min(bound, FIRST_BLOCK)
         self.k = 0
         self.stopped = False
         self.x = np.zeros(sys.m)  # iterate at the start of the cycle
@@ -180,14 +211,13 @@ class GPMRState:
         self._start_cycle(sys.b, sys.c)
 
     def _start_cycle(self, b0, c0):
-        self.proc = HessenbergProcessState(self.sys, b0, c0)
-        self.qr = _GrowingQR(np.array([self.proc.beta, self.proc.gamma]))
+        self.proc = HessenbergProcessState(self.sys, b0, c0, self.capacity)
+        self.qr = _GrowingQR(self.proc.beta, self.proc.gamma)
 
     def advance(self) -> None:
         proc, qr = self.proc, self.qr
         alive = proc.step()
         self.k += 1
-        qr.grow_rhs(2)
         col_x, col_y = _projected_column_pair(self.sys, proc, proc.k)
         qr.push_column(col_x)
         qr.push_column(col_y)
@@ -246,7 +276,7 @@ def gpmr_solve(sys: PartitionedSystem, tol: float = 1e-8, maxit: int | None = No
     """
     if restart is not None and restart < 1:
         raise ValueError(f"restart must be >= 1, got {restart}")
-    return _solve(sys, GPMRState(sys, restart), tol, maxit, explicit_residual)
+    return _solve(sys, GPMRState(sys, restart, maxit), tol, maxit, explicit_residual)
 
 
 def _projected_column_pair(sys, proc, k):

@@ -15,6 +15,7 @@ import pytest
 from gpkrylov import (BiLQState, Operator, PartitionedSystem, QMRState,
                       build_experiment, gpbilq_solve, gpmr_solve, gpqmr_solve,
                       reduction_init, reduction_step, residual_norm)
+from gpkrylov.baselines import GPMRState
 from gpkrylov.verify import (ReductionHistory, build_projected_h,
                              estimate_gaps, lq_errors, lsq_gaps, minnorm_gap,
                              projected_system, qr_errors, reduction_errors,
@@ -282,17 +283,22 @@ AUDITED = {"gpbilq": (BiLQState, "l"), "gpbicg": (BiLQState, "c"),
            "gpqmr": (QMRState, None)}
 
 
+def audit_system():
+    m, n = AUDIT_M, AUDIT_N
+    rng = np.random.default_rng(81)
+    return PartitionedSystem(1.0, -0.5,
+                             Operator.from_matrix(rng.standard_normal((m, n))),
+                             Operator.from_matrix(rng.standard_normal((n, m))),
+                             rng.standard_normal(m), rng.standard_normal(n))
+
+
 def peak_above_operator_results(method, warmup=4, steps=6):
     """Largest traced peak, over ``steps`` iterations after ``warmup``
     untraced ones, of the bytes allocated within one iteration (``advance``
     plus ``estimate``, which runs ``attempt_transfer`` for gpbicg), less
     the four operator results."""
     m, n = AUDIT_M, AUDIT_N
-    rng = np.random.default_rng(81)
-    sys_ = PartitionedSystem(1.0, -0.5,
-                             Operator.from_matrix(rng.standard_normal((m, n))),
-                             Operator.from_matrix(rng.standard_normal((n, m))),
-                             rng.standard_normal(m), rng.standard_normal(n))
+    sys_ = audit_system()
     state_cls, monitor = AUDITED[method]
     red = reduction_init(sys_)
     st = state_cls(sys_, red) if monitor is None else state_cls(sys_, red, monitor)
@@ -316,6 +322,25 @@ def peak_above_operator_results(method, warmup=4, steps=6):
 @pytest.mark.parametrize("method", AUDITED)
 def test_steady_state_peak_is_the_operator_results(method):
     assert peak_above_operator_results(method) <= PEAK_SLACK
+
+
+def test_gpmr_iteration_retains_less_than_one_vector():
+    # basis columns land in blocks reserved up front, so an iteration keeps
+    # only scalars: Hessenberg columns, rotations and R entries
+    warmup, steps = 4, 6
+    st = GPMRState(audit_system(), maxit=warmup + steps)
+    for _ in range(warmup):
+        st.advance()
+    kept = []
+    tracemalloc.start()
+    try:
+        for _ in range(steps):
+            start = tracemalloc.get_traced_memory()[0]
+            st.advance()
+            kept.append(tracemalloc.get_traced_memory()[0] - start)
+    finally:
+        tracemalloc.stop()
+    assert max(kept) < 8 * AUDIT_N
 
 
 def test_criterion_10_storage_audit():

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from gpkrylov import (HessenbergProcessState, assemble_dense, gpmr_solve,
                       residual_norm)
+from gpkrylov.baselines import FIRST_BLOCK, GPMRState
 from gpkrylov.linop import Operator, PartitionedSystem
 from gpkrylov.verify import oracle_dense_solve, oracle_lsq, oracle_minnorm
 
@@ -39,11 +40,8 @@ def test_symmetric_coupling_gives_tridiagonal_projection():
                 assert abs(H[i, j]) <= 1e-12
 
 
-def test_interleaved_projection_maps_the_basis():
-    sys_ = make_system(7, 6, seed=210)
-    proc = HessenbergProcessState(sys_)
-    for _ in range(4):
-        proc.step()
+def _projection_gap(sys_, proc):
+    """||K W_k - W_{k+1} projected(k)|| / ||K|| for the interleaved bases."""
     k = proc.k
     K = assemble_dense(sys_)
     W = np.zeros((sys_.m + sys_.n, 2 * k))
@@ -52,7 +50,47 @@ def test_interleaved_projection_maps_the_basis():
     W_next = np.zeros((sys_.m + sys_.n, 2 * k + 2))
     W_next[:sys_.m, 0::2] = proc.V(k + 1)
     W_next[sys_.m:, 1::2] = proc.U(k + 1)
-    assert np.linalg.norm(K @ W - W_next @ proc.projected(k)) <= 1e-12 * np.linalg.norm(K)
+    return np.linalg.norm(K @ W - W_next @ proc.projected(k)) / np.linalg.norm(K)
+
+
+def test_interleaved_projection_maps_the_basis():
+    sys_ = make_system(7, 6, seed=210)
+    proc = HessenbergProcessState(sys_)
+    for _ in range(4):
+        proc.step()
+    assert _projection_gap(sys_, proc) <= 1e-12
+
+
+def test_process_grows_past_its_first_block():
+    sys_ = make_system(60, 50, seed=211)
+    proc = HessenbergProcessState(sys_)
+    for _ in range(40):
+        assert proc.step()
+    assert proc.k == 40 > FIRST_BLOCK
+    assert proc.V(41).shape == (60, 41) and proc.U(41).shape == (50, 41)
+    assert _projection_gap(sys_, proc) <= 1e-12
+    V, U = proc.V(41), proc.U(41)
+    assert np.linalg.norm(V.T @ V - np.eye(41)) <= 1e-12
+    assert np.linalg.norm(U.T @ U - np.eye(41)) <= 1e-12
+
+
+def test_bases_stay_orthonormal_on_a_graded_spectrum():
+    # A = Q1 diag(1 ... 1e-12) Q2^T: one Gram-Schmidt pass (modified or
+    # classical) loses orthogonality here to 1e-7 or worse
+    rng = np.random.default_rng(215)
+    m, n = 60, 50
+    Q1, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = Q1 @ np.diag(np.geomspace(1.0, 1e-12, n)) @ Q2.T
+    sys_ = PartitionedSystem(1.0, -1e-3, Operator.from_matrix(A),
+                             Operator.from_matrix(-A.T),
+                             rng.standard_normal(m), rng.standard_normal(n))
+    proc = HessenbergProcessState(sys_)
+    for _ in range(40):
+        assert proc.step()
+    V, U = proc.V(40), proc.U(40)
+    assert np.linalg.norm(V.T @ V - np.eye(40)) <= 1e-12
+    assert np.linalg.norm(U.T @ U - np.eye(40)) <= 1e-12
 
 
 # -- GPMR ----------------------------------------------------------------------
@@ -159,6 +197,40 @@ def test_maxit_zero():
     res = gpmr_solve(sys_, tol=1e-10, maxit=0)
     assert res.reason == "maxit"
     assert_allclose(res.x, 0.0)
+
+
+def test_growing_qr_residual_is_the_projected_least_squares_residual():
+    sys_ = make_system(50, 40, seed=214)
+    st = GPMRState(sys_)
+    for k in range(1, 31):
+        st.advance()
+        P = st.proc.projected(k)
+        rhs = np.zeros(2 * k + 2)
+        rhs[:2] = st.proc.beta, st.proc.gamma
+        z, *_ = np.linalg.lstsq(P, rhs, rcond=None)
+        assert st.qr.residual_norm() == pytest.approx(np.linalg.norm(P @ z - rhs),
+                                                      rel=1e-10)
+
+
+def test_unbounded_run_matches_a_bounded_one():
+    # maxit=None grows the blocks from FIRST_BLOCK columns; maxit > min(m, n)
+    # reserves min(m, n) + 1 columns up front: the same arithmetic either way
+    sys_ = make_system(40, 30, seed=212)
+    grown = gpmr_solve(sys_, tol=1e-10)
+    reserved = gpmr_solve(sys_, tol=1e-10, maxit=500)
+    assert grown.iterations > FIRST_BLOCK
+    assert (grown.iterations, grown.reason) == (reserved.iterations, reserved.reason)
+    assert np.array_equal(grown.x, reserved.x) and np.array_equal(grown.y, reserved.y)
+    assert grown.residual == pytest.approx(residual_norm(sys_, grown.x, grown.y),
+                                           rel=1e-10)
+
+
+@pytest.mark.parametrize("restart, maxit", [(1, 12), (5, 17), (20, 8)])
+def test_restarted_residual_is_the_true_residual(restart, maxit):
+    sys_ = make_system(30, 20, seed=213)
+    res = gpmr_solve(sys_, tol=0.0, maxit=maxit, restart=restart)
+    assert (res.iterations, res.reason) == (maxit, "maxit")
+    assert res.residual == pytest.approx(residual_norm(sys_, res.x, res.y), rel=1e-10)
 
 
 # -- oracles --------------------------------------------------------------------
