@@ -3,8 +3,8 @@
 It builds two orthonormal bases with a simultaneous Hessenberg reduction
 and minimizes the true residual over the interleaved subspace via an
 incrementally updated QR of the projected matrix.  Both bases are stored in
-full, each as one preallocated Fortran-ordered block, so that one
-Gram-Schmidt pass per side is two matrix-vector products.
+full, each as one Fortran-ordered block, so that one Gram-Schmidt pass per
+side is two matrix-vector products.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .convergence import SolveResult, _solve
-from .linop import PartitionedSystem, apply_partitioned
+from .linop import PartitionedSystem, apply_partitioned, residual_norm
 from .rotations import plane_rotation
 
 __all__ = [
@@ -23,22 +23,27 @@ __all__ = [
     "gpmr_solve",
 ]
 
-FIRST_BLOCK = 16  # basis columns reserved by a run whose length is not bounded
+FIRST_BLOCK = 256  # basis columns reserved up front; the blocks double past it
 
 
 class HessenbergProcessState:
     """Simultaneous orthonormal bases V (m-side) and U (n-side).
 
-    One step extends both bases by block classical Gram-Schmidt with a DGKS
-    second pass (Daniel, Gragg, Kaufman & Stewart, 1976), so that
-    V^T A U = H and U^T B V = F hold on the accumulated prefix, with H, F
-    upper Hessenberg and nonnegative subdiagonals.  The bases are the
-    leading columns of two Fortran-ordered blocks of ``capacity`` columns,
-    which double when a step needs more; ``V(k)``/``U(k)`` are views.
+    A step applies A to the unprocessed u and B to the unprocessed v (a
+    side has at most one) and extends each basis by block classical
+    Gram-Schmidt with a DGKS second pass (Daniel, Gragg, Kaufman & Stewart,
+    1976), so the bases stay orthonormal to working precision.  A side whose
+    remainder vanishes gains no vector; the other side keeps extending, and
+    the process terminates when neither side gains one.
+    ``projected()`` maps the processed vectors (columns, in the order
+    ``vcol``/``ucol`` give) onto all of them (v_i on row 2i, u_i on 2i+1).
+    The bases are the leading columns of two blocks that start at
+    FIRST_BLOCK columns and double up to ``limit`` (at most the side's
+    dimension); ``V(k)``/``U(k)`` are views.
     """
 
     def __init__(self, sys: PartitionedSystem, b0=None, c0=None,
-                 capacity: int = FIRST_BLOCK):
+                 limit: int | None = None):
         self.sys = sys
         b0 = sys.b if b0 is None else b0
         c0 = sys.c if c0 is None else c0
@@ -46,38 +51,56 @@ class HessenbergProcessState:
         self.gamma = float(np.linalg.norm(c0))
         if self.beta == 0.0 or self.gamma == 0.0:
             raise ValueError("starting vectors must be nonzero")
-        self.vb = np.empty((sys.m, capacity), order="F")
-        self.ub = np.empty((sys.n, capacity), order="F")
+        self.limits = (min(sys.m, limit or sys.m), min(sys.n, limit or sys.n))
+        self.vb = np.empty((sys.m, min(self.limits[0], FIRST_BLOCK)), order="F")
+        self.ub = np.empty((sys.n, min(self.limits[1], FIRST_BLOCK)), order="F")
         np.divide(b0, self.beta, out=self.vb[:, 0])
         np.divide(c0, self.gamma, out=self.ub[:, 0])
-        self.h_cols: list[np.ndarray] = []
-        self.f_cols: list[np.ndarray] = []
+        self.nv = self.nu = 1
+        self.cols: list[np.ndarray] = []
+        self.vcol, self.ucol = [], []  # column of each processed v, u
+        self.k = 0
         self.terminated = False
 
-    @property
-    def k(self) -> int:
-        return len(self.h_cols)
-
     def step(self) -> bool:
-        """Extend both bases by one column; False on lucky termination."""
+        """Extend both bases by at most one column; False on termination."""
         if self.terminated:
             raise RuntimeError("process has terminated")
-        k = self.k
-        w = self.sys.A.apply(self.ub[:, k])
-        z = self.sys.B.apply(self.vb[:, k])
-        h = _orthogonalize(w, self.vb[:, :k + 1])
-        f = _orthogonalize(z, self.ub[:, :k + 1])
-        self.h_cols.append(h)
-        self.f_cols.append(f)
-        vec_scale = max(1.0, np.max(np.abs(h[:k + 1])), np.max(np.abs(f[:k + 1])))
-        if h[k + 1] <= 1e-13 * vec_scale or f[k + 1] <= 1e-13 * vec_scale:
-            self.terminated = True
-            return False
-        if k + 1 == self.vb.shape[1]:
-            self.vb, self.ub = _doubled(self.vb), _doubled(self.ub)
-        np.divide(w, h[k + 1], out=self.vb[:, k + 1])
-        np.divide(z, f[k + 1], out=self.ub[:, k + 1])
-        return True
+        sys, nv, nu = self.sys, self.nv, self.nu
+        pv, pu = len(self.vcol), len(self.ucol)
+        h = f = None
+        if pu < nu:
+            w = sys.A.apply(self.ub[:, pu])
+            h = _orthogonalize(w, self.vb[:, :nv])
+        if pv < nv:
+            z = sys.B.apply(self.vb[:, pv])
+            f = _orthogonalize(z, self.ub[:, :nu])
+        tiny = 1e-13 * max(1.0, *(np.max(np.abs(c[:-1])) for c in (h, f)
+                                  if c is not None))
+        rows = 2 * max(nv, nu) + 2  # every vector this step can create
+        if f is not None:  # column of v_pv: lam on its row, F on the u rows
+            col = np.zeros(rows)
+            col[2 * pv] = sys.lam
+            col[1:2 * nu + 2:2] = f
+            self.vcol.append(len(self.cols))
+            self.cols.append(col)
+        if h is not None:  # column of u_pu: H on the v rows, mu on its row
+            col = np.zeros(rows)
+            col[0:2 * nv + 1:2] = h
+            col[2 * pu + 1] = sys.mu
+            self.ucol.append(len(self.cols))
+            self.cols.append(col)
+        if h is not None and h[-1] > tiny and nv < self.limits[0]:
+            self.vb = _room(self.vb, nv, self.limits[0])
+            np.divide(w, h[-1], out=self.vb[:, nv])
+            self.nv += 1
+        if f is not None and f[-1] > tiny and nu < self.limits[1]:
+            self.ub = _room(self.ub, nu, self.limits[1])
+            np.divide(z, f[-1], out=self.ub[:, nu])
+            self.nu += 1
+        self.k += 1
+        self.terminated = (self.nv, self.nu) == (nv, nu)
+        return not self.terminated
 
     def V(self, k: int) -> np.ndarray:
         return self.vb[:, :k]
@@ -85,33 +108,12 @@ class HessenbergProcessState:
     def U(self, k: int) -> np.ndarray:
         return self.ub[:, :k]
 
-    def H(self, k: int) -> np.ndarray:
-        """(k+1) x k Hessenberg projection of A."""
-        out = np.zeros((k + 1, k))
-        for j in range(k):
-            col = self.h_cols[j]
-            out[:min(j + 2, k + 1), j] = col[:min(j + 2, k + 1)]
-        return out
-
-    def F(self, k: int) -> np.ndarray:
-        out = np.zeros((k + 1, k))
-        for j in range(k):
-            col = self.f_cols[j]
-            out[:min(j + 2, k + 1), j] = col[:min(j + 2, k + 1)]
-        return out
-
-    def projected(self, k: int) -> np.ndarray:
-        """(2k+2) x 2k interleaved projection of the full block matrix."""
-        lam, mu = self.sys.lam, self.sys.mu
-        H, F = self.H(k), self.F(k)
-        M = np.zeros((2 * k + 2, 2 * k))
-        for i in range(k + 1):
-            for j in range(k):
-                if i == j:
-                    M[2 * i, 2 * j] = lam
-                    M[2 * i + 1, 2 * j + 1] = mu
-                M[2 * i, 2 * j + 1] = H[i, j]
-                M[2 * i + 1, 2 * j] = F[i, j]
+    def projected(self) -> np.ndarray:
+        """Interleaved projection of the full block matrix: rows 2i and
+        2i+1 for v_i and u_i, one column per processed vector."""
+        M = np.zeros((len(self.cols[-1]) if self.cols else 2, len(self.cols)))
+        for j, col in enumerate(self.cols):
+            M[:len(col), j] = col
         return M
 
 
@@ -132,19 +134,23 @@ def _orthogonalize(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.append(d, after)
 
 
-def _doubled(block: np.ndarray) -> np.ndarray:
-    out = np.empty((block.shape[0], 2 * block.shape[1]), order="F")
-    out[:, :block.shape[1]] = block
+def _room(block: np.ndarray, used: int, limit: int) -> np.ndarray:
+    """``block``, or a copy doubled up to ``limit`` columns when it is full."""
+    if used < block.shape[1]:
+        return block
+    out = np.empty((block.shape[0], min(2 * used, limit)), order="F")
+    out[:, :used] = block
     return out
 
 
 class _GrowingQR:
     """Incremental QR of the interleaved projected matrix (GMRES-style).
 
-    Columns arrive two at a time; Givens rotations are stored and replayed on
-    each new column, so the minimum projected residual is available every
-    step without refactorizing.  The replay runs on Python floats, which is
-    the same arithmetic as on numpy scalars at a fraction of the cost.
+    Columns arrive one or two at a time; Givens rotations are stored and
+    replayed on each new column, so the minimum projected residual is
+    available every step without refactorizing.  The replay runs on Python
+    floats, which is the same arithmetic as on numpy scalars at a fraction
+    of the cost.
     """
 
     def __init__(self, beta: float, gamma: float):
@@ -152,7 +158,8 @@ class _GrowingQR:
         self.rots: list[tuple[int, float, float]] = []
         self.g = [beta, gamma]
 
-    def push_column(self, col: np.ndarray) -> None:
+    def push_column(self, col: np.ndarray) -> bool:
+        """Append one column; False (no unknown) if it depends on the others."""
         j = len(self.r_cols)
         col, g = col.tolist(), self.g
         g += [0.0] * (len(col) - len(g))  # new rows start at zero
@@ -169,7 +176,10 @@ class _GrowingQR:
             a, b = g[i - 1], g[i]
             g[i - 1] = c * a + s * b
             g[i] = -s * a + c * b
+        if abs(col[j]) <= 1e-12 * math.hypot(*col):
+            return False  # the rotations touched rows >= j only: R is intact
         self.r_cols.append(col[:j + 1])
+        return True
 
     def residual_norm(self) -> float:
         return math.hypot(*self.g[len(self.r_cols):])
@@ -186,10 +196,10 @@ class _GrowingQR:
 
 
 class GPMRState:
-    """gpmr as a solver state: one Hessenberg step and one incremental QR
-    pair per iteration.  With ``restart`` a cycle ends after that many steps
-    and the next one starts from the residual blocks of the cycle's iterate.
-    ``maxit`` is the solve's iteration limit; it sizes the basis blocks.
+    """gpmr as a solver state: one Hessenberg step and its incremental QR
+    columns per iteration.  With ``restart`` a cycle ends after that many
+    steps and the next one starts from the residual blocks of the cycle's
+    iterate.  ``maxit`` is the solve's iteration limit.
     """
 
     tracks_transfer = False
@@ -198,31 +208,31 @@ class GPMRState:
                  maxit: int | None = None):
         self.sys = sys
         self.restart = restart
-        # basis columns a cycle can fill: the start vector plus at most maxit,
-        # restart or min(m, n) steps (a basis stops once it spans its space);
-        # a run without maxit reserves a first block and grows past it
-        bound = min(sys.m, sys.n, restart or sys.m,
-                    sys.m if maxit is None else max(maxit, 0)) + 1
-        self.capacity = bound if maxit is not None else min(bound, FIRST_BLOCK)
+        # a cycle adds at most one basis column per side per step
+        self.limit = 1 + max(0, min(s for s in (maxit, restart, sys.m + sys.n)
+                                    if s is not None))
         self.k = 0
         self.stopped = False
-        self.x = np.zeros(sys.m)  # iterate at the start of the cycle
-        self.y = np.zeros(sys.n)
+        self.x, self.y = np.zeros(sys.m), np.zeros(sys.n)  # at the cycle start
         self._start_cycle(sys.b, sys.c)
 
     def _start_cycle(self, b0, c0):
-        self.proc = HessenbergProcessState(self.sys, b0, c0, self.capacity)
+        self.proc = HessenbergProcessState(self.sys, b0, c0, self.limit)
         self.qr = _GrowingQR(self.proc.beta, self.proc.gamma)
+        self.kept: list[int] = []  # process columns that are QR unknowns
 
     def advance(self) -> None:
         proc, qr = self.proc, self.qr
+        done = len(proc.cols)
         alive = proc.step()
         self.k += 1
-        col_x, col_y = _projected_column_pair(self.sys, proc, proc.k)
-        qr.push_column(col_x)
-        qr.push_column(col_y)
+        for j in range(done, len(proc.cols)):
+            if qr.push_column(proc.cols[j]):
+                self.kept.append(j)
         self.res = qr.residual_norm()
         self.stopped = not alive
+        if self.stopped:  # the space is closed: its projected residual is rounding
+            self.res = residual_norm(self.sys, *self.iterate())
         if alive and self.restart is not None and proc.k >= self.restart:
             self._restart()
 
@@ -246,10 +256,11 @@ class GPMRState:
         """Cycle start plus the basis combination of the projected minimum."""
         if not self.qr.r_cols:
             return self.x, self.y
-        z = self.qr.solve()
-        k = len(z) // 2
-        return (self.x + self.proc.V(k) @ z[0::2],
-                self.y + self.proc.U(k) @ z[1::2])
+        proc = self.proc
+        z = np.zeros(len(proc.cols))
+        z[self.kept] = self.qr.solve()
+        return (self.x + proc.V(len(proc.vcol)) @ z[proc.vcol],
+                self.y + proc.U(len(proc.ucol)) @ z[proc.ucol])
 
     def settle_breakdown(self, tol) -> bool:
         # an invariant subspace was reached: the projected minimum is final
@@ -278,14 +289,3 @@ def gpmr_solve(sys: PartitionedSystem, tol: float = 1e-8, maxit: int | None = No
         raise ValueError(f"restart must be >= 1, got {restart}")
     return _solve(sys, GPMRState(sys, restart, maxit), tol, maxit, explicit_residual)
 
-
-def _projected_column_pair(sys, proc, k):
-    """Columns 2k-1, 2k of the interleaved projection (only the new pair is
-    needed per step; the full matrix is rebuilt only by tests)."""
-    col_x = np.zeros(2 * k + 2)
-    col_x[2 * k - 2] = sys.lam
-    col_x[1::2] = proc.f_cols[k - 1]
-    col_y = np.zeros(2 * k + 2)
-    col_y[0::2] = proc.h_cols[k - 1]
-    col_y[2 * k - 1] = sys.mu
-    return col_x, col_y

@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from scipy import sparse
+
 from gpkrylov import (HessenbergProcessState, assemble_dense, gpmr_solve,
                       residual_norm)
-from gpkrylov.baselines import FIRST_BLOCK, GPMRState
+from gpkrylov import baselines
+from gpkrylov.baselines import GPMRState
 from gpkrylov.linop import Operator, PartitionedSystem
-from gpkrylov.verify import oracle_dense_solve, oracle_lsq, oracle_minnorm
+from gpkrylov.verify import (oracle_dense_solve, oracle_lsq, oracle_minnorm,
+                             random_system)
 
 from conftest import make_system
 
@@ -23,9 +27,11 @@ def test_bases_orthonormal_and_projections_match():
     assert np.linalg.norm(V.T @ V - np.eye(k)) <= 1e-12
     assert np.linalg.norm(U.T @ U - np.eye(k)) <= 1e-12
     A, B = sys_.A.to_dense(), sys_.B.to_dense()
-    assert_allclose(proc.V(k + 1).T @ A @ U, proc.H(k), atol=1e-12)
-    assert_allclose(proc.U(k + 1).T @ B @ V, proc.F(k), atol=1e-12)
-    assert np.all(proc.H(k)[np.arange(1, k + 1), np.arange(k)] >= 0)
+    M = proc.projected()
+    H, F = M[0::2, 1::2], M[1::2, 0::2]  # V^T A U and U^T B V
+    assert_allclose(proc.V(k + 1).T @ A @ U, H, atol=1e-12)
+    assert_allclose(proc.U(k + 1).T @ B @ V, F, atol=1e-12)
+    assert np.all(H[np.arange(1, k + 1), np.arange(k)] >= 0)
 
 
 def test_symmetric_coupling_gives_tridiagonal_projection():
@@ -33,7 +39,8 @@ def test_symmetric_coupling_gives_tridiagonal_projection():
     proc = HessenbergProcessState(sys_)
     for _ in range(6):
         proc.step()
-    H = proc.H(6)
+    H = proc.projected()[0::2, 1::2]
+    assert H.shape == (7, 6)
     for i in range(6):
         for j in range(6):
             if abs(i - j) > 1:
@@ -41,16 +48,17 @@ def test_symmetric_coupling_gives_tridiagonal_projection():
 
 
 def _projection_gap(sys_, proc):
-    """||K W_k - W_{k+1} projected(k)|| / ||K|| for the interleaved bases."""
-    k = proc.k
+    """||K W - W_next M|| / ||K||: W holds the processed vectors in column
+    order, W_next every vector on its row (v_i on 2i, u_i on 2i+1)."""
+    M, m = proc.projected(), sys_.m
     K = assemble_dense(sys_)
-    W = np.zeros((sys_.m + sys_.n, 2 * k))
-    W[:sys_.m, 0::2] = proc.V(k)
-    W[sys_.m:, 1::2] = proc.U(k)
-    W_next = np.zeros((sys_.m + sys_.n, 2 * k + 2))
-    W_next[:sys_.m, 0::2] = proc.V(k + 1)
-    W_next[sys_.m:, 1::2] = proc.U(k + 1)
-    return np.linalg.norm(K @ W - W_next @ proc.projected(k)) / np.linalg.norm(K)
+    W = np.zeros((m + sys_.n, M.shape[1]))
+    W[:m, proc.vcol] = proc.V(len(proc.vcol))
+    W[m:, proc.ucol] = proc.U(len(proc.ucol))
+    W_next = np.zeros((m + sys_.n, M.shape[0]))
+    W_next[:m, 0:2 * proc.nv:2] = proc.V(proc.nv)
+    W_next[m:, 1:2 * proc.nu:2] = proc.U(proc.nu)
+    return np.linalg.norm(K @ W - W_next @ M) / np.linalg.norm(K)
 
 
 def test_interleaved_projection_maps_the_basis():
@@ -58,20 +66,64 @@ def test_interleaved_projection_maps_the_basis():
     proc = HessenbergProcessState(sys_)
     for _ in range(4):
         proc.step()
+    assert proc.projected().shape == (10, 8)
     assert _projection_gap(sys_, proc) <= 1e-12
 
 
-def test_process_grows_past_its_first_block():
+def test_process_grows_past_its_first_block(monkeypatch):
+    monkeypatch.setattr(baselines, "FIRST_BLOCK", 8)
     sys_ = make_system(60, 50, seed=211)
     proc = HessenbergProcessState(sys_)
     for _ in range(40):
         assert proc.step()
-    assert proc.k == 40 > FIRST_BLOCK
+    assert (proc.k, proc.vb.shape[1], proc.ub.shape[1]) == (40, 60, 50)
     assert proc.V(41).shape == (60, 41) and proc.U(41).shape == (50, 41)
     assert _projection_gap(sys_, proc) <= 1e-12
     V, U = proc.V(41), proc.U(41)
     assert np.linalg.norm(V.T @ V - np.eye(41)) <= 1e-12
     assert np.linalg.norm(U.T @ U - np.eye(41)) <= 1e-12
+
+
+# m, n, seed, lam, mu of seeded symmetric-coupling systems whose smaller
+# side is exhausted at k = min(m, n) while the solve has not converged
+EXHAUSTING = [(40, 25, 1020, 1.0, -0.5), (25, 40, 1029, 2.0, 1.0),
+              (60, 45, 1032, 1.0, 0.0)]
+
+
+@pytest.mark.parametrize("m, n, seed, lam, mu", EXHAUSTING)
+def test_surviving_side_keeps_extending(m, n, seed, lam, mu):
+    sys_ = random_system(m, n, seed, lam=lam, mu=mu, symmetric=True)
+    proc = HessenbergProcessState(sys_)
+    while proc.step():
+        pass
+    # the smaller side spans its space; the larger gains one more vector
+    k = min(m, n)
+    assert (proc.k, proc.nv, proc.nu) == (k + 1, min(m, k + 1), min(n, k + 1))
+    assert _projection_gap(sys_, proc) <= 1e-12
+    V, U = proc.V(proc.nv), proc.U(proc.nu)
+    assert np.linalg.norm(V.T @ V - np.eye(proc.nv)) <= 1e-12
+    assert np.linalg.norm(U.T @ U - np.eye(proc.nu)) <= 1e-12
+    with pytest.raises(RuntimeError, match="terminated"):
+        proc.step()
+
+
+@pytest.mark.parametrize("m, n, seed, lam, mu", EXHAUSTING)
+def test_converges_past_an_exhausted_side(m, n, seed, lam, mu):
+    sys_ = random_system(m, n, seed, lam=lam, mu=mu, symmetric=True)
+    res = gpmr_solve(sys_, tol=1e-9)
+    assert (res.reason, res.iterations) == ("converged", min(m, n) + 1)
+    assert residual_norm(sys_, res.x, res.y) <= 1e-9
+
+
+@pytest.mark.parametrize("m, n, seed", [(20, 14, 1008), (40, 25, 1023)])
+def test_singular_system_stops_at_its_true_residual(m, n, seed):
+    # lam = 0 with m > n: [0 A] has rank n < m, so K is singular and the
+    # final projected column depends on the others; it adds no unknown
+    sys_ = random_system(m, n, seed, lam=0.0, mu=-1.0, symmetric=True)
+    res = gpmr_solve(sys_, tol=1e-9)
+    assert (res.reason, res.iterations) == ("breakdown", n + 1)
+    true = residual_norm(sys_, res.x, res.y)
+    assert true > 1.0 and res.residual == pytest.approx(true, rel=1e-10)
 
 
 def test_bases_stay_orthonormal_on_a_graded_spectrum():
@@ -204,7 +256,7 @@ def test_growing_qr_residual_is_the_projected_least_squares_residual():
     st = GPMRState(sys_)
     for k in range(1, 31):
         st.advance()
-        P = st.proc.projected(k)
+        P = st.proc.projected()
         rhs = np.zeros(2 * k + 2)
         rhs[:2] = st.proc.beta, st.proc.gamma
         z, *_ = np.linalg.lstsq(P, rhs, rcond=None)
@@ -212,17 +264,42 @@ def test_growing_qr_residual_is_the_projected_least_squares_residual():
                                                       rel=1e-10)
 
 
-def test_unbounded_run_matches_a_bounded_one():
-    # maxit=None grows the blocks from FIRST_BLOCK columns; maxit > min(m, n)
-    # reserves min(m, n) + 1 columns up front: the same arithmetic either way
+def test_unbounded_run_matches_a_bounded_one(monkeypatch):
+    # the blocks grow from FIRST_BLOCK columns whatever the limit: maxit=None,
+    # its resolved value 2(m+n) and a limit past min(m, n) give the same run
+    monkeypatch.setattr(baselines, "FIRST_BLOCK", 8)
     sys_ = make_system(40, 30, seed=212)
-    grown = gpmr_solve(sys_, tol=1e-10)
-    reserved = gpmr_solve(sys_, tol=1e-10, maxit=500)
-    assert grown.iterations > FIRST_BLOCK
-    assert (grown.iterations, grown.reason) == (reserved.iterations, reserved.reason)
-    assert np.array_equal(grown.x, reserved.x) and np.array_equal(grown.y, reserved.y)
-    assert grown.residual == pytest.approx(residual_norm(sys_, grown.x, grown.y),
-                                           rel=1e-10)
+    runs = [gpmr_solve(sys_, tol=1e-10, maxit=maxit) for maxit in (None, 140, 500)]
+    for res in runs:
+        assert (res.iterations, res.reason) == (runs[0].iterations, "converged")
+        assert np.array_equal(res.x, runs[0].x) and np.array_equal(res.y, runs[0].y)
+    assert runs[0].iterations > 8
+    assert runs[0].residual <= 1e-10
+    assert residual_norm(sys_, runs[0].x, runs[0].y) <= 1e-10
+
+
+def test_exact_termination_reports_the_true_residual():
+    # both bases span their spaces at k = 30; the closed space's projected
+    # residual is rounding (about 1e-30), far below the attainable 1e-13
+    sys_ = make_system(30, 30, seed=5)
+    res = gpmr_solve(sys_, tol=1e-20)
+    assert (res.reason, res.iterations) == ("breakdown", 30)
+    true = residual_norm(sys_, res.x, res.y)
+    assert 1e-16 < true < 1e-11 and res.residual == pytest.approx(true, rel=1e-12)
+
+
+def test_long_limit_on_a_large_system_reserves_a_first_block():
+    # min(m, n) + 1 columns of 120k rows would be 57.6 GB; the blocks start
+    # at FIRST_BLOCK columns, which are not touched until written
+    m, n = 120_000, 60_000
+    rng = np.random.default_rng(216)
+    A = sparse.diags(rng.uniform(0.1, 0.2, n), shape=(m, n), format="csr")
+    B = sparse.diags(rng.uniform(0.1, 0.2, n), shape=(n, m), format="csr")
+    sys_ = PartitionedSystem(1.0, 1.0, Operator.from_matrix(A), Operator.from_matrix(B),
+                             rng.standard_normal(m), rng.standard_normal(n))
+    res = gpmr_solve(sys_, tol=1e-10, maxit=2 * (m + n))
+    assert res.converged and res.iterations <= 20
+    assert residual_norm(sys_, res.x, res.y) <= 1e-10
 
 
 @pytest.mark.parametrize("restart, maxit", [(1, 12), (5, 17), (20, 8)])
