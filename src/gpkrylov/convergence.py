@@ -11,6 +11,7 @@ import numpy as np
 
 from .linop import PartitionedSystem, residual_norm
 from .reduction import BreakdownReport
+from .rotations import SingularWindowError
 
 __all__ = ["IterationRow", "ConvergenceRecord", "SolveResult",
            "CONVERGED", "MAXIT", "BREAKDOWN", "NONFINITE"]
@@ -104,7 +105,11 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
     iteration is tested converged, then nonfinite (the monitored residual is
     NaN or infinite), then breakdown, then maxit.  With
     ``explicit_residual`` the true residual is recorded next to the
-    estimate and replaces it in the stopping test.
+    estimate and replaces it in the stopping test.  Where the process
+    stopped, a met estimate counts only if the true residual meets tol too
+    (a dead pair's scalars vanish from the estimate); a zero pivot in a
+    sliding factorization ends the run with ``breakdown`` on the last
+    completed iterate.  Both exits report the true residual.
     """
     if maxit is None:
         maxit = 2 * (sys.m + sys.n)
@@ -122,7 +127,13 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
         return SolveResult(np.zeros(sys.m), np.zeros(sys.n), 0, reason,
                            rhs_norm, record, breakdown=report)
     while True:
-        state.advance()
+        try:
+            state.advance()
+        except SingularWindowError:
+            record.finalize(BREAKDOWN)
+            out = state.result(BREAKDOWN, math.nan, record)
+            out.residual = residual_norm(sys, out.x, out.y)
+            return out
         est = state.estimate()
         true = None
         if explicit_residual and est is not None:
@@ -131,6 +142,9 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
         record.append(state.k, np.nan if est is None else est, true,
                       (est is not None) if state.tracks_transfer else None,
                       time.perf_counter() - t0)
+        if state.stopped and true is None and res is not None and res <= tol:
+            true = residual_norm(sys, *state.iterate())
+            res = res if true <= tol else true
         if res is not None and res <= tol:
             reason = CONVERGED
         elif res is not None and not math.isfinite(res):

@@ -16,9 +16,11 @@ The steady-state loop performs exactly four operator applications per
 iteration and keeps a fixed working set of eleven m-vectors and eleven
 n-vectors: the iterate, two reduction basis pairs and two (len x 3)
 direction blocks per side; the transfer iterate adds one vector per side
-once formed, and the reduction holds its last operator results.  Each
-side's direction update and iterate increment are one matmul; no fresh
-length-m/n arrays are allocated after startup.
+once formed.  Each side's direction update and iterate increment are one
+matmul; no fresh length-m/n arrays are allocated after startup.  The scalar
+state is fixed in size too: the LQ window keeps the six factor columns and
+two rotation bundles the recurrences read, and the state the last four
+substitution entries.
 """
 
 from __future__ import annotations
@@ -29,61 +31,53 @@ from .convergence import CONVERGED, SolveResult, _solve
 from .linop import PartitionedSystem, residual_norm
 from .reduction import (BreakdownReport, StepCoeffs, reduction_init,
                         reduction_step)
-from .rotations import (Band, SingularWindowError, bundle_product,
-                        plane_rotation, rotation_block, rotation_bundle)
+# rotation_block is not called here: the benchmark tracer reads gpbilq.rotation_block
+from .rotations import (SingularWindowError, plane_rotation, rotation_block,
+                        rotation_bundle)
 
 __all__ = [
     "LQWindow",
     "BiLQState",
-    "lq_window_init",
     "lq_step",
     "substitute_step",
     "transfer_scalars",
-    "rotation_block",
-    "dense_lq_factors",
-    "dense_gk",
     "gpbilq_solve",
 ]
 
 
 class LQWindow:
-    """Sliding data of the banded LQ factorization.
+    """Sliding data of the banded LQ factorization, fixed in size.
 
-    Band entries are indexed by row: row j holds (xi_j, zeta_j, omega_j,
-    nu_j, rho_j) in columns j-4..j.  ``i`` counts completed rotation
-    bundles; the seven carry scalars describe the not-yet-finalized trailing
-    2x2 corner and its two trailing columns.  Rotation cosine/sine quadruples
-    are retained per bundle (scalars only) for the residual estimates and for
-    dense reconstruction.
+    ``i`` counts completed rotation bundles; bundle i finalizes columns
+    2i-1 and 2i of the lower factor, column c held as its five band entries
+    (rho, nu, omega, zeta, xi) in rows c..c+4.  ``cols`` keeps columns
+    2i-5..2i and ``rots`` the cosine/sine octets of bundles i-1 and i: all
+    the recurrences read.  Columns below 1 are zero.  The seven carry
+    scalars describe the not-yet-finalized trailing 2x2 corner and its two
+    trailing columns.
     """
 
-    __slots__ = ("lam", "mu", "i", "rho", "nu", "omega", "zeta", "xi",
-                 "rotations", "c_rho1", "c_alpha", "c_nu1", "c_rho2",
-                 "c_omega", "c_nu2", "c_zeta")
+    __slots__ = ("lam", "mu", "i", "cols", "rots", "c_rho1", "c_alpha",
+                 "c_nu1", "c_rho2", "c_omega", "c_nu2", "c_zeta")
 
-    def __init__(self, lam, mu):
+    def __init__(self, lam, mu, alpha1, theta1, beta2, delta2):
+        """Seed the carries from the first diagonal block and coupling pair."""
         self.lam = float(lam)
         self.mu = float(mu)
         self.i = 0
-        self.rho = Band(1)
-        self.nu = Band(2)
-        self.omega = Band(3)
-        self.zeta = Band(4)
-        self.xi = Band(5)
-        self.rotations: list[tuple] = []
+        self.cols = ((0.0,) * 5,) * 6
+        self.rots = (None, None)
+        self.c_rho1 = float(lam)
+        self.c_alpha = float(alpha1)
+        self.c_nu1 = float(theta1)
+        self.c_rho2 = float(mu)
+        self.c_omega = 0.0
+        self.c_nu2 = float(beta2)
+        self.c_zeta = float(delta2)
 
-
-def lq_window_init(lam, mu, alpha1, theta1, beta2, delta2) -> LQWindow:
-    """Seed the carries from the first diagonal block and coupling pair."""
-    w = LQWindow(lam, mu)
-    w.c_rho1 = float(lam)
-    w.c_alpha = float(alpha1)
-    w.c_nu1 = float(theta1)
-    w.c_rho2 = float(mu)
-    w.c_omega = 0.0
-    w.c_nu2 = float(beta2)
-    w.c_zeta = float(delta2)
-    return w
+    def finalized(self):
+        """Columns 2i-1, 2i and bundle i: what the latest lq_step finalized."""
+        return self.cols[4], self.cols[5], self.rots[1]
 
 
 def lq_step(w: LQWindow, gamma_k, eta_k, alpha_k, theta_k,
@@ -141,55 +135,46 @@ def lq_step(w: LQWindow, gamma_k, eta_k, alpha_k, theta_k,
     xi_even = s4 * delta_next
     zeta_bar = c4 * delta_next
 
-    w.rho.push(rho_odd)       # row 2i-1
-    w.rho.push(rho_even)      # row 2i
-    w.nu.push(nu_even)        # row 2i
-    w.nu.push(nu_odd)         # row 2i+1
-    w.omega.push(omega_odd)   # row 2i+1
-    w.omega.push(omega_even)  # row 2i+2
-    w.zeta.push(zeta_even)    # row 2i+2
-    w.zeta.push(zeta_odd)     # row 2i+3
-    w.xi.push(xi_odd)         # row 2i+3
-    w.xi.push(xi_even)        # row 2i+4
-
+    # local names follow the parity of the row; rows 2i-1..2i+3 of column
+    # 2i-1, rows 2i..2i+4 of column 2i
+    w.cols = w.cols[2:] + ((rho_odd, nu_even, omega_odd, zeta_even, xi_odd),
+                           (rho_even, nu_odd, omega_even, zeta_odd, xi_even))
     w.c_rho1, w.c_alpha, w.c_nu1, w.c_rho2 = rho_bar_odd, alpha_bar, nu_bar1, rho_bar_even
     w.c_omega, w.c_nu2, w.c_zeta = omega_bar, nu_bar2, zeta_bar
-    w.rotations.append((c1, s1, c2, s2, c3, s3, c4, s4))
+    w.rots = (w.rots[1], (c1, s1, c2, s2, c3, s3, c4, s4))
     w.i = i
 
 
-def _row_rest(w: LQWindow, varpi: Band, r, beta1, delta1) -> float:
-    """rhs_r - xi_r w_{r-4} - zeta_r w_{r-3} - omega_r w_{r-2} of row r."""
-    rhs = beta1 if r == 1 else delta1 if r == 2 else 0.0
-    return (rhs - w.xi[r] * varpi[r - 4] - w.zeta[r] * varpi[r - 3]
-            - w.omega[r] * varpi[r - 2])
+def _row_pair(cols, v, rhs, rho1, nu2, rho2):
+    """Rows r, r+1 of the banded lower solve from columns r-4..r-1 and their
+    entries ``v``: row r is (rhs_r - xi_r w_{r-4} - zeta_r w_{r-3} - omega_r
+    w_{r-2} - nu_r w_{r-1}) / rho_r.  rho1, nu2 and rho2 are the pair's own
+    diagonal entries and the subdiagonal between them."""
+    c4, c3, c2, c1 = cols
+    w1 = (rhs[0] - c4[4] * v[0] - c3[3] * v[1] - c2[2] * v[2] - c1[1] * v[3]) / rho1
+    w2 = (rhs[1] - c3[4] * v[1] - c2[3] * v[2] - c1[2] * v[3] - nu2 * w1) / rho2
+    return w1, w2
 
 
-def substitute_step(w: LQWindow, varpi: Band, beta1, delta1) -> tuple[float, float]:
-    """Forward-substitute the next two entries of the banded lower solve.
+def substitute_step(w: LQWindow, varpi, beta1, delta1) -> tuple:
+    """Forward-substitute rows 2i-1 and 2i of the banded lower solve.
 
-    Row r resolves as (rhs_r - xi_r w_{r-4} - zeta_r w_{r-3} - omega_r w_{r-2}
-    - nu_r w_{r-1}) / rho_r with out-of-range terms zero.
+    ``varpi`` holds entries 2i-5..2i-2; returns entries 2i-3..2i.
     """
-    out = []
-    for _ in range(2):
-        r = varpi.last_index + 1
-        rho_r = w.rho[r]
-        if rho_r == 0.0:
-            raise SingularWindowError(f"zero diagonal {r} in forward substitution")
-        val = (_row_rest(w, varpi, r, beta1, delta1)
-               - w.nu[r] * varpi[r - 1]) / rho_r
-        varpi.push(val)
-        out.append(val)
-    return out[0], out[1]
+    c = w.cols
+    if c[4][0] == 0.0 or c[5][0] == 0.0:
+        raise SingularWindowError(f"zero diagonal in substitution rows {2 * w.i - 1}-{2 * w.i}")
+    rhs = (beta1, delta1) if w.i == 1 else (0.0, 0.0)
+    return varpi[2:] + _row_pair(c[:4], varpi, rhs, c[4][0], c[4][1], c[5][0])
 
 
-def transfer_scalars(w: LQWindow, varpi: Band, beta1, delta1):
+def transfer_scalars(w: LQWindow, varpi, beta1, delta1):
     """Rotation and substitution scalars for the square-system iterate.
 
-    Returns (c_k, s_k, w_odd, w_even) for the current step k = i+1, or None
-    when the trailing 2x2 determinant is at most 1e-13 of its two products
-    (iterate does not exist).
+    ``varpi`` holds substitution entries 2i-3..2i.  Returns (c_k, s_k,
+    w_odd, w_even) for the current step k = i+1, or None when the trailing
+    2x2 determinant is at most 1e-13 of its two products (iterate does not
+    exist).
     """
     rb1, ab, nb1, rb2 = w.c_rho1, w.c_alpha, w.c_nu1, w.c_rho2
     det = rb1 * rb2 - ab * nb1
@@ -198,51 +183,8 @@ def transfer_scalars(w: LQWindow, varpi: Band, beta1, delta1):
     c_k, s_k, rho_dd1 = plane_rotation(rb1, ab)
     nu_dd = c_k * nb1 + s_k * rb2
     rho_dd2 = -s_k * nb1 + c_k * rb2
-    k = w.i + 1
-    r1, r2 = 2 * k - 1, 2 * k
-    w_odd = (_row_rest(w, varpi, r1, beta1, delta1)
-             - w.nu[r1] * varpi[r1 - 1]) / rho_dd1
-    w_even = (_row_rest(w, varpi, r2, beta1, delta1) - nu_dd * w_odd) / rho_dd2
-    return c_k, s_k, w_odd, w_even
-
-
-# -- dense reconstruction (verification support) ----------------------------
-
-
-def dense_gk(w: LQWindow) -> np.ndarray:
-    """Accumulated 2k x 2k product of the k-1 rotation bundles (k = i+1)."""
-    return bundle_product(w.rotations, 2 * w.i + 2)
-
-
-def dense_lq_factors(w: LQWindow) -> tuple[np.ndarray, np.ndarray]:
-    """(L~, Q~) of the square projected matrix at the current step k = i+1.
-
-    L~ is lower banded(4) except for its rotated trailing 2x2 corner and Q~
-    is orthogonal; their product reproduces the projected matrix.
-    """
-    k = w.i + 1
-    dim = 2 * k
-    c_k, s_k, rho_dd1 = plane_rotation(w.c_rho1, w.c_alpha)
-    nu_dd = c_k * w.c_nu1 + s_k * w.c_rho2
-    rho_dd2 = -s_k * w.c_nu1 + c_k * w.c_rho2
-    L = np.zeros((dim, dim))
-    for r in range(1, dim + 1):
-        for name, off in (("xi", 4), ("zeta", 3), ("omega", 2), ("nu", 1), ("rho", 0)):
-            col = r - off
-            if col < 1 or col > dim:
-                continue
-            if r >= dim - 1 and col >= dim - 1:
-                continue  # trailing corner handled below
-            band = getattr(w, name)
-            if col <= 2 * (k - 1):
-                L[r - 1, col - 1] = band[r]
-    L[dim - 2, dim - 2] = rho_dd1
-    L[dim - 1, dim - 2] = nu_dd
-    L[dim - 1, dim - 1] = rho_dd2
-    gt = np.eye(dim)
-    gt[dim - 2:, dim - 2:] = np.array([[c_k, -s_k], [s_k, c_k]])
-    Q = (dense_gk(w) @ gt).T
-    return L, Q
+    rhs = (beta1, delta1) if w.i == 0 else (0.0, 0.0)
+    return (c_k, s_k) + _row_pair(w.cols[2:], varpi, rhs, rho_dd1, nu_dd, rho_dd2)
 
 
 # -- solver ------------------------------------------------------------------
@@ -269,7 +211,7 @@ class BiLQState:
         self.tracks_transfer = monitor == "c"
         self.settled = None  # true residual of the transfer iterate at a breakdown
         self.window = None
-        self.varpi = Band(1)
+        self.varpi = (0.0,) * 4  # the last four forward-substitution entries
         self.k = 1
         self.x = np.zeros(m)
         self.y = np.zeros(n)
@@ -281,34 +223,31 @@ class BiLQState:
         self.gy = np.empty((n, 3), order="F")
         self.coef = np.empty((3, 3))
         self.coeffs: StepCoeffs | None = None
-        self.transfer = None      # (c_k, s_k, w_odd, w_even) at current step
+        self.transfer = None  # transfer coefficients on the live pair, this step
         self.x_c = None
         self.y_c = None
 
-    def startup(self) -> StepCoeffs:
-        """Run reduction step 1 and seed the LQ carries (solver step k=1)."""
-        coeffs = reduction_step(self.red, self.sys)
-        self.window = lq_window_init(self.sys.lam, self.sys.mu,
-                                     coeffs.alpha, coeffs.theta,
-                                     coeffs.beta_next, coeffs.delta_next)
-        self.coeffs = coeffs
-        return coeffs
-
     def advance(self) -> StepCoeffs:
-        """One solver step: ``startup`` at k=1, else reduction, bundle,
-        substitution, direction update and iterate update."""
-        if self.window is None:
-            return self.startup()
+        """One solver step: reduction, then at k=1 the seeding of the LQ
+        carries, else bundle, substitution, direction update and iterate
+        update."""
         red = self.red
         coeffs = reduction_step(red, self.sys)
-        self.k = coeffs.k
+        if self.window is None:
+            self.window = LQWindow(self.sys.lam, self.sys.mu,
+                                   coeffs.alpha, coeffs.theta,
+                                   coeffs.beta_next, coeffs.delta_next)
+            self.coeffs = coeffs
+            return coeffs
         lq_step(self.window, coeffs.gamma_k, coeffs.eta_k,
                 coeffs.alpha, coeffs.theta,
                 coeffs.beta_next, coeffs.delta_next)
-        w1, w2 = substitute_step(self.window, self.varpi,
-                                 red.beta1, red.delta1)
+        self.varpi = substitute_step(self.window, self.varpi,
+                                     red.beta1, red.delta1)
+        self.k = coeffs.k
+        _, _, w1, w2 = self.varpi
         # the trailing 4x4 of the latest bundle mixes [ft1, ft2, q_k, u_k]
-        r1, r2, rq, ru = rotation_bundle(self.window.rotations[-1])
+        r1, r2, rq, ru = rotation_bundle(self.window.rots[1])
         _mix(self.fx, self.gx, red.q_prev, (r1, r2, rq), w1, w2, self.coef)
         _mix(self.fy, self.gy, red.u_prev, (r1, r2, ru), w1, w2, self.coef)
         self.fx, self.gx = self.gx, self.fx
@@ -334,7 +273,7 @@ class BiLQState:
         self.x_c += self.x
         np.matmul(self.fy[:, :2], ab, out=self.y_c)
         self.y_c += self.y
-        self.transfer = t
+        self.transfer = ab
         return True
 
     # -- residual estimates -------------------------------------------------
@@ -342,12 +281,11 @@ class BiLQState:
     def _z_tail(self):
         """Last four entries of the expanded minimum-norm solution: the last
         two bundles applied to the trailing substitution entries."""
-        k, varpi, rots = self.k, self.varpi, self.window.rotations
-        z3, z4, z5, z6 = rotation_bundle(
-            rots[-1], (varpi[2 * k - 3], varpi[2 * k - 2], 0.0, 0.0))
-        if k >= 3:
-            _, _, z3, z4 = rotation_bundle(
-                rots[-2], (varpi[2 * k - 5], varpi[2 * k - 4], z3, z4))
+        v1, v2, v3, v4 = self.varpi
+        prev, last = self.window.rots
+        z3, z4, z5, z6 = rotation_bundle(last, (v3, v4, 0.0, 0.0))
+        if self.k >= 3:
+            _, _, z3, z4 = rotation_bundle(prev, (v1, v2, z3, z4))
         return z3, z4, z5, z6
 
     def estimate_residual_l(self) -> float:
@@ -375,13 +313,10 @@ class BiLQState:
         """Residual norm of the square-system iterate at the current step."""
         if self.transfer is None:
             raise ValueError("transfer iterate is not defined at this step")
-        c_k, s_k, w_odd, w_even = self.transfer
-        a = c_k * w_odd - s_k * w_even
-        b = s_k * w_odd + c_k * w_even
+        a, b = self.transfer
         if self.k >= 2:
             _, _, z_odd, z_even = rotation_bundle(
-                self.window.rotations[-1],
-                (self.varpi[2 * self.k - 3], self.varpi[2 * self.k - 2], a, b))
+                self.window.rots[1], (*self.varpi[2:], a, b))
         else:
             z_odd, z_even = a, b
         co = self.coeffs

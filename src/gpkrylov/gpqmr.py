@@ -22,45 +22,48 @@ import numpy as np
 from .convergence import SolveResult, _solve
 from .linop import PartitionedSystem, residual_norm
 from .reduction import BreakdownReport, reduction_init, reduction_step
-from .rotations import Band, SingularWindowError, bundle_product, plane_rotation
+from .rotations import SingularWindowError, plane_rotation
 
 __all__ = [
     "QRWindow",
     "QMRState",
     "qr_step",
     "rotate_rhs",
-    "dense_qr_factors",
     "gpqmr_solve",
 ]
 
 
 class QRWindow:
-    """Sliding data of the banded QR factorization.
+    """Sliding data of the banded QR factorization, fixed in size.
 
-    Band entries are indexed by row: row j holds (rho_j, nu_j, omega_j,
-    zeta_j, xi_j) in columns j..j+4.  ``i`` counts bundles whose early stage
-    has run; the late stage of bundle i runs at the start of step i+1.
+    ``i`` counts bundles whose early stage has run; the late stage of bundle
+    i runs at the start of step i+1, and step i leaves columns 2i-1 and 2i
+    of the upper factor complete.  A column c is held as its five band
+    entries (rho, nu, omega, zeta, xi) in rows c, c-1, ..., c-4.  ``cols``
+    keeps the two current columns, ``rot`` the cosine/sine octet of bundle
+    i, and ``ahead`` the (zeta, xi) entries of columns 2i+1 and 2i+2 that
+    step i already fixed; rows below 1 are zero.
     """
 
-    __slots__ = ("lam", "mu", "i", "rho", "nu", "omega", "zeta", "xi",
-                 "rotations", "c_rho_even", "omega_bar", "nu_bar",
-                 "omega_check")
+    __slots__ = ("lam", "mu", "i", "cols", "rot", "ahead", "c_rho_even",
+                 "omega_bar", "nu_bar", "omega_check")
 
     def __init__(self, lam, mu):
         self.lam = float(lam)
         self.mu = float(mu)
         self.i = 0
-        self.rho = Band(1)
-        self.nu = Band(1)
-        self.omega = Band(1)
-        self.zeta = Band(1)
-        self.xi = Band(1)
-        self.rotations: list[tuple] = []
+        self.cols = None
+        self.rot = None
+        self.ahead = (0.0,) * 4
         # pending scalars consumed by the next early/late stage
         self.c_rho_even = 0.0   # rho_bar at even row 2i+2 (from early stage)
         self.omega_bar = 0.0    # omega_bar at row 2i-1 (for late stage)
         self.nu_bar = 0.0       # nu_bar at row 2i (for late stage)
         self.omega_check = 0.0  # partially rotated omega at row 2i
+
+    def finalized(self):
+        """Columns 2i-1, 2i and bundle i: what the latest qr_step finalized."""
+        return self.cols[0], self.cols[1], self.rot
 
 
 def qr_step(w: QRWindow, alpha_k, theta_k, beta_next, delta_next,
@@ -78,9 +81,10 @@ def qr_step(w: QRWindow, alpha_k, theta_k, beta_next, delta_next,
         rb2 = mu
         w.omega_bar = 0.0
         w.nu_bar = eta_next
+        # the late-stage entries would lie in rows -1 and 0
+        omega_odd = nu_even = omega_even = zeta_even = xi_odd = xi_even = 0.0
     else:
-        i = w.i
-        c1, s1, c2, s2, c3, s3, c4, s4 = w.rotations[i - 1]
+        c1, s1, c2, s2, c3, s3, c4, s4 = w.rot
         ob, nb, oc = w.omega_bar, w.nu_bar, w.omega_check
         omega_t = c1 * ob + s1 * theta_k
         theta_t = -s1 * ob + c1 * theta_k
@@ -103,12 +107,6 @@ def qr_step(w: QRWindow, alpha_k, theta_k, beta_next, delta_next,
         xi_even = s4 * gamma_next               # row 2i final
         zeta_bar_odd = c4 * gamma_next
 
-        w.nu.push(nu_even)
-        w.omega.push(omega_odd)
-        w.omega.push(omega_even)
-        w.zeta.push(zeta_even)
-        w.xi.push(xi_odd)
-        w.xi.push(xi_even)
         rb1, tb, nb1, zb1 = rho_bar_odd, theta_bar, nu_bar_odd, zeta_bar_odd
         rb2 = w.c_rho_even
         w.omega_bar = omega_bar_new
@@ -135,13 +133,15 @@ def qr_step(w: QRWindow, alpha_k, theta_k, beta_next, delta_next,
     if rho_even == 0.0:
         raise SingularWindowError(f"zero pivot at row {2 * j}")
 
-    w.rho.push(rho_odd)    # row 2j-1
-    w.rho.push(rho_even)   # row 2j
-    w.nu.push(nu_odd)      # row 2j-1
-    w.zeta.push(zeta_odd)  # row 2j-1
+    # local names follow the parity of the row: the late stage gave rows
+    # 2j-3, 2j-2 of columns 2j-1..2j+2, the early stage rows 2j-1, 2j
+    z_odd, x_odd, z_even, x_even = w.ahead
+    w.cols = ((rho_odd, nu_even, omega_odd, z_odd, x_odd),
+              (rho_even, nu_odd, omega_even, z_even, x_even))
+    w.ahead = (zeta_even, xi_odd, zeta_odd, xi_even)
     w.omega_check = omega_c
     w.c_rho_even = rho_bar_even
-    w.rotations.append((c1, s1, c2, s2, c3, s3, c4, s4))
+    w.rot = (c1, s1, c2, s2, c3, s3, c4, s4)
     w.i = j
 
 
@@ -152,7 +152,7 @@ def rotate_rhs(w: QRWindow, carry: tuple[float, float]):
     for the triangular solve and the carries whose norm is the current
     quasi-residual.
     """
-    c1, s1, c2, s2, c3, s3, c4, s4 = w.rotations[-1]
+    c1, s1, c2, s2, c3, s3, c4, s4 = w.rot
     b1, b2 = carry
     t1 = c1 * b1
     t4 = -s1 * b1
@@ -163,25 +163,6 @@ def rotate_rhs(w: QRWindow, carry: tuple[float, float]):
     f2 = c4 * c2v
     b3 = -s4 * c2v
     return f1, f2, b3, b4
-
-
-def dense_qr_factors(w: QRWindow):
-    """(Q_hat, R_hat) at k = i: Q_hat (2k+2)x(2k+2) orthogonal, R_hat 2k x 2k.
-
-    All entries of R_hat within its 2k columns are finalized once bundle k's
-    early stage has run, so reconstruction of the projected matrix as
-    Q_hat @ [R_hat; 0] is exact.
-    """
-    k = w.i
-    R = np.zeros((2 * k, 2 * k))
-    for r in range(1, 2 * k + 1):
-        for name, off in (("rho", 0), ("nu", 1), ("omega", 2), ("zeta", 3), ("xi", 4)):
-            col = r + off
-            if col > 2 * k:
-                continue
-            R[r - 1, col - 1] = getattr(w, name)[r]
-    # the row-rotation bundles premultiply, so Q_hat is their transposed product
-    return bundle_product(w.rotations, 2 * k + 2), R
 
 
 class QMRState:
@@ -211,8 +192,9 @@ class QMRState:
         self.gx = np.empty((m, 3), order="F")
         self.gy = np.empty((n, 3), order="F")
         self.coef = np.empty((6, 3))
-        self.rhs_carry = (red.beta1, red.delta1)
-        self.varpi = Band(1)  # finalized rotated right-hand-side entries
+        # rotated right-hand side: the two entries the last step finalized,
+        # then the two carries whose norm is the quasi-residual
+        self.rhs = (0.0, 0.0, red.beta1, red.delta1)
         self.quasi = float(np.hypot(red.beta1, red.delta1))
         self.coeffs = None
 
@@ -221,26 +203,23 @@ class QMRState:
         direction back-recurrence, iterate update."""
         coeffs = reduction_step(self.red, self.sys)
         k = coeffs.k
-        self.k = k
         w = self.window
         qr_step(w, coeffs.alpha, coeffs.theta, coeffs.beta_next,
                 coeffs.delta_next, coeffs.gamma_next, coeffs.eta_next)
-        w1, w2, b3, b4 = rotate_rhs(w, self.rhs_carry)
-        self.rhs_carry = (b3, b4)
-        self.varpi.push(w1)
-        self.varpi.push(w2)
+        self.k = k
+        self.rhs = rotate_rhs(w, self.rhs[2:])
+        w1, w2, b3, b4 = self.rhs
         self.quasi = float(np.hypot(b3, b4))
 
         # n1 = (q_k - xi f_{r1-4} - zeta f_{r1-3} - omega f_{r1-2}
         #       - nu f_{r1-1}) / rho_{r1}, then n2 likewise over f_{r1-3},
         # f_{r1-2}, f_{r1-1}, n1 with u_k; q_k enters the x side only, u_k
         # the y side only, and n2's dependence on n1 is folded into b
-        r1, r2 = 2 * k - 1, 2 * k
-        rho1, rho2, nu2 = w.rho[r1], w.rho[r2], w.nu[r2 - 1]
-        a = [-w.xi[r1 - 4] / rho1, -w.zeta[r1 - 3] / rho1,
-             -w.omega[r1 - 2] / rho1, -w.nu[r1 - 1] / rho1]
+        (rho1, nu1, omega1, zeta1, xi1), (rho2, nu2, omega2, zeta2, xi2) = w.cols
+        a = [-xi1 / rho1, -zeta1 / rho1, -omega1 / rho1, -nu1 / rho1]
         b = [(bj - nu2 * aj) / rho2 for aj, bj in
-             zip(a, (0.0, -w.xi[r2 - 4], -w.zeta[r2 - 3], -w.omega[r2 - 2]))]
+             zip(a, (0.0, -xi2, -zeta2, -omega2))]
+        r1 = 2 * k - 1
         _recur(self.fx, self.gx, self.red.q_prev, r1,
                a + [1.0 / rho1], b + [-nu2 / (rho1 * rho2)], w1, w2, self.coef)
         _recur(self.fy, self.gy, self.red.u_prev, r1,

@@ -91,7 +91,6 @@ class ReductionState:
         "v_prev", "v_cur", "alpha", "theta", "beta", "gamma", "delta", "eta",
         "beta1", "delta1", "q_norm", "u_norm", "q_prev_norm", "u_prev_norm",
         "vec_scale", "breakdown",
-        "scratch_m1", "scratch_m2", "scratch_n1", "scratch_n2",
     )
 
     def __init__(self):
@@ -100,12 +99,6 @@ class ReductionState:
         self.theta = 0.0
         self.breakdown = None
         self.vec_scale = 1.0
-        # The last step's operator results, kept to the next step; no solver
-        # reads them.
-        self.scratch_m1 = None
-        self.scratch_m2 = None
-        self.scratch_n1 = None
-        self.scratch_n2 = None
 
 
 def reduction_init(sys: PartitionedSystem) -> Union[ReductionState, BreakdownReport]:
@@ -256,6 +249,4 @@ def reduction_step(state: ReductionState, sys: PartitionedSystem) -> StepCoeffs:
     state.beta, state.gamma, state.delta, state.eta = (
         beta_next, gamma_next, delta_next, eta_next)
     state.k = k + 1
-    state.scratch_m1, state.scratch_m2 = Au, BTv
-    state.scratch_n1, state.scratch_n2 = Bq, ATp
     return coeffs

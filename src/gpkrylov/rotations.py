@@ -1,11 +1,11 @@
-"""Plane-rotation kernels and banded scalar storage shared by the sliding factorizations."""
+"""Plane-rotation kernels shared by the sliding factorizations."""
 
 import math
 
 import numpy as np
 
 __all__ = ["plane_rotation", "rotation_bundle", "rotation_block",
-           "bundle_product", "Band", "SingularWindowError"]
+           "SingularWindowError"]
 
 
 class SingularWindowError(RuntimeError):
@@ -52,47 +52,3 @@ def rotation_block(c1, s1, c2, s2, c3, s3, c4, s4) -> np.ndarray:
     """4x4 matrix of one column-rotation bundle (dense reconstruction only;
     a row-rotation bundle is its transpose)."""
     return np.array(rotation_bundle((c1, s1, c2, s2, c3, s3, c4, s4)))
-
-
-def bundle_product(rotations, dim: int) -> np.ndarray:
-    """dim x dim product of column-rotation bundles, bundle i (from 0)
-    acting on coordinates 2i..2i+3 (dense reconstruction only)."""
-    G = np.eye(dim)
-    for i, rot in enumerate(rotations):
-        emb = np.eye(dim)
-        emb[2 * i:2 * i + 4, 2 * i:2 * i + 4] = rotation_block(*rot)
-        G = G @ emb
-    return G
-
-
-class Band:
-    """Append-only scalar sequence indexed from ``first``.
-
-    Reads below ``first`` return 0.0 (band entries that fall outside the
-    factor are zero by convention); reads past the last pushed entry raise,
-    since they signal an ordering bug in the sliding window.
-    """
-
-    __slots__ = ("first", "_vals")
-
-    def __init__(self, first: int = 1):
-        self.first = first
-        self._vals: list[float] = []
-
-    def push(self, value: float) -> None:
-        self._vals.append(float(value))
-
-    @property
-    def last_index(self) -> int:
-        return self.first + len(self._vals) - 1
-
-    def __getitem__(self, idx: int) -> float:
-        if idx < self.first:
-            return 0.0
-        off = idx - self.first
-        if off >= len(self._vals):
-            raise IndexError(f"band entry {idx} has not been computed yet")
-        return self._vals[off]
-
-    def __len__(self) -> int:
-        return len(self._vals)

@@ -1,10 +1,10 @@
 """Dense ground truth for the sliding-window solvers (desk scale only).
 
-The full reduction history, the dense oracles, seeded systems, stepped
-gpbilq/gpqmr runs, and one measure per invariant of the paper.  A measure
-returns the raw errors at one step; its caller picks the tolerance and the
-normalisation.  ``gpkrylov check`` and the tests share these functions;
-no solver module imports this one.
+The full reduction and factor history, the dense oracles and factor
+reconstructions, seeded systems, stepped gpbilq/gpqmr runs, and one measure
+per invariant of the paper.  A measure returns the raw errors at one step;
+its caller picks the tolerance and the normalisation.  ``gpkrylov check``
+and the tests share these functions; no solver module imports this one.
 """
 
 from __future__ import annotations
@@ -14,16 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .gpbilq import BiLQState, dense_lq_factors
-from .gpqmr import QMRState, dense_qr_factors
+from .gpbilq import BiLQState
+from .gpqmr import QMRState
 from .linop import (DENSE_GUARD, Operator, PartitionedSystem, assemble_dense,
                     residual_norm)
 from .reduction import (BreakdownReport, ReductionState, StepCoeffs,
                         reduction_init, reduction_step)
+from .rotations import plane_rotation, rotation_block
 
 __all__ = ["ReductionHistory", "build_projected_h",
            "oracle_minnorm", "oracle_lsq", "oracle_dense_solve",
-           "random_system", "stepped", "projected_system",
+           "random_system", "stepped", "projected_system", "bundle_product",
+           "dense_lq_factors", "dense_qr_factors",
            "reduction_errors", "minnorm_gap", "transfer_gap", "lsq_gaps",
            "estimate_gaps", "lq_errors", "qr_errors",
            "CheckResult", "run_invariant_suite"]
@@ -31,7 +33,13 @@ __all__ = ["ReductionHistory", "build_projected_h",
 
 class ReductionHistory:
     """Every basis vector and coefficient of a reduction run; the solvers
-    themselves keep only the sliding window."""
+    themselves keep only the sliding window.
+
+    ``stepped`` also records what each window step finalized: the factor's
+    ``columns`` (column c at index c-1, as the window holds it), the
+    rotation ``bundles``, and the solution ``entries`` (gpbilq's forward
+    substitution, gpqmr's rotated right-hand side).
+    """
 
     def __init__(self, state: ReductionState):
         self.ps = [state.p_cur.copy()]
@@ -44,6 +52,9 @@ class ReductionHistory:
         self.gammas = [state.gamma]
         self.deltas = [state.delta]
         self.etas = [state.eta]
+        self.columns: list[tuple] = []
+        self.bundles: list[tuple] = []
+        self.entries: list[float] = []
 
     def update(self, state: ReductionState, coeffs: StepCoeffs) -> None:
         self.ps.append(state.p_cur.copy())
@@ -183,6 +194,11 @@ def stepped(state_cls, sys: PartitionedSystem, steps: int):
     st = state_cls(sys, red)
     for _ in range(steps):
         hist.update(red, st.advance())
+        if st.window.i > len(hist.bundles):
+            col_odd, col_even, rot = st.window.finalized()
+            hist.columns += [col_odd, col_even]
+            hist.bundles.append(rot)
+            hist.entries += st.varpi[2:] if state_cls is BiLQState else st.rhs[:2]
         yield st, hist
 
 
@@ -193,6 +209,62 @@ def projected_system(st, hist: ReductionHistory, rows: int):
     rhs = np.zeros(rows)
     rhs[0], rhs[1] = hist.betas[0], hist.deltas[0]
     return H, rhs
+
+
+# -- dense factors from the recorded history ---------------------------------
+
+
+def bundle_product(bundles, dim: int) -> np.ndarray:
+    """dim x dim product of column-rotation bundles, bundle i (from 0)
+    acting on coordinates 2i..2i+3."""
+    G = np.eye(dim)
+    for i, rot in enumerate(bundles):
+        emb = np.eye(dim)
+        emb[2 * i:2 * i + 4, 2 * i:2 * i + 4] = rotation_block(*rot)
+        G = G @ emb
+    return G
+
+
+def _banded(columns, dim: int, side: int) -> np.ndarray:
+    """dim x dim matrix with entry d of recorded column c in row c + side*d
+    (side 1: a lower factor, -1: an upper one), cut to the matrix."""
+    out = np.zeros((dim, dim))
+    for c, col in enumerate(columns[:dim]):
+        for d, entry in enumerate(col):
+            if 0 <= c + side * d < dim:
+                out[c + side * d, c] = entry
+    return out
+
+
+def dense_lq_factors(st: BiLQState, hist: ReductionHistory):
+    """(L~, Q~) of the square projected matrix at the state's step k.
+
+    L~ is lower banded(4) except for its rotated trailing 2x2 corner and Q~
+    is orthogonal; their product reproduces the projected matrix.  Columns
+    1..2k-2 come from the recorded history, the corner from the window's
+    carries.
+    """
+    w = st.window
+    dim = 2 * st.k
+    c_k, s_k, rho_dd1 = plane_rotation(w.c_rho1, w.c_alpha)
+    nu_dd = c_k * w.c_nu1 + s_k * w.c_rho2
+    rho_dd2 = -s_k * w.c_nu1 + c_k * w.c_rho2
+    L = _banded(hist.columns, dim, 1)
+    L[dim - 2, dim - 2] = rho_dd1
+    L[dim - 1, dim - 2] = nu_dd
+    L[dim - 1, dim - 1] = rho_dd2
+    gt = np.eye(dim)
+    gt[dim - 2:, dim - 2:] = np.array([[c_k, -s_k], [s_k, c_k]])
+    return L, (bundle_product(hist.bundles, dim) @ gt).T
+
+
+def dense_qr_factors(hist: ReductionHistory):
+    """(Q_hat, R_hat) at k = the number of recorded QR bundles: Q_hat
+    (2k+2)x(2k+2) orthogonal, R_hat 2k x 2k, with the projected matrix equal
+    to Q_hat @ [R_hat; 0]."""
+    dim = len(hist.columns)
+    # the row-rotation bundles premultiply, so Q_hat is their transposed product
+    return bundle_product(hist.bundles, dim + 2), _banded(hist.columns, dim, -1)
 
 
 # -- one measure per invariant ------------------------------------------------
@@ -269,7 +341,7 @@ def lq_errors(st: BiLQState, hist: ReductionHistory):
     lower band of width 4, for the sliding LQ of the square projection
     (k >= 2)."""
     k = st.k
-    L, Qf = dense_lq_factors(st.window)
+    L, Qf = dense_lq_factors(st, hist)
     H, _ = projected_system(st, hist, 2 * k)
     return (np.linalg.norm(L @ Qf - H), np.linalg.norm(Qf @ Qf.T - np.eye(2 * k)),
             _off_band(L, 4, 0))
@@ -279,7 +351,7 @@ def qr_errors(st: QMRState, hist: ReductionHistory):
     """||Q [R; 0] - H||, ||Q Q^T - I|| and the largest entry of R outside its
     upper band of width 4, for the sliding QR of the projection."""
     k = st.k
-    Qh, Rh = dense_qr_factors(st.window)
+    Qh, Rh = dense_qr_factors(hist)
     H, _ = projected_system(st, hist, 2 * k + 2)
     return (np.linalg.norm(Qh @ np.vstack([Rh, np.zeros((2, 2 * k))]) - H),
             np.linalg.norm(Qh @ Qh.T - np.eye(2 * k + 2)), _off_band(Rh, 0, 4))

@@ -292,12 +292,10 @@ def audit_system():
                              rng.standard_normal(m), rng.standard_normal(n))
 
 
-def peak_above_operator_results(method, warmup=4, steps=6):
-    """Largest traced peak, over ``steps`` iterations after ``warmup``
-    untraced ones, of the bytes allocated within one iteration (``advance``
-    plus ``estimate``, which runs ``attempt_transfer`` for gpbicg), less
-    the four operator results."""
-    m, n = AUDIT_M, AUDIT_N
+def warmed_state(method, warmup=4):
+    """The method's state on ``audit_system()`` after ``warmup`` untraced
+    iterations (``advance`` plus ``estimate``, which runs
+    ``attempt_transfer`` for gpbicg)."""
     sys_ = audit_system()
     state_cls, monitor = AUDITED[method]
     red = reduction_init(sys_)
@@ -305,6 +303,15 @@ def peak_above_operator_results(method, warmup=4, steps=6):
     for _ in range(warmup):
         st.advance()
         st.estimate()
+    return st
+
+
+def peak_above_operator_results(method, steps=6):
+    """Largest traced peak, over ``steps`` iterations of the warmed state,
+    of the bytes allocated within one iteration, less the four operator
+    results."""
+    m, n = AUDIT_M, AUDIT_N
+    st = warmed_state(method)
     peaks = []
     tracemalloc.start()
     try:
@@ -322,6 +329,23 @@ def peak_above_operator_results(method, warmup=4, steps=6):
 @pytest.mark.parametrize("method", AUDITED)
 def test_steady_state_peak_is_the_operator_results(method):
     assert peak_above_operator_results(method) <= PEAK_SLACK
+
+
+@pytest.mark.parametrize("method", AUDITED)
+def test_short_recurrence_iteration_retains_nothing(method):
+    # the scalar windows and the solution entries are fixed in size, and the
+    # reduction keeps no operator result between steps
+    st = warmed_state(method)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(50):
+            st.advance()
+            st.estimate()
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert kept < 1024
 
 
 def test_gpmr_iteration_retains_less_than_one_vector():

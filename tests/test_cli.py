@@ -9,6 +9,8 @@ import gpkrylov
 from gpkrylov import read_convergence_csv, write_matrix_market
 from gpkrylov.cli import main
 
+from conftest import make_system
+
 
 @pytest.fixture
 def matrices(tmp_path):
@@ -64,6 +66,17 @@ def test_breakdown_exits_three(tmp_path):
                "--b-transpose-a", "--mu", "-1.0", "--rhs", "random",
                "--tol", "1e-12", "--maxit", "50")
     assert code == 3
+
+
+def test_zero_pivot_exits_three(tmp_path, capsys):
+    # B = 0 with lam = 0: gpqmr's first QR pivot vanishes
+    A = make_system(6, 4, seed=600).A.to_dense()
+    write_matrix_market(A, tmp_path / "A.mtx")
+    write_matrix_market(np.zeros((4, 6)), tmp_path / "B.mtx")
+    code = run("solve", "--method", "gpqmr", "--a", str(tmp_path / "A.mtx"),
+               "--b", str(tmp_path / "B.mtx"), "--lambda", "0", "--mu", "1")
+    assert code == 3
+    assert "gpqmr: breakdown after 0 iterations" in capsys.readouterr().out
 
 
 def test_nonfinite_exits_four(tmp_path):

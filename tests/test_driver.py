@@ -72,6 +72,39 @@ def test_gpbicg_without_transfer_at_exit_returns_the_gpbilq_iterate():
     assert res.residual == residual_norm(sys_, res.x, res.y)
 
 
+def _uncoupled(lam, mu):
+    """The blocks of ``make_system(6, 4, 600)`` with B = 0: p~ vanishes at
+    the first step, a lucky breakdown of the reduction, while q~ does not.
+    Singular unless lam and mu are both nonzero."""
+    blocks = make_system(6, 4, seed=600)
+    return PartitionedSystem(lam, mu, blocks.A,
+                             Operator.from_matrix(np.zeros((4, 6))),
+                             blocks.b, blocks.c)
+
+
+@pytest.mark.parametrize("lam, mu", [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
+@pytest.mark.parametrize("method", SOLVERS)
+def test_zero_pivot_ends_as_breakdown(method, lam, mu):
+    sys_ = _uncoupled(lam, mu)
+    res = SOLVERS[method](sys_, tol=1e-10)
+    assert res.reason == "breakdown" == res.record.reason
+    assert res.record.rows[-1].k == res.iterations
+    assert res.residual == pytest.approx(residual_norm(sys_, res.x, res.y),
+                                         rel=1e-12)
+
+
+@pytest.mark.parametrize("method", SOLVERS)
+def test_breakdown_step_converges_only_on_the_true_residual(method):
+    # nonsingular, but the estimates of gpbicg and gpqmr vanish with the
+    # dead pair's scalars at k = 1, where the true residual is 5.1
+    sys_ = _uncoupled(1.0, 1.0)
+    res = SOLVERS[method](sys_, tol=1e-10)
+    true = residual_norm(sys_, res.x, res.y)
+    assert res.converged == (true <= 1e-10)
+    assert res.reason in ("converged", "breakdown")
+    assert res.residual == pytest.approx(true, rel=1e-12, abs=1e-14)
+
+
 def _nan_from_call(sys_, first):
     """``sys_`` with every operator result NaN from call ``first`` on
     (calls counted over A, A^T, B and B^T together)."""

@@ -4,11 +4,11 @@ from numpy.testing import assert_allclose
 
 from gpkrylov import (BiLQState, Operator, PartitionedSystem, gpbilq_solve,
                       reduction_init, residual_norm)
-from gpkrylov.gpbilq import (dense_gk, dense_lq_factors, lq_window_init,
-                             rotation_block, substitute_step, transfer_scalars)
-from gpkrylov.rotations import Band, plane_rotation
-from gpkrylov.verify import (estimate_gaps, lq_errors, minnorm_gap,
-                             projected_system, stepped, transfer_gap)
+from gpkrylov.gpbilq import LQWindow, substitute_step, transfer_scalars
+from gpkrylov.rotations import plane_rotation, rotation_block
+from gpkrylov.verify import (bundle_product, dense_lq_factors, estimate_gaps,
+                             lq_errors, minnorm_gap, projected_system, stepped,
+                             transfer_gap)
 
 from conftest import make_system
 
@@ -26,10 +26,10 @@ def test_rotation_kernel_zero_second_arg_is_identity():
 
 
 def test_first_rotation_identity_when_gamma_zero():
-    w = lq_window_init(2.0, 1.0, 0.5, 0.25, 0.1, 0.2)
+    w = LQWindow(2.0, 1.0, 0.5, 0.25, 0.1, 0.2)
     from gpkrylov.gpbilq import lq_step
     lq_step(w, 0.0, 1.0, 0.3, 0.4, 0.5, 0.6)  # gamma_k = 0
-    c1, s1 = w.rotations[0][0], w.rotations[0][1]
+    *_, (c1, s1, *_) = w.finalized()
     assert_allclose([c1, s1], [1.0, 0.0])
 
 
@@ -47,8 +47,8 @@ def test_lq_reconstruction_over_steps():
 
 def test_rotation_factors_orthogonal():
     sys_ = make_system(8, 8, seed=31)
-    *_, (st, _) = stepped(BiLQState, sys_, 5)
-    for quad in st.window.rotations:
+    *_, (_, hist) = stepped(BiLQState, sys_, 5)
+    for quad in hist.bundles:
         M = rotation_block(*quad)
         assert np.linalg.norm(M @ M.T - np.eye(4)) <= 1e-14
 
@@ -56,19 +56,10 @@ def test_rotation_factors_orthogonal():
 # -- forward substitution ----------------------------------------------------
 
 def test_substitution_startup_rows():
-    w = lq_window_init(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-    w.rho.push(4.0)
-    w.rho.push(2.0)
-    w.nu.push(0.0)
-    w.nu.push(0.0)
-    w.omega.push(0.0)
-    w.omega.push(0.0)
-    w.zeta.push(0.0)
-    w.zeta.push(0.0)
-    w.xi.push(0.0)
-    w.xi.push(0.0)
-    varpi = Band(1)
-    w1, w2 = substitute_step(w, varpi, 2.0, 1.0)
+    w = LQWindow(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    w.i = 1  # bundle 1 finalized columns 1 and 2: diagonal 4 and 2, no band
+    w.cols = w.cols[2:] + ((4.0, 0.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0, 0.0))
+    *_, w1, w2 = substitute_step(w, (0.0,) * 4, 2.0, 1.0)
     assert_allclose(w1, 0.5)   # beta1 / rho_1
     assert_allclose(w2, 0.5)   # (delta1 - nu_2 w1) / rho_2
 
@@ -77,9 +68,9 @@ def test_substitution_solves_banded_system():
     sys_ = make_system(9, 9, seed=32, fg_random=True)
     *_, (st, hist) = stepped(BiLQState, sys_, 6)
     k = st.k
-    L, _ = dense_lq_factors(st.window)
+    L, _ = dense_lq_factors(st, hist)
     Lk1 = L[:2 * k - 2, :2 * k - 2]
-    t = np.array([st.varpi[r] for r in range(1, 2 * k - 1)])
+    t = np.array(hist.entries)  # entries 1..2k-2
     _, rhs = projected_system(st, hist, 2 * k - 2)
     assert np.linalg.norm(Lk1 @ t - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
 
@@ -100,11 +91,11 @@ def test_directions_match_dense_product():
     for st, hist in stepped(BiLQState, sys_, 7):
         xy = np.concatenate([st.x, st.y])
         if st.k >= 2:
-            F = hist.W(st.k) @ dense_gk(st.window)
+            F = hist.W(st.k) @ bundle_product(hist.bundles, 2 * st.k)
             tol = 1e-11 * max(1.0, np.linalg.norm(F))
             live = np.vstack([st.fx[:, :2], st.fy[:, :2]])
             assert np.linalg.norm(F[:, -2:] - live) <= tol
-            w1, w2 = st.varpi[2 * st.k - 3], st.varpi[2 * st.k - 2]
+            w1, w2 = hist.entries[2 * st.k - 4:]
             step = w1 * F[:, -4] + w2 * F[:, -3]
             assert np.linalg.norm(xy - prev - step) <= tol
         prev = xy
@@ -140,7 +131,7 @@ def test_iterate_matches_minimum_norm_oracle():
 def test_transfer_exact_on_one_by_one(one_by_one):
     red = reduction_init(one_by_one)
     st = BiLQState(one_by_one, red)
-    st.startup()
+    st.advance()  # startup step k=1
     assert st.attempt_transfer()
     assert_allclose(st.x_c, [0.2], atol=1e-14)
     assert_allclose(st.y_c, [0.4], atol=1e-14)
@@ -148,8 +139,8 @@ def test_transfer_exact_on_one_by_one(one_by_one):
 
 
 def test_transfer_guard_on_zero_determinant():
-    w = lq_window_init(0.0, 0.0, 1.0, 0.0, 0.0, 0.0)  # det = 0*0 - 1*0 = 0
-    assert transfer_scalars(w, Band(1), 1.0, 1.0) is None
+    w = LQWindow(0.0, 0.0, 1.0, 0.0, 0.0, 0.0)  # det = 0*0 - 1*0 = 0
+    assert transfer_scalars(w, (0.0,) * 4, 1.0, 1.0) is None
 
 
 def test_transfer_matches_square_solve():
@@ -179,7 +170,7 @@ def test_estimates_match_explicit_residuals():
 def test_estimate_zero_when_substitution_vanishes():
     sys_ = make_system(7, 7, seed=62)
     *_, (st, _) = stepped(BiLQState, sys_, 3)
-    st.varpi._vals = [0.0] * len(st.varpi._vals)
+    st.varpi = (0.0,) * 4
     assert st.estimate_residual_l() == 0.0
 
 
@@ -266,7 +257,7 @@ def test_steady_state_allocates_only_operator_results():
                              _tracked(rng.standard_normal(n)))
     red = reduction_init(sys_)
     st = BiLQState(sys_, red)
-    st.startup()
+    st.advance()  # startup step k=1
     for _ in range(4):
         st.advance()
     per_iter = []

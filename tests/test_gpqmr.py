@@ -3,9 +3,9 @@ from numpy.testing import assert_allclose
 
 from gpkrylov import (Operator, PartitionedSystem, QMRState, gpmr_solve,
                       gpqmr_solve, reduction_init, residual_norm)
-from gpkrylov.gpqmr import dense_qr_factors
 from gpkrylov.rotations import plane_rotation, rotation_block
-from gpkrylov.verify import lsq_gaps, projected_system, qr_errors, stepped
+from gpkrylov.verify import (dense_qr_factors, lsq_gaps, projected_system,
+                             qr_errors, stepped)
 
 from conftest import make_system
 
@@ -22,7 +22,8 @@ def test_first_step_diagonal_one_by_one(one_by_one):
     red = reduction_init(one_by_one)
     st = QMRState(one_by_one, red)
     st.advance()
-    assert_allclose(st.window.rho[1], np.sqrt(10.0))
+    col1, _, _ = st.window.finalized()
+    assert_allclose(col1[0], np.sqrt(10.0))
 
 
 def test_qr_reconstruction_over_steps():
@@ -33,13 +34,13 @@ def test_qr_reconstruction_over_steps():
         assert recon <= 1e-12 * max(1.0, np.linalg.norm(H))
         assert orth <= 1e-12
         assert off_band <= 1e-14
-        assert all(st.window.rho[r] > 0 for r in range(1, 2 * st.k + 1))
+        assert all(col[0] > 0 for col in hist.columns)  # rows 1..2k
 
 
 def test_rotation_factors_orthogonal():
     sys_ = make_system(8, 8, seed=91)
-    *_, (st, _) = stepped(QMRState, sys_, 5)
-    for quad in st.window.rotations:
+    *_, (_, hist) = stepped(QMRState, sys_, 5)
+    for quad in hist.bundles:
         M = rotation_block(*quad)
         assert np.linalg.norm(M @ M.T - np.eye(4)) <= 1e-14
 
@@ -50,11 +51,10 @@ def test_rotated_rhs_accumulates_orthogonally():
     sys_ = make_system(9, 9, seed=92, fg_random=True)
     for st, hist in stepped(QMRState, sys_, 6):
         k = st.k
-        Qh, _ = dense_qr_factors(st.window)
+        Qh, _ = dense_qr_factors(hist)
         _, rhs = projected_system(st, hist, 2 * k + 2)
         full = Qh.T @ rhs
-        got = np.array([st.varpi[j] for j in range(1, 2 * k + 1)]
-                       + [st.rhs_carry[0], st.rhs_carry[1]])
+        got = np.array(hist.entries + list(st.rhs[2:]))  # entries 1..2k, carries
         assert_allclose(got, full, atol=1e-12)
 
 
@@ -75,19 +75,19 @@ def test_startup_direction_columns():
     st = QMRState(sys_, red)
     st.advance()
     q1 = red.q_prev  # index-1 basis vector after the first step
-    w = st.window
+    (rho1, *_), (rho2, nu12, *_), _ = st.window.finalized()  # nu12: R[1, 2]
     fx1, fy1 = st.fx[:, 1 % 6], st.fy[:, 1 % 6]
-    assert_allclose(fx1, q1 / w.rho[1], atol=1e-14)
+    assert_allclose(fx1, q1 / rho1, atol=1e-14)
     assert_allclose(fy1, 0.0, atol=1e-14)
     fx2, fy2 = st.fx[:, 2 % 6], st.fy[:, 2 % 6]
-    assert_allclose(fx2, -w.nu[1] * fx1 / w.rho[2], atol=1e-14)
+    assert_allclose(fx2, -nu12 * fx1 / rho2, atol=1e-14)
 
 
 def test_directions_satisfy_back_recurrence_dense():
     sys_ = make_system(9, 7, seed=94, fg_random=True)
     *_, (st, hist) = stepped(QMRState, sys_, 6)
     k = st.k
-    _, Rh = dense_qr_factors(st.window)
+    _, Rh = dense_qr_factors(hist)
     W = hist.W(k)
     for j in (2 * k - 1, 2 * k):  # the freshly formed pair uses the live ring
         # W e_j = sum_i F_i R[i, j] over the depth-4 band
