@@ -262,7 +262,7 @@ class GPMRState:
         return (self.x + proc.V(len(proc.vcol)) @ z[proc.vcol],
                 self.y + proc.U(len(proc.ucol)) @ z[proc.ucol])
 
-    def settle_breakdown(self, tol) -> bool:
+    def settle_breakdown(self, tol, true) -> bool:
         # an invariant subspace was reached: the projected minimum is final
         return False
 

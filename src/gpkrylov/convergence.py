@@ -98,8 +98,9 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
     ``estimate()`` (the monitored residual, None where the monitored iterate
     does not exist), ``iterate()`` (its x, y), ``stopped`` (the process can
     build nothing more), ``tracks_transfer`` (rows record whether the
-    iterate existed), ``settle_breakdown(tol)`` (True if a stopped run
-    converged after all) and ``result(reason, residual, record)``.
+    iterate existed), ``settle_breakdown(tol, true)`` (True if a stopped
+    run converged after all; ``true`` is the monitored iterate's true
+    residual if known, else None) and ``result(reason, residual, record)``.
 
     The record starts with a k=0 row at the initial residual norm; each
     iteration is tested converged, then nonfinite (the monitored residual is
@@ -150,7 +151,7 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
         elif res is not None and not math.isfinite(res):
             reason = NONFINITE
         elif state.stopped:
-            reason = CONVERGED if state.settle_breakdown(tol) else BREAKDOWN
+            reason = CONVERGED if state.settle_breakdown(tol, true) else BREAKDOWN
         elif state.k >= maxit:
             reason = MAXIT
         else:

@@ -10,17 +10,17 @@ direction update advance the iterate per step.
 GPBiCG solves the square projected system instead.  Its iterate need not
 exist at every step; when the trailing 2x2 of the LQ factor is nonsingular
 it is obtained from the GPBiLQ iterate with one extra rotation and one
-two-column matmul per side.
+two-column matmul per row strip of a side.
 
 The steady-state loop performs exactly four operator applications per
 iteration and keeps a fixed working set of eleven m-vectors and eleven
 n-vectors: the iterate, two reduction basis pairs and two (len x 3)
 direction blocks per side; the transfer iterate adds one vector per side
 once formed.  Each side's direction update and iterate increment are one
-matmul; no fresh length-m/n arrays are allocated after startup.  The scalar
-state is fixed in size too: the LQ window keeps the six factor columns and
-two rotation bundles the recurrences read, and the state the last four
-substitution entries.
+matmul per row strip (``reduction.strips``); no fresh length-m/n arrays are
+allocated after startup.  The scalar state is fixed in size too: the LQ
+window keeps the six factor columns and two rotation bundles the
+recurrences read, and the state the last four substitution entries.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .convergence import CONVERGED, SolveResult, _solve
 from .linop import PartitionedSystem, residual_norm
 from .reduction import (BreakdownReport, StepCoeffs, reduction_init,
-                        reduction_step)
+                        reduction_step, strips)
 # rotation_block is not called here: the benchmark tracer reads gpbilq.rotation_block
 from .rotations import (SingularWindowError, plane_rotation, rotation_block,
                         rotation_bundle)
@@ -196,8 +196,8 @@ class BiLQState:
     Each side's live directions form one Fortran-ordered block, ``fx``
     (m x 3) and ``fy`` (n x 3): columns 0 and 1 hold the provisional pair
     carried to the next step, and column 2 takes the newest basis vector
-    while a step runs.  One matmul per side writes the next provisional pair
-    and the iterate increment into the spare block ``gx``/``gy``, and the
+    while a step runs.  Per row strip, one matmul writes the next provisional
+    pair and the iterate increment into the spare block ``gx``/``gy``, and the
     blocks swap; the retired pair is never formed.  ``monitor`` picks the
     iterate the solve loop follows: the minimum-norm one ("l") or the
     square-system one ("c").
@@ -248,12 +248,10 @@ class BiLQState:
         _, _, w1, w2 = self.varpi
         # the trailing 4x4 of the latest bundle mixes [ft1, ft2, q_k, u_k]
         r1, r2, rq, ru = rotation_bundle(self.window.rots[1])
-        _mix(self.fx, self.gx, red.q_prev, (r1, r2, rq), w1, w2, self.coef)
-        _mix(self.fy, self.gy, red.u_prev, (r1, r2, ru), w1, w2, self.coef)
+        _mix(self.fx, self.gx, red.q_prev, self.x, (r1, r2, rq), w1, w2, self.coef)
+        _mix(self.fy, self.gy, red.u_prev, self.y, (r1, r2, ru), w1, w2, self.coef)
         self.fx, self.gx = self.gx, self.fx
         self.fy, self.gy = self.gy, self.fy
-        self.x += self.fx[:, 2]
-        self.y += self.fy[:, 2]
         self.coeffs = coeffs
         self.transfer = None
         return coeffs
@@ -269,10 +267,10 @@ class BiLQState:
         ab = (c_k * w_odd - s_k * w_even, s_k * w_odd + c_k * w_even)
         if self.x_c is None:  # created on the first transfer
             self.x_c, self.y_c = np.zeros(self.sys.m), np.zeros(self.sys.n)
-        np.matmul(self.fx[:, :2], ab, out=self.x_c)
-        self.x_c += self.x
-        np.matmul(self.fy[:, :2], ab, out=self.y_c)
-        self.y_c += self.y
+        for side in ((self.fx, self.x_c, self.x), (self.fy, self.y_c, self.y)):
+            for f, out, it in strips(*side):
+                np.matmul(f[:, :2], ab, out=out)
+                out += it
         self.transfer = ab
         return True
 
@@ -339,10 +337,11 @@ class BiLQState:
     def iterate(self):
         return (self.x, self.y) if self.monitor == "l" else (self.x_c, self.y_c)
 
-    def settle_breakdown(self, tol) -> bool:
+    def settle_breakdown(self, tol, true) -> bool:
         """A lucky breakdown makes the square-system iterate exact; try it as
-        a last resort even when it was not monitored."""
-        if not self.attempt_transfer():
+        a last resort even when it was not monitored.  A monitored one whose
+        true residual the loop already has (``true``) missed tol."""
+        if (self.monitor == "c" and true is not None) or not self.attempt_transfer():
             return False
         self.settled = residual_norm(self.sys, self.x_c, self.y_c)
         return self.settled <= tol
@@ -397,13 +396,16 @@ def gpbilq_solve(sys: PartitionedSystem, tol: float = 1e-8,
     return _solve(sys, state, tol, maxit, explicit_residual)
 
 
-def _mix(block, spare, basis, rows, w1, w2, coef):
-    """spare = block @ coef after the basis vector is copied into column 2.
+def _mix(block, spare, basis, it, rows, w1, w2, coef):
+    """spare = block @ coef after the basis vector is copied into column 2,
+    and the iterate ``it`` += spare[:, 2], row strip by row strip.
 
     ``rows`` are the bundle rows of the three source columns; their entries
     0..3 mix into (f1, f2, ft1', ft2').  Only ft1', ft2' and the increment
     w1 f1 + w2 f2 (its only use) are written.
     """
-    block[:, 2] = basis
     coef[...] = [(r[2], r[3], w1 * r[0] + w2 * r[1]) for r in rows]
-    np.matmul(block, coef, out=spare)
+    for bs, ss, vs, its in strips(block, spare, basis, it):
+        bs[:, 2] = vs
+        np.matmul(bs, coef, out=ss)
+        its += ss[:, 2]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .convergence import SolveResult, _solve
 from .linop import PartitionedSystem, residual_norm
-from .reduction import BreakdownReport, reduction_init, reduction_step
+from .reduction import BreakdownReport, reduction_init, reduction_step, strips
 from .rotations import SingularWindowError, plane_rotation
 
 __all__ = [
@@ -172,9 +172,9 @@ class QMRState:
     Each side's direction ring is one Fortran-ordered block, ``fx`` (m x 6)
     and ``fy`` (n x 6), with column idx in slot idx % 6: the four columns the
     depth-4 back-recurrence reads, and two dead slots, one of which takes the
-    newest basis vector.  One matmul per side writes the two new columns and
-    the iterate increment into ``gx``/``gy`` (len x 3); the columns are then
-    copied into the dead slots.
+    newest basis vector.  Per row strip (``reduction.strips``), one matmul
+    writes the two new columns and the iterate increment into ``gx``/``gy``
+    (len x 3), which go to the dead slots and into the iterate.
     """
 
     tracks_transfer = False
@@ -220,12 +220,10 @@ class QMRState:
         b = [(bj - nu2 * aj) / rho2 for aj, bj in
              zip(a, (0.0, -xi2, -zeta2, -omega2))]
         r1 = 2 * k - 1
-        _recur(self.fx, self.gx, self.red.q_prev, r1,
+        _recur(self.fx, self.gx, self.red.q_prev, self.x, r1,
                a + [1.0 / rho1], b + [-nu2 / (rho1 * rho2)], w1, w2, self.coef)
-        _recur(self.fy, self.gy, self.red.u_prev, r1,
+        _recur(self.fy, self.gy, self.red.u_prev, self.y, r1,
                a + [0.0], b + [1.0 / rho2], w1, w2, self.coef)
-        self.x += self.gx[:, 2]
-        self.y += self.gy[:, 2]
         self.coeffs = coeffs
         return coeffs
 
@@ -241,9 +239,9 @@ class QMRState:
     def iterate(self):
         return self.x, self.y
 
-    def settle_breakdown(self, tol) -> bool:
-        # the in-flight step is finished; nothing further can be built
-        return residual_norm(self.sys, self.x, self.y) <= tol
+    def settle_breakdown(self, tol, true) -> bool:
+        # the step is finished, and a true residual the loop has missed tol
+        return true is None and residual_norm(self.sys, self.x, self.y) <= tol
 
     def result(self, reason, residual, record) -> SolveResult:
         return SolveResult(self.x, self.y, self.k, reason, float(residual),
@@ -265,16 +263,19 @@ def gpqmr_solve(sys: PartitionedSystem, tol: float = 1e-8,
     return _solve(sys, state, tol, maxit, explicit_residual)
 
 
-def _recur(ring, out, basis, r1, a, b, w1, w2, coef):
+def _recur(ring, out, basis, it, r1, a, b, w1, w2, coef):
     """Both new direction columns r1, r1+1 and the increment w1 n1 + w2 n2
-    from one matmul; ``a``/``b`` hold the coefficients of n1/n2 on columns
-    r1-4..r1, where column r1 is the basis vector copied into its dead slot."""
-    ring[:, r1 % 6] = basis
+    of the iterate ``it`` from one matmul per row strip; ``a``/``b`` hold
+    the coefficients of n1/n2 on columns r1-4..r1, where column r1 is the
+    basis vector copied into its dead slot."""
     rows = [(aj, bj, w1 * aj + w2 * bj) for aj, bj in zip(a, b)]
     rows.append((0.0, 0.0, 0.0))  # column r1+1: the other dead slot
     o = (r1 - 4) % 6
     coef[o:] = rows[:6 - o]
     coef[:o] = rows[6 - o:]
-    np.matmul(ring, coef, out=out)
-    ring[:, r1 % 6] = out[:, 0]
-    ring[:, (r1 + 1) % 6] = out[:, 1]
+    for rs, gs, bs, its in strips(ring, out, basis, it):
+        rs[:, r1 % 6] = bs
+        np.matmul(rs, coef, out=gs)
+        rs[:, r1 % 6] = gs[:, 0]
+        rs[:, (r1 + 1) % 6] = gs[:, 1]
+        its += gs[:, 2]

@@ -105,6 +105,16 @@ def test_breakdown_step_converges_only_on_the_true_residual(method):
     assert res.residual == pytest.approx(true, rel=1e-12, abs=1e-14)
 
 
+def _wrapped(sys_, wrap):
+    """``sys_`` with each of A, A^T, B and B^T wrapped by ``wrap``."""
+    A, B = sys_.A, sys_.B
+    return PartitionedSystem(
+        sys_.lam, sys_.mu,
+        Operator(A.nrows, A.ncols, wrap(A.apply), wrap(A.apply_transpose)),
+        Operator(B.nrows, B.ncols, wrap(B.apply), wrap(B.apply_transpose)),
+        sys_.b, sys_.c)
+
+
 def _nan_from_call(sys_, first):
     """``sys_`` with every operator result NaN from call ``first`` on
     (calls counted over A, A^T, B and B^T together)."""
@@ -116,12 +126,28 @@ def _nan_from_call(sys_, first):
             return fn(v) * np.nan if calls[0] >= first else fn(v)
         return apply
 
-    A, B = sys_.A, sys_.B
-    return PartitionedSystem(
-        sys_.lam, sys_.mu,
-        Operator(A.nrows, A.ncols, wrap(A.apply), wrap(A.apply_transpose)),
-        Operator(B.nrows, B.ncols, wrap(B.apply), wrap(B.apply_transpose)),
-        sys_.b, sys_.c)
+    return _wrapped(sys_, wrap)
+
+
+@pytest.mark.parametrize("method", ["gpbicg", "gpqmr"])
+def test_failed_breakdown_certificate_evaluates_the_residual_once(method):
+    # step 1 (four applications) breaks down with an estimate below tol; the
+    # certificate's true residual (two more) misses tol and is the one the
+    # run reports, not evaluated again
+    calls = [0]
+
+    def wrap(fn):
+        def apply(v):
+            calls[0] += 1
+            return fn(v)
+        return apply
+
+    sys_ = _uncoupled(1.0, 1.0)
+    res = SOLVERS[method](_wrapped(sys_, wrap), tol=1e-10)
+    assert calls[0] == 6
+    assert (res.reason, res.iterations) == ("breakdown", 1)
+    assert res.residual == residual_norm(sys_, res.x, res.y)
+    assert res.residual == pytest.approx(5.15, abs=0.01)
 
 
 @pytest.mark.parametrize("method", SOLVERS)
