@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .convergence import SolveResult, _solve
-from .linop import PartitionedSystem, apply_partitioned, residual_norm
+from .linop import PartitionedSystem, apply_partitioned
 from .rotations import plane_rotation
 
 __all__ = [
@@ -231,8 +231,6 @@ class GPMRState:
                 self.kept.append(j)
         self.res = qr.residual_norm()
         self.stopped = not alive
-        if self.stopped:  # the space is closed: its projected residual is rounding
-            self.res = residual_norm(self.sys, *self.iterate())
         if alive and self.restart is not None and proc.k >= self.restart:
             self._restart()
 

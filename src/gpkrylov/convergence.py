@@ -107,10 +107,10 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
     NaN or infinite), then breakdown, then maxit.  With
     ``explicit_residual`` the true residual is recorded next to the
     estimate and replaces it in the stopping test.  Where the process
-    stopped, a met estimate counts only if the true residual meets tol too
-    (a dead pair's scalars vanish from the estimate); a zero pivot in a
-    sliding factorization ends the run with ``breakdown`` on the last
-    completed iterate.  Both exits report the true residual.
+    stopped, the true residual, evaluated once, replaces the estimate (a
+    dead pair's scalars vanish from it); a zero pivot in a sliding
+    factorization ends the run with ``breakdown`` on the last completed
+    iterate.  Both exits report the true residual.
     """
     if maxit is None:
         maxit = 2 * (sys.m + sys.n)
@@ -143,9 +143,8 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
         record.append(state.k, np.nan if est is None else est, true,
                       (est is not None) if state.tracks_transfer else None,
                       time.perf_counter() - t0)
-        if state.stopped and true is None and res is not None and res <= tol:
-            true = residual_norm(sys, *state.iterate())
-            res = res if true <= tol else true
+        if state.stopped and true is None and res is not None:
+            res = true = residual_norm(sys, *state.iterate())
         if res is not None and res <= tol:
             reason = CONVERGED
         elif res is not None and not math.isfinite(res):

@@ -17,7 +17,7 @@ iteration and keeps a fixed working set of eleven m-vectors and eleven
 n-vectors: the iterate, two reduction basis pairs and two (len x 3)
 direction blocks per side; the transfer iterate adds one vector per side
 once formed.  Each side's direction update and iterate increment are one
-matmul per row strip (``reduction.strips``); no fresh length-m/n arrays are
+matmul per row strip (``reduction.mix``); no fresh length-m/n arrays are
 allocated after startup.  The scalar state is fixed in size too: the LQ
 window keeps the six factor columns and two rotation bundles the
 recurrences read, and the state the last four substitution entries.
@@ -29,7 +29,7 @@ import numpy as np
 
 from .convergence import CONVERGED, SolveResult, _solve
 from .linop import PartitionedSystem, residual_norm
-from .reduction import (BreakdownReport, StepCoeffs, reduction_init,
+from .reduction import (BreakdownReport, StepCoeffs, mix, reduction_init,
                         reduction_step, strips)
 # rotation_block is not called here: the benchmark tracer reads gpbilq.rotation_block
 from .rotations import (SingularWindowError, plane_rotation, rotation_block,
@@ -196,8 +196,8 @@ class BiLQState:
     Each side's live directions form one Fortran-ordered block, ``fx``
     (m x 3) and ``fy`` (n x 3): columns 0 and 1 hold the provisional pair
     carried to the next step, and column 2 takes the newest basis vector
-    while a step runs.  Per row strip, one matmul writes the next provisional
-    pair and the iterate increment into the spare block ``gx``/``gy``, and the
+    while a step runs.  ``reduction.mix`` writes the next provisional pair
+    and the iterate increment into the spare block ``gx``/``gy``, and the
     blocks swap; the retired pair is never formed.  ``monitor`` picks the
     iterate the solve loop follows: the minimum-norm one ("l") or the
     square-system one ("c").
@@ -247,9 +247,13 @@ class BiLQState:
         self.k = coeffs.k
         _, _, w1, w2 = self.varpi
         # the trailing 4x4 of the latest bundle mixes [ft1, ft2, q_k, u_k]
+        # into (f1, f2, ft1', ft2'); only ft1', ft2' and the increment
+        # w1 f1 + w2 f2 (its only use) are formed
         r1, r2, rq, ru = rotation_bundle(self.window.rots[1])
-        _mix(self.fx, self.gx, red.q_prev, self.x, (r1, r2, rq), w1, w2, self.coef)
-        _mix(self.fy, self.gy, red.u_prev, self.y, (r1, r2, ru), w1, w2, self.coef)
+        for block, spare, basis, it, rb in ((self.fx, self.gx, red.q_prev, self.x, rq),
+                                            (self.fy, self.gy, red.u_prev, self.y, ru)):
+            self.coef[...] = [(r[2], r[3], w1 * r[0] + w2 * r[1]) for r in (r1, r2, rb)]
+            mix(block, spare, basis, it, self.coef)
         self.fx, self.gx = self.gx, self.fx
         self.fy, self.gy = self.gy, self.fy
         self.coeffs = coeffs
@@ -395,17 +399,3 @@ def gpbilq_solve(sys: PartitionedSystem, tol: float = 1e-8,
              else BiLQState(sys, init, monitor))
     return _solve(sys, state, tol, maxit, explicit_residual)
 
-
-def _mix(block, spare, basis, it, rows, w1, w2, coef):
-    """spare = block @ coef after the basis vector is copied into column 2,
-    and the iterate ``it`` += spare[:, 2], row strip by row strip.
-
-    ``rows`` are the bundle rows of the three source columns; their entries
-    0..3 mix into (f1, f2, ft1', ft2').  Only ft1', ft2' and the increment
-    w1 f1 + w2 f2 (its only use) are written.
-    """
-    coef[...] = [(r[2], r[3], w1 * r[0] + w2 * r[1]) for r in rows]
-    for bs, ss, vs, its in strips(block, spare, basis, it):
-        bs[:, 2] = vs
-        np.matmul(bs, coef, out=ss)
-        its += ss[:, 2]

@@ -4,8 +4,10 @@ The iterate minimizes the projected residual norm over the interleaved
 subspace, computed through a sliding QR factorization of the projected
 block-tridiagonal matrix.  The upper factor has bandwidth 4; rotations
 premultiply, arriving as four-rotation bundles that finalize two rows at a
-time.  Direction vectors satisfy a depth-4 back-recurrence, so four retained
-pairs plus the two being formed are live at any step.
+time.  Each step forms two directions from the last four (a depth-4
+back-recurrence) in gpbilq's layout and kernel, ``reduction.mix``; the
+working set is fifteen vectors per side: the iterate, two basis pairs and
+two five-column direction blocks.
 
 Entries of the upper factor in columns beyond the current ones depend on
 coupling coefficients that only become available one or two reduction steps
@@ -20,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from .convergence import SolveResult, _solve
-from .linop import PartitionedSystem, residual_norm
-from .reduction import BreakdownReport, reduction_init, reduction_step, strips
+from .linop import PartitionedSystem
+from .reduction import BreakdownReport, mix, reduction_init, reduction_step
 from .rotations import SingularWindowError, plane_rotation
 
 __all__ = [
@@ -169,12 +171,12 @@ class QMRState:
     """Single-owner solver state: reduction window, QR window, directions
     and the rotated right-hand-side carries.
 
-    Each side's direction ring is one Fortran-ordered block, ``fx`` (m x 6)
-    and ``fy`` (n x 6), with column idx in slot idx % 6: the four columns the
-    depth-4 back-recurrence reads, and two dead slots, one of which takes the
-    newest basis vector.  Per row strip (``reduction.strips``), one matmul
-    writes the two new columns and the iterate increment into ``gx``/``gy``
-    (len x 3), which go to the dead slots and into the iterate.
+    Each side's directions form one Fortran-ordered block, ``fx`` (m x 5)
+    and ``fy`` (n x 5): before step k, columns 0..3 hold d_{2k-5}..d_{2k-2}
+    (zero below column 1) and column 4 takes the newest basis vector.
+    ``reduction.mix`` writes d_{2k-3}..d_{2k} and the iterate increment into
+    the spare block ``gx``/``gy``, and the blocks swap.  Columns 0 and 1 of
+    ``coef`` pass d_{2k-3}, d_{2k-2} through; a step rewrites columns 2..4.
     """
 
     tracks_transfer = False
@@ -187,11 +189,12 @@ class QMRState:
         self.k = 0
         self.x = np.zeros(m)
         self.y = np.zeros(n)
-        self.fx = np.zeros((m, 6), order="F")  # slots of columns < 1 stay zero
-        self.fy = np.zeros((n, 6), order="F")
-        self.gx = np.empty((m, 3), order="F")
-        self.gy = np.empty((n, 3), order="F")
-        self.coef = np.empty((6, 3))
+        self.fx = np.zeros((m, 5), order="F")
+        self.fy = np.zeros((n, 5), order="F")
+        self.gx = np.empty((m, 5), order="F")
+        self.gy = np.empty((n, 5), order="F")
+        self.coef = np.zeros((5, 5))
+        self.coef[2, 0] = self.coef[3, 1] = 1.0
         # rotated right-hand side: the two entries the last step finalized,
         # then the two carries whose norm is the quasi-residual
         self.rhs = (0.0, 0.0, red.beta1, red.delta1)
@@ -202,28 +205,30 @@ class QMRState:
         """One solver step: reduction, staged bundle, rhs rotation,
         direction back-recurrence, iterate update."""
         coeffs = reduction_step(self.red, self.sys)
-        k = coeffs.k
         w = self.window
         qr_step(w, coeffs.alpha, coeffs.theta, coeffs.beta_next,
                 coeffs.delta_next, coeffs.gamma_next, coeffs.eta_next)
-        self.k = k
+        self.k = coeffs.k
         self.rhs = rotate_rhs(w, self.rhs[2:])
         w1, w2, b3, b4 = self.rhs
         self.quasi = float(np.hypot(b3, b4))
 
-        # n1 = (q_k - xi f_{r1-4} - zeta f_{r1-3} - omega f_{r1-2}
-        #       - nu f_{r1-1}) / rho_{r1}, then n2 likewise over f_{r1-3},
-        # f_{r1-2}, f_{r1-1}, n1 with u_k; q_k enters the x side only, u_k
-        # the y side only, and n2's dependence on n1 is folded into b
+        # n1 = (q_k - (xi, zeta, omega, nu) . d_{2k-5..2k-2}) / rho_{2k-1}, n2
+        # likewise over d_{2k-4..2k-2}, n1 with u_k; q_k enters the x side only,
+        # u_k the y side only, and n2's dependence on n1 is folded into b
         (rho1, nu1, omega1, zeta1, xi1), (rho2, nu2, omega2, zeta2, xi2) = w.cols
         a = [-xi1 / rho1, -zeta1 / rho1, -omega1 / rho1, -nu1 / rho1]
         b = [(bj - nu2 * aj) / rho2 for aj, bj in
              zip(a, (0.0, -xi2, -zeta2, -omega2))]
-        r1 = 2 * k - 1
-        _recur(self.fx, self.gx, self.red.q_prev, self.x, r1,
-               a + [1.0 / rho1], b + [-nu2 / (rho1 * rho2)], w1, w2, self.coef)
-        _recur(self.fy, self.gy, self.red.u_prev, self.y, r1,
-               a + [0.0], b + [1.0 / rho2], w1, w2, self.coef)
+        self.coef[:4, 2:] = [(aj, bj, w1 * aj + w2 * bj) for aj, bj in zip(a, b)]
+        red = self.red
+        for block, spare, basis, it, an, bn in (
+                (self.fx, self.gx, red.q_prev, self.x, 1.0 / rho1, -nu2 / (rho1 * rho2)),
+                (self.fy, self.gy, red.u_prev, self.y, 0.0, 1.0 / rho2)):
+            self.coef[4, 2:] = (an, bn, w1 * an + w2 * bn)  # on the basis vector
+            mix(block, spare, basis, it, self.coef)
+        self.fx, self.gx = self.gx, self.fx
+        self.fy, self.gy = self.gy, self.fy
         self.coeffs = coeffs
         return coeffs
 
@@ -240,8 +245,8 @@ class QMRState:
         return self.x, self.y
 
     def settle_breakdown(self, tol, true) -> bool:
-        # the step is finished, and a true residual the loop has missed tol
-        return true is None and residual_norm(self.sys, self.x, self.y) <= tol
+        # the loop certified the finished step's iterate, which missed tol
+        return False
 
     def result(self, reason, residual, record) -> SolveResult:
         return SolveResult(self.x, self.y, self.k, reason, float(residual),
@@ -262,20 +267,3 @@ def gpqmr_solve(sys: PartitionedSystem, tol: float = 1e-8,
     state = init if isinstance(init, BreakdownReport) else QMRState(sys, init)
     return _solve(sys, state, tol, maxit, explicit_residual)
 
-
-def _recur(ring, out, basis, it, r1, a, b, w1, w2, coef):
-    """Both new direction columns r1, r1+1 and the increment w1 n1 + w2 n2
-    of the iterate ``it`` from one matmul per row strip; ``a``/``b`` hold
-    the coefficients of n1/n2 on columns r1-4..r1, where column r1 is the
-    basis vector copied into its dead slot."""
-    rows = [(aj, bj, w1 * aj + w2 * bj) for aj, bj in zip(a, b)]
-    rows.append((0.0, 0.0, 0.0))  # column r1+1: the other dead slot
-    o = (r1 - 4) % 6
-    coef[o:] = rows[:6 - o]
-    coef[:o] = rows[6 - o:]
-    for rs, gs, bs, its in strips(ring, out, basis, it):
-        rs[:, r1 % 6] = bs
-        np.matmul(rs, coef, out=gs)
-        rs[:, r1 % 6] = gs[:, 0]
-        rs[:, (r1 + 1) % 6] = gs[:, 1]
-        its += gs[:, 2]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
-from scipy.io import mmread, mmwrite
+from scipy.io import mminfo, mmread, mmwrite
 
 from .convergence import ConvergenceRecord
 from .linop import Operator, PartitionedSystem
@@ -35,60 +35,29 @@ class MatrixMarketError(ValueError):
     """Malformed or unsupported Matrix Market content."""
 
 
-def _header_and_size(path):
-    """First line and the size line (first non-comment line after it)."""
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        header = fh.readline().split()
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("%"):
-                return header, line.split()
-    return header, None
-
-
 def read_matrix_market(path) -> sparse.csr_matrix:
     """Parse a real coordinate or array Matrix Market file into float64 CSR.
 
     Symmetric and skew-symmetric files are mirrored to full storage;
     duplicate coordinates are summed; integer fields are read as float64.
-    Pattern and complex fields are rejected.  The header and size line are
-    validated here; the entries are parsed by ``scipy.io.mmread``.
+    Pattern and complex fields are rejected.  ``scipy.io.mminfo`` reads the
+    header and size line and ``scipy.io.mmread`` the entries; a file that
+    either refuses raises MatrixMarketError.
     """
-    path = Path(path)
-    header, size = _header_and_size(path)
-    if len(header) != 5 or header[0] != "%%MatrixMarket":
-        raise MatrixMarketError(f"{path}: missing %%MatrixMarket header")
-    _, obj, fmt, field, symmetry = (tok.lower() for tok in header)
-    if obj != "matrix":
-        raise MatrixMarketError(f"{path}: unsupported object '{obj}'")
-    if fmt not in ("coordinate", "array"):
-        raise MatrixMarketError(f"{path}: unsupported format '{fmt}'")
-    if field == "complex":
-        raise MatrixMarketError(f"{path}: complex matrices are not supported")
-    if field == "pattern":
-        raise MatrixMarketError(f"{path}: pattern matrices carry no values")
-    if field not in ("real", "integer"):
-        raise MatrixMarketError(f"{path}: unsupported field '{field}'")
-    if symmetry not in ("general", "symmetric", "skew-symmetric"):
-        raise MatrixMarketError(f"{path}: unsupported symmetry '{symmetry}'")
-    if size is None:
-        raise MatrixMarketError(f"{path}: missing size line")
-    if fmt == "array":
-        if len(size) != 2:
-            raise MatrixMarketError(f"{path}: array size line must have 2 entries")
-        if symmetry != "general":
-            raise MatrixMarketError(f"{path}: non-general array symmetry unsupported")
-        expected = f"{int(size[0]) * int(size[1])} array values"
-    elif len(size) != 3:
-        raise MatrixMarketError(f"{path}: coordinate size line must have 3 entries")
-    else:
-        expected = f"{size[2]} entries"
+    try:
+        rows, cols, entries, fmt, field, symmetry = mminfo(path)
+    except ValueError as exc:
+        raise MatrixMarketError(f"{path}: bad Matrix Market header ({exc})") from exc
+    if field not in ("real", "integer"):  # complex, pattern, unsigned-integer
+        raise MatrixMarketError(f"{path}: {field} matrices are not supported")
+    if symmetry != "general" and (fmt == "array" or
+                                  symmetry not in ("symmetric", "skew-symmetric")):
+        raise MatrixMarketError(f"{path}: unsupported {fmt} symmetry '{symmetry}'")
     try:
         mat = mmread(path)
     except ValueError as exc:
-        raise MatrixMarketError(
-            f"{path}: expected {expected}, none out of bounds for "
-            f"{size[0]}x{size[1]} ({exc})") from exc
+        raise MatrixMarketError(f"{path}: expected {entries} {fmt} entries, none out "
+                                f"of bounds for {rows}x{cols} ({exc})") from exc
     return sparse.csr_matrix(mat, dtype=np.float64)
 
 

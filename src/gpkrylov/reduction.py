@@ -34,6 +34,7 @@ __all__ = [
     "reduction_init",
     "reduction_step",
     "strips",
+    "mix",
     "BREAKDOWN_RTOL",
     "LUCKY_VEC_RTOL",
     "STRIP_ROWS",
@@ -159,6 +160,16 @@ def strips(*arrays):
         return
     for lo in range(0, rows, size):
         yield [a[lo:lo + size] for a in arrays]
+
+
+def mix(block, spare, basis, it, coef):
+    """A short recurrence's direction update and iterate increment, per row
+    strip: ``basis`` into the block's last column, spare = block @ coef and
+    ``it`` += spare[:, -1]."""
+    for bs, ss, vs, its in strips(block, spare, basis, it):
+        bs[:, -1] = vs
+        np.matmul(bs, coef, out=ss)
+        its += ss[:, -1]
 
 
 def _sweep(p1, c1, n1, p2, c2, n2, a1, b1, a2, b2):

@@ -37,8 +37,9 @@ class ReductionHistory:
 
     ``stepped`` also records what each window step finalized: the factor's
     ``columns`` (column c at index c-1, as the window holds it), the
-    rotation ``bundles``, and the solution ``entries`` (gpbilq's forward
-    substitution, gpqmr's rotated right-hand side).
+    rotation ``bundles``, the solution ``entries`` (gpbilq's forward
+    substitution, gpqmr's rotated right-hand side) and gpqmr's stacked x|y
+    ``directions`` (direction c at index c-1).
     """
 
     def __init__(self, state: ReductionState):
@@ -55,6 +56,7 @@ class ReductionHistory:
         self.columns: list[tuple] = []
         self.bundles: list[tuple] = []
         self.entries: list[float] = []
+        self.directions: list[np.ndarray] = []
 
     def update(self, state: ReductionState, coeffs: StepCoeffs) -> None:
         self.ps.append(state.p_cur.copy())
@@ -199,6 +201,8 @@ def stepped(state_cls, sys: PartitionedSystem, steps: int):
             hist.columns += [col_odd, col_even]
             hist.bundles.append(rot)
             hist.entries += st.varpi[2:] if state_cls is BiLQState else st.rhs[:2]
+            if state_cls is QMRState:  # d_{2k-1}, d_{2k}: block columns 2 and 3
+                hist.directions += list(np.vstack((st.fx, st.fy))[:, 2:4].T)
         yield st, hist
 
 

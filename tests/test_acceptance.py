@@ -384,5 +384,5 @@ def test_criterion_10_storage_audit():
                       "allocate only the four operator results", ok,
                       "2 m-vectors + 2 n-vectors per iteration, traced peak "
                       f"above them {above} B; working set per side: "
-                      "11 vectors (gpbilq), 14 (gpqmr)")
+                      "11 vectors (gpbilq), 15 (gpqmr)")
     assert ok

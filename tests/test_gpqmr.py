@@ -71,30 +71,23 @@ def test_one_by_one_rhs_solves_exactly(one_by_one):
 
 def test_startup_direction_columns():
     sys_ = make_system(6, 5, seed=93)
-    red = reduction_init(sys_)
-    st = QMRState(sys_, red)
-    st.advance()
-    q1 = red.q_prev  # index-1 basis vector after the first step
+    (st, hist), = stepped(QMRState, sys_, 1)
+    q1 = hist.qs[0]  # index-1 basis vector
     (rho1, *_), (rho2, nu12, *_), _ = st.window.finalized()  # nu12: R[1, 2]
-    fx1, fy1 = st.fx[:, 1 % 6], st.fy[:, 1 % 6]
-    assert_allclose(fx1, q1 / rho1, atol=1e-14)
-    assert_allclose(fy1, 0.0, atol=1e-14)
-    fx2, fy2 = st.fx[:, 2 % 6], st.fy[:, 2 % 6]
-    assert_allclose(fx2, -nu12 * fx1 / rho2, atol=1e-14)
+    d1, d2 = hist.directions
+    assert_allclose(d1[:6], q1 / rho1, atol=1e-14)
+    assert_allclose(d1[6:], 0.0, atol=1e-14)
+    assert_allclose(d2[:6], -nu12 * d1[:6] / rho2, atol=1e-14)
 
 
 def test_directions_satisfy_back_recurrence_dense():
+    # W e_j = sum_i d_i R[i, j] over every column of the run: W = D R
     sys_ = make_system(9, 7, seed=94, fg_random=True)
     *_, (st, hist) = stepped(QMRState, sys_, 6)
-    k = st.k
     _, Rh = dense_qr_factors(hist)
-    W = hist.W(k)
-    for j in (2 * k - 1, 2 * k):  # the freshly formed pair uses the live ring
-        # W e_j = sum_i F_i R[i, j] over the depth-4 band
-        lhs = W[:, j - 1]
-        rhs = sum(np.concatenate([st.fx[:, i % 6], st.fy[:, i % 6]]) * Rh[i - 1, j - 1]
-                  for i in range(max(1, j - 4), j + 1))
-        assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1.0, np.linalg.norm(lhs))
+    W, D = hist.W(st.k), np.column_stack(hist.directions)
+    assert D.shape == W.shape == (16, 12)
+    assert np.linalg.norm(W - D @ Rh) <= 1e-12 * np.linalg.norm(W)
 
 
 # -- iterate and residuals -----------------------------------------------------
