@@ -181,7 +181,7 @@ class _GrowingQR:
         self.r_cols.append(col[:j + 1])
         return True
 
-    def residual_norm(self) -> float:
+    def projected_residual(self) -> float:
         return math.hypot(*self.g[len(self.r_cols):])
 
     def solve(self) -> np.ndarray:
@@ -229,7 +229,7 @@ class GPMRState:
         for j in range(done, len(proc.cols)):
             if qr.push_column(proc.cols[j]):
                 self.kept.append(j)
-        self.res = qr.residual_norm()
+        self.res = qr.projected_residual()
         self.stopped = not alive
         if alive and self.restart is not None and proc.k >= self.restart:
             self._restart()
@@ -260,12 +260,10 @@ class GPMRState:
         return (self.x + proc.V(len(proc.vcol)) @ z[proc.vcol],
                 self.y + proc.U(len(proc.ucol)) @ z[proc.ucol])
 
-    def settle_breakdown(self, tol, true) -> bool:
-        # an invariant subspace was reached: the projected minimum is final
-        return False
+    def rescue(self):
+        """None: the space closed, so the projected minimum is final."""
 
-    def result(self, reason, residual, record) -> SolveResult:
-        x, y = self.iterate()
+    def result(self, x, y, reason, residual, record) -> SolveResult:
         return SolveResult(x, y, self.k, reason, float(residual), record)
 
 

@@ -29,7 +29,15 @@ from .verify import run_invariant_suite
 
 __all__ = ["main"]
 
-METHODS = ("gpbilq", "gpbicg", "gpqmr", "gpmr", "gpmr_restarted")
+# each method's solve call; ``kw`` carries tol, maxit and explicit_residual
+_SOLVERS = {
+    "gpbilq": lambda s, args, **kw: gpbilq_solve(s, monitor="l", **kw),
+    "gpbicg": lambda s, args, **kw: gpbilq_solve(s, monitor="c", **kw),
+    "gpqmr": lambda s, args, **kw: gpqmr_solve(s, **kw),
+    "gpmr": lambda s, args, **kw: gpmr_solve(s, **kw),
+    "gpmr_restarted": lambda s, args, **kw: gpmr_solve(s, restart=args.restart, **kw),
+}
+METHODS = tuple(_SOLVERS)
 
 _EXIT_FOR_REASON = {CONVERGED: 0, MAXIT: 2, BREAKDOWN: 3, NONFINITE: 4}
 
@@ -110,21 +118,8 @@ def _build_from_args(args, parser) -> PartitionedSystem:
 
 
 def _run_method(method, sys_, args):
-    explicit = args.residual == "explicit"
-    if method == "gpbilq":
-        return gpbilq_solve(sys_, args.tol, args.maxit, monitor="l",
-                            explicit_residual=explicit)
-    if method == "gpbicg":
-        return gpbilq_solve(sys_, args.tol, args.maxit, monitor="c",
-                            explicit_residual=explicit)
-    if method == "gpqmr":
-        return gpqmr_solve(sys_, args.tol, args.maxit, explicit_residual=explicit)
-    if method == "gpmr":
-        return gpmr_solve(sys_, args.tol, args.maxit, explicit_residual=explicit)
-    if method == "gpmr_restarted":
-        return gpmr_solve(sys_, args.tol, args.maxit, restart=args.restart,
-                          explicit_residual=explicit)
-    raise ValueError(f"unknown method {method}")
+    return _SOLVERS[method](sys_, args, tol=args.tol, maxit=args.maxit,
+                            explicit_residual=args.residual == "explicit")
 
 
 def _summarize(method, result):
@@ -277,6 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_args(ps)
     ps.add_argument("--output", metavar="OUT.csv", help="convergence CSV path")
     ps.add_argument("--svg", metavar="OUT.svg", help="convergence plot path")
+    ps.set_defaults(run=cmd_solve)
 
     pc = sub.add_parser("compare", help="run several methods on the same system")
     pc.add_argument("--methods", required=True,
@@ -286,10 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--output-dir", default="compare-out",
                     help="directory for per-method and merged CSVs")
     pc.add_argument("--svg", metavar="OUT.svg", help="combined plot path")
+    pc.set_defaults(run=cmd_compare)
 
     pk = sub.add_parser("check", help="run the invariant suite")
     pk.add_argument("--size", type=int, default=12)
     pk.add_argument("--seed", type=int, default=7)
+    pk.set_defaults(run=cmd_check)
     return parser
 
 
@@ -297,17 +295,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "solve":
-            return cmd_solve(args, parser)
-        if args.command == "compare":
-            return cmd_compare(args, parser)
-        if args.command == "check":
-            return cmd_check(args, parser)
+        return args.run(args, parser)
     except (ValueError, FileNotFoundError) as exc:
         print(f"gpkrylov: error: {exc}", file=sys.stderr)
         return 1
-    parser.error(f"unknown command {args.command}")
-    return 1
 
 
 if __name__ == "__main__":

@@ -66,10 +66,12 @@ class ConvergenceRecord:
 class SolveResult:
     """Outcome of one solver run.
 
-    ``x``/``y`` is the iterate of the monitored method at termination.  Once
+    ``x``/``y`` is the iterate the solve loop chose at termination.  Once
     gpbilq/gpbicg has run a step it also fills ``x_l``/``y_l`` (the
     minimum-norm iterate) and ``x_c``/``y_c`` (the transfer iterate if it
     exists at the final step, else None).
+    ``residual`` is that of ``x``/``y``: its true norm where the solve loop
+    certified it (see ``_solve``), else the method's estimate.
     """
 
     x: np.ndarray
@@ -91,26 +93,30 @@ class SolveResult:
 
 def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
            explicit_residual: bool) -> SolveResult:
-    """The loop behind every public solve function.
+    """The loop behind every public solve function, and the one place that
+    decides what an exit returns and reports.
 
     ``state`` is the BreakdownReport of a process that could not start, or
-    a method state with: ``k`` (iterations done), ``advance()``,
-    ``estimate()`` (the monitored residual, None where the monitored iterate
-    does not exist), ``iterate()`` (its x, y), ``stopped`` (the process can
+    a method state that steps, estimates and offers iterates: ``k``
+    (iterations done), ``advance()``, ``estimate()`` (the monitored
+    residual, None where the monitored iterate does not exist),
+    ``iterate()`` (the x, y an exit returns), ``stopped`` (the process can
     build nothing more), ``tracks_transfer`` (rows record whether the
-    iterate existed), ``settle_breakdown(tol, true)`` (True if a stopped
-    run converged after all; ``true`` is the monitored iterate's true
-    residual if known, else None) and ``result(reason, residual, record)``.
+    iterate existed), ``rescue()`` (another iterate for a stopped step, or
+    None) and ``result(x, y, reason, residual, record)``.
 
-    The record starts with a k=0 row at the initial residual norm; each
-    iteration is tested converged, then nonfinite (the monitored residual is
-    NaN or infinite), then breakdown, then maxit.  With
+    The record starts with a k=0 row at the initial residual norm.  An
+    iteration ends the run as breakdown if the process stopped, else tests
+    converged, nonfinite (NaN or infinite) and maxit in turn.  With
     ``explicit_residual`` the true residual is recorded next to the
-    estimate and replaces it in the stopping test.  Where the process
-    stopped, the true residual, evaluated once, replaces the estimate (a
-    dead pair's scalars vanish from it); a zero pivot in a sliding
-    factorization ends the run with ``breakdown`` on the last completed
-    iterate.  Both exits report the true residual.
+    estimate and replaces it in the stopping test.
+
+    Exit rule: the true residual of ``iterate()`` (its certificate)
+    replaces an estimate that is missing or unreliable: at a stopped step
+    (a dead pair's scalars vanish from it), a zero pivot in a sliding
+    factorization and a gpbicg exit without its iterate.  A breakdown is
+    converged or nonfinite by its certificate; failing both, a stopped step
+    returns ``rescue()``'s iterate as converged if that meets tol.
     """
     if maxit is None:
         maxit = 2 * (sys.m + sys.n)
@@ -118,6 +124,9 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
         raise ValueError(f"maxit must be >= 0, got {maxit}")
     t0 = time.perf_counter()
     rhs_norm = sys.rhs_norm
+
+    def certificate(x, y):  # true residual; ||[b; c]|| for the zero iterate
+        return residual_norm(sys, x, y) if x.any() or y.any() else rhs_norm
     record = ConvergenceRecord()
     record.append(0, rhs_norm, rhs_norm if explicit_residual else None,
                   elapsed=time.perf_counter() - t0)
@@ -131,10 +140,8 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
         try:
             state.advance()
         except SingularWindowError:
-            record.finalize(BREAKDOWN)
-            out = state.result(BREAKDOWN, math.nan, record)
-            out.residual = residual_norm(sys, out.x, out.y)
-            return out
+            reason, res = BREAKDOWN, None
+            break
         est = state.estimate()
         true = None
         if explicit_residual and est is not None:
@@ -143,17 +150,28 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
         record.append(state.k, np.nan if est is None else est, true,
                       (est is not None) if state.tracks_transfer else None,
                       time.perf_counter() - t0)
-        if state.stopped and true is None and res is not None:
-            res = true = residual_norm(sys, *state.iterate())
-        if res is not None and res <= tol:
+        if state.stopped:
+            reason, res = BREAKDOWN, true
+        elif res is not None and res <= tol:
             reason = CONVERGED
         elif res is not None and not math.isfinite(res):
             reason = NONFINITE
-        elif state.stopped:
-            reason = CONVERGED if state.settle_breakdown(tol, true) else BREAKDOWN
         elif state.k >= maxit:
             reason = MAXIT
         else:
             continue
-        record.finalize(reason)
-        return state.result(reason, res, record)
+        break
+    x, y = state.iterate()
+    if res is None:
+        res = certificate(x, y)
+    if reason == BREAKDOWN and res <= tol:
+        reason = CONVERGED
+    elif reason == BREAKDOWN and not math.isfinite(res):
+        reason = NONFINITE
+    elif reason == BREAKDOWN and state.stopped:
+        rescued = state.rescue()
+        cert = math.inf if rescued is None else certificate(*rescued)
+        if cert <= tol:
+            (x, y), res, reason = rescued, cert, CONVERGED
+    record.finalize(reason)
+    return state.result(x, y, reason, res, record)

@@ -9,26 +9,26 @@ direction update advance the iterate per step.
 
 GPBiCG solves the square projected system instead.  Its iterate need not
 exist at every step; when the trailing 2x2 of the LQ factor is nonsingular
-it is obtained from the GPBiLQ iterate with one extra rotation and one
-two-column matmul per row strip of a side.
+it is obtained from the GPBiLQ iterate with one extra rotation, and formed
+only where it is read by one two-column matmul per row strip of a side.
 
 The steady-state loop performs exactly four operator applications per
 iteration and keeps a fixed working set of eleven m-vectors and eleven
-n-vectors: the iterate, two reduction basis pairs and two (len x 3)
-direction blocks per side; the transfer iterate adds one vector per side
-once formed.  Each side's direction update and iterate increment are one
+n-vectors: the iterate, two reduction basis pairs and two (len x 3) direction
+blocks per side; the transfer iterate adds one vector per side, allocated on
+its first read.  Each side's direction update and iterate increment are one
 matmul per row strip (``reduction.mix``); no fresh length-m/n arrays are
-allocated after startup.  The scalar state is fixed in size too: the LQ
-window keeps the six factor columns and two rotation bundles the
-recurrences read, and the state the last four substitution entries.
+allocated after startup.  The scalar state is fixed in size too: the LQ window
+keeps the six factor columns and two rotation bundles the recurrences read,
+and the state the last four substitution entries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .convergence import CONVERGED, SolveResult, _solve
-from .linop import PartitionedSystem, residual_norm
+from .convergence import SolveResult, _solve
+from .linop import PartitionedSystem
 from .reduction import (BreakdownReport, StepCoeffs, mix, reduction_init,
                         reduction_step, strips)
 # rotation_block is not called here: the benchmark tracer reads gpbilq.rotation_block
@@ -200,7 +200,7 @@ class BiLQState:
     and the iterate increment into the spare block ``gx``/``gy``, and the
     blocks swap; the retired pair is never formed.  ``monitor`` picks the
     iterate the solve loop follows: the minimum-norm one ("l") or the
-    square-system one ("c").
+    square-system one ("c"), formed in ``x_c``/``y_c`` where it is read.
     """
 
     def __init__(self, sys: PartitionedSystem, red, monitor: str = "l"):
@@ -209,7 +209,6 @@ class BiLQState:
         self.red = red
         self.monitor = monitor
         self.tracks_transfer = monitor == "c"
-        self.settled = None  # true residual of the transfer iterate at a breakdown
         self.window = None
         self.varpi = (0.0,) * 4  # the last four forward-substitution entries
         self.k = 1
@@ -261,22 +260,26 @@ class BiLQState:
         return coeffs
 
     def attempt_transfer(self) -> bool:
-        """Compute the square-system iterate at the current step if it exists."""
+        """The square-system iterate's two coefficients on the live pair at
+        the current step, if it exists (``transfer_iterate`` forms it)."""
         t = transfer_scalars(self.window, self.varpi,
                              self.red.beta1, self.red.delta1)
         if t is None:
             self.transfer = None
             return False
         c_k, s_k, w_odd, w_even = t
-        ab = (c_k * w_odd - s_k * w_even, s_k * w_odd + c_k * w_even)
-        if self.x_c is None:  # created on the first transfer
-            self.x_c, self.y_c = np.zeros(self.sys.m), np.zeros(self.sys.n)
+        self.transfer = (c_k * w_odd - s_k * w_even, s_k * w_odd + c_k * w_even)
+        return True
+
+    def transfer_iterate(self):
+        """Form x_c, y_c (allocated on first use): one strip pass per side."""
+        if self.x_c is None:
+            self.x_c, self.y_c = np.empty(self.sys.m), np.empty(self.sys.n)
         for side in ((self.fx, self.x_c, self.x), (self.fy, self.y_c, self.y)):
             for f, out, it in strips(*side):
-                np.matmul(f[:, :2], ab, out=out)
+                np.matmul(f[:, :2], self.transfer, out=out)
                 out += it
-        self.transfer = ab
-        return True
+        return self.x_c, self.y_c
 
     # -- residual estimates -------------------------------------------------
 
@@ -339,32 +342,22 @@ class BiLQState:
         return self.sys.rhs_norm if self.k < 2 else self.estimate_residual_l()
 
     def iterate(self):
-        return (self.x, self.y) if self.monitor == "l" else (self.x_c, self.y_c)
+        """The monitored iterate; gpbicg's is x_l where x_c does not exist."""
+        if self.monitor == "c" and self.transfer is not None:
+            return self.transfer_iterate()
+        return self.x, self.y
 
-    def settle_breakdown(self, tol, true) -> bool:
-        """A lucky breakdown makes the square-system iterate exact; try it as
-        a last resort even when it was not monitored.  A monitored one whose
-        true residual the loop already has (``true``) missed tol."""
-        if (self.monitor == "c" and true is not None) or not self.attempt_transfer():
-            return False
-        self.settled = residual_norm(self.sys, self.x_c, self.y_c)
-        return self.settled <= tol
+    def rescue(self):
+        """gpbilq's transfer iterate, exact at a lucky breakdown, or None."""
+        if self.monitor == "l" and self.attempt_transfer():
+            return self.transfer_iterate()
+        return None
 
-    def result(self, reason, residual, record) -> SolveResult:
-        """The monitored iterate, or the transfer iterate of a breakdown
-        rescue; gpbicg falls back to the minimum-norm iterate (with its true
-        residual) when the square-system one does not exist at the end."""
-        x, y = self.x, self.y
+    def result(self, x, y, reason, residual, record) -> SolveResult:
+        # where x_c exists, the loop's iterate() or rescue() has formed it
         x_c = y_c = None
         if self.transfer is not None:
             x_c, y_c = self.x_c, self.y_c
-        rescued = reason == CONVERGED and self.settled is not None
-        if x_c is not None and (self.monitor == "c" or rescued):
-            x, y = x_c, y_c
-            if self.settled is not None:
-                residual = self.settled
-        elif self.monitor == "c":  # no square-system iterate at the final step
-            residual = residual_norm(self.sys, x, y)
         return SolveResult(x, y, self.k, reason, float(residual), record,
                            breakdown=self.red.breakdown,
                            x_l=self.x, y_l=self.y, x_c=x_c, y_c=y_c)
@@ -380,9 +373,9 @@ def gpbilq_solve(sys: PartitionedSystem, tol: float = 1e-8,
     monitor : {"l", "c"}
         Which iterate drives the stopping test: the always-defined
         minimum-norm iterate ("l") or the square-system iterate ("c",
-        skipped at steps where it does not exist).  The square-system
-        iterate is computed each step only when monitored; on breakdown it
-        is attempted either way, since a lucky breakdown makes it exact.
+        skipped at steps where it does not exist).  Its coefficients are
+        found each step only when monitored; at a stopped step gpbilq tries
+        it too, since a lucky breakdown makes it exact.
     explicit_residual : bool
         Evaluate true residuals of the monitored iterate each iteration and
         stop on them (two extra operator applications per step); otherwise

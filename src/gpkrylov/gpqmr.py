@@ -244,13 +244,12 @@ class QMRState:
     def iterate(self):
         return self.x, self.y
 
-    def settle_breakdown(self, tol, true) -> bool:
-        # the loop certified the finished step's iterate, which missed tol
-        return False
+    def rescue(self):
+        """None: the stopped step's iterate is the only candidate."""
 
-    def result(self, reason, residual, record) -> SolveResult:
-        return SolveResult(self.x, self.y, self.k, reason, float(residual),
-                           record, breakdown=self.red.breakdown)
+    def result(self, x, y, reason, residual, record) -> SolveResult:
+        return SolveResult(x, y, self.k, reason, float(residual), record,
+                           breakdown=self.red.breakdown)
 
 
 def gpqmr_solve(sys: PartitionedSystem, tol: float = 1e-8,

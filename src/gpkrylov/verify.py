@@ -310,7 +310,7 @@ def transfer_gap(st: BiLQState, hist: ReductionHistory):
     if not st.attempt_transfer():
         return None
     H, rhs = projected_system(st, hist, 2 * st.k)
-    return _iterate_gap(st.x_c, st.y_c, hist, np.linalg.solve(H, rhs))
+    return _iterate_gap(*st.transfer_iterate(), hist, np.linalg.solve(H, rhs))
 
 
 def lsq_gaps(st: QMRState, hist: ReductionHistory):
@@ -330,7 +330,7 @@ def estimate_gaps(st: BiLQState):
     gap_l = abs(st.estimate_residual_l() - true) / max(1.0, true)
     if not st.attempt_transfer():
         return gap_l, None
-    true_c = residual_norm(st.sys, st.x_c, st.y_c)
+    true_c = residual_norm(st.sys, *st.transfer_iterate())
     return gap_l, abs(st.estimate_residual_c() - true_c) / max(1.0, true_c)
 
 

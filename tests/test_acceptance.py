@@ -356,6 +356,16 @@ def test_short_recurrence_iteration_retains_nothing(method):
     assert kept < 1024
 
 
+def test_transfer_iterate_is_formed_only_where_read():
+    # gpbicg's estimate needs only the transfer coefficients; the iterate is
+    # allocated on its first read, and later steps form it in place
+    st = warmed_state("gpbicg", warmup=5)
+    assert st.transfer is not None and st.x_c is None
+    x_c, y_c = st.transfer_iterate()
+    st.advance()
+    assert st.estimate() is not None and st.transfer_iterate()[0] is x_c
+
+
 def test_gpmr_iteration_retains_less_than_one_vector():
     # basis columns land in blocks reserved up front, so an iteration keeps
     # only scalars: Hessenberg columns, rotations and R entries

@@ -260,8 +260,8 @@ def test_growing_qr_residual_is_the_projected_least_squares_residual():
         rhs = np.zeros(2 * k + 2)
         rhs[:2] = st.proc.beta, st.proc.gamma
         z, *_ = np.linalg.lstsq(P, rhs, rcond=None)
-        assert st.qr.residual_norm() == pytest.approx(np.linalg.norm(P @ z - rhs),
-                                                      rel=1e-10)
+        assert st.qr.projected_residual() == pytest.approx(
+            np.linalg.norm(P @ z - rhs), rel=1e-10)
 
 
 def test_unbounded_run_matches_a_bounded_one(monkeypatch):

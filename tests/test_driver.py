@@ -130,17 +130,19 @@ def _nan_from_call(sys_, first):
 
 
 # (operator applications, exit, iterations) of a run on _uncoupled(1.0, 1.0)
-CERTIFIED = {"gpbicg": (6, "breakdown", 1), "gpqmr": (6, "breakdown", 1),
-             "gpmr": (5, "converged", 2)}
+CERTIFIED = {"gpbilq": (6, "breakdown", 1), "gpbicg": (6, "breakdown", 1),
+             "gpqmr": (6, "breakdown", 1), "gpmr": (5, "converged", 2)}
 
 
 @pytest.mark.parametrize("method", CERTIFIED)
 def test_failed_breakdown_certificate_evaluates_the_residual_once(method):
     # gpbicg and gpqmr: step 1 (four applications) breaks down with an
     # estimate below tol; the certificate's true residual (two more) misses
-    # tol and is the one the run reports, not evaluated again.  gpmr: the
-    # space closes at step 2 (three applications) and the certificate's
-    # true residual (two more) meets tol
+    # tol and is the one the run reports, not evaluated again.  gpbilq: its
+    # step-1 iterate is zero, certified as ||[b; c]|| without an
+    # application; the rescue's transfer iterate (two more) misses tol too.
+    # gpmr: the space closes at step 2 (three applications) and the
+    # certificate's true residual (two more) meets tol
     calls = [0]
 
     def wrap(fn):
@@ -155,8 +157,30 @@ def test_failed_breakdown_certificate_evaluates_the_residual_once(method):
     assert calls[0] == applications
     assert (res.reason, res.iterations) == (reason, iterations)
     assert res.residual == residual_norm(sys_, res.x, res.y)
-    if reason == "breakdown":
+    if method == "gpbilq":
+        assert not res.x.any() and res.residual == sys_.rhs_norm
+    elif reason == "breakdown":
         assert res.residual == pytest.approx(5.15, abs=0.01)
+
+
+@pytest.mark.parametrize("method", ["gpbicg", "gpqmr"])
+def test_certified_exit_is_converged_where_its_iterate_meets_tol(method):
+    # gpbicg stops at step 1 without its iterate and returns the zero
+    # minimum-norm one; gpqmr meets a zero pivot in step 1 and returns its
+    # zero start.  Either way the certificate is ||[b; c]|| = 3.39
+    sys_ = _uncoupled(0.0, 1.0)
+    res = SOLVERS[method](sys_, tol=10.0)
+    assert res.reason == "converged" == res.record.reason
+    assert not res.x.any() and res.residual == sys_.rhs_norm
+
+
+@pytest.mark.parametrize("n, maxit, reason", [(9, 3, "maxit"), (9, None, "breakdown"),
+                                               (12, None, "converged")])
+def test_gpbicg_returns_its_transfer_iterate(n, maxit, reason):
+    res = gpbilq_solve(make_system(12, n, seed=600), tol=1e-8, maxit=maxit,
+                       monitor="c")
+    assert res.reason == reason
+    assert res.x is res.x_c and res.y is res.y_c
 
 
 @pytest.mark.parametrize("method", SOLVERS)

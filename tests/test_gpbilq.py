@@ -133,8 +133,9 @@ def test_transfer_exact_on_one_by_one(one_by_one):
     st = BiLQState(one_by_one, red)
     st.advance()  # startup step k=1
     assert st.attempt_transfer()
-    assert_allclose(st.x_c, [0.2], atol=1e-14)
-    assert_allclose(st.y_c, [0.4], atol=1e-14)
+    x_c, y_c = st.transfer_iterate()
+    assert_allclose(x_c, [0.2], atol=1e-14)
+    assert_allclose(y_c, [0.4], atol=1e-14)
     assert st.estimate_residual_c() <= 1e-14
 
 
