@@ -5,8 +5,9 @@ from Matrix Market files (with the right-hand side constructed so the exact
 solution is the vector of ones, or drawn at random) or from one of the named
 benchmark recipes.
 
-Exit codes: 0 tolerance reached, 1 usage error, 2 iteration limit,
-3 breakdown, 4 non-finite residual.
+Exit codes: 0 tolerance reached (``check``: every check passed), 1 usage
+error, 2 iteration limit, 3 breakdown, 4 non-finite residual (``check``: a
+check failed).
 """
 
 from __future__ import annotations

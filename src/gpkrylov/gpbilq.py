@@ -3,9 +3,11 @@
 GPBiLQ defines its iterate through the minimum-norm solution of the
 underdetermined projected system (first 2k-2 rows of the projected
 block-tridiagonal matrix), computed with a sliding LQ factorization whose
-orthogonal factor is a product of two-column rotation bundles.  The lower
-factor has bandwidth 4; one forward-substitution pair and one four-column
-direction update advance the iterate per step.
+orthogonal factor is a product of two-column rotation bundles.  The LQ is
+gpqmr's sliding QR (``rotations.BandWindow``) run on the transposed
+projection, and the lower factor is the transposed upper one, of bandwidth
+4; one forward-substitution pair and one four-column direction update
+advance the iterate per step.
 
 GPBiCG solves the square projected system instead.  Its iterate need not
 exist at every step; when the trailing 2x2 of the LQ factor is nonsingular
@@ -18,9 +20,9 @@ n-vectors: the iterate, two reduction basis pairs and two (len x 3) direction
 blocks per side; the transfer iterate adds one vector per side, allocated on
 its first read.  Each side's direction update and iterate increment are one
 matmul per row strip (``reduction.mix``); no fresh length-m/n arrays are
-allocated after startup.  The scalar state is fixed in size too: the LQ window
-keeps the six factor columns and two rotation bundles the recurrences read,
-and the state the last four substitution entries.
+allocated after startup.  The scalar state is fixed in size too: the window
+keeps two factor columns, one rotation bundle and its carries, and the state
+the bundle before it and the last four substitution entries.
 """
 
 from __future__ import annotations
@@ -32,11 +34,10 @@ from .linop import PartitionedSystem
 from .reduction import (BreakdownReport, StepCoeffs, mix, reduction_init,
                         reduction_step, strips)
 # rotation_block is not called here: the benchmark tracer reads gpbilq.rotation_block
-from .rotations import (SingularWindowError, plane_rotation, rotation_block,
+from .rotations import (BandWindow, plane_rotation, rotation_block,
                         rotation_bundle)
 
 __all__ = [
-    "LQWindow",
     "BiLQState",
     "lq_step",
     "substitute_step",
@@ -45,153 +46,70 @@ __all__ = [
 ]
 
 
-class LQWindow:
-    """Sliding data of the banded LQ factorization, fixed in size.
-
-    ``i`` counts completed rotation bundles; bundle i finalizes columns
-    2i-1 and 2i of the lower factor, column c held as its five band entries
-    (rho, nu, omega, zeta, xi) in rows c..c+4.  ``cols`` keeps columns
-    2i-5..2i and ``rots`` the cosine/sine octets of bundles i-1 and i: all
-    the recurrences read.  Columns below 1 are zero.  The seven carry
-    scalars describe the not-yet-finalized trailing 2x2 corner and its two
-    trailing columns.
-    """
-
-    __slots__ = ("lam", "mu", "i", "cols", "rots", "c_rho1", "c_alpha",
-                 "c_nu1", "c_rho2", "c_omega", "c_nu2", "c_zeta")
-
-    def __init__(self, lam, mu, alpha1, theta1, beta2, delta2):
-        """Seed the carries from the first diagonal block and coupling pair."""
-        self.lam = float(lam)
-        self.mu = float(mu)
-        self.i = 0
-        self.cols = ((0.0,) * 5,) * 6
-        self.rots = (None, None)
-        self.c_rho1 = float(lam)
-        self.c_alpha = float(alpha1)
-        self.c_nu1 = float(theta1)
-        self.c_rho2 = float(mu)
-        self.c_omega = 0.0
-        self.c_nu2 = float(beta2)
-        self.c_zeta = float(delta2)
-
-    def finalized(self):
-        """Columns 2i-1, 2i and bundle i: what the latest lq_step finalized."""
-        return self.cols[4], self.cols[5], self.rots[1]
-
-
-def lq_step(w: LQWindow, gamma_k, eta_k, alpha_k, theta_k,
+def lq_step(w: BandWindow, gamma_k, eta_k, alpha_k, theta_k,
             beta_next, delta_next) -> None:
-    """Apply the next four-rotation bundle, finalizing two band columns.
+    """Advance the LQ factorization by one step: the window's early and
+    late stage of bundle k-1 on the transposed projection.
 
-    Consumes the index-k coupling scalars gamma_k, eta_k, the step-k diagonal
-    entries alpha_k, theta_k, and the freshly produced index-k+1 couplings.
-    Raises SingularWindowError when a rotation denominator vanishes.
+    Consumes the index-k couplings gamma_k, eta_k, the step-k diagonal
+    entries alpha_k, theta_k and the freshly produced index-k+1 couplings.
+    At k = 1 only the late stage runs, seeding the hand-off.
     """
-    i = w.i + 1
-    lam, mu = w.lam, w.mu
-    rb1, ab, nb1, rb2 = w.c_rho1, w.c_alpha, w.c_nu1, w.c_rho2
-    ob, nb2, zb = w.c_omega, w.c_nu2, w.c_zeta
-
-    c1, s1, rho_t = plane_rotation(rb1, gamma_k)
-    if rho_t == 0.0:
-        raise SingularWindowError(f"zero pivot in rotation 1 of bundle {i}")
-    nu_t = c1 * nb1
-    t_i = -s1 * nb1
-    omega_t = c1 * ob + s1 * alpha_k
-    alpha_t = -s1 * ob + c1 * alpha_k
-    zeta_t = c1 * zb + s1 * mu
-    rho_t2 = -s1 * zb + c1 * mu
-    xi_t = s1 * beta_next
-    nu_t3 = c1 * beta_next
-
-    c2, s2, rho_odd = plane_rotation(rho_t, ab)
-    nu_even = c2 * nu_t + s2 * rb2
-    rho_h = -s2 * nu_t + c2 * rb2
-    omega_odd = c2 * omega_t + s2 * nb2
-    nu_h = -s2 * omega_t + c2 * nb2
-    zeta_even = c2 * zeta_t
-    omega_h = -s2 * zeta_t
-    xi_odd = c2 * xi_t
-    zeta_h = -s2 * xi_t
-
-    c3, s3, rho_c = plane_rotation(rho_h, t_i)
-    if rho_c == 0.0:
-        raise SingularWindowError(f"zero pivot in rotation 3 of bundle {i}")
-    nu_c = c3 * nu_h + s3 * alpha_t
-    alpha_bar = -s3 * nu_h + c3 * alpha_t
-    omega_c = c3 * omega_h + s3 * rho_t2
-    rho_bar_even = -s3 * omega_h + c3 * rho_t2
-    zeta_c = c3 * zeta_h + s3 * nu_t3
-    nu_bar2 = -s3 * zeta_h + c3 * nu_t3
-
-    c4, s4, rho_even = plane_rotation(rho_c, eta_k)
-    nu_odd = c4 * nu_c + s4 * lam
-    rho_bar_odd = -s4 * nu_c + c4 * lam
-    omega_even = c4 * omega_c + s4 * theta_k
-    nu_bar1 = -s4 * omega_c + c4 * theta_k
-    zeta_odd = c4 * zeta_c
-    omega_bar = -s4 * zeta_c
-    xi_even = s4 * delta_next
-    zeta_bar = c4 * delta_next
-
-    # local names follow the parity of the row; rows 2i-1..2i+3 of column
-    # 2i-1, rows 2i..2i+4 of column 2i
-    w.cols = w.cols[2:] + ((rho_odd, nu_even, omega_odd, zeta_even, xi_odd),
-                           (rho_even, nu_odd, omega_even, zeta_odd, xi_even))
-    w.c_rho1, w.c_alpha, w.c_nu1, w.c_rho2 = rho_bar_odd, alpha_bar, nu_bar1, rho_bar_even
-    w.c_omega, w.c_nu2, w.c_zeta = omega_bar, nu_bar2, zeta_bar
-    w.rots = (w.rots[1], (c1, s1, c2, s2, c3, s3, c4, s4))
-    w.i = i
+    # the transpose swaps alpha<->theta, beta<->eta and gamma<->delta
+    if w.rb1 is not None:
+        w.early(gamma_k, eta_k)
+    w.late(theta_k, alpha_k, beta_next, delta_next)
 
 
-def _row_pair(cols, v, rhs, rho1, nu2, rho2):
-    """Rows r, r+1 of the banded lower solve from columns r-4..r-1 and their
-    entries ``v``: row r is (rhs_r - xi_r w_{r-4} - zeta_r w_{r-3} - omega_r
-    w_{r-2} - nu_r w_{r-1}) / rho_r.  rho1, nu2 and rho2 are the pair's own
-    diagonal entries and the subdiagonal between them."""
-    c4, c3, c2, c1 = cols
-    w1 = (rhs[0] - c4[4] * v[0] - c3[3] * v[1] - c2[2] * v[2] - c1[1] * v[3]) / rho1
-    w2 = (rhs[1] - c3[4] * v[1] - c2[3] * v[2] - c1[2] * v[3] - nu2 * w1) / rho2
+def _row_pair(odd, even, v, rhs):
+    """Rows r, r+1 of the banded lower solve L w = rhs from the upper
+    columns r and r+1 of R = L^T and the entries ``v`` of w at r-4..r-1:
+    row r is (rhs_r - xi_r w_{r-4} - zeta_r w_{r-3} - omega_r w_{r-2} -
+    nu_r w_{r-1}) / rho_r."""
+    rho1, nu1, omega1, zeta1, xi1 = odd
+    rho2, nu2, omega2, zeta2, xi2 = even
+    w1 = (rhs[0] - xi1 * v[0] - zeta1 * v[1] - omega1 * v[2] - nu1 * v[3]) / rho1
+    w2 = (rhs[1] - xi2 * v[1] - zeta2 * v[2] - omega2 * v[3] - nu2 * w1) / rho2
     return w1, w2
 
 
-def substitute_step(w: LQWindow, varpi, beta1, delta1) -> tuple:
+def substitute_step(w: BandWindow, varpi, beta1, delta1) -> tuple:
     """Forward-substitute rows 2i-1 and 2i of the banded lower solve.
 
     ``varpi`` holds entries 2i-5..2i-2; returns entries 2i-3..2i.
     """
-    c = w.cols
-    if c[4][0] == 0.0 or c[5][0] == 0.0:
-        raise SingularWindowError(f"zero diagonal in substitution rows {2 * w.i - 1}-{2 * w.i}")
     rhs = (beta1, delta1) if w.i == 1 else (0.0, 0.0)
-    return varpi[2:] + _row_pair(c[:4], varpi, rhs, c[4][0], c[4][1], c[5][0])
+    return varpi[2:] + _row_pair(*w.cols, varpi, rhs)
 
 
-def transfer_scalars(w: LQWindow, varpi, beta1, delta1):
+def transfer_scalars(w: BandWindow, varpi, beta1, delta1):
     """Rotation and substitution scalars for the square-system iterate.
 
-    ``varpi`` holds substitution entries 2i-3..2i.  Returns (c_k, s_k,
-    w_odd, w_even) for the current step k = i+1, or None when the trailing
-    2x2 determinant is at most 1e-13 of its two products (iterate does not
-    exist).
+    ``varpi`` holds substitution entries 2i-3..2i.  Rows 2i+1 and 2i+2 of
+    the square factor are the off-diagonal entries the late stage finished
+    and the hand-off corner [[rb1, tb], [nb1, rb2]] of L, made lower
+    triangular by one column rotation.  Returns (c_k, s_k, w_odd, w_even)
+    for the current step k = i+1, or None when the corner's determinant is
+    at most 1e-13 of its two products (iterate does not exist).
     """
-    rb1, ab, nb1, rb2 = w.c_rho1, w.c_alpha, w.c_nu1, w.c_rho2
-    det = rb1 * rb2 - ab * nb1
-    if abs(det) <= 1e-13 * (abs(rb1 * rb2) + abs(ab * nb1)):
+    rb1, tb, nb1, rb2 = w.rb1, w.tb, w.nb1, w.rb2
+    det = rb1 * rb2 - tb * nb1
+    if abs(det) <= 1e-13 * (abs(rb1 * rb2) + abs(tb * nb1)):
         return None
-    c_k, s_k, rho_dd1 = plane_rotation(rb1, ab)
+    c_k, s_k, rho_dd1 = plane_rotation(rb1, tb)
     nu_dd = c_k * nb1 + s_k * rb2
     rho_dd2 = -s_k * nb1 + c_k * rb2
+    odd, even = w.ahead
     rhs = (beta1, delta1) if w.i == 0 else (0.0, 0.0)
-    return (c_k, s_k) + _row_pair(w.cols[2:], varpi, rhs, rho_dd1, nu_dd, rho_dd2)
+    return (c_k, s_k) + _row_pair((rho_dd1,) + odd, (rho_dd2, nu_dd) + even,
+                                  varpi, rhs)
 
 
 # -- solver ------------------------------------------------------------------
 
 
 class BiLQState:
-    """Single-owner solver state: reduction window, LQ window, directions.
+    """Single-owner solver state: reduction window, factor window, directions.
 
     Each side's live directions form one Fortran-ordered block, ``fx``
     (m x 3) and ``fy`` (n x 3): columns 0 and 1 hold the provisional pair
@@ -209,7 +127,8 @@ class BiLQState:
         self.red = red
         self.monitor = monitor
         self.tracks_transfer = monitor == "c"
-        self.window = None
+        self.window = BandWindow(sys.lam, sys.mu)
+        self.rot_prev = None  # the bundle before the window's latest
         self.varpi = (0.0,) * 4  # the last four forward-substitution entries
         self.k = 1
         self.x = np.zeros(m)
@@ -227,28 +146,25 @@ class BiLQState:
         self.y_c = None
 
     def advance(self) -> StepCoeffs:
-        """One solver step: reduction, then at k=1 the seeding of the LQ
-        carries, else bundle, substitution, direction update and iterate
-        update."""
+        """One solver step: reduction and window step, then past the k=1
+        seeding substitution, direction update and iterate update."""
         red = self.red
         coeffs = reduction_step(red, self.sys)
-        if self.window is None:
-            self.window = LQWindow(self.sys.lam, self.sys.mu,
-                                   coeffs.alpha, coeffs.theta,
-                                   coeffs.beta_next, coeffs.delta_next)
+        w = self.window
+        rot_prev = w.rot
+        lq_step(w, coeffs.gamma_k, coeffs.eta_k, coeffs.alpha, coeffs.theta,
+                coeffs.beta_next, coeffs.delta_next)
+        if w.i == 0:
             self.coeffs = coeffs
             return coeffs
-        lq_step(self.window, coeffs.gamma_k, coeffs.eta_k,
-                coeffs.alpha, coeffs.theta,
-                coeffs.beta_next, coeffs.delta_next)
-        self.varpi = substitute_step(self.window, self.varpi,
-                                     red.beta1, red.delta1)
+        self.rot_prev = rot_prev
+        self.varpi = substitute_step(w, self.varpi, red.beta1, red.delta1)
         self.k = coeffs.k
         _, _, w1, w2 = self.varpi
         # the trailing 4x4 of the latest bundle mixes [ft1, ft2, q_k, u_k]
         # into (f1, f2, ft1', ft2'); only ft1', ft2' and the increment
         # w1 f1 + w2 f2 (its only use) are formed
-        r1, r2, rq, ru = rotation_bundle(self.window.rots[1])
+        r1, r2, rq, ru = rotation_bundle(w.rot)
         for block, spare, basis, it, rb in ((self.fx, self.gx, red.q_prev, self.x, rq),
                                             (self.fy, self.gy, red.u_prev, self.y, ru)):
             self.coef[...] = [(r[2], r[3], w1 * r[0] + w2 * r[1]) for r in (r1, r2, rb)]
@@ -287,10 +203,9 @@ class BiLQState:
         """Last four entries of the expanded minimum-norm solution: the last
         two bundles applied to the trailing substitution entries."""
         v1, v2, v3, v4 = self.varpi
-        prev, last = self.window.rots
-        z3, z4, z5, z6 = rotation_bundle(last, (v3, v4, 0.0, 0.0))
+        z3, z4, z5, z6 = rotation_bundle(self.window.rot, (v3, v4, 0.0, 0.0))
         if self.k >= 3:
-            _, _, z3, z4 = rotation_bundle(prev, (v1, v2, z3, z4))
+            _, _, z3, z4 = rotation_bundle(self.rot_prev, (v1, v2, z3, z4))
         return z3, z4, z5, z6
 
     def estimate_residual_l(self) -> float:
@@ -321,7 +236,7 @@ class BiLQState:
         a, b = self.transfer
         if self.k >= 2:
             _, _, z_odd, z_even = rotation_bundle(
-                self.window.rots[1], (*self.varpi[2:], a, b))
+                self.window.rot, (*self.varpi[2:], a, b))
         else:
             z_odd, z_even = a, b
         co = self.coeffs

@@ -1,20 +1,13 @@
 """GPQMR: quasi-minimum-residual solver for partitioned systems.
 
 The iterate minimizes the projected residual norm over the interleaved
-subspace, computed through a sliding QR factorization of the projected
-block-tridiagonal matrix.  The upper factor has bandwidth 4; rotations
-premultiply, arriving as four-rotation bundles that finalize two rows at a
-time.  Each step forms two directions from the last four (a depth-4
-back-recurrence) in gpbilq's layout and kernel, ``reduction.mix``; the
-working set is fifteen vectors per side: the iterate, two basis pairs and
-two five-column direction blocks.
-
-Entries of the upper factor in columns beyond the current ones depend on
-coupling coefficients that only become available one or two reduction steps
-later; each bundle is therefore applied in two stages (an early stage that
-fixes the rotations, diagonals and right-hand side, and a late stage that
-completes the trailing-column entries once the next step's coefficients
-exist).  The staging is exact, it only reorders scalar assignments.
+subspace, computed through the sliding banded QR factorization of the
+projected block-tridiagonal matrix (``rotations.BandWindow``), each step
+running one bundle's late stage and the next bundle's early stage.  Each
+step forms two directions from the last four (a depth-4 back-recurrence) in
+gpbilq's layout and kernel, ``reduction.mix``; the working set is fifteen
+vectors per side: the iterate, two basis pairs and two five-column
+direction blocks.
 """
 
 from __future__ import annotations
@@ -24,10 +17,9 @@ import numpy as np
 from .convergence import SolveResult, _solve
 from .linop import PartitionedSystem
 from .reduction import BreakdownReport, mix, reduction_init, reduction_step
-from .rotations import SingularWindowError, plane_rotation
+from .rotations import BandWindow
 
 __all__ = [
-    "QRWindow",
     "QMRState",
     "qr_step",
     "rotate_rhs",
@@ -35,119 +27,19 @@ __all__ = [
 ]
 
 
-class QRWindow:
-    """Sliding data of the banded QR factorization, fixed in size.
-
-    ``i`` counts bundles whose early stage has run; the late stage of bundle
-    i runs at the start of step i+1, and step i leaves columns 2i-1 and 2i
-    of the upper factor complete.  A column c is held as its five band
-    entries (rho, nu, omega, zeta, xi) in rows c, c-1, ..., c-4.  ``cols``
-    keeps the two current columns, ``rot`` the cosine/sine octet of bundle
-    i, and ``ahead`` the (zeta, xi) entries of columns 2i+1 and 2i+2 that
-    step i already fixed; rows below 1 are zero.
-    """
-
-    __slots__ = ("lam", "mu", "i", "cols", "rot", "ahead", "c_rho_even",
-                 "omega_bar", "nu_bar", "omega_check")
-
-    def __init__(self, lam, mu):
-        self.lam = float(lam)
-        self.mu = float(mu)
-        self.i = 0
-        self.cols = None
-        self.rot = None
-        self.ahead = (0.0,) * 4
-        # pending scalars consumed by the next early/late stage
-        self.c_rho_even = 0.0   # rho_bar at even row 2i+2 (from early stage)
-        self.omega_bar = 0.0    # omega_bar at row 2i-1 (for late stage)
-        self.nu_bar = 0.0       # nu_bar at row 2i (for late stage)
-        self.omega_check = 0.0  # partially rotated omega at row 2i
-
-    def finalized(self):
-        """Columns 2i-1, 2i and bundle i: what the latest qr_step finalized."""
-        return self.cols[0], self.cols[1], self.rot
-
-
-def qr_step(w: QRWindow, alpha_k, theta_k, beta_next, delta_next,
+def qr_step(w: BandWindow, alpha_k, theta_k, beta_next, delta_next,
             gamma_next, eta_next) -> None:
     """Advance the factorization by one step of the underlying reduction.
 
-    Completes the previous bundle's trailing columns with the step-k
-    diagonal entries and index-k+1 superdiagonal couplings, then runs the
-    early stage of the new bundle with the index-k+1 subdiagonal couplings.
+    Completes the previous bundle's rows with the step-k diagonal entries
+    and index-k+1 superdiagonal couplings (late stage), then builds the new
+    bundle with the index-k+1 subdiagonal couplings (early stage).
     """
-    lam, mu = w.lam, w.mu
-    if w.i == 0:
-        # carries straight from the first diagonal block
-        rb1, tb, nb1, zb1 = lam, theta_k, alpha_k, gamma_next
-        rb2 = mu
-        w.omega_bar = 0.0
-        w.nu_bar = eta_next
-        # the late-stage entries would lie in rows -1 and 0
-        omega_odd = nu_even = omega_even = zeta_even = xi_odd = xi_even = 0.0
-    else:
-        c1, s1, c2, s2, c3, s3, c4, s4 = w.rot
-        ob, nb, oc = w.omega_bar, w.nu_bar, w.omega_check
-        omega_t = c1 * ob + s1 * theta_k
-        theta_t = -s1 * ob + c1 * theta_k
-        xi_t = s1 * eta_next
-        nu_t_far = c1 * eta_next
-        omega_odd = c2 * omega_t + s2 * nb      # row 2i-1 final
-        nu_h = -s2 * omega_t + c2 * nb
-        xi_odd = c2 * xi_t                      # row 2i-1 final
-        zeta_h = -s2 * xi_t
-        nu_c = c3 * nu_h + s3 * theta_t
-        theta_bar = -s3 * nu_h + c3 * theta_t   # theta carry for next bundle
-        zeta_c = c3 * zeta_h + s3 * nu_t_far
-        nu_bar_far = -s3 * zeta_h + c3 * nu_t_far
-        nu_even = c4 * nu_c + s4 * lam          # row 2i final
-        rho_bar_odd = -s4 * nu_c + c4 * lam
-        omega_even = c4 * oc + s4 * alpha_k     # row 2i final
-        nu_bar_odd = -s4 * oc + c4 * alpha_k
-        zeta_even = c4 * zeta_c                 # row 2i final
-        omega_bar_new = -s4 * zeta_c
-        xi_even = s4 * gamma_next               # row 2i final
-        zeta_bar_odd = c4 * gamma_next
-
-        rb1, tb, nb1, zb1 = rho_bar_odd, theta_bar, nu_bar_odd, zeta_bar_odd
-        rb2 = w.c_rho_even
-        w.omega_bar = omega_bar_new
-        w.nu_bar = nu_bar_far
-
-    # early stage of bundle j = i+1 (everything the iterate needs now)
-    j = w.i + 1
-    c1, s1, rho_t = plane_rotation(rb1, delta_next)
-    nu_t = c1 * nb1
-    t_j = -s1 * nb1
-    zeta_t = c1 * zb1 + s1 * mu
-    rho_t_far = -s1 * zb1 + c1 * mu
-    c2, s2, rho_odd = plane_rotation(rho_t, tb)
-    if rho_odd == 0.0:
-        raise SingularWindowError(f"zero pivot at row {2 * j - 1}")
-    nu_odd = c2 * nu_t + s2 * rb2
-    rho_h = -s2 * nu_t + c2 * rb2
-    zeta_odd = c2 * zeta_t
-    omega_h = -s2 * zeta_t
-    c3, s3, rho_c = plane_rotation(rho_h, t_j)
-    omega_c = c3 * omega_h + s3 * rho_t_far
-    rho_bar_even = -s3 * omega_h + c3 * rho_t_far
-    c4, s4, rho_even = plane_rotation(rho_c, beta_next)
-    if rho_even == 0.0:
-        raise SingularWindowError(f"zero pivot at row {2 * j}")
-
-    # local names follow the parity of the row: the late stage gave rows
-    # 2j-3, 2j-2 of columns 2j-1..2j+2, the early stage rows 2j-1, 2j
-    z_odd, x_odd, z_even, x_even = w.ahead
-    w.cols = ((rho_odd, nu_even, omega_odd, z_odd, x_odd),
-              (rho_even, nu_odd, omega_even, z_even, x_even))
-    w.ahead = (zeta_even, xi_odd, zeta_odd, xi_even)
-    w.omega_check = omega_c
-    w.c_rho_even = rho_bar_even
-    w.rot = (c1, s1, c2, s2, c3, s3, c4, s4)
-    w.i = j
+    w.late(alpha_k, theta_k, eta_next, gamma_next)
+    w.early(delta_next, beta_next)
 
 
-def rotate_rhs(w: QRWindow, carry: tuple[float, float]):
+def rotate_rhs(w: BandWindow, carry: tuple[float, float]):
     """Apply the newest bundle to the right-hand-side window.
 
     Returns (w_odd, w_even, carry_odd, carry_even): the two finalized entries
@@ -168,7 +60,7 @@ def rotate_rhs(w: QRWindow, carry: tuple[float, float]):
 
 
 class QMRState:
-    """Single-owner solver state: reduction window, QR window, directions
+    """Single-owner solver state: reduction window, factor window, directions
     and the rotated right-hand-side carries.
 
     Each side's directions form one Fortran-ordered block, ``fx`` (m x 5)
@@ -185,7 +77,7 @@ class QMRState:
         m, n = sys.m, sys.n
         self.sys = sys
         self.red = red
-        self.window = QRWindow(sys.lam, sys.mu)
+        self.window = BandWindow(sys.lam, sys.mu)
         self.k = 0
         self.x = np.zeros(m)
         self.y = np.zeros(n)

@@ -1,23 +1,23 @@
-"""Plane-rotation kernels shared by the sliding factorizations."""
+"""Plane-rotation kernels and the one sliding banded factorization that
+gpbilq and gpqmr share."""
 
 import math
 
 import numpy as np
 
 __all__ = ["plane_rotation", "rotation_bundle", "rotation_block",
-           "SingularWindowError"]
+           "BandWindow", "SingularWindowError"]
 
 
 class SingularWindowError(RuntimeError):
-    """A sliding-factorization pivot vanished (rotation denominator zero)."""
+    """A diagonal of the sliding factorization vanished."""
 
 
 def plane_rotation(a: float, b: float) -> tuple[float, float, float]:
     """Return (c, s, r) with r = sqrt(a^2 + b^2), c = a/r, s = b/r.
 
     r is nonnegative; c and s carry the signs of a and b.  When both inputs
-    vanish the rotation degenerates to the identity with r = 0, which callers
-    must treat as a singular pivot.
+    vanish the rotation degenerates to the identity with r = 0.
     """
     r = math.hypot(a, b)
     if r == 0.0:
@@ -52,3 +52,119 @@ def rotation_block(c1, s1, c2, s2, c3, s3, c4, s4) -> np.ndarray:
     """4x4 matrix of one column-rotation bundle (dense reconstruction only;
     a row-rotation bundle is its transpose)."""
     return np.array(rotation_bundle((c1, s1, c2, s2, c3, s3, c4, s4)))
+
+
+class BandWindow:
+    """Sliding banded QR factorization of the projected block-tridiagonal
+    matrix, fixed in size.
+
+    The upper factor R has bandwidth 4; rotations premultiply, arriving as
+    four-rotation bundles that finalize two rows at a time.  Entries of R
+    beyond the current columns depend on coupling coefficients that only
+    become available one reduction step later, so bundle i is applied in
+    two stages.  ``early`` takes the index-i+1 subdiagonal couplings and
+    fixes the bundle's rotations and the diagonals of rows 2i-1 and 2i,
+    which completes columns 2i-1 and 2i.  ``late`` takes the step-i+1
+    diagonal block and the index-i+2 superdiagonal couplings and finishes
+    rows 2i-1 and 2i, handing the rest on to bundle i+1.  The staging is
+    exact, it only reorders scalar assignments.
+
+    gpqmr factors the projection and runs each step's late stage, then the
+    next bundle's early stage.  gpbilq factors the square projection by LQ,
+    which is the QR of its transpose: the same matrix with alpha<->theta,
+    beta<->eta and gamma<->delta swapped.  It runs the early, then the late
+    stage of one bundle on the swapped coefficients, and its lower factor
+    is L = R^T: L[c+d, c] = R[c, c+d], so row c of L is column c of R.
+
+    Column c of R is held as its five band entries (rho, nu, omega, zeta,
+    xi) in rows c, c-1, ..., c-4; rows below 1 are zero.  ``i`` counts
+    early stages; ``cols`` holds columns 2i-1 and 2i and ``rot`` the
+    cosine/sine octet of bundle i.  The latest late stage, of bundle j,
+    leaves in ``ahead`` its finished entries of columns 2j+1 and 2j+2 (all
+    but the two diagonals and the entry between them, which the next early
+    stage adds) and in ``far`` those of columns 2j+3 and 2j+4.  The
+    hand-off (rb1, tb, nb1, zb1, rb2) holds the partly rotated entries the
+    next early stage starts from; its leading 2x2 [[rb1, nb1], [tb, rb2]]
+    is the trailing corner of the square projection's factor.  The hand-off
+    is None until the first late stage, whose first-step branch seeds it
+    straight from the first diagonal block.
+    """
+
+    __slots__ = ("lam", "mu", "i", "cols", "rot", "ahead", "far", "rb1", "tb",
+                 "nb1", "zb1", "rb2", "omega_bar", "nu_bar", "omega_check",
+                 "zeta_odd")
+
+    def __init__(self, lam, mu):
+        self.lam = float(lam)
+        self.mu = float(mu)
+        self.i = 0
+        self.cols = self.rot = None
+        self.ahead = ((0.0,) * 4, (0.0,) * 3)
+        self.far = (0.0,) * 3
+        self.rb1 = self.tb = self.nb1 = self.zb1 = self.rb2 = None
+        # pending scalars of the late stage: from the last late stage
+        # (omega_bar, nu_bar) and from the early stage (omega_check, and
+        # zeta_odd, the finished entry of row 2i-1 in column 2i+2)
+        self.omega_bar = self.nu_bar = self.omega_check = self.zeta_odd = 0.0
+
+    def early(self, delta, beta) -> None:
+        """Early stage of bundle i+1: its rotations, the diagonals of rows
+        2i+1 and 2i+2, and the columns they complete.
+
+        Raises SingularWindowError, leaving the window as it was, when a
+        diagonal vanishes: both substitutions divide by them.
+        """
+        mu, nb1, zb1, rb2 = self.mu, self.nb1, self.zb1, self.rb2
+        c1, s1, rho_t = plane_rotation(self.rb1, delta)
+        nu_t = c1 * nb1
+        t_j = -s1 * nb1
+        zeta_t = c1 * zb1 + s1 * mu
+        rho_t_far = -s1 * zb1 + c1 * mu
+        c2, s2, rho_odd = plane_rotation(rho_t, self.tb)
+        nu_odd = c2 * nu_t + s2 * rb2
+        rho_h = -s2 * nu_t + c2 * rb2
+        omega_h = -s2 * zeta_t
+        c3, s3, rho_c = plane_rotation(rho_h, t_j)
+        c4, s4, rho_even = plane_rotation(rho_c, beta)
+        if rho_odd == 0.0 or rho_even == 0.0:
+            raise SingularWindowError(
+                f"zero diagonal in rows {2 * self.i + 1}-{2 * self.i + 2}")
+        odd, even = self.ahead
+        self.cols = ((rho_odd,) + odd, (rho_even, nu_odd) + even)
+        self.zeta_odd = c2 * zeta_t
+        self.omega_check = c3 * omega_h + s3 * rho_t_far
+        self.rb2 = -s3 * omega_h + c3 * rho_t_far
+        self.rot = (c1, s1, c2, s2, c3, s3, c4, s4)
+        self.i += 1
+
+    def late(self, alpha, theta, eta, gamma) -> None:
+        """Late stage of bundle i: the rest of rows 2i-1 and 2i (into
+        ``ahead`` and ``far``) and the hand-off to bundle i+1."""
+        lam = self.lam
+        if self.i == 0:
+            # the entries this stage finishes would lie in rows -1 and 0
+            self.rb1, self.tb, self.nb1, self.zb1 = lam, theta, alpha, gamma
+            self.rb2 = self.mu
+            self.omega_bar, self.nu_bar = 0.0, eta
+            return
+        c1, s1, c2, s2, c3, s3, c4, s4 = self.rot
+        ob, nb, oc = self.omega_bar, self.nu_bar, self.omega_check
+        omega_t = c1 * ob + s1 * theta
+        theta_t = -s1 * ob + c1 * theta
+        xi_t = s1 * eta
+        nu_t_far = c1 * eta
+        omega_odd = c2 * omega_t + s2 * nb
+        nu_h = -s2 * omega_t + c2 * nb
+        xi_odd = c2 * xi_t
+        zeta_h = -s2 * xi_t
+        nu_c = c3 * nu_h + s3 * theta_t
+        zeta_c = c3 * zeta_h + s3 * nu_t_far
+        z_odd, x_odd, x_even = self.far
+        # rows 2i and 2i-1 of columns 2i+1 and 2i+2, then of 2i+3 and 2i+4
+        self.ahead = ((c4 * nu_c + s4 * lam, omega_odd, z_odd, x_odd),
+                      (c4 * oc + s4 * alpha, self.zeta_odd, x_even))
+        self.far = (c4 * zeta_c, xi_odd, s4 * gamma)
+        self.rb1, self.tb = -s4 * nu_c + c4 * lam, -s3 * nu_h + c3 * theta_t
+        self.nb1, self.zb1 = -s4 * oc + c4 * alpha, c4 * gamma
+        self.omega_bar = -s4 * zeta_c
+        self.nu_bar = -s3 * zeta_h + c3 * nu_t_far

@@ -35,8 +35,9 @@ class ReductionHistory:
     """Every basis vector and coefficient of a reduction run; the solvers
     themselves keep only the sliding window.
 
-    ``stepped`` also records what each window step finalized: the factor's
-    ``columns`` (column c at index c-1, as the window holds it), the
+    ``stepped`` also records what each window step finalized: the upper
+    factor's ``columns`` (column c at index c-1, as the window holds it;
+    gpbilq's lower factor is their transpose), the
     rotation ``bundles``, the solution ``entries`` (gpbilq's forward
     substitution, gpqmr's rotated right-hand side) and gpqmr's stacked x|y
     ``directions`` (direction c at index c-1).
@@ -103,26 +104,24 @@ def build_projected_h(alphas, thetas, betas, gammas, deltas, etas,
                       lam: float, mu: float, k: int) -> np.ndarray:
     """(2k+2) x 2k projected block-tridiagonal matrix.
 
-    Built from 2x2 blocks: diagonal [lam, alpha_i; theta_i, mu], subdiagonal
-    [0, beta_i; delta_i, 0], superdiagonal [0, gamma_i; eta_i, 0]; the
-    coefficient sequences are 1-based lists (``betas[i-1]`` is beta_i) and
-    must extend through index k+1 for the subdiagonal scalars.
+    The row and column interleave of [[lam I, S], [T, mu I]], with S and T
+    the (k+1) x k tridiagonals (diagonal, sub, super) = (alpha, beta, gamma)
+    and (theta, delta, eta): 2x2 diagonal blocks [lam, alpha_i; theta_i,
+    mu], subdiagonal [0, beta_i; delta_i, 0], superdiagonal [0, gamma_i;
+    eta_i, 0].  The coefficient sequences are 1-based lists (``betas[i-1]``
+    is beta_i) and must extend through index k+1 for the subdiagonal
+    scalars.
     """
     if len(alphas) < k or len(betas) < k + 1:
         raise ValueError(f"need k={k} diagonal and k+1 coupling coefficients")
-    H = np.zeros((2 * k + 2, 2 * k))
-    for i in range(1, k + 1):
-        r = 2 * (i - 1)
-        H[r, r] = lam
-        H[r, r + 1] = alphas[i - 1]
-        H[r + 1, r] = thetas[i - 1]
-        H[r + 1, r + 1] = mu
-        H[r + 2, r + 1] = betas[i]
-        H[r + 3, r] = deltas[i]
-        if i < k:
-            H[r, r + 3] = gammas[i]
-            H[r + 1, r + 2] = etas[i]
-    return H
+    zero = [0.0] * (k + 1)
+    lam_i, mu_i = (_tridiag([v] * k, zero, zero, k + 1, k) for v in (lam, mu))
+    S = _tridiag(alphas, betas, gammas, k + 1, k)
+    T = _tridiag(thetas, deltas, etas, k + 1, k)
+    # row (column) j of the top (left) half becomes row (column) 2j, of the
+    # bottom (right) half 2j+1
+    blocks = np.block([[lam_i, S], [T, mu_i]]).reshape(2, k + 1, 2, k)
+    return blocks.transpose(1, 0, 3, 2).reshape(2 * k + 2, 2 * k)
 
 
 # -- dense oracles ----------------------------------------------------------
@@ -197,9 +196,8 @@ def stepped(state_cls, sys: PartitionedSystem, steps: int):
     for _ in range(steps):
         hist.update(red, st.advance())
         if st.window.i > len(hist.bundles):
-            col_odd, col_even, rot = st.window.finalized()
-            hist.columns += [col_odd, col_even]
-            hist.bundles.append(rot)
+            hist.columns += st.window.cols
+            hist.bundles.append(st.window.rot)
             hist.entries += st.varpi[2:] if state_cls is BiLQState else st.rhs[:2]
             if state_cls is QMRState:  # d_{2k-1}, d_{2k}: block columns 2 and 3
                 hist.directions += list(np.vstack((st.fx, st.fy))[:, 2:4].T)
@@ -229,14 +227,13 @@ def bundle_product(bundles, dim: int) -> np.ndarray:
     return G
 
 
-def _banded(columns, dim: int, side: int) -> np.ndarray:
-    """dim x dim matrix with entry d of recorded column c in row c + side*d
-    (side 1: a lower factor, -1: an upper one), cut to the matrix."""
+def _banded(columns, dim: int) -> np.ndarray:
+    """dim x dim upper factor with entry d of recorded column c in row c - d,
+    cut to the matrix."""
     out = np.zeros((dim, dim))
     for c, col in enumerate(columns[:dim]):
-        for d, entry in enumerate(col):
-            if 0 <= c + side * d < dim:
-                out[c + side * d, c] = entry
+        for d, entry in enumerate(col[:c + 1]):
+            out[c - d, c] = entry
     return out
 
 
@@ -244,19 +241,18 @@ def dense_lq_factors(st: BiLQState, hist: ReductionHistory):
     """(L~, Q~) of the square projected matrix at the state's step k.
 
     L~ is lower banded(4) except for its rotated trailing 2x2 corner and Q~
-    is orthogonal; their product reproduces the projected matrix.  Columns
-    1..2k-2 come from the recorded history, the corner from the window's
-    carries.
+    is orthogonal; their product reproduces the projected matrix.  L~ is
+    the transpose of the upper factor: columns 1..2k-2 from the recorded
+    history, columns 2k-1 and 2k from the window's finished entries and its
+    hand-off corner.
     """
     w = st.window
     dim = 2 * st.k
-    c_k, s_k, rho_dd1 = plane_rotation(w.c_rho1, w.c_alpha)
-    nu_dd = c_k * w.c_nu1 + s_k * w.c_rho2
-    rho_dd2 = -s_k * w.c_nu1 + c_k * w.c_rho2
-    L = _banded(hist.columns, dim, 1)
-    L[dim - 2, dim - 2] = rho_dd1
-    L[dim - 1, dim - 2] = nu_dd
-    L[dim - 1, dim - 1] = rho_dd2
+    c_k, s_k, rho_dd1 = plane_rotation(w.rb1, w.tb)
+    nu_dd = c_k * w.nb1 + s_k * w.rb2
+    rho_dd2 = -s_k * w.nb1 + c_k * w.rb2
+    odd, even = w.ahead
+    L = _banded(hist.columns + [(rho_dd1,) + odd, (rho_dd2, nu_dd) + even], dim).T
     gt = np.eye(dim)
     gt[dim - 2:, dim - 2:] = np.array([[c_k, -s_k], [s_k, c_k]])
     return L, (bundle_product(hist.bundles, dim) @ gt).T
@@ -268,7 +264,7 @@ def dense_qr_factors(hist: ReductionHistory):
     to Q_hat @ [R_hat; 0]."""
     dim = len(hist.columns)
     # the row-rotation bundles premultiply, so Q_hat is their transposed product
-    return bundle_product(hist.bundles, dim + 2), _banded(hist.columns, dim, -1)
+    return bundle_product(hist.bundles, dim + 2), _banded(hist.columns, dim)
 
 
 # -- one measure per invariant ------------------------------------------------

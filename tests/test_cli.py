@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import gpkrylov
-from gpkrylov import read_convergence_csv, write_matrix_market
+from gpkrylov import cli, read_convergence_csv, write_matrix_market
 from gpkrylov.cli import main
+from gpkrylov.verify import CheckResult
 
 from conftest import make_system
 
@@ -152,6 +153,15 @@ def test_check_passes(capsys):
     out = capsys.readouterr().out
     assert "checks passed" in out
     assert "FAIL" not in out
+
+
+def test_check_failure_exits_four(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_invariant_suite", lambda size, seed: [
+        CheckResult("forced failure", False, "1.000e+00 (tol 0)")])
+    assert run("check") == 4
+    out = capsys.readouterr().out
+    assert "FAIL  forced failure" in out
+    assert "0/1 checks passed" in out
 
 
 def test_check_oversize_exits_one():

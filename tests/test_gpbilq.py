@@ -4,8 +4,8 @@ from numpy.testing import assert_allclose
 
 from gpkrylov import (BiLQState, Operator, PartitionedSystem, gpbilq_solve,
                       reduction_init, residual_norm)
-from gpkrylov.gpbilq import LQWindow, substitute_step, transfer_scalars
-from gpkrylov.rotations import plane_rotation, rotation_block
+from gpkrylov.gpbilq import lq_step, substitute_step, transfer_scalars
+from gpkrylov.rotations import BandWindow, plane_rotation, rotation_block
 from gpkrylov.verify import (bundle_product, dense_lq_factors, estimate_gaps,
                              lq_errors, minnorm_gap, projected_system, stepped,
                              transfer_gap)
@@ -26,10 +26,10 @@ def test_rotation_kernel_zero_second_arg_is_identity():
 
 
 def test_first_rotation_identity_when_gamma_zero():
-    w = LQWindow(2.0, 1.0, 0.5, 0.25, 0.1, 0.2)
-    from gpkrylov.gpbilq import lq_step
+    w = BandWindow(2.0, 1.0)
+    lq_step(w, 0.0, 0.0, 0.5, 0.25, 0.1, 0.2)  # k = 1 seeds the hand-off
     lq_step(w, 0.0, 1.0, 0.3, 0.4, 0.5, 0.6)  # gamma_k = 0
-    *_, (c1, s1, *_) = w.finalized()
+    c1, s1, *_ = w.rot
     assert_allclose([c1, s1], [1.0, 0.0])
 
 
@@ -56,9 +56,9 @@ def test_rotation_factors_orthogonal():
 # -- forward substitution ----------------------------------------------------
 
 def test_substitution_startup_rows():
-    w = LQWindow(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    w = BandWindow(1.0, 1.0)
     w.i = 1  # bundle 1 finalized columns 1 and 2: diagonal 4 and 2, no band
-    w.cols = w.cols[2:] + ((4.0, 0.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0, 0.0))
+    w.cols = ((4.0, 0.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0, 0.0))
     *_, w1, w2 = substitute_step(w, (0.0,) * 4, 2.0, 1.0)
     assert_allclose(w1, 0.5)   # beta1 / rho_1
     assert_allclose(w2, 0.5)   # (delta1 - nu_2 w1) / rho_2
@@ -140,7 +140,8 @@ def test_transfer_exact_on_one_by_one(one_by_one):
 
 
 def test_transfer_guard_on_zero_determinant():
-    w = LQWindow(0.0, 0.0, 1.0, 0.0, 0.0, 0.0)  # det = 0*0 - 1*0 = 0
+    w = BandWindow(0.0, 0.0)
+    lq_step(w, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)  # det = 0*0 - 1*0 = 0
     assert transfer_scalars(w, (0.0,) * 4, 1.0, 1.0) is None
 
 

@@ -22,7 +22,7 @@ def test_first_step_diagonal_one_by_one(one_by_one):
     red = reduction_init(one_by_one)
     st = QMRState(one_by_one, red)
     st.advance()
-    col1, _, _ = st.window.finalized()
+    col1, _ = st.window.cols
     assert_allclose(col1[0], np.sqrt(10.0))
 
 
@@ -73,7 +73,7 @@ def test_startup_direction_columns():
     sys_ = make_system(6, 5, seed=93)
     (st, hist), = stepped(QMRState, sys_, 1)
     q1 = hist.qs[0]  # index-1 basis vector
-    (rho1, *_), (rho2, nu12, *_), _ = st.window.finalized()  # nu12: R[1, 2]
+    (rho1, *_), (rho2, nu12, *_) = st.window.cols  # nu12: R[1, 2]
     d1, d2 = hist.directions
     assert_allclose(d1[:6], q1 / rho1, atol=1e-14)
     assert_allclose(d1[6:], 0.0, atol=1e-14)

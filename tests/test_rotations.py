@@ -1,7 +1,13 @@
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
-from gpkrylov.rotations import rotation_block, rotation_bundle
+from gpkrylov.gpbilq import lq_step
+from gpkrylov.gpqmr import qr_step
+from gpkrylov.reduction import reduction_init, reduction_step
+from gpkrylov.rotations import (BandWindow, SingularWindowError,
+                                rotation_block, rotation_bundle)
+from gpkrylov.verify import random_system
 
 
 def explicit_bundle(c1, s1, c2, s2, c3, s3, c4, s4):
@@ -25,3 +31,55 @@ def test_scalar_kernel_matches_explicit_product():
         assert_allclose(rotation_block(*rot), M, rtol=0, atol=1e-15)
         v = rng.uniform(-1.0, 1.0, 4)
         assert_allclose(rotation_bundle(rot, tuple(v)), M @ v, rtol=0, atol=1e-15)
+
+
+# -- the shared sliding window ------------------------------------------------
+
+def _lq_order(w, tb, sub):
+    """[early, late] per step, gpbilq's order: k = 1 seeds rb1 = lam and
+    tb = alpha_1, then rotation 1 pairs rb1 with gamma_2 = ``sub``."""
+    lq_step(w, 0.0, 0.0, tb, 0.25, 0.1, 0.2)
+    lq_step(w, sub, 1.0, 0.3, 0.4, 0.5, 0.6)
+
+
+def _qr_order(w, tb, sub):
+    """[late, early] per step, gpqmr's order: rb1 = lam and tb = theta_1,
+    then rotation 1 pairs rb1 with delta_2 = ``sub``."""
+    qr_step(w, 0.25, tb, 1.0, sub, 0.2, 0.1)
+
+
+@pytest.mark.parametrize("steps", [_lq_order, _qr_order])
+def test_window_raises_on_zero_diagonal_only(steps):
+    w = BandWindow(0.0, 1.0)
+    steps(w, 0.5, 0.0)  # rotation 1 acts on two zeros; rho_1 = |tb| does not vanish
+    (rho1, *_), (rho2, *_) = w.cols
+    assert w.i == 1 and rho1 == 0.5 and rho2 > 0.0
+    w = BandWindow(0.0, 1.0)
+    with pytest.raises(SingularWindowError, match="rows 1-2"):
+        steps(w, 0.0, 0.0)  # tb = 0 as well: rho_1 = 0
+    assert w.i == 0 and w.cols is None  # the window is left as it was
+
+
+def test_both_stage_orders_give_the_same_factorization():
+    """qr_step ([late, early] per step) on a coefficient stream and lq_step
+    ([early, late] per step) on its transpose run the same stages: the
+    early-stage slots agree after qr_step k and lq_step k+1, the late-stage
+    slots after both steps k+1."""
+    sys_ = random_system(40, 40, 11)
+    red = reduction_init(sys_)
+    wq, wl = BandWindow(sys_.lam, sys_.mu), BandWindow(sys_.lam, sys_.mu)
+    early_q = []
+    for _ in range(24):
+        c = reduction_step(red, sys_)
+        assert red.breakdown is None
+        qr_step(wq, c.alpha, c.theta, c.beta_next, c.delta_next, c.gamma_next, c.eta_next)
+        # transposed roles: alpha<->theta, beta<->eta, gamma<->delta
+        lq_step(wl, c.delta_k, c.beta_k, c.theta, c.alpha, c.eta_next, c.gamma_next)
+        late = [(w.ahead, w.far, w.rb1, w.tb, w.nb1, w.zb1, w.omega_bar, w.nu_bar)
+                for w in (wq, wl)]
+        assert late[0] == late[1]
+        if early_q:
+            assert early_q[-1] == (wl.i, wl.cols, wl.rot, wl.rb2, wl.omega_check,
+                                   wl.zeta_odd)
+        early_q.append((wq.i, wq.cols, wq.rot, wq.rb2, wq.omega_check, wq.zeta_odd))
+    assert wq.i == 24 and len(set(wq.rot)) == 8
