@@ -63,40 +63,43 @@ class HessenbergProcessState:
         self.terminated = False
 
     def step(self) -> bool:
-        """Extend both bases by at most one column; False on termination."""
+        """Extend both bases by at most one column; False on termination.
+        A remainder norm <= 1e-13 max(1, max |coefficient|) counts as zero."""
         if self.terminated:
             raise RuntimeError("process has terminated")
         sys, nv, nu = self.sys, self.nv, self.nu
         pv, pu = len(self.vcol), len(self.ucol)
-        h = f = None
+        h, f, tiny = None, None, 1e-13
         if pu < nu:
             w = sys.A.apply(self.ub[:, pu])
-            h = _orthogonalize(w, self.vb[:, :nv])
+            h, hn = _orthogonalize(w, self.vb[:, :nv])
+            tiny = max(tiny, 1e-13 * abs(h).max())
         if pv < nv:
             z = sys.B.apply(self.vb[:, pv])
-            f = _orthogonalize(z, self.ub[:, :nu])
-        tiny = 1e-13 * max(1.0, *(np.max(np.abs(c[:-1])) for c in (h, f)
-                                  if c is not None))
+            f, fn = _orthogonalize(z, self.ub[:, :nu])
+            tiny = max(tiny, 1e-13 * abs(f).max())
         rows = 2 * max(nv, nu) + 2  # every vector this step can create
         if f is not None:  # column of v_pv: lam on its row, F on the u rows
             col = np.zeros(rows)
             col[2 * pv] = sys.lam
-            col[1:2 * nu + 2:2] = f
+            col[1:2 * nu:2] = f
+            col[2 * nu + 1] = fn
             self.vcol.append(len(self.cols))
             self.cols.append(col)
         if h is not None:  # column of u_pu: H on the v rows, mu on its row
             col = np.zeros(rows)
-            col[0:2 * nv + 1:2] = h
+            col[0:2 * nv:2] = h
+            col[2 * nv] = hn
             col[2 * pu + 1] = sys.mu
             self.ucol.append(len(self.cols))
             self.cols.append(col)
-        if h is not None and h[-1] > tiny and nv < self.limits[0]:
+        if h is not None and hn > tiny and nv < self.limits[0]:
             self.vb = _room(self.vb, nv, self.limits[0])
-            np.divide(w, h[-1], out=self.vb[:, nv])
+            np.divide(w, hn, out=self.vb[:, nv])
             self.nv += 1
-        if f is not None and f[-1] > tiny and nu < self.limits[1]:
+        if f is not None and fn > tiny and nu < self.limits[1]:
             self.ub = _room(self.ub, nu, self.limits[1])
-            np.divide(z, f[-1], out=self.ub[:, nu])
+            np.divide(z, fn, out=self.ub[:, nu])
             self.nu += 1
         self.k += 1
         self.terminated = (self.nv, self.nu) == (nv, nu)
@@ -117,21 +120,21 @@ class HessenbergProcessState:
         return M
 
 
-def _orthogonalize(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
+def _orthogonalize(w: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, float]:
     """Project w, in place, off the orthonormal columns of Q by classical
     Gram-Schmidt, with a second pass when the first one removed more than
     half of ||w||^2 (the DGKS test).  Returns the projection coefficients
-    followed by the norm of what remains."""
-    before = np.linalg.norm(w)
+    and the remainder's norm sqrt(w.w), the value np.linalg.norm computes."""
+    before = math.sqrt(w.dot(w))
     d = Q.T @ w
     w -= Q @ d
-    after = np.linalg.norm(w)
+    after = math.sqrt(w.dot(w))
     if after <= before * math.sqrt(0.5):
         e = Q.T @ w
         w -= Q @ e
         d += e
-        after = np.linalg.norm(w)
-    return np.append(d, after)
+        after = math.sqrt(w.dot(w))
+    return d, after
 
 
 def _room(block: np.ndarray, used: int, limit: int) -> np.ndarray:

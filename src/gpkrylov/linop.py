@@ -53,7 +53,9 @@ class Operator:
 
     @classmethod
     def from_matrix(cls, mat) -> "Operator":
-        """Wrap a dense ndarray or scipy sparse matrix (kept by reference)."""
+        """Wrap a dense ndarray or scipy sparse matrix.  A float64 ndarray is
+        kept by reference; other dense input is converted (a copy), and sparse
+        input is copied to float CSR with a CSR snapshot of its transpose."""
         if sparse.issparse(mat):
             mat = mat.tocsr().astype(float)
             mat_t = mat.T.tocsr()

@@ -1,13 +1,7 @@
 import pytest
 
+from gpk_support import ACCEPTANCE_RESULTS
 from gpkrylov import Operator, PartitionedSystem
-from gpkrylov.verify import random_system as make_system
-
-ACCEPTANCE_RESULTS = []
-
-
-def record_acceptance(criterion: str, passed: bool, detail: str = ""):
-    ACCEPTANCE_RESULTS.append((criterion, passed, detail))
 
 
 def pytest_terminal_summary(terminalreporter):

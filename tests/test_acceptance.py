@@ -21,7 +21,7 @@ from gpkrylov.verify import (ReductionHistory, build_projected_h,
                              projected_system, qr_errors, reduction_errors,
                              stepped, transfer_gap)
 
-from conftest import make_system, record_acceptance
+from gpk_support import make_system, record_acceptance
 
 
 def test_criterion_1_reduction_invariants():

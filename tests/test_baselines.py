@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,7 +14,7 @@ from gpkrylov.linop import Operator, PartitionedSystem
 from gpkrylov.verify import (oracle_dense_solve, oracle_lsq, oracle_minnorm,
                              random_system)
 
-from conftest import make_system
+from gpk_support import make_system
 
 
 # -- simultaneous Hessenberg process ------------------------------------------
@@ -143,6 +145,23 @@ def test_bases_stay_orthonormal_on_a_graded_spectrum():
     V, U = proc.V(40), proc.U(40)
     assert np.linalg.norm(V.T @ V - np.eye(40)) <= 1e-12
     assert np.linalg.norm(U.T @ U - np.eye(40)) <= 1e-12
+
+
+@pytest.mark.parametrize("near_span", [True, False])
+def test_orthogonalize_returns_coefficients_and_remainder_norm(near_span):
+    rng = np.random.default_rng(216)
+    Q, _ = np.linalg.qr(rng.standard_normal((50, 8)))
+    w_in = rng.standard_normal(50)
+    if near_span:  # 1e-8 off span(Q): a single pass loses orthogonality
+        w_in = Q @ rng.standard_normal(8) + 1e-8 * (w_in - Q @ (Q.T @ w_in))
+    one_pass = w_in - Q @ (Q.T @ w_in)
+    assert (np.linalg.norm(one_pass) <= np.linalg.norm(w_in) / np.sqrt(2)) == near_span
+    w = w_in.copy()
+    d, after = baselines._orthogonalize(w, Q)
+    assert d.shape == (8,) and isinstance(after, float)
+    assert_allclose(Q @ d + w, w_in, rtol=0, atol=1e-14 * np.linalg.norm(w_in))
+    assert np.linalg.norm(Q.T @ w) <= 1e-14 * after
+    assert after == math.sqrt(w.dot(w)) == np.linalg.norm(w)
 
 
 # -- GPMR ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from gpkrylov import cli, read_convergence_csv, write_matrix_market
 from gpkrylov.cli import main
 from gpkrylov.verify import CheckResult
 
-from conftest import make_system
+from gpk_support import make_system
 
 
 @pytest.fixture

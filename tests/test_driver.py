@@ -6,7 +6,7 @@ import pytest
 from gpkrylov import (NONFINITE, Operator, PartitionedSystem, gpbilq_solve,
                       gpmr_solve, gpqmr_solve, residual_norm)
 
-from conftest import make_system
+from gpk_support import make_system
 
 SOLVERS = {
     "gpbilq": lambda s, **kw: gpbilq_solve(s, monitor="l", **kw),

@@ -10,7 +10,7 @@ from gpkrylov.verify import (bundle_product, dense_lq_factors, estimate_gaps,
                              lq_errors, minnorm_gap, projected_system, stepped,
                              transfer_gap)
 
-from conftest import make_system
+from gpk_support import make_system
 
 
 # -- rotation kernel and window ----------------------------------------------

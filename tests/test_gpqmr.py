@@ -7,7 +7,7 @@ from gpkrylov.rotations import plane_rotation, rotation_block
 from gpkrylov.verify import (dense_qr_factors, lsq_gaps, projected_system,
                              qr_errors, stepped)
 
-from conftest import make_system
+from gpk_support import make_system
 
 
 # -- factorization window ----------------------------------------------------

@@ -12,7 +12,7 @@ if ROOT not in sys.path:
 from gpkrylov import gpbilq_solve, gpmr_solve, gpqmr_solve  # noqa: E402
 from perfbench.spans import TARGETS, Tracer  # noqa: E402
 
-from conftest import make_system  # noqa: E402
+from gpk_support import make_system  # noqa: E402
 
 
 def test_benchmark_targets_trace_a_solve_and_are_restored():

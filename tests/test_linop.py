@@ -7,7 +7,7 @@ from gpkrylov import (Operator, PartitionedSystem, apply_partitioned,
                       assemble_dense, residual_norm)
 from gpkrylov.linop import adjoint_mismatch
 
-from conftest import make_system
+from gpk_support import make_system
 
 
 def test_apply_one_by_one(one_by_one):

@@ -7,7 +7,7 @@ from gpkrylov import (BreakdownReport, Operator, PartitionedSystem,
 from gpkrylov.verify import (ReductionHistory, build_projected_h,
                              reduction_errors)
 
-from conftest import make_system
+from gpk_support import make_system
 
 
 def run_steps(sys_, steps):
