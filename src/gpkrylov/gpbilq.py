@@ -151,13 +151,12 @@ class BiLQState:
         red = self.red
         coeffs = reduction_step(red, self.sys)
         w = self.window
-        rot_prev = w.rot
+        self.rot_prev = w.rot
         lq_step(w, coeffs.gamma_k, coeffs.eta_k, coeffs.alpha, coeffs.theta,
                 coeffs.beta_next, coeffs.delta_next)
         if w.i == 0:
             self.coeffs = coeffs
             return coeffs
-        self.rot_prev = rot_prev
         self.varpi = substitute_step(w, self.varpi, red.beta1, red.delta1)
         self.k = coeffs.k
         _, _, w1, w2 = self.varpi
@@ -201,11 +200,11 @@ class BiLQState:
 
     def _z_tail(self):
         """Last four entries of the expanded minimum-norm solution: the last
-        two bundles applied to the trailing substitution entries."""
+        two bundles applied to the trailing substitution entries (at k = 2
+        the bundle before is the window's bundle 0, the identity)."""
         v1, v2, v3, v4 = self.varpi
         z3, z4, z5, z6 = rotation_bundle(self.window.rot, (v3, v4, 0.0, 0.0))
-        if self.k >= 3:
-            _, _, z3, z4 = rotation_bundle(self.rot_prev, (v1, v2, z3, z4))
+        _, _, z3, z4 = rotation_bundle(self.rot_prev, (v1, v2, z3, z4))
         return z3, z4, z5, z6
 
     def estimate_residual_l(self) -> float:
@@ -230,15 +229,13 @@ class BiLQState:
         return float(np.sqrt(max(q_part, 0.0) + max(u_part, 0.0)))
 
     def estimate_residual_c(self) -> float:
-        """Residual norm of the square-system iterate at the current step."""
+        """Residual norm of the square-system iterate at the current step
+        (at k = 1 the window's bundle is bundle 0, the identity)."""
         if self.transfer is None:
             raise ValueError("transfer iterate is not defined at this step")
         a, b = self.transfer
-        if self.k >= 2:
-            _, _, z_odd, z_even = rotation_bundle(
-                self.window.rot, (*self.varpi[2:], a, b))
-        else:
-            z_odd, z_even = a, b
+        _, _, z_odd, z_even = rotation_bundle(self.window.rot,
+                                              (*self.varpi[2:], a, b))
         co = self.coeffs
         chi_t = co.beta_next * z_even
         varsigma_t = co.delta_next * z_odd

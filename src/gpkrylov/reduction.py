@@ -90,64 +90,85 @@ class StepCoeffs(NamedTuple):
 
 
 class ReductionState:
-    """Single-owner sliding window of the reduction (index k = current)."""
+    """Single-owner sliding window of the reduction (index k = current).
+    A fresh one is the zero window at k = 0 (zero vectors, couplings and
+    norms), from which ``_normalize`` forms index 1 as it forms the rest."""
 
-    __slots__ = (
-        "k", "p_prev", "p_cur", "q_prev", "q_cur", "u_prev", "u_cur",
-        "v_prev", "v_cur", "alpha", "theta", "beta", "gamma", "delta", "eta",
-        "beta1", "delta1", "q_norm", "u_norm", "q_prev_norm", "u_prev_norm",
-        "vec_scale", "breakdown",
-    )
+    __slots__ = ("k", "p_prev", "p_cur", "q_prev", "q_cur", "u_prev", "u_cur",
+                 "v_prev", "v_cur", "beta", "gamma", "delta", "eta", "beta1",
+                 "delta1", "q_norm", "u_norm", "q_prev_norm", "u_prev_norm",
+                 "vec_scale", "breakdown")
 
-    def __init__(self):
+    def __init__(self, m: int, n: int):
         self.k = 0
-        self.alpha = 0.0
-        self.theta = 0.0
-        self.breakdown = None
+        self.p_prev, self.p_cur, self.q_prev, self.q_cur = map(np.zeros, [m] * 4)
+        self.u_prev, self.u_cur, self.v_prev, self.v_cur = map(np.zeros, [n] * 4)
+        self.beta = self.gamma = self.delta = self.eta = 0.0
+        self.q_norm = self.u_norm = 0.0
         self.vec_scale = 1.0
+        self.breakdown = None
+
+
+def _scale(w, x, y, nx, ny, nb, out_x, out_y):
+    """Normalize one new pair x, y (inner product w, norms nx, ny) into
+    out_x, out_y: x takes the root r = sqrt|w| and y the signed quotient
+    w / r.  Returns (r, w / r, nb / |w / r|), where nb is the norm of the
+    one that becomes a basis vector.  A pair with |w| <= BREAKDOWN_RTOL *
+    max(1, nx ny) broke down: it is zeroed and all three are zero."""
+    if abs(w) <= BREAKDOWN_RTOL * max(1.0, nx * ny):
+        out_x.fill(0.0)
+        out_y.fill(0.0)
+        return 0.0, 0.0, 0.0
+    root = math.sqrt(abs(w))
+    quot = w / root
+    np.divide(x, root, out=out_x)
+    np.divide(y, quot, out=out_y)
+    return root, quot, nb / abs(quot)
+
+
+def _normalize(st: ReductionState, pq, p, q, np_, nq, uv, u, v, nu, nv) -> None:
+    """The one normalization and breakdown rule of the start and of every
+    step: scale the new pairs (p, q) and (u, v), given with their inner
+    products and norms, into the retiring prev buffers (``_scale``), which
+    then swap roles with cur, and advance k.  A breakdown is reported at
+    iteration k+1 on the first dead pair, lucky if each dead pair has a
+    vector below LUCKY_VEC_RTOL * ``vec_scale``.
+    """
+    st.vec_scale = max(st.vec_scale, np_, nq, nu, nv)
+    eta, beta, nq_next = _scale(pq, p, q, np_, nq, nq, st.p_prev, st.q_prev)
+    delta, gamma, nu_next = _scale(uv, u, v, nu, nv, nu, st.u_prev, st.v_prev)
+    if not (eta and delta):  # a live pair's root is positive
+        vec_tol = LUCKY_VEC_RTOL * st.vec_scale
+        dead = [(kind, abs(w), min(nx, ny) <= vec_tol) for kind, w, nx, ny, root
+                in (("p_q", pq, np_, nq, eta), ("u_v", uv, nu, nv, delta)) if not root]
+        st.breakdown = BreakdownReport(*dead[0][:2], st.k + 1,
+                                       all(lucky for *_, lucky in dead))
+    st.eta, st.beta, st.delta, st.gamma = eta, beta, delta, gamma
+    st.q_prev_norm, st.q_norm = st.q_norm, nq_next
+    st.u_prev_norm, st.u_norm = st.u_norm, nu_next
+    st.p_prev, st.p_cur = st.p_cur, st.p_prev
+    st.q_prev, st.q_cur = st.q_cur, st.q_prev
+    st.u_prev, st.u_cur = st.u_cur, st.u_prev
+    st.v_prev, st.v_cur = st.v_cur, st.v_prev
+    st.k += 1
 
 
 def reduction_init(sys: PartitionedSystem) -> Union[ReductionState, BreakdownReport]:
     """Scale the starting vectors into the first biorthogonal quadruple.
 
-    Returns the initialized state, or a BreakdownReport at iteration 1 when
-    f^T b or c^T g is negligible (the process cannot start).
+    The zero window takes (f, b) and (c, g), with whole-vector inner
+    products and norms, through the step's own normalization.  Returns the
+    state at k = 1, or the BreakdownReport at iteration 1 when f^T b or
+    c^T g is negligible (the process cannot start).
     """
     f, b, c, g = sys.f, sys.b, sys.c, sys.g
-    fb = float(f @ b)
-    cg = float(c @ g)
     nf, nb = np.linalg.norm(f), np.linalg.norm(b)
     nc, ng = np.linalg.norm(c), np.linalg.norm(g)
-    scale = max(1.0, nf, nb, nc, ng)
-    if abs(fb) <= BREAKDOWN_RTOL * max(1.0, nf * nb):
-        lucky = bool(min(nf, nb) <= LUCKY_VEC_RTOL * scale)
-        return BreakdownReport("p_q", abs(fb), 1, lucky)
-    if abs(cg) <= BREAKDOWN_RTOL * max(1.0, nc * ng):
-        lucky = bool(min(nc, ng) <= LUCKY_VEC_RTOL * scale)
-        return BreakdownReport("u_v", abs(cg), 1, lucky)
-
-    eta1 = math.sqrt(abs(fb))
-    beta1 = fb / eta1
-    delta1 = math.sqrt(abs(cg))
-    gamma1 = cg / delta1
-
-    st = ReductionState()
-    st.k = 1
-    st.p_cur = f / eta1
-    st.q_cur = b / beta1
-    st.u_cur = c / delta1
-    st.v_cur = g / gamma1
-    st.p_prev = np.zeros(sys.m)
-    st.q_prev = np.zeros(sys.m)
-    st.u_prev = np.zeros(sys.n)
-    st.v_prev = np.zeros(sys.n)
-    st.beta, st.gamma, st.delta, st.eta = beta1, gamma1, delta1, eta1
-    st.beta1, st.delta1 = beta1, delta1
-    st.q_norm = nb / abs(beta1)
-    st.u_norm = nc / abs(delta1)
-    st.q_prev_norm = 0.0
-    st.u_prev_norm = 0.0
-    st.vec_scale = scale
+    st = ReductionState(sys.m, sys.n)
+    _normalize(st, float(f @ b), f, b, nf, nb, float(c @ g), c, g, nc, ng)
+    if st.breakdown is not None:
+        return st.breakdown
+    st.beta1, st.delta1 = st.beta, st.delta
     return st
 
 
@@ -196,15 +217,15 @@ def reduction_step(state: ReductionState, sys: PartitionedSystem) -> StepCoeffs:
     All vector updates reuse the window buffers; the only fresh arrays are
     the four operator results.  The three-term updates, the two inner
     products and the four norms take one pass over row strips per side;
-    alpha, theta and the normalizations are whole-vector calls.  On
-    breakdown the offending pair's index-k+1 scalars and vectors are zeroed,
-    ``state.breakdown`` is set, and the partial coefficients of step k are
-    still returned so a driver can finish its in-flight iteration.  Further
-    calls after a breakdown raise.
+    alpha, theta and the normalizations are whole-vector calls.  After a
+    breakdown (see ``_normalize``) the coefficients of step k are still
+    returned so a driver can finish its in-flight iteration, and further
+    calls raise.
     """
     if state.breakdown is not None:
         raise RuntimeError("reduction already broke down; cannot step further")
     k = state.k
+    beta, gamma, delta, eta = state.beta, state.gamma, state.delta, state.eta
     Au = sys.A.apply(state.u_cur)
     ATp = sys.A.apply_transpose(state.p_cur)
     Bq = sys.B.apply(state.q_cur)
@@ -218,62 +239,10 @@ def reduction_step(state: ReductionState, sys: PartitionedSystem) -> StepCoeffs:
     # vtilde = A^T p - beta_k v_{k-1} - alpha v_k, with each pair's inner
     # product and squared norms, in one sweep per side
     pq, pp, qq = _sweep(state.p_prev, state.p_cur, BTv, state.q_prev, state.q_cur,
-                        Au, state.delta, theta, state.gamma, alpha)
+                        Au, delta, theta, gamma, alpha)
     uv, uu, vv = _sweep(state.u_prev, state.u_cur, Bq, state.v_prev, state.v_cur,
-                        ATp, state.eta, theta, state.beta, alpha)
-    np_, nq, nu, nv = math.sqrt(pp), math.sqrt(qq), math.sqrt(uu), math.sqrt(vv)
-    state.vec_scale = max(state.vec_scale, np_, nq, nu, nv)
-
-    pq_down = abs(pq) <= BREAKDOWN_RTOL * max(1.0, np_ * nq)
-    uv_down = abs(uv) <= BREAKDOWN_RTOL * max(1.0, nu * nv)
-
-    vec_tol = LUCKY_VEC_RTOL * state.vec_scale
-    if pq_down or uv_down:
-        lucky = ((not pq_down or min(np_, nq) <= vec_tol)
-                 and (not uv_down or min(nu, nv) <= vec_tol))
-        state.breakdown = BreakdownReport("p_q" if pq_down else "u_v",
-                                          abs(pq if pq_down else uv), k + 1, lucky)
-
-    # Normalize into the retiring prev buffers, then swap roles so that
-    # cur -> index k+1 and prev -> index k.  A dead pair contributes zero
-    # vectors and zero coupling scalars from here on.
-    if pq_down:
-        eta_next = beta_next = 0.0
-        state.p_prev.fill(0.0)
-        state.q_prev.fill(0.0)
-        nq_next = 0.0
-    else:
-        eta_next = math.sqrt(abs(pq))
-        beta_next = pq / eta_next
-        np.divide(BTv, eta_next, out=state.p_prev)
-        np.divide(Au, beta_next, out=state.q_prev)
-        nq_next = nq / abs(beta_next)
-    if uv_down:
-        delta_next = gamma_next = 0.0
-        state.u_prev.fill(0.0)
-        state.v_prev.fill(0.0)
-        nu_next = 0.0
-    else:
-        delta_next = math.sqrt(abs(uv))
-        gamma_next = uv / delta_next
-        np.divide(Bq, delta_next, out=state.u_prev)
-        np.divide(ATp, gamma_next, out=state.v_prev)
-        nu_next = nu / abs(gamma_next)
-    state.p_prev, state.p_cur = state.p_cur, state.p_prev
-    state.q_prev, state.q_cur = state.q_cur, state.q_prev
-    state.u_prev, state.u_cur = state.u_cur, state.u_prev
-    state.v_prev, state.v_cur = state.v_cur, state.v_prev
-
-    coeffs = StepCoeffs(k, alpha, theta,
-                        state.beta, state.gamma, state.delta, state.eta,
-                        beta_next, gamma_next, delta_next, eta_next)
-
-    state.q_prev_norm = state.q_norm
-    state.u_prev_norm = state.u_norm
-    state.q_norm = nq_next
-    state.u_norm = nu_next
-    state.alpha, state.theta = alpha, theta
-    state.beta, state.gamma, state.delta, state.eta = (
-        beta_next, gamma_next, delta_next, eta_next)
-    state.k = k + 1
-    return coeffs
+                        ATp, eta, theta, beta, alpha)
+    _normalize(state, pq, BTv, Au, math.sqrt(pp), math.sqrt(qq),
+               uv, Bq, ATp, math.sqrt(uu), math.sqrt(vv))
+    return StepCoeffs(k, alpha, theta, beta, gamma, delta, eta,
+                      state.beta, state.gamma, state.delta, state.eta)

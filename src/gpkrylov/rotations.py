@@ -85,9 +85,10 @@ class BandWindow:
     stage adds) and in ``far`` those of columns 2j+3 and 2j+4.  The
     hand-off (rb1, tb, nb1, zb1, rb2) holds the partly rotated entries the
     next early stage starts from; its leading 2x2 [[rb1, nb1], [tb, rb2]]
-    is the trailing corner of the square projection's factor.  The hand-off
-    is None until the first late stage, whose first-step branch seeds it
-    straight from the first diagonal block.
+    is the trailing corner of the square projection's factor.  A fresh
+    window holds bundle 0, the identity, and rb2 = mu; its late stage, the
+    general one, seeds (rb1, tb, nb1, zb1) with its (lam, theta, alpha,
+    gamma) and nu_bar with eta.  rb1 is None until then.
     """
 
     __slots__ = ("lam", "mu", "i", "cols", "rot", "ahead", "far", "rb1", "tb",
@@ -98,10 +99,12 @@ class BandWindow:
         self.lam = float(lam)
         self.mu = float(mu)
         self.i = 0
-        self.cols = self.rot = None
+        self.cols = None
+        self.rot = (1.0, 0.0) * 4
         self.ahead = ((0.0,) * 4, (0.0,) * 3)
         self.far = (0.0,) * 3
-        self.rb1 = self.tb = self.nb1 = self.zb1 = self.rb2 = None
+        self.rb1 = self.tb = self.nb1 = self.zb1 = None
+        self.rb2 = self.mu
         # pending scalars of the late stage: from the last late stage
         # (omega_bar, nu_bar) and from the early stage (omega_check, and
         # zeta_odd, the finished entry of row 2i-1 in column 2i+2)
@@ -141,12 +144,6 @@ class BandWindow:
         """Late stage of bundle i: the rest of rows 2i-1 and 2i (into
         ``ahead`` and ``far``) and the hand-off to bundle i+1."""
         lam = self.lam
-        if self.i == 0:
-            # the entries this stage finishes would lie in rows -1 and 0
-            self.rb1, self.tb, self.nb1, self.zb1 = lam, theta, alpha, gamma
-            self.rb2 = self.mu
-            self.omega_bar, self.nu_bar = 0.0, eta
-            return
         c1, s1, c2, s2, c3, s3, c4, s4 = self.rot
         ob, nb, oc = self.omega_bar, self.nu_bar, self.omega_check
         omega_t = c1 * ob + s1 * theta

@@ -52,13 +52,24 @@ def test_init_negative_product_sign_convention():
     assert_allclose(red.p_cur @ red.q_cur, 1.0)
 
 
-def test_init_orthogonal_start_breaks_down():
+E1, E2, ONES = [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]
+
+
+# A breakdown is lucky only when every pair that broke down is: a vanished
+# b beside a serious c ⟂ g is serious, reported on the first pair.
+@pytest.mark.parametrize("f, b, c, g, kind", [
+    (E1, E2, ONES, ONES, "p_q"),
+    (ONES, ONES, E1, E2, "u_v"),
+    (E1, E2, E1, E2, "p_q"),
+    (E1, [0.0, 1e-20], E1, E2, "p_q"),
+], ids=["f_perp_b", "c_perp_g", "both_serious", "lucky_and_serious"])
+def test_init_orthogonal_start_breaks_down(f, b, c, g, kind):
     sys_ = PartitionedSystem(1.0, 1.0, Operator.from_matrix(np.eye(2)),
-                             Operator.from_matrix(np.eye(2)),
-                             [0.0, 1.0], np.ones(2), f=[1.0, 0.0])
+                             Operator.from_matrix(np.eye(2)), b, c, f=f, g=g)
     rep = reduction_init(sys_)
     assert isinstance(rep, BreakdownReport)
-    assert rep.kind == "p_q" and rep.iteration == 1 and not rep.lucky
+    assert rep.kind == kind and rep.iteration == 1 and not rep.lucky
+    assert rep.magnitude == 0.0
 
 
 # -- stepping ----------------------------------------------------------------
@@ -107,6 +118,29 @@ def test_normalization_products_are_one():
         reduction_step(red, sys_)
         assert_allclose(red.p_cur @ red.q_cur, 1.0, atol=1e-12)
         assert_allclose(red.u_cur @ red.v_cur, 1.0, atol=1e-12)
+
+
+def test_basis_norms_follow_the_window():
+    """q_norm and u_norm, which gpbilq's estimate reads, are the norms of
+    q_cur and u_cur, the *_prev_norm slots their previous values, and
+    vec_scale the running maximum of the unnormalized vectors' norms."""
+    sys_ = make_system(9, 6, seed=23, fg_random=True)
+    red = reduction_init(sys_)
+    norm = np.linalg.norm
+    scale = max(1.0, *(norm(v) for v in (sys_.f, sys_.b, sys_.c, sys_.g)))
+    prev = (0.0, 0.0)
+    for step in range(5):
+        if step:
+            reduction_step(red, sys_)
+            assert red.breakdown is None
+            # the new pairs before normalization: eta p, beta q, delta u, gamma v
+            scale = max(scale, red.eta * norm(red.p_cur), abs(red.beta) * norm(red.q_cur),
+                        red.delta * norm(red.u_cur), abs(red.gamma) * norm(red.v_cur))
+        assert red.vec_scale == pytest.approx(scale, rel=1e-14)
+        assert (red.q_prev_norm, red.u_prev_norm) == prev
+        assert_allclose([red.q_norm, red.u_norm],
+                        [norm(red.q_cur), norm(red.u_cur)], rtol=1e-14)
+        prev = (red.q_norm, red.u_norm)
 
 
 def test_four_operator_applications_per_step():
