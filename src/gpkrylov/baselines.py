@@ -35,8 +35,9 @@ class HessenbergProcessState:
     1976), so the bases stay orthonormal to working precision.  A side whose
     remainder vanishes gains no vector; the other side keeps extending, and
     the process terminates when neither side gains one.
-    ``projected()`` maps the processed vectors (columns, in the order
-    ``vcol``/``ucol`` give) onto all of them (v_i on row 2i, u_i on 2i+1).
+    ``new`` holds the step's column of F = U^T B V and of H = V^T A U, one
+    (side, index, coefficients, remainder norm) entry per processed vector
+    (side 0 for v_index, 1 for u_index), v first; the next step replaces it.
     The bases are the leading columns of two blocks that start at
     FIRST_BLOCK columns and double up to ``limit`` (at most the side's
     dimension); ``V(k)``/``U(k)`` are views.
@@ -57,8 +58,8 @@ class HessenbergProcessState:
         np.divide(b0, self.beta, out=self.vb[:, 0])
         np.divide(c0, self.gamma, out=self.ub[:, 0])
         self.nv = self.nu = 1
-        self.cols: list[np.ndarray] = []
-        self.vcol, self.ucol = [], []  # column of each processed v, u
+        self.pv = self.pu = 0  # processed vectors per side
+        self.new = ()
         self.k = 0
         self.terminated = False
 
@@ -67,8 +68,7 @@ class HessenbergProcessState:
         A remainder norm <= 1e-13 max(1, max |coefficient|) counts as zero."""
         if self.terminated:
             raise RuntimeError("process has terminated")
-        sys, nv, nu = self.sys, self.nv, self.nu
-        pv, pu = len(self.vcol), len(self.ucol)
+        sys, nv, nu, pv, pu = self.sys, self.nv, self.nu, self.pv, self.pu
         h, f, tiny = None, None, 1e-13
         if pu < nu:
             w = sys.A.apply(self.ub[:, pu])
@@ -78,29 +78,20 @@ class HessenbergProcessState:
             z = sys.B.apply(self.vb[:, pv])
             f, fn = _orthogonalize(z, self.ub[:, :nu])
             tiny = max(tiny, 1e-13 * abs(f).max())
-        rows = 2 * max(nv, nu) + 2  # every vector this step can create
-        if f is not None:  # column of v_pv: lam on its row, F on the u rows
-            col = np.zeros(rows)
-            col[2 * pv] = sys.lam
-            col[1:2 * nu:2] = f
-            col[2 * nu + 1] = fn
-            self.vcol.append(len(self.cols))
-            self.cols.append(col)
-        if h is not None:  # column of u_pu: H on the v rows, mu on its row
-            col = np.zeros(rows)
-            col[0:2 * nv:2] = h
-            col[2 * nv] = hn
-            col[2 * pu + 1] = sys.mu
-            self.ucol.append(len(self.cols))
-            self.cols.append(col)
-        if h is not None and hn > tiny and nv < self.limits[0]:
-            self.vb = _room(self.vb, nv, self.limits[0])
-            np.divide(w, hn, out=self.vb[:, nv])
-            self.nv += 1
-        if f is not None and fn > tiny and nu < self.limits[1]:
-            self.ub = _room(self.ub, nu, self.limits[1])
-            np.divide(z, fn, out=self.ub[:, nu])
-            self.nu += 1
+        self.new = ((0, pv, f, fn),) if f is not None else ()
+        if h is not None:
+            self.new += ((1, pu, h, hn),)
+            self.pu += 1
+            if hn > tiny and nv < self.limits[0]:
+                self.vb = _room(self.vb, nv, self.limits[0])
+                np.divide(w, hn, out=self.vb[:, nv])
+                self.nv += 1
+        if f is not None:
+            self.pv += 1
+            if fn > tiny and nu < self.limits[1]:
+                self.ub = _room(self.ub, nu, self.limits[1])
+                np.divide(z, fn, out=self.ub[:, nu])
+                self.nu += 1
         self.k += 1
         self.terminated = (self.nv, self.nu) == (nv, nu)
         return not self.terminated
@@ -110,14 +101,6 @@ class HessenbergProcessState:
 
     def U(self, k: int) -> np.ndarray:
         return self.ub[:, :k]
-
-    def projected(self) -> np.ndarray:
-        """Interleaved projection of the full block matrix: rows 2i and
-        2i+1 for v_i and u_i, one column per processed vector."""
-        M = np.zeros((len(self.cols[-1]) if self.cols else 2, len(self.cols)))
-        for j, col in enumerate(self.cols):
-            M[:len(col), j] = col
-        return M
 
 
 def _orthogonalize(w: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, float]:
@@ -149,45 +132,61 @@ def _room(block: np.ndarray, used: int, limit: int) -> np.ndarray:
 class _GrowingQR:
     """Incremental QR of the interleaved projected matrix (GMRES-style).
 
-    Columns arrive one or two at a time; Givens rotations are stored and
+    Row 2i of the projection belongs to v_i and row 2i+1 to u_i.  The column
+    of a processed vector holds lam (v) or mu (u) on its own row and its
+    Hessenberg coefficients and remainder norm on the other side's rows.
+    Columns arrive one or two a step; Givens rotations are stored and
     replayed on each new column, so the minimum projected residual is
-    available every step without refactorizing.  The replay runs on Python
+    available every step without refactorizing.  The columns are Python
     floats, which is the same arithmetic as on numpy scalars at a fraction
-    of the cost.
+    of the cost.  ``basis`` holds, per unknown, the row of the basis vector
+    it multiplies.
     """
 
-    def __init__(self, beta: float, gamma: float):
+    def __init__(self, lam: float, mu: float, beta: float, gamma: float):
+        self.diag = (float(lam), float(mu))
         self.r_cols: list[list[float]] = []
         self.rots: list[tuple[int, float, float]] = []
         self.g = [beta, gamma]
+        self.basis: list[int] = []
+        self.processed = [0, 0]  # v's and u's whose columns arrived
 
-    def push_column(self, col: np.ndarray) -> bool:
-        """Append one column; False (no unknown) if it depends on the others."""
-        j = len(self.r_cols)
-        col, g = col.tolist(), self.g
-        g += [0.0] * (len(col) - len(g))  # new rows start at zero
-        for i, c, s in self.rots:
-            a, b = col[i], col[i + 1]
-            col[i] = c * a + s * b
-            col[i + 1] = -s * a + c * b
-        for i in range(len(col) - 1, j, -1):
-            if col[i] == 0.0:
-                continue
-            c, s, r = plane_rotation(col[i - 1], col[i])
-            col[i - 1], col[i] = r, 0.0
-            self.rots.append((i - 1, c, s))
-            a, b = g[i - 1], g[i]
-            g[i - 1] = c * a + s * b
-            g[i] = -s * a + c * b
-        if abs(col[j]) <= 1e-12 * math.hypot(*col):
-            return False  # the rotations touched rows >= j only: R is intact
-        self.r_cols.append(col[:j + 1])
-        return True
+    def extend(self, entries) -> None:
+        """Append the columns of a Hessenberg step's ``new`` entries; a
+        column that depends on the others adds no unknown."""
+        g = self.g
+        for side, index, coeffs, norm in entries:
+            n, j = len(coeffs), len(self.r_cols)
+            col = [0.0] * max(len(g), 2 * n + 2 - side)
+            col[2 * index + side] = self.diag[side]
+            col[1 - side:2 * n + 1 - side:2] = coeffs.tolist()
+            col[2 * n + 1 - side] = norm
+            self.processed[side] = index + 1
+            g += [0.0] * (len(col) - len(g))  # new rows start at zero
+            for i, c, s in self.rots:
+                a, b = col[i], col[i + 1]
+                col[i] = c * a + s * b
+                col[i + 1] = -s * a + c * b
+            for i in range(len(col) - 1, j, -1):
+                if col[i] == 0.0:
+                    continue
+                c, s, r = plane_rotation(col[i - 1], col[i])
+                col[i - 1], col[i] = r, 0.0
+                self.rots.append((i - 1, c, s))
+                a, b = g[i - 1], g[i]
+                g[i - 1] = c * a + s * b
+                g[i] = -s * a + c * b
+            if abs(col[j]) <= 1e-12 * math.hypot(*col):
+                continue  # the rotations touched rows >= j only: R is intact
+            self.r_cols.append(col[:j + 1])
+            self.basis.append(2 * index + side)
 
     def projected_residual(self) -> float:
         return math.hypot(*self.g[len(self.r_cols):])
 
-    def solve(self) -> np.ndarray:
+    def solve(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients of the processed v's and of the processed u's in
+        the projected minimum (zero where a column added no unknown)."""
         j = len(self.r_cols)
         R = np.zeros((j, j))
         for col_idx, col in enumerate(self.r_cols):
@@ -195,7 +194,10 @@ class _GrowingQR:
         z = np.zeros(j)
         for i in range(j - 1, -1, -1):
             z[i] = (self.g[i] - R[i, i + 1:] @ z[i + 1:]) / R[i, i]
-        return z
+        w = np.zeros(2 * max(self.processed))
+        w[self.basis] = z
+        # contiguous: a strided vector changes the last bits of V @ zv
+        return w[0:2 * self.processed[0]:2].copy(), w[1:2 * self.processed[1]:2].copy()
 
 
 class GPMRState:
@@ -221,20 +223,15 @@ class GPMRState:
 
     def _start_cycle(self, b0, c0):
         self.proc = HessenbergProcessState(self.sys, b0, c0, self.limit)
-        self.qr = _GrowingQR(self.proc.beta, self.proc.gamma)
-        self.kept: list[int] = []  # process columns that are QR unknowns
+        self.qr = _GrowingQR(self.sys.lam, self.sys.mu, self.proc.beta, self.proc.gamma)
 
     def advance(self) -> None:
-        proc, qr = self.proc, self.qr
-        done = len(proc.cols)
-        alive = proc.step()
+        alive = self.proc.step()
         self.k += 1
-        for j in range(done, len(proc.cols)):
-            if qr.push_column(proc.cols[j]):
-                self.kept.append(j)
-        self.res = qr.projected_residual()
+        self.qr.extend(self.proc.new)
+        self.res = self.qr.projected_residual()
         self.stopped = not alive
-        if alive and self.restart is not None and proc.k >= self.restart:
+        if alive and self.restart is not None and self.proc.k >= self.restart:
             self._restart()
 
     def _restart(self):
@@ -255,13 +252,10 @@ class GPMRState:
 
     def iterate(self):
         """Cycle start plus the basis combination of the projected minimum."""
-        if not self.qr.r_cols:
+        if not self.qr.basis:
             return self.x, self.y
-        proc = self.proc
-        z = np.zeros(len(proc.cols))
-        z[self.kept] = self.qr.solve()
-        return (self.x + proc.V(len(proc.vcol)) @ z[proc.vcol],
-                self.y + proc.U(len(proc.ucol)) @ z[proc.ucol])
+        zv, zu = self.qr.solve()
+        return self.x + self.proc.V(len(zv)) @ zv, self.y + self.proc.U(len(zu)) @ zu
 
     def rescue(self):
         """None: the space closed, so the projected minimum is final."""

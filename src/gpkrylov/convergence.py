@@ -57,10 +57,6 @@ class ConvergenceRecord:
     def est_residuals(self) -> np.ndarray:
         return np.array([r.est_residual for r in self.rows])
 
-    def true_residuals(self) -> np.ndarray:
-        return np.array([np.nan if r.true_residual is None else r.true_residual
-                         for r in self.rows])
-
 
 @dataclass
 class SolveResult:

@@ -367,8 +367,9 @@ def test_transfer_iterate_is_formed_only_where_read():
 
 
 def test_gpmr_iteration_retains_less_than_one_vector():
-    # basis columns land in blocks reserved up front, so an iteration keeps
-    # only scalars: Hessenberg columns, rotations and R entries
+    # basis columns land in blocks reserved up front and the process keeps
+    # only its last step's coefficients, so an iteration keeps only the QR's
+    # scalars: rotations, R entries and the basis row of each unknown
     warmup, steps = 4, 6
     st = GPMRState(audit_system(), maxit=warmup + steps)
     for _ in range(warmup):

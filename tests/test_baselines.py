@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from scipy import sparse
@@ -20,56 +23,76 @@ from gpk_support import make_system
 # -- simultaneous Hessenberg process ------------------------------------------
 
 def test_bases_orthonormal_and_projections_match():
+    # each step hands over one column of H = V^T A U and of F = U^T B V:
+    # A u_j = V h + hn v_new and B v_i = U f + fn u_new
     sys_ = make_system(10, 8, seed=200)
-    proc = HessenbergProcessState(sys_)
-    for _ in range(6):
-        assert proc.step()
-    k = proc.k
-    V, U = proc.V(k), proc.U(k)
-    assert np.linalg.norm(V.T @ V - np.eye(k)) <= 1e-12
-    assert np.linalg.norm(U.T @ U - np.eye(k)) <= 1e-12
     A, B = sys_.A.to_dense(), sys_.B.to_dense()
-    M = proc.projected()
-    H, F = M[0::2, 1::2], M[1::2, 0::2]  # V^T A U and U^T B V
-    assert_allclose(proc.V(k + 1).T @ A @ U, H, atol=1e-12)
-    assert_allclose(proc.U(k + 1).T @ B @ V, F, atol=1e-12)
-    assert np.all(H[np.arange(1, k + 1), np.arange(k)] >= 0)
+    proc = HessenbergProcessState(sys_)
+    for k in range(6):
+        nv, nu = proc.nv, proc.nu
+        assert proc.step()
+        (sv, i, f, fn), (su, j, h, hn) = proc.new
+        assert (sv, i, su, j) == (0, k, 1, k) and (proc.nv, proc.nu) == (nv + 1, nu + 1)
+        V, U = proc.V(nv + 1), proc.U(nu + 1)
+        assert_allclose(h, V[:, :nv].T @ A @ U[:, j], atol=1e-12)
+        assert_allclose(f, U[:, :nu].T @ B @ V[:, i], atol=1e-12)
+        assert_allclose(V @ np.append(h, hn), A @ U[:, j], atol=1e-12)
+        assert_allclose(U @ np.append(f, fn), B @ V[:, i], atol=1e-12)
+        assert hn >= 0 and fn >= 0
+    V, U = proc.V(6), proc.U(6)
+    assert np.linalg.norm(V.T @ V - np.eye(6)) <= 1e-12
+    assert np.linalg.norm(U.T @ U - np.eye(6)) <= 1e-12
 
 
 def test_symmetric_coupling_gives_tridiagonal_projection():
     sys_ = make_system(9, 9, seed=201, symmetric=True)
     proc = HessenbergProcessState(sys_)
-    for _ in range(6):
+    for j in range(6):
         proc.step()
-    H = proc.projected()[0::2, 1::2]
-    assert H.shape == (7, 6)
-    for i in range(6):
-        for j in range(6):
-            if abs(i - j) > 1:
-                assert abs(H[i, j]) <= 1e-12
+        _, (side, pu, h, _) = proc.new
+        assert (side, pu, len(h)) == (1, j, j + 1)  # with hn: rows 0 .. j+1
+        assert np.all(abs(h[:max(j - 1, 0)]) <= 1e-12)
+    assert proc.nv == 7
 
 
-def _projection_gap(sys_, proc):
-    """||K W - W_next M|| / ||K||: W holds the processed vectors in column
-    order, W_next every vector on its row (v_i on 2i, u_i on 2i+1)."""
-    M, m = proc.projected(), sys_.m
-    K = assemble_dense(sys_)
-    W = np.zeros((m + sys_.n, M.shape[1]))
-    W[:m, proc.vcol] = proc.V(len(proc.vcol))
-    W[m:, proc.ucol] = proc.U(len(proc.ucol))
-    W_next = np.zeros((m + sys_.n, M.shape[0]))
+def _bases(sys_, proc):
+    """(W, W_next): the processed vectors as columns, v's then u's, and every
+    vector on its interleaved row (v_i on 2i, u_i on 2i+1)."""
+    m = sys_.m
+    W = np.zeros((m + sys_.n, proc.pv + proc.pu))
+    W[:m, :proc.pv] = proc.V(proc.pv)
+    W[m:, proc.pv:] = proc.U(proc.pu)
+    W_next = np.zeros((m + sys_.n, 2 * max(proc.nv, proc.nu)))
     W_next[:m, 0:2 * proc.nv:2] = proc.V(proc.nv)
     W_next[m:, 1:2 * proc.nu:2] = proc.U(proc.nu)
-    return np.linalg.norm(K @ W - W_next @ M) / np.linalg.norm(K)
+    return W, W_next
+
+
+def _krylov_gap(sys_, proc):
+    """||K W - W_next W_next^T K W|| / ||K||: K maps the processed vectors
+    into the span of all of them."""
+    K = assemble_dense(sys_)
+    W, W_next = _bases(sys_, proc)
+    KW = K @ W
+    return np.linalg.norm(KW - W_next @ (W_next.T @ KW)) / np.linalg.norm(K)
 
 
 def test_interleaved_projection_maps_the_basis():
+    # W_next^T K W holds lam and mu on the vectors' own rows and the step's
+    # coefficients and remainder norms on the other side's rows
     sys_ = make_system(7, 6, seed=210)
     proc = HessenbergProcessState(sys_)
     for _ in range(4):
         proc.step()
-    assert proc.projected().shape == (10, 8)
-    assert _projection_gap(sys_, proc) <= 1e-12
+    W, W_next = _bases(sys_, proc)
+    M = W_next.T @ assemble_dense(sys_) @ W
+    assert M.shape == (10, 8)
+    assert_allclose(M[0:8:2, 0:4].diagonal(), sys_.lam, atol=1e-12)
+    assert_allclose(M[1:8:2, 4:8].diagonal(), sys_.mu, atol=1e-12)
+    (_, i, f, fn), (_, j, h, hn) = proc.new
+    assert_allclose(M[1::2, i], np.append(f, fn), atol=1e-12)
+    assert_allclose(M[0::2, 4 + j], np.append(h, hn), atol=1e-12)
+    assert _krylov_gap(sys_, proc) <= 1e-12
 
 
 def test_process_grows_past_its_first_block(monkeypatch):
@@ -80,10 +103,27 @@ def test_process_grows_past_its_first_block(monkeypatch):
         assert proc.step()
     assert (proc.k, proc.vb.shape[1], proc.ub.shape[1]) == (40, 60, 50)
     assert proc.V(41).shape == (60, 41) and proc.U(41).shape == (50, 41)
-    assert _projection_gap(sys_, proc) <= 1e-12
+    assert _krylov_gap(sys_, proc) <= 1e-12
     V, U = proc.V(41), proc.U(41)
     assert np.linalg.norm(V.T @ V - np.eye(41)) <= 1e-12
     assert np.linalg.norm(U.T @ U - np.eye(41)) <= 1e-12
+
+
+def test_process_retains_no_history():
+    # a step replaces the previous step's coefficients; the bases fill
+    # columns reserved up front
+    proc = HessenbergProcessState(random_system(60, 50, 211))
+    for _ in range(5):
+        proc.step()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            assert proc.step()
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert kept < 2048
 
 
 # m, n, seed, lam, mu of seeded symmetric-coupling systems whose smaller
@@ -101,7 +141,7 @@ def test_surviving_side_keeps_extending(m, n, seed, lam, mu):
     # the smaller side spans its space; the larger gains one more vector
     k = min(m, n)
     assert (proc.k, proc.nv, proc.nu) == (k + 1, min(m, k + 1), min(n, k + 1))
-    assert _projection_gap(sys_, proc) <= 1e-12
+    assert _krylov_gap(sys_, proc) <= 1e-12
     V, U = proc.V(proc.nv), proc.U(proc.nu)
     assert np.linalg.norm(V.T @ V - np.eye(proc.nv)) <= 1e-12
     assert np.linalg.norm(U.T @ U - np.eye(proc.nu)) <= 1e-12
@@ -272,14 +312,16 @@ def test_maxit_zero():
 
 def test_growing_qr_residual_is_the_projected_least_squares_residual():
     sys_ = make_system(50, 40, seed=214)
-    st = GPMRState(sys_)
+    K = assemble_dense(sys_)
+    state = GPMRState(sys_)
     for k in range(1, 31):
-        st.advance()
-        P = st.proc.projected()
+        state.advance()
+        W, W_next = _bases(sys_, state.proc)
+        P = W_next.T @ K @ W
         rhs = np.zeros(2 * k + 2)
-        rhs[:2] = st.proc.beta, st.proc.gamma
+        rhs[:2] = state.proc.beta, state.proc.gamma
         z, *_ = np.linalg.lstsq(P, rhs, rcond=None)
-        assert st.qr.projected_residual() == pytest.approx(
+        assert state.qr.projected_residual() == pytest.approx(
             np.linalg.norm(P @ z - rhs), rel=1e-10)
 
 
@@ -327,6 +369,27 @@ def test_restarted_residual_is_the_true_residual(restart, maxit):
     res = gpmr_solve(sys_, tol=0.0, maxit=maxit, restart=restart)
     assert (res.iterations, res.reason) == (maxit, "maxit")
     assert res.residual == pytest.approx(residual_norm(sys_, res.x, res.y), rel=1e-10)
+
+
+SCALAR_PAIRS = [(1.0, -0.5), (0.0, 0.0), (1.0, 0.0), (0.0, -1.0), (2.0, 1.0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.sampled_from(SCALAR_PAIRS),
+       st.booleans(), st.sampled_from([None, 1, 2, 5]))
+def test_reported_residual_is_that_of_the_iterate(m, n, scalars, symmetric, restart):
+    # the unknowns map to the basis vectors they multiply through exhausted
+    # sides, dependent columns and restarts.  The tolerance is a backward
+    # error: restarted singular runs grow the iterate to about 1e12
+    sys_ = random_system(m, n, 100 * m + n, *scalars, symmetric=symmetric)
+    norm_K = np.linalg.norm(assemble_dense(sys_))
+    maxit = 2 * (m + n)
+    state = GPMRState(sys_, restart, maxit)
+    while not state.stopped and state.k < maxit:
+        state.advance()
+        x, y = state.iterate()
+        scale = sys_.rhs_norm + norm_K * math.hypot(np.linalg.norm(x), np.linalg.norm(y))
+        assert abs(residual_norm(sys_, x, y) - state.res) <= 1e-12 * scale
 
 
 # -- oracles --------------------------------------------------------------------
