@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linop import PartitionedSystem, residual_norm
-from .reduction import BreakdownReport
 from .rotations import SingularWindowError
 
 __all__ = ["IterationRow", "ConvergenceRecord", "SolveResult",
@@ -62,10 +61,10 @@ class ConvergenceRecord:
 class SolveResult:
     """Outcome of one solver run.
 
-    ``x``/``y`` is the iterate the solve loop chose at termination.  Once
-    gpbilq/gpbicg has run a step it also fills ``x_l``/``y_l`` (the
-    minimum-norm iterate) and ``x_c``/``y_c`` (the transfer iterate if it
-    exists at the final step, else None).
+    ``x``/``y`` is the iterate the solve loop chose at termination.
+    gpbilq/gpbicg also fills ``x_l``/``y_l`` at every exit (the
+    minimum-norm iterate, zero before a first step) and ``x_c``/``y_c``
+    (the transfer iterate if it exists at the final step, else None).
     ``residual`` is that of ``x``/``y``: its true norm where the solve loop
     certified it (see ``_solve``), else the method's estimate.
     """
@@ -92,18 +91,21 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
     """The loop behind every public solve function, and the one place that
     decides what an exit returns and reports.
 
-    ``state`` is the BreakdownReport of a process that could not start, or
-    a method state that steps, estimates and offers iterates: ``k``
-    (iterations done), ``advance()``, ``estimate()`` (the monitored
+    ``state`` is a method state that steps, estimates and offers iterates:
+    ``k`` (iterations done), ``advance()``, ``estimate()`` (the monitored
     residual, None where the monitored iterate does not exist),
     ``iterate()`` (the x, y an exit returns), ``stopped`` (the process can
-    build nothing more), ``tracks_transfer`` (rows record whether the
-    iterate existed), ``rescue()`` (another iterate for a stopped step, or
-    None) and ``result(x, y, reason, residual, record)``.
+    build nothing more, already at the start where it cannot start),
+    ``tracks_transfer`` (rows record whether the iterate existed),
+    ``rescue()`` (another iterate for a stopped step, or None) and
+    ``result(x, y, reason, residual, record)``, which builds every exit's
+    SolveResult.
 
-    The record starts with a k=0 row at the initial residual norm.  An
-    iteration ends the run as breakdown if the process stopped, else tests
-    converged, nonfinite (NaN or infinite) and maxit in turn.  With
+    The record starts with a k=0 row at the initial residual norm.  A state
+    stopped at the start exits as breakdown, and ``maxit`` 0 as maxit,
+    both with the zero iterate and that norm.  Otherwise an iteration ends
+    the run as breakdown if the process stopped, else tests converged,
+    nonfinite (NaN or infinite) and maxit in turn.  With
     ``explicit_residual`` the true residual is recorded next to the
     estimate and replaces it in the stopping test.
 
@@ -126,12 +128,10 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
     record = ConvergenceRecord()
     record.append(0, rhs_norm, rhs_norm if explicit_residual else None,
                   elapsed=time.perf_counter() - t0)
-    report = state if isinstance(state, BreakdownReport) else None
-    if report is not None or maxit == 0:
-        reason = MAXIT if report is None else BREAKDOWN
+    if state.stopped or maxit == 0:
+        reason = BREAKDOWN if state.stopped else MAXIT
         record.finalize(reason)
-        return SolveResult(np.zeros(sys.m), np.zeros(sys.n), 0, reason,
-                           rhs_norm, record, breakdown=report)
+        return state.result(*state.iterate(), reason, rhs_norm, record)
     while True:
         try:
             state.advance()

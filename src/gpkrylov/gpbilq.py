@@ -31,7 +31,7 @@ import numpy as np
 
 from .convergence import SolveResult, _solve
 from .linop import PartitionedSystem
-from .reduction import (BreakdownReport, StepCoeffs, mix, reduction_init,
+from .reduction import (RecurrenceState, StepCoeffs, reduction_init,
                         reduction_step, strips)
 # rotation_block is not called here: the benchmark tracer reads gpbilq.rotation_block
 from .rotations import (BandWindow, plane_rotation, rotation_block,
@@ -108,42 +108,32 @@ def transfer_scalars(w: BandWindow, varpi, beta1, delta1):
 # -- solver ------------------------------------------------------------------
 
 
-class BiLQState:
-    """Single-owner solver state: reduction window, factor window, directions.
+class BiLQState(RecurrenceState):
+    """gpbilq's LQ policy on the shared recurrence state, three-column
+    direction blocks per side (``reduction.RecurrenceState``).
 
-    Each side's live directions form one Fortran-ordered block, ``fx``
-    (m x 3) and ``fy`` (n x 3): columns 0 and 1 hold the provisional pair
-    carried to the next step, and column 2 takes the newest basis vector
-    while a step runs.  ``reduction.mix`` writes the next provisional pair
-    and the iterate increment into the spare block ``gx``/``gy``, and the
-    blocks swap; the retired pair is never formed.  ``monitor`` picks the
-    iterate the solve loop follows: the minimum-norm one ("l") or the
-    square-system one ("c"), formed in ``x_c``/``y_c`` where it is read.
+    Columns 0 and 1 of ``fx``/``fy`` hold the provisional pair carried to
+    the next step, and column 2 takes the newest basis vector while a step
+    runs.  ``reduction.mix`` writes the next provisional pair and the
+    iterate increment into the spare block, and the blocks swap; the
+    retired pair is never formed.  ``monitor`` picks the iterate the solve
+    loop follows: the minimum-norm one ("l") or the square-system one
+    ("c"), formed in ``x_c``/``y_c`` where it is read.
     """
 
     def __init__(self, sys: PartitionedSystem, red, monitor: str = "l"):
-        m, n = sys.m, sys.n
-        self.sys = sys
-        self.red = red
+        if monitor not in ("l", "c"):
+            raise ValueError("monitor must be 'l' or 'c'")
+        super().__init__(sys, red, 3)
         self.monitor = monitor
         self.tracks_transfer = monitor == "c"
-        self.window = BandWindow(sys.lam, sys.mu)
         self.rot_prev = None  # the bundle before the window's latest
         self.varpi = (0.0,) * 4  # the last four forward-substitution entries
-        self.k = 1
-        self.x = np.zeros(m)
-        self.y = np.zeros(n)
-        self.fx = np.zeros((m, 3), order="F")
-        self.fy = np.zeros((n, 3), order="F")
         self.fx[:, 0] = red.q_cur
         self.fy[:, 1] = red.u_cur
-        self.gx = np.empty((m, 3), order="F")
-        self.gy = np.empty((n, 3), order="F")
-        self.coef = np.empty((3, 3))
         self.coeffs: StepCoeffs | None = None
         self.transfer = None  # transfer coefficients on the live pair, this step
-        self.x_c = None
-        self.y_c = None
+        self.x_c = self.y_c = None
 
     def advance(self) -> StepCoeffs:
         """One solver step: reduction and window step, then past the k=1
@@ -154,23 +144,18 @@ class BiLQState:
         self.rot_prev = w.rot
         lq_step(w, coeffs.gamma_k, coeffs.eta_k, coeffs.alpha, coeffs.theta,
                 coeffs.beta_next, coeffs.delta_next)
+        self.k, self.coeffs = coeffs.k, coeffs
         if w.i == 0:
-            self.coeffs = coeffs
             return coeffs
         self.varpi = substitute_step(w, self.varpi, red.beta1, red.delta1)
-        self.k = coeffs.k
         _, _, w1, w2 = self.varpi
         # the trailing 4x4 of the latest bundle mixes [ft1, ft2, q_k, u_k]
         # into (f1, f2, ft1', ft2'); only ft1', ft2' and the increment
         # w1 f1 + w2 f2 (its only use) are formed
         r1, r2, rq, ru = rotation_bundle(w.rot)
-        for block, spare, basis, it, rb in ((self.fx, self.gx, red.q_prev, self.x, rq),
-                                            (self.fy, self.gy, red.u_prev, self.y, ru)):
-            self.coef[...] = [(r[2], r[3], w1 * r[0] + w2 * r[1]) for r in (r1, r2, rb)]
-            mix(block, spare, basis, it, self.coef)
-        self.fx, self.gx = self.gx, self.fx
-        self.fy, self.gy = self.gy, self.fy
-        self.coeffs = coeffs
+        for coef, rb in ((self.cx, rq), (self.cy, ru)):
+            coef[...] = [(r[2], r[3], w1 * r[0] + w2 * r[1]) for r in (r1, r2, rb)]
+        self.update()
         self.transfer = None
         return coeffs
 
@@ -244,10 +229,6 @@ class BiLQState:
 
     # -- solve-loop protocol (see convergence._solve) ------------------------
 
-    @property
-    def stopped(self) -> bool:
-        return self.red.breakdown is not None
-
     def estimate(self) -> float | None:
         if self.monitor == "c":
             return self.estimate_residual_c() if self.attempt_transfer() else None
@@ -266,13 +247,11 @@ class BiLQState:
         return None
 
     def result(self, x, y, reason, residual, record) -> SolveResult:
-        # where x_c exists, the loop's iterate() or rescue() has formed it
-        x_c = y_c = None
-        if self.transfer is not None:
-            x_c, y_c = self.x_c, self.y_c
-        return SolveResult(x, y, self.k, reason, float(residual), record,
-                           breakdown=self.red.breakdown,
-                           x_l=self.x, y_l=self.y, x_c=x_c, y_c=y_c)
+        res = super().result(x, y, reason, residual, record)
+        res.x_l, res.y_l = self.x, self.y
+        if self.transfer is not None:  # formed by the loop's iterate() or rescue()
+            res.x_c, res.y_c = self.x_c, self.y_c
+        return res
 
 
 def gpbilq_solve(sys: PartitionedSystem, tol: float = 1e-8,
@@ -297,10 +276,6 @@ def gpbilq_solve(sys: PartitionedSystem, tol: float = 1e-8,
     startup step whose minimum-norm iterate is zero.  The record starts with
     a k=0 row holding the initial residual norm.
     """
-    if monitor not in ("l", "c"):
-        raise ValueError("monitor must be 'l' or 'c'")
-    init = reduction_init(sys)
-    state = (init if isinstance(init, BreakdownReport)
-             else BiLQState(sys, init, monitor))
-    return _solve(sys, state, tol, maxit, explicit_residual)
+    return _solve(sys, BiLQState(sys, reduction_init(sys), monitor), tol, maxit,
+                  explicit_residual)
 

@@ -5,18 +5,18 @@ subspace, computed through the sliding banded QR factorization of the
 projected block-tridiagonal matrix (``rotations.BandWindow``), each step
 running one bundle's late stage and the next bundle's early stage.  Each
 step forms two directions from the last four (a depth-4 back-recurrence) in
-gpbilq's layout and kernel, ``reduction.mix``; the working set is fifteen
-vectors per side: the iterate, two basis pairs and two five-column
-direction blocks.
+the direction blocks and kernel it shares with gpbilq
+(``reduction.RecurrenceState``); the working set is fifteen vectors per
+side: the iterate, two basis pairs and two five-column direction blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .convergence import SolveResult, _solve
+from .convergence import _solve
 from .linop import PartitionedSystem
-from .reduction import BreakdownReport, mix, reduction_init, reduction_step
+from .reduction import RecurrenceState, reduction_init, reduction_step
 from .rotations import BandWindow
 
 __all__ = [
@@ -59,39 +59,26 @@ def rotate_rhs(w: BandWindow, carry: tuple[float, float]):
     return f1, f2, b3, b4
 
 
-class QMRState:
-    """Single-owner solver state: reduction window, factor window, directions
-    and the rotated right-hand-side carries.
+class QMRState(RecurrenceState):
+    """gpqmr's QR policy on the shared recurrence state, five-column
+    direction blocks per side (``reduction.RecurrenceState``), and the
+    rotated right-hand-side carries.
 
-    Each side's directions form one Fortran-ordered block, ``fx`` (m x 5)
-    and ``fy`` (n x 5): before step k, columns 0..3 hold d_{2k-5}..d_{2k-2}
+    Before step k, columns 0..3 of ``fx``/``fy`` hold d_{2k-5}..d_{2k-2}
     (zero below column 1) and column 4 takes the newest basis vector.
     ``reduction.mix`` writes d_{2k-3}..d_{2k} and the iterate increment into
-    the spare block ``gx``/``gy``, and the blocks swap.  Columns 0 and 1 of
-    ``coef`` pass d_{2k-3}, d_{2k-2} through; a step rewrites columns 2..4.
+    the spare block, and the blocks swap.  Columns 0 and 1 of ``cx`` pass
+    d_{2k-3}, d_{2k-2} through; a step rewrites columns 2..4 and copies
+    ``cx`` into ``cy``, whose row 4, on the basis vector, differs.
     """
 
-    tracks_transfer = False
-
     def __init__(self, sys: PartitionedSystem, red):
-        m, n = sys.m, sys.n
-        self.sys = sys
-        self.red = red
-        self.window = BandWindow(sys.lam, sys.mu)
-        self.k = 0
-        self.x = np.zeros(m)
-        self.y = np.zeros(n)
-        self.fx = np.zeros((m, 5), order="F")
-        self.fy = np.zeros((n, 5), order="F")
-        self.gx = np.empty((m, 5), order="F")
-        self.gy = np.empty((n, 5), order="F")
-        self.coef = np.zeros((5, 5))
-        self.coef[2, 0] = self.coef[3, 1] = 1.0
+        super().__init__(sys, red, 5)
+        self.cx[2, 0] = self.cx[3, 1] = 1.0
         # rotated right-hand side: the two entries the last step finalized,
         # then the two carries whose norm is the quasi-residual
         self.rhs = (0.0, 0.0, red.beta1, red.delta1)
         self.quasi = float(np.hypot(red.beta1, red.delta1))
-        self.coeffs = None
 
     def advance(self):
         """One solver step: reduction, staged bundle, rhs rotation,
@@ -112,36 +99,16 @@ class QMRState:
         a = [-xi1 / rho1, -zeta1 / rho1, -omega1 / rho1, -nu1 / rho1]
         b = [(bj - nu2 * aj) / rho2 for aj, bj in
              zip(a, (0.0, -xi2, -zeta2, -omega2))]
-        self.coef[:4, 2:] = [(aj, bj, w1 * aj + w2 * bj) for aj, bj in zip(a, b)]
-        red = self.red
-        for block, spare, basis, it, an, bn in (
-                (self.fx, self.gx, red.q_prev, self.x, 1.0 / rho1, -nu2 / (rho1 * rho2)),
-                (self.fy, self.gy, red.u_prev, self.y, 0.0, 1.0 / rho2)):
-            self.coef[4, 2:] = (an, bn, w1 * an + w2 * bn)  # on the basis vector
-            mix(block, spare, basis, it, self.coef)
-        self.fx, self.gx = self.gx, self.fx
-        self.fy, self.gy = self.gy, self.fy
-        self.coeffs = coeffs
+        self.cx[:4, 2:] = [(aj, bj, w1 * aj + w2 * bj) for aj, bj in zip(a, b)]
+        self.cy[...] = self.cx  # the sides differ in row 4 only
+        for coef, an, bn in ((self.cx, 1.0 / rho1, -nu2 / (rho1 * rho2)),
+                             (self.cy, 0.0, 1.0 / rho2)):
+            coef[4, 2:] = (an, bn, w1 * an + w2 * bn)  # on the basis vector
+        self.update()
         return coeffs
-
-    # -- solve-loop protocol (see convergence._solve) ------------------------
-
-    @property
-    def stopped(self) -> bool:
-        return self.red.breakdown is not None
 
     def estimate(self) -> float:
         return self.quasi
-
-    def iterate(self):
-        return self.x, self.y
-
-    def rescue(self):
-        """None: the stopped step's iterate is the only candidate."""
-
-    def result(self, x, y, reason, residual, record) -> SolveResult:
-        return SolveResult(x, y, self.k, reason, float(residual), record,
-                           breakdown=self.red.breakdown)
 
 
 def gpqmr_solve(sys: PartitionedSystem, tol: float = 1e-8,
@@ -154,7 +121,6 @@ def gpqmr_solve(sys: PartitionedSystem, tol: float = 1e-8,
     evaluates and stops on true residuals instead (two extra operator
     applications per step), mirroring comparison-grade runs.
     """
-    init = reduction_init(sys)
-    state = init if isinstance(init, BreakdownReport) else QMRState(sys, init)
-    return _solve(sys, state, tol, maxit, explicit_residual)
+    return _solve(sys, QMRState(sys, reduction_init(sys)), tol, maxit,
+                  explicit_residual)
 

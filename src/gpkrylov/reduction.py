@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
+from .convergence import SolveResult
 from .linop import PartitionedSystem
+from .rotations import BandWindow
 
 __all__ = [
     "BreakdownReport",
@@ -35,6 +37,7 @@ __all__ = [
     "reduction_step",
     "strips",
     "mix",
+    "RecurrenceState",
     "BREAKDOWN_RTOL",
     "LUCKY_VEC_RTOL",
     "STRIP_ROWS",
@@ -153,21 +156,20 @@ def _normalize(st: ReductionState, pq, p, q, np_, nq, uv, u, v, nu, nv) -> None:
     st.k += 1
 
 
-def reduction_init(sys: PartitionedSystem) -> Union[ReductionState, BreakdownReport]:
+def reduction_init(sys: PartitionedSystem) -> ReductionState:
     """Scale the starting vectors into the first biorthogonal quadruple.
 
     The zero window takes (f, b) and (c, g), with whole-vector inner
     products and norms, through the step's own normalization.  Returns the
-    state at k = 1, or the BreakdownReport at iteration 1 when f^T b or
-    c^T g is negligible (the process cannot start).
+    state at k = 1 with ``beta1``/``delta1`` set; when f^T b or c^T g is
+    negligible the process cannot start, and its ``breakdown`` reports
+    iteration 1.
     """
     f, b, c, g = sys.f, sys.b, sys.c, sys.g
     nf, nb = np.linalg.norm(f), np.linalg.norm(b)
     nc, ng = np.linalg.norm(c), np.linalg.norm(g)
     st = ReductionState(sys.m, sys.n)
     _normalize(st, float(f @ b), f, b, nf, nb, float(c @ g), c, g, nc, ng)
-    if st.breakdown is not None:
-        return st.breakdown
     st.beta1, st.delta1 = st.beta, st.delta
     return st
 
@@ -191,6 +193,53 @@ def mix(block, spare, basis, it, coef):
         bs[:, -1] = vs
         np.matmul(bs, coef, out=ss)
         its += ss[:, -1]
+
+
+class RecurrenceState:
+    """What gpbilq's and gpqmr's solver states share: the reduction ``red``
+    on ``sys``, the factor ``window``, the iterate x, y and per side a
+    Fortran-ordered (len x width) direction block, ``fx`` and ``fy``, with
+    a spare, ``gx`` and ``gy``.  A subclass keeps its factorization policy:
+    its ``advance`` steps the reduction and the window, writes the step's
+    direction coefficients into ``cx`` and ``cy`` (width x width) and calls
+    ``update``.  The rest is the solve-loop protocol (see
+    ``convergence._solve``) of a method whose iterate is x, y.
+    """
+
+    tracks_transfer = False
+
+    def __init__(self, sys: PartitionedSystem, red: ReductionState, width: int):
+        self.sys, self.red, self.k = sys, red, 0
+        self.window = BandWindow(sys.lam, sys.mu)
+        self.x, self.y = np.zeros(sys.m), np.zeros(sys.n)
+        self.fx = np.zeros((sys.m, width), order="F")
+        self.fy = np.zeros((sys.n, width), order="F")
+        self.gx = np.empty((sys.m, width), order="F")
+        self.gy = np.empty((sys.n, width), order="F")
+        self.cx, self.cy = np.zeros((width, width)), np.zeros((width, width))
+
+    def update(self) -> None:
+        """Both sides' ``mix`` with the newest basis vectors q_k, u_k and
+        ``cx``, ``cy``; then each block swaps with its spare."""
+        red = self.red
+        mix(self.fx, self.gx, red.q_prev, self.x, self.cx)
+        mix(self.fy, self.gy, red.u_prev, self.y, self.cy)
+        self.fx, self.gx = self.gx, self.fx
+        self.fy, self.gy = self.gy, self.fy
+
+    @property
+    def stopped(self) -> bool:
+        return self.red.breakdown is not None
+
+    def iterate(self):
+        return self.x, self.y
+
+    def rescue(self):
+        """None: the stopped step's iterate is the only candidate."""
+
+    def result(self, x, y, reason, residual, record) -> SolveResult:
+        return SolveResult(x, y, self.k, reason, float(residual), record,
+                           breakdown=self.red.breakdown)
 
 
 def _sweep(p1, c1, n1, p2, c2, n2, a1, b1, a2, b2):

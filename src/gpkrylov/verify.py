@@ -433,9 +433,9 @@ def run_invariant_suite(size: int = 12, seed: int = 7) -> list[CheckResult]:
     # a forced starting breakdown must surface as a report, not a crash
     e = np.eye(size)
     blocks = random_system(size, size, seed + 2)
-    rep = reduction_init(PartitionedSystem(1.0, 1.0, blocks.A, blocks.B, e[1],
-                                           np.ones(size), f=e[0], g=np.ones(size)))
+    red0 = reduction_init(PartitionedSystem(1.0, 1.0, blocks.A, blocks.B, e[1],
+                                            np.ones(size), f=e[0], g=np.ones(size)))
     results.append(CheckResult("starting breakdown detection",
-                               isinstance(rep, BreakdownReport),
-                               repr(rep)))
+                               isinstance(red0.breakdown, BreakdownReport),
+                               repr(red0.breakdown)))
     return results

@@ -27,6 +27,7 @@ def test_maxit_zero_returns_the_zero_iterate(method):
     assert res.reason == "maxit" and res.iterations == 0
     assert not res.x.any() and not res.y.any()
     assert [(r.k, r.est_residual) for r in res.record.rows] == [(0, sys_.rhs_norm)]
+    assert res.breakdown is None
 
 
 @pytest.mark.parametrize("method", SOLVERS)
@@ -61,6 +62,11 @@ def test_orthogonal_start_vectors_break_down_at_once(method):
     res = SOLVERS[method](sys_, tol=1e-10, maxit=10)
     assert res.reason == "breakdown" and res.iterations == 0
     assert res.breakdown.iteration == 1
+    assert not res.x.any() and not res.y.any() and res.residual == sys_.rhs_norm
+    assert [(r.k, r.est_residual) for r in res.record.rows] == [(0, sys_.rhs_norm)]
+    assert res.record.reason == "breakdown"
+    if method != "gpqmr":
+        assert not res.x_l.any() and not res.y_l.any() and res.x_c is None
 
 
 def test_gpbicg_without_transfer_at_exit_returns_the_gpbilq_iterate():

@@ -195,6 +195,14 @@ def test_solve_maxit_zero():
     assert res.record.rows[0].est_residual == pytest.approx(sys_.rhs_norm)
 
 
+def test_unknown_monitor_is_rejected_by_the_solver_and_the_state():
+    sys_ = make_system(6, 5, seed=74)
+    with pytest.raises(ValueError, match="monitor"):
+        gpbilq_solve(sys_, monitor="x")
+    with pytest.raises(ValueError, match="monitor"):
+        BiLQState(sys_, reduction_init(sys_), "x")
+
+
 def test_solve_converges_on_full_space():
     sys_ = make_system(5, 5, seed=71)
     res = gpbilq_solve(sys_, tol=1e-10, maxit=30, monitor="c")

@@ -12,7 +12,7 @@ from gpk_support import make_system
 
 def run_steps(sys_, steps):
     red = reduction_init(sys_)
-    assert not isinstance(red, BreakdownReport)
+    assert red.breakdown is None
     hist = ReductionHistory(red)
     for _ in range(steps):
         coeffs = reduction_step(red, sys_)
@@ -66,7 +66,7 @@ E1, E2, ONES = [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]
 def test_init_orthogonal_start_breaks_down(f, b, c, g, kind):
     sys_ = PartitionedSystem(1.0, 1.0, Operator.from_matrix(np.eye(2)),
                              Operator.from_matrix(np.eye(2)), b, c, f=f, g=g)
-    rep = reduction_init(sys_)
+    rep = reduction_init(sys_).breakdown
     assert isinstance(rep, BreakdownReport)
     assert rep.kind == kind and rep.iteration == 1 and not rep.lucky
     assert rep.magnitude == 0.0

@@ -9,7 +9,11 @@ the CLI's default cycle) on:
   B) or 2000 + ... with B = A^T, tol 1e-8 ||[b; c]|| and the default maxit;
 * the desk batches of seeds 0 and 1 (32 dense 200 x 150 systems each), with
   the scalars, tolerance and maxit of perfbench's desk-dense workload
-  (gpmr9 takes gpmr's).
+  (gpmr9 takes gpmr's);
+* the exits before a first step, on ``random_system(40, 25, 1000)`` and
+  ``random_system(25, 40, 1007)``: ``maxit = 0`` ("maxit0"), and a start
+  vector f made orthogonal to b ("fperp"; only the short recurrences read
+  f), at tol 1e-8 ||[b; c]||.
 
 Each line names the run and gives the exit reason, the iteration count,
 ``repr`` of the reported residual, a SHA-1 of the bytes of x then y, and a
@@ -60,6 +64,14 @@ def runs():
             for method in METHODS:
                 rtol, maxit = DESK.runs.get(method, DESK.runs["gpmr"])
                 yield f"desk-{seed}-{i}", method, s, rtol * s.rhs_norm, maxit
+    for m, n, seed in ((40, 25, 1000), (25, 40, 1007)):
+        s = random_system(m, n, seed)
+        f = np.random.default_rng(seed).standard_normal(m)
+        f -= (f @ s.b) / (s.b @ s.b) * s.b
+        fperp = PartitionedSystem(s.lam, s.mu, s.A, s.B, s.b, s.c, f=f, g=s.g)
+        for name, sys_, maxit in (("maxit0", s, 0), ("fperp", fperp, None)):
+            for method in METHODS:
+                yield f"{name}-{seed}-{m}x{n}", method, sys_, 1e-8 * s.rhs_norm, maxit
 
 
 def digest(res) -> str:
