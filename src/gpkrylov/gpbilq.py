@@ -15,14 +15,14 @@ it is obtained from the GPBiLQ iterate with one extra rotation, and formed
 only where it is read by one two-column matmul per row strip of a side.
 
 The steady-state loop performs exactly four operator applications per
-iteration and keeps a fixed working set of eleven m-vectors and eleven
-n-vectors: the iterate, two reduction basis pairs and two (len x 3) direction
-blocks per side; the transfer iterate adds one vector per side, allocated on
-its first read.  Each side's direction update and iterate increment are one
-matmul per row strip (``reduction.mix``); no fresh length-m/n arrays are
-allocated after startup.  The scalar state is fixed in size too: the window
-keeps two factor columns, one rotation bundle and its carries, and the state
-the bundle before it and the last four substitution entries.
+iteration and keeps seven m-vectors and seven n-vectors: the iterate, a
+basis pair and a (len x 4) block per side whose end columns hold the other
+pair, plus a scratch of one strip; the transfer iterate adds one vector per
+side, allocated on its first read.  Each side's direction update and
+iterate increment are one matmul per row strip (``reduction.mix``), and no
+length-m/n array is allocated after startup.  The scalars are fixed in
+size too: the window keeps two factor columns, one rotation bundle and its
+carries, and the state the bundle before it and four substitution entries.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ import numpy as np
 
 from .convergence import SolveResult, _solve
 from .linop import PartitionedSystem
-from .reduction import (RecurrenceState, StepCoeffs, reduction_init,
-                        reduction_step, strips)
+from .reduction import RecurrenceState, StepCoeffs, reduction_step, strips
 # rotation_block is not called here: the benchmark tracer reads gpbilq.rotation_block
 from .rotations import (BandWindow, plane_rotation, rotation_block,
                         rotation_bundle)
@@ -109,28 +108,26 @@ def transfer_scalars(w: BandWindow, varpi, beta1, delta1):
 
 
 class BiLQState(RecurrenceState):
-    """gpbilq's LQ policy on the shared recurrence state, three-column
-    direction blocks per side (``reduction.RecurrenceState``).
+    """gpbilq's LQ policy on the shared recurrence state, four-column
+    blocks per side (``reduction.RecurrenceState``).
 
-    Columns 0 and 1 of ``fx``/``fy`` hold the provisional pair carried to
-    the next step, and column 2 takes the newest basis vector while a step
-    runs.  ``reduction.mix`` writes the next provisional pair and the
-    iterate increment into the spare block, and the blocks swap; the
-    retired pair is never formed.  ``monitor`` picks the iterate the solve
-    loop follows: the minimum-norm one ("l") or the square-system one
-    ("c"), formed in ``x_c``/``y_c`` where it is read.
+    Columns 1 and 2 of ``fx``/``fy`` hold the provisional pair carried to
+    the next step, between the basis slots.  ``reduction.mix`` overwrites
+    it with the next pair and adds the iterate increment; the retired pair
+    is never formed.  ``monitor`` picks the iterate the solve loop follows:
+    the minimum-norm one ("l") or the square-system one ("c"), formed in
+    ``x_c``/``y_c`` where it is read.
     """
 
-    def __init__(self, sys: PartitionedSystem, red, monitor: str = "l"):
+    def __init__(self, sys: PartitionedSystem, monitor: str = "l"):
         if monitor not in ("l", "c"):
             raise ValueError("monitor must be 'l' or 'c'")
-        super().__init__(sys, red, 3)
+        super().__init__(sys, 4)
         self.monitor = monitor
         self.tracks_transfer = monitor == "c"
         self.rot_prev = None  # the bundle before the window's latest
         self.varpi = (0.0,) * 4  # the last four forward-substitution entries
-        self.fx[:, 0] = red.q_cur
-        self.fy[:, 1] = red.u_cur
+        self.fx[:, 1], self.fy[:, 2] = self.red.q_cur, self.red.u_cur  # q_1|0, 0|u_1
         self.coeffs: StepCoeffs | None = None
         self.transfer = None  # transfer coefficients on the live pair, this step
         self.x_c = self.y_c = None
@@ -151,10 +148,11 @@ class BiLQState(RecurrenceState):
         _, _, w1, w2 = self.varpi
         # the trailing 4x4 of the latest bundle mixes [ft1, ft2, q_k, u_k]
         # into (f1, f2, ft1', ft2'); only ft1', ft2' and the increment
-        # w1 f1 + w2 f2 (its only use) are formed
+        # w1 f1 + w2 f2 (its only use) are formed; q_k, u_k lead at even k
         r1, r2, rq, ru = rotation_bundle(w.rot)
         for coef, rb in ((self.cx, rq), (self.cy, ru)):
-            coef[...] = [(r[2], r[3], w1 * r[0] + w2 * r[1]) for r in (r1, r2, rb)]
+            coef[...] = [(r[2], r[3], w1 * r[0] + w2 * r[1])
+                         for r in ((r1, r2, rb) if self.k % 2 else (rb, r1, r2))]
         self.update()
         self.transfer = None
         return coeffs
@@ -177,7 +175,7 @@ class BiLQState(RecurrenceState):
             self.x_c, self.y_c = np.empty(self.sys.m), np.empty(self.sys.n)
         for side in ((self.fx, self.x_c, self.x), (self.fy, self.y_c, self.y)):
             for f, out, it in strips(*side):
-                np.matmul(f[:, :2], self.transfer, out=out)
+                np.matmul(f[:, 1:3], self.transfer, out=out)
                 out += it
         return self.x_c, self.y_c
 
@@ -276,6 +274,5 @@ def gpbilq_solve(sys: PartitionedSystem, tol: float = 1e-8,
     startup step whose minimum-norm iterate is zero.  The record starts with
     a k=0 row holding the initial residual norm.
     """
-    return _solve(sys, BiLQState(sys, reduction_init(sys), monitor), tol, maxit,
-                  explicit_residual)
+    return _solve(sys, BiLQState(sys, monitor), tol, maxit, explicit_residual)
 

@@ -5,9 +5,10 @@ subspace, computed through the sliding banded QR factorization of the
 projected block-tridiagonal matrix (``rotations.BandWindow``), each step
 running one bundle's late stage and the next bundle's early stage.  Each
 step forms two directions from the last four (a depth-4 back-recurrence) in
-the direction blocks and kernel it shares with gpbilq
-(``reduction.RecurrenceState``); the working set is fifteen vectors per
-side: the iterate, two basis pairs and two five-column direction blocks.
+the block layout and kernel it shares with gpbilq
+(``reduction.RecurrenceState``); the working set is nine vectors per side,
+the iterate, a basis pair and a six-column block of the other pair's two
+slots around the four directions, plus a scratch of at most one strip.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .convergence import _solve
 from .linop import PartitionedSystem
-from .reduction import RecurrenceState, reduction_init, reduction_step
+from .reduction import RecurrenceState, reduction_step
 from .rotations import BandWindow
 
 __all__ = [
@@ -60,25 +61,23 @@ def rotate_rhs(w: BandWindow, carry: tuple[float, float]):
 
 
 class QMRState(RecurrenceState):
-    """gpqmr's QR policy on the shared recurrence state, five-column
-    direction blocks per side (``reduction.RecurrenceState``), and the
-    rotated right-hand-side carries.
+    """gpqmr's QR policy on the shared recurrence state, six-column blocks
+    per side (``reduction.RecurrenceState``), and the rotated
+    right-hand-side carries.
 
-    Before step k, columns 0..3 of ``fx``/``fy`` hold d_{2k-5}..d_{2k-2}
-    (zero below column 1) and column 4 takes the newest basis vector.
-    ``reduction.mix`` writes d_{2k-3}..d_{2k} and the iterate increment into
-    the spare block, and the blocks swap.  Columns 0 and 1 of ``cx`` pass
-    d_{2k-3}, d_{2k-2} through; a step rewrites columns 2..4 and copies
-    ``cx`` into ``cy``, whose row 4, on the basis vector, differs.
+    Before an odd step k, columns 1..4 of ``fx``/``fy`` hold d_{2k-5} ..
+    d_{2k-2} (zero below index 1), and ``reduction.mix`` writes d_{2k-1},
+    d_{2k} over the oldest two, in columns 1-2; before an even step they
+    hold d_{2k-3}, d_{2k-2}, d_{2k-5}, d_{2k-4}, and the new pair goes to
+    columns 3-4.  ``cx`` and ``cy`` differ in the basis vector's row only.
     """
 
-    def __init__(self, sys: PartitionedSystem, red):
-        super().__init__(sys, red, 5)
-        self.cx[2, 0] = self.cx[3, 1] = 1.0
+    def __init__(self, sys: PartitionedSystem):
+        super().__init__(sys, 6)
         # rotated right-hand side: the two entries the last step finalized,
         # then the two carries whose norm is the quasi-residual
-        self.rhs = (0.0, 0.0, red.beta1, red.delta1)
-        self.quasi = float(np.hypot(red.beta1, red.delta1))
+        self.rhs = (0.0, 0.0, self.red.beta1, self.red.delta1)
+        self.quasi = float(np.hypot(*self.rhs[2:]))
 
     def advance(self):
         """One solver step: reduction, staged bundle, rhs rotation,
@@ -99,11 +98,12 @@ class QMRState(RecurrenceState):
         a = [-xi1 / rho1, -zeta1 / rho1, -omega1 / rho1, -nu1 / rho1]
         b = [(bj - nu2 * aj) / rho2 for aj, bj in
              zip(a, (0.0, -xi2, -zeta2, -omega2))]
-        self.cx[:4, 2:] = [(aj, bj, w1 * aj + w2 * bj) for aj, bj in zip(a, b)]
-        self.cy[...] = self.cx  # the sides differ in row 4 only
+        rows, odd = [(aj, bj, w1 * aj + w2 * bj) for aj, bj in zip(a, b)], self.k % 2
+        self.cx[1 - odd:5 - odd] = rows if odd else rows[2:] + rows[:2]
+        self.cy[...] = self.cx  # the sides differ in the basis vector's row only
         for coef, an, bn in ((self.cx, 1.0 / rho1, -nu2 / (rho1 * rho2)),
                              (self.cy, 0.0, 1.0 / rho2)):
-            coef[4, 2:] = (an, bn, w1 * an + w2 * bn)  # on the basis vector
+            coef[4 * odd] = (an, bn, w1 * an + w2 * bn)  # last at odd k, first at even
         self.update()
         return coeffs
 
@@ -121,6 +121,5 @@ def gpqmr_solve(sys: PartitionedSystem, tol: float = 1e-8,
     evaluates and stops on true residuals instead (two extra operator
     applications per step), mirroring comparison-grade runs.
     """
-    return _solve(sys, QMRState(sys, reduction_init(sys)), tol, maxit,
-                  explicit_residual)
+    return _solve(sys, QMRState(sys), tol, maxit, explicit_residual)
 

@@ -95,17 +95,19 @@ class StepCoeffs(NamedTuple):
 class ReductionState:
     """Single-owner sliding window of the reduction (index k = current).
     A fresh one is the zero window at k = 0 (zero vectors, couplings and
-    norms), from which ``_normalize`` forms index 1 as it forms the rest."""
+    norms), from which ``_normalize`` forms index 1 as it forms the rest.
+    Pairs ``q``, ``u`` of zero buffers, if given, take q_k, u_k, odd k first."""
 
     __slots__ = ("k", "p_prev", "p_cur", "q_prev", "q_cur", "u_prev", "u_cur",
                  "v_prev", "v_cur", "beta", "gamma", "delta", "eta", "beta1",
                  "delta1", "q_norm", "u_norm", "q_prev_norm", "u_prev_norm",
                  "vec_scale", "breakdown")
 
-    def __init__(self, m: int, n: int):
+    def __init__(self, m: int, n: int, q=None, u=None):
         self.k = 0
-        self.p_prev, self.p_cur, self.q_prev, self.q_cur = map(np.zeros, [m] * 4)
-        self.u_prev, self.u_cur, self.v_prev, self.v_cur = map(np.zeros, [n] * 4)
+        self.p_prev, self.p_cur, self.v_prev, self.v_cur = map(np.zeros, [m, m, n, n])
+        self.q_prev, self.q_cur = q or (np.zeros(m), np.zeros(m))
+        self.u_prev, self.u_cur = u or (np.zeros(n), np.zeros(n))
         self.beta = self.gamma = self.delta = self.eta = 0.0
         self.q_norm = self.u_norm = 0.0
         self.vec_scale = 1.0
@@ -156,19 +158,19 @@ def _normalize(st: ReductionState, pq, p, q, np_, nq, uv, u, v, nu, nv) -> None:
     st.k += 1
 
 
-def reduction_init(sys: PartitionedSystem) -> ReductionState:
+def reduction_init(sys: PartitionedSystem, q=None, u=None) -> ReductionState:
     """Scale the starting vectors into the first biorthogonal quadruple.
 
-    The zero window takes (f, b) and (c, g), with whole-vector inner
-    products and norms, through the step's own normalization.  Returns the
-    state at k = 1 with ``beta1``/``delta1`` set; when f^T b or c^T g is
-    negligible the process cannot start, and its ``breakdown`` reports
-    iteration 1.
+    The zero window (on ``q``, ``u``; see ``ReductionState``) takes (f, b)
+    and (c, g), with whole-vector inner products and norms, through the
+    step's own normalization.  Returns the state at k = 1 with
+    ``beta1``/``delta1`` set; when f^T b or c^T g is negligible the process
+    cannot start, and its ``breakdown`` reports iteration 1.
     """
     f, b, c, g = sys.f, sys.b, sys.c, sys.g
     nf, nb = np.linalg.norm(f), np.linalg.norm(b)
     nc, ng = np.linalg.norm(c), np.linalg.norm(g)
-    st = ReductionState(sys.m, sys.n)
+    st = ReductionState(sys.m, sys.n, q, u)
     _normalize(st, float(f @ b), f, b, nf, nb, float(c @ g), c, g, nc, ng)
     st.beta1, st.delta1 = st.beta, st.delta
     return st
@@ -185,47 +187,52 @@ def strips(*arrays):
         yield [a[lo:lo + size] for a in arrays]
 
 
-def mix(block, spare, basis, it, coef):
+def mix(live, dead, scratch, it, coef):
     """A short recurrence's direction update and iterate increment, per row
-    strip: ``basis`` into the block's last column, spare = block @ coef and
-    ``it`` += spare[:, -1]."""
-    for bs, ss, vs, its in strips(block, spare, basis, it):
-        bs[:, -1] = vs
-        np.matmul(bs, coef, out=ss)
-        its += ss[:, -1]
+    strip: scratch rows take live @ coef, whose first two columns overwrite
+    the ``dead`` directions and whose last is added to ``it``."""
+    for ls, ds, its in strips(live, dead, it):
+        ss = scratch[:len(ls)]
+        np.matmul(ls, coef, out=ss)
+        ds[...] = ss[:, :2]
+        its += ss[:, 2]
 
 
 class RecurrenceState:
     """What gpbilq's and gpqmr's solver states share: the reduction ``red``
-    on ``sys``, the factor ``window``, the iterate x, y and per side a
-    Fortran-ordered (len x width) direction block, ``fx`` and ``fy``, with
-    a spare, ``gx`` and ``gy``.  A subclass keeps its factorization policy:
-    its ``advance`` steps the reduction and the window, writes the step's
-    direction coefficients into ``cx`` and ``cy`` (width x width) and calls
-    ``update``.  The rest is the solve-loop protocol (see
+    on ``sys``, the factor ``window``, the iterate x, y and per side one
+    Fortran-ordered (len x width) block ``fx``/``fy``, [basis slot |
+    directions | basis slot], whose slots are red's q (u) buffers: q_k is
+    last at odd k and first at even k, so block[:, 1:] or block[:, :-1] is
+    step k's input.  A subclass keeps its factorization policy: ``advance``
+    steps the reduction and the window, writes the (width-1 x 3) direction
+    coefficients, rows in the input's column order, into ``cx`` and ``cy``
+    and calls ``update``.  The rest is the solve-loop protocol (see
     ``convergence._solve``) of a method whose iterate is x, y.
     """
 
     tracks_transfer = False
 
-    def __init__(self, sys: PartitionedSystem, red: ReductionState, width: int):
-        self.sys, self.red, self.k = sys, red, 0
-        self.window = BandWindow(sys.lam, sys.mu)
-        self.x, self.y = np.zeros(sys.m), np.zeros(sys.n)
+    def __init__(self, sys: PartitionedSystem, width: int):
+        self.sys, self.k = sys, 0
         self.fx = np.zeros((sys.m, width), order="F")
         self.fy = np.zeros((sys.n, width), order="F")
-        self.gx = np.empty((sys.m, width), order="F")
-        self.gy = np.empty((sys.n, width), order="F")
-        self.cx, self.cy = np.zeros((width, width)), np.zeros((width, width))
+        self.red = reduction_init(sys, (self.fx[:, -1], self.fx[:, 0]),
+                                  (self.fy[:, -1], self.fy[:, 0]))
+        self.window = BandWindow(sys.lam, sys.mu)
+        self.x, self.y = np.zeros(sys.m), np.zeros(sys.n)
+        # only a scratch's first strip of rows is touched, and held in memory
+        self.sx, self.sy = (np.empty((rows, 3), order="F") for rows in (sys.m, sys.n))
+        self.cx, self.cy = np.zeros((width - 1, 3)), np.zeros((width - 1, 3))
+        # per parity of k, each side's input and the two directions it retires
+        self.views = [[(f[:, :-1], f[:, -3:-1]) for f in (self.fx, self.fy)],
+                      [(f[:, 1:], f[:, 1:3]) for f in (self.fx, self.fy)]]
 
     def update(self) -> None:
-        """Both sides' ``mix`` with the newest basis vectors q_k, u_k and
-        ``cx``, ``cy``; then each block swaps with its spare."""
-        red = self.red
-        mix(self.fx, self.gx, red.q_prev, self.x, self.cx)
-        mix(self.fy, self.gy, red.u_prev, self.y, self.cy)
-        self.fx, self.gx = self.gx, self.fx
-        self.fy, self.gy = self.gy, self.fy
+        """Both sides' ``mix`` at the step's parity with ``cx``, ``cy``."""
+        (lx, dx), (ly, dy) = self.views[self.k % 2]
+        mix(lx, dx, self.sx, self.x, self.cx)
+        mix(ly, dy, self.sy, self.y, self.cy)
 
     @property
     def stopped(self) -> bool:

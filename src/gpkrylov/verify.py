@@ -24,8 +24,8 @@ from .rotations import plane_rotation, rotation_block
 
 __all__ = ["ReductionHistory", "build_projected_h",
            "oracle_minnorm", "oracle_lsq", "oracle_dense_solve",
-           "random_system", "stepped", "projected_system", "bundle_product",
-           "dense_lq_factors", "dense_qr_factors",
+           "random_system", "stepped", "live_directions", "projected_system",
+           "bundle_product", "dense_lq_factors", "dense_qr_factors",
            "reduction_errors", "minnorm_gap", "transfer_gap", "lsq_gaps",
            "estimate_gaps", "lq_errors", "qr_errors",
            "CheckResult", "run_invariant_suite"]
@@ -190,18 +190,24 @@ def random_system(m, n, seed, lam=1.0, mu=-0.5, symmetric=False,
 def stepped(state_cls, sys: PartitionedSystem, steps: int):
     """Yield (state, history) after each of ``steps`` steps of a BiLQState
     or QMRState; the same two objects, advanced in place, every time."""
-    red = reduction_init(sys)
-    hist = ReductionHistory(red)
-    st = state_cls(sys, red)
+    st = state_cls(sys)
+    hist = ReductionHistory(st.red)
     for _ in range(steps):
-        hist.update(red, st.advance())
+        hist.update(st.red, st.advance())
         if st.window.i > len(hist.bundles):
             hist.columns += st.window.cols
             hist.bundles.append(st.window.rot)
             hist.entries += st.varpi[2:] if state_cls is BiLQState else st.rhs[:2]
-            if state_cls is QMRState:  # d_{2k-1}, d_{2k}: block columns 2 and 3
-                hist.directions += list(np.vstack((st.fx, st.fy))[:, 2:4].T)
+            if state_cls is QMRState:  # the newest two, d_{2k-1} and d_{2k}
+                hist.directions += list(live_directions(st)[:, -2:].T)
         yield st, hist
+
+
+def live_directions(st) -> np.ndarray:
+    """A BiLQState's or QMRState's live directions, oldest first, as columns
+    of x side over y side; after an odd step the newest pair leads."""
+    f = np.vstack((st.fx, st.fy))[:, 1:-1]
+    return np.hstack((f[:, 2:], f[:, :2])) if st.k % 2 else f
 
 
 def projected_system(st, hist: ReductionHistory, rows: int):

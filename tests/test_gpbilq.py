@@ -3,12 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gpkrylov import (BiLQState, Operator, PartitionedSystem, gpbilq_solve,
-                      reduction_init, residual_norm)
+                      residual_norm)
 from gpkrylov.gpbilq import lq_step, substitute_step, transfer_scalars
 from gpkrylov.rotations import BandWindow, plane_rotation, rotation_block
 from gpkrylov.verify import (bundle_product, dense_lq_factors, estimate_gaps,
-                             lq_errors, minnorm_gap, projected_system, stepped,
-                             transfer_gap)
+                             live_directions, lq_errors, minnorm_gap,
+                             projected_system, stepped, transfer_gap)
 
 from gpk_support import make_system
 
@@ -93,7 +93,7 @@ def test_directions_match_dense_product():
         if st.k >= 2:
             F = hist.W(st.k) @ bundle_product(hist.bundles, 2 * st.k)
             tol = 1e-11 * max(1.0, np.linalg.norm(F))
-            live = np.vstack([st.fx[:, :2], st.fy[:, :2]])
+            live = live_directions(st)
             assert np.linalg.norm(F[:, -2:] - live) <= tol
             w1, w2 = hist.entries[2 * st.k - 4:]
             step = w1 * F[:, -4] + w2 * F[:, -3]
@@ -103,12 +103,12 @@ def test_directions_match_dense_product():
 
 def test_startup_directions_are_basis_columns():
     sys_ = make_system(5, 4, seed=34)
-    red = reduction_init(sys_)
-    st = BiLQState(sys_, red)
-    assert_allclose(st.fx[:, 0], red.q_cur)
-    assert_allclose(st.fy[:, 1], red.u_cur)
-    assert_allclose(st.fy[:, 0], 0.0)
-    assert_allclose(st.fx[:, 1], 0.0)
+    st = BiLQState(sys_)
+    red, (fx, fy) = st.red, np.split(live_directions(st), [sys_.m])
+    assert_allclose(fx[:, 0], red.q_cur)
+    assert_allclose(fy[:, 1], red.u_cur)
+    assert_allclose(fy[:, 0], 0.0)
+    assert_allclose(fx[:, 1], 0.0)
 
 
 def test_iterate_is_zero_at_startup():
@@ -129,8 +129,7 @@ def test_iterate_matches_minimum_norm_oracle():
 # -- transfer ----------------------------------------------------------------
 
 def test_transfer_exact_on_one_by_one(one_by_one):
-    red = reduction_init(one_by_one)
-    st = BiLQState(one_by_one, red)
+    st = BiLQState(one_by_one)
     st.advance()  # startup step k=1
     assert st.attempt_transfer()
     x_c, y_c = st.transfer_iterate()
@@ -200,7 +199,7 @@ def test_unknown_monitor_is_rejected_by_the_solver_and_the_state():
     with pytest.raises(ValueError, match="monitor"):
         gpbilq_solve(sys_, monitor="x")
     with pytest.raises(ValueError, match="monitor"):
-        BiLQState(sys_, reduction_init(sys_), "x")
+        BiLQState(sys_, "x")
 
 
 def test_solve_converges_on_full_space():
@@ -265,8 +264,7 @@ def test_steady_state_allocates_only_operator_results():
     sys_ = PartitionedSystem(1.0, -0.5, opA, opB,
                              _tracked(rng.standard_normal(m)),
                              _tracked(rng.standard_normal(n)))
-    red = reduction_init(sys_)
-    st = BiLQState(sys_, red)
+    st = BiLQState(sys_)
     st.advance()  # startup step k=1
     for _ in range(4):
         st.advance()

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpkrylov import (Operator, PartitionedSystem, gpbilq_solve, gpqmr_solve,
-                      reduction, reduction_init, reduction_step)
+from gpkrylov import (BiLQState, Operator, PartitionedSystem, QMRState,
+                      gpbilq_solve, gpqmr_solve, reduction, reduction_init,
+                      reduction_step)
 from gpkrylov.reduction import strips
 
 SOLVERS = {
@@ -144,3 +145,50 @@ def test_striped_run_matches_over_shapes_and_scalars(m, n, seed, lam, mu):
     sys_ = desk_family(m, n, seed, lam, mu)
     for method in SOLVERS:
         check_strips(method, sys_, tol=0.0, maxit=8)
+
+
+STATES = {"gpbilq": (BiLQState, ("l",)), "gpbicg": (BiLQState, ("c",)),
+          "gpqmr": (QMRState, ())}
+
+
+def stepped_iterates(method, sys_, steps):
+    """The monitored iterate x|y after each of ``steps`` solve-loop steps,
+    with a check that the reduction's q and u buffers are the blocks'
+    basis slots: q_k, u_k in the last column at odd k, column 0 at even k."""
+    cls, args = STATES[method]
+    st = cls(sys_, *args)
+    red, out = st.red, []
+    for _ in range(steps):
+        st.advance()
+        st.estimate()
+        odd = red.k % 2
+        for cur, prev, block in ((red.q_cur, red.q_prev, st.fx),
+                                 (red.u_cur, red.u_prev, st.fy)):
+            assert np.shares_memory(cur, block[:, -1 if odd else 0])
+            assert np.shares_memory(prev, block[:, 0 if odd else -1])
+        out.append(np.concatenate(st.iterate()))
+    return out
+
+
+@pytest.mark.parametrize("method", STATES)
+def test_direction_update_in_strips_matches_one_strip(method, monkeypatch):
+    # 40 and 25 rows end in a partial 7-row strip; k = 1..8 covers both
+    # parities of the block layout and gpbilq's k = 1 step, which has no
+    # direction update.  The reduction's sums stay in one strip: their
+    # order moves its scalars, which the two-sided recurrences amplify (to
+    # 1.7e-11 in 8 steps on this family; see test_one_reduction_step_in_strips
+    # and check_strips), whereas the directions feed only the iterate
+    sweep = reduction._sweep
+
+    def whole_sweep(*args):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduction, "STRIP_ROWS", 2 ** 15)
+            return sweep(*args)
+
+    sys_ = desk_family(40, 25, seed=73)
+    whole = stepped_iterates(method, sys_, 8)
+    monkeypatch.setattr(reduction, "STRIP_ROWS", 7)
+    monkeypatch.setattr(reduction, "_sweep", whole_sweep)
+    striped = stepped_iterates(method, sys_, 8)
+    for a, b in zip(whole, striped):
+        assert relative_gap(a, b) <= 1e-13

@@ -22,6 +22,15 @@ the outputs of the two versions do not differ:
 
     PYTHONPATH=src python tools/probe_digest.py > after.txt
     diff before.txt after.txt
+
+A change that moves only the iterate's rounding (the short recurrences'
+directions feed nothing but x and y) keeps the name, method, reason,
+iteration count and estimates digest, fields 1-4 and 7:
+
+    diff <(cut -d' ' -f1-4,7 before.txt) <(cut -d' ' -f1-4,7 after.txt)
+
+is then empty, and the x/y digest and residual fields may differ on
+gpbilq, gpbicg and gpqmr runs only; gpmr and gpmr9 lines stay identical.
 """
 
 from __future__ import annotations
