@@ -149,7 +149,6 @@ class _GrowingQR:
         self.rots: list[tuple[int, float, float]] = []
         self.g = [beta, gamma]
         self.basis: list[int] = []
-        self.processed = [0, 0]  # v's and u's whose columns arrived
 
     def extend(self, entries) -> None:
         """Append the columns of a Hessenberg step's ``new`` entries; a
@@ -161,7 +160,6 @@ class _GrowingQR:
             col[2 * index + side] = self.diag[side]
             col[1 - side:2 * n + 1 - side:2] = coeffs.tolist()
             col[2 * n + 1 - side] = norm
-            self.processed[side] = index + 1
             g += [0.0] * (len(col) - len(g))  # new rows start at zero
             for i, c, s in self.rots:
                 a, b = col[i], col[i + 1]
@@ -184,9 +182,9 @@ class _GrowingQR:
     def projected_residual(self) -> float:
         return math.hypot(*self.g[len(self.r_cols):])
 
-    def solve(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients of the processed v's and of the processed u's in
-        the projected minimum (zero where a column added no unknown)."""
+    def solve(self, nv: int, nu: int) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients of the process's ``nv`` processed v's and ``nu`` u's
+        in the projected minimum (zero where a column added no unknown)."""
         j = len(self.r_cols)
         R = np.zeros((j, j))
         for col_idx, col in enumerate(self.r_cols):
@@ -194,10 +192,10 @@ class _GrowingQR:
         z = np.zeros(j)
         for i in range(j - 1, -1, -1):
             z[i] = (self.g[i] - R[i, i + 1:] @ z[i + 1:]) / R[i, i]
-        w = np.zeros(2 * max(self.processed))
+        w = np.zeros(2 * max(nv, nu))
         w[self.basis] = z
         # contiguous: a strided vector changes the last bits of V @ zv
-        return w[0:2 * self.processed[0]:2].copy(), w[1:2 * self.processed[1]:2].copy()
+        return w[0:2 * nv:2].copy(), w[1:2 * nu:2].copy()
 
 
 class GPMRState:
@@ -254,7 +252,7 @@ class GPMRState:
         """Cycle start plus the basis combination of the projected minimum."""
         if not self.qr.basis:
             return self.x, self.y
-        zv, zu = self.qr.solve()
+        zv, zu = self.qr.solve(self.proc.pv, self.proc.pu)
         return self.x + self.proc.V(len(zv)) @ zv, self.y + self.proc.U(len(zu)) @ zu
 
     def rescue(self):

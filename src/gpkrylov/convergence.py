@@ -50,9 +50,6 @@ class ConvergenceRecord:
     def finalize(self, reason: str) -> None:
         self.reason = reason
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
     def est_residuals(self) -> np.ndarray:
         return np.array([r.est_residual for r in self.rows])
 

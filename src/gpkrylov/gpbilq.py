@@ -40,6 +40,7 @@ __all__ = [
     "BiLQState",
     "lq_step",
     "substitute_step",
+    "corner_rotation",
     "transfer_scalars",
     "gpbilq_solve",
 ]
@@ -72,22 +73,29 @@ def _row_pair(odd, even, v, rhs):
     return w1, w2
 
 
-def substitute_step(w: BandWindow, varpi, beta1, delta1) -> tuple:
+def substitute_step(w: BandWindow, varpi, rhs) -> tuple:
     """Forward-substitute rows 2i-1 and 2i of the banded lower solve.
 
-    ``varpi`` holds entries 2i-5..2i-2; returns entries 2i-3..2i.
+    ``varpi`` holds entries 2i-5..2i-2 and ``rhs`` the right-hand side's
+    rows 2i-1 and 2i; returns entries 2i-3..2i.
     """
-    rhs = (beta1, delta1) if w.i == 1 else (0.0, 0.0)
     return varpi[2:] + _row_pair(*w.cols, varpi, rhs)
 
 
-def transfer_scalars(w: BandWindow, varpi, beta1, delta1):
+def corner_rotation(w: BandWindow):
+    """(c, s, rho_1, nu, rho_2): the column rotation that turns the hand-off
+    corner [[rb1, tb], [nb1, rb2]] of L into [[rho_1, 0], [nu, rho_2]]."""
+    c, s, rho1 = plane_rotation(w.rb1, w.tb)
+    return c, s, rho1, c * w.nb1 + s * w.rb2, -s * w.nb1 + c * w.rb2
+
+
+def transfer_scalars(w: BandWindow, varpi, rhs):
     """Rotation and substitution scalars for the square-system iterate.
 
-    ``varpi`` holds substitution entries 2i-3..2i.  Rows 2i+1 and 2i+2 of
-    the square factor are the off-diagonal entries the late stage finished
-    and the hand-off corner [[rb1, tb], [nb1, rb2]] of L, made lower
-    triangular by one column rotation.  Returns (c_k, s_k, w_odd, w_even)
+    ``varpi`` holds substitution entries 2i-3..2i and ``rhs`` the
+    right-hand side's rows 2i+1 and 2i+2.  These rows of the square factor
+    are the off-diagonal entries the late stage finished and the hand-off
+    corner of L (``corner_rotation``).  Returns (c_k, s_k, w_odd, w_even)
     for the current step k = i+1, or None when the corner's determinant is
     at most 1e-13 of its two products (iterate does not exist).
     """
@@ -95,11 +103,8 @@ def transfer_scalars(w: BandWindow, varpi, beta1, delta1):
     det = rb1 * rb2 - tb * nb1
     if abs(det) <= 1e-13 * (abs(rb1 * rb2) + abs(tb * nb1)):
         return None
-    c_k, s_k, rho_dd1 = plane_rotation(rb1, tb)
-    nu_dd = c_k * nb1 + s_k * rb2
-    rho_dd2 = -s_k * nb1 + c_k * rb2
+    c_k, s_k, rho_dd1, nu_dd, rho_dd2 = corner_rotation(w)
     odd, even = w.ahead
-    rhs = (beta1, delta1) if w.i == 0 else (0.0, 0.0)
     return (c_k, s_k) + _row_pair((rho_dd1,) + odd, (rho_dd2, nu_dd) + even,
                                   varpi, rhs)
 
@@ -109,14 +114,15 @@ def transfer_scalars(w: BandWindow, varpi, beta1, delta1):
 
 class BiLQState(RecurrenceState):
     """gpbilq's LQ policy on the shared recurrence state, four-column
-    blocks per side (``reduction.RecurrenceState``).
+    blocks per side (``reduction.RecurrenceState``, which owns the layout).
 
     Columns 1 and 2 of ``fx``/``fy`` hold the provisional pair carried to
-    the next step, between the basis slots.  ``reduction.mix`` overwrites
-    it with the next pair and adds the iterate increment; the retired pair
-    is never formed.  ``monitor`` picks the iterate the solve loop follows:
-    the minimum-norm one ("l") or the square-system one ("c"), formed in
-    ``x_c``/``y_c`` where it is read.
+    the next step, between the basis slots; the retired pair is never
+    formed.  ``coeffs`` keeps the last step's scalars beside ``red``'s
+    couplings, and ``unsubstituted`` the right-hand side (beta_1, delta_1)
+    until the first substitution, then (0, 0).  ``monitor`` picks the
+    iterate the solve loop follows: the minimum-norm one ("l") or the
+    square-system one ("c"), formed in ``x_c``/``y_c`` where it is read.
     """
 
     def __init__(self, sys: PartitionedSystem, monitor: str = "l"):
@@ -127,6 +133,7 @@ class BiLQState(RecurrenceState):
         self.tracks_transfer = monitor == "c"
         self.rot_prev = None  # the bundle before the window's latest
         self.varpi = (0.0,) * 4  # the last four forward-substitution entries
+        self.unsubstituted = (self.red.beta, self.red.delta)
         self.fx[:, 1], self.fy[:, 2] = self.red.q_cur, self.red.u_cur  # q_1|0, 0|u_1
         self.coeffs: StepCoeffs | None = None
         self.transfer = None  # transfer coefficients on the live pair, this step
@@ -135,33 +142,30 @@ class BiLQState(RecurrenceState):
     def advance(self) -> StepCoeffs:
         """One solver step: reduction and window step, then past the k=1
         seeding substitution, direction update and iterate update."""
-        red = self.red
+        red, w = self.red, self.window
         coeffs = reduction_step(red, self.sys)
-        w = self.window
         self.rot_prev = w.rot
-        lq_step(w, coeffs.gamma_k, coeffs.eta_k, coeffs.alpha, coeffs.theta,
-                coeffs.beta_next, coeffs.delta_next)
-        self.k, self.coeffs = coeffs.k, coeffs
+        lq_step(w, coeffs.gamma, coeffs.eta, coeffs.alpha, coeffs.theta,
+                red.beta, red.delta)
+        self.k, self.coeffs = self.k + 1, coeffs
         if w.i == 0:
             return coeffs
-        self.varpi = substitute_step(w, self.varpi, red.beta1, red.delta1)
+        self.varpi = substitute_step(w, self.varpi, self.unsubstituted)
+        self.unsubstituted = (0.0, 0.0)
         _, _, w1, w2 = self.varpi
         # the trailing 4x4 of the latest bundle mixes [ft1, ft2, q_k, u_k]
         # into (f1, f2, ft1', ft2'); only ft1', ft2' and the increment
-        # w1 f1 + w2 f2 (its only use) are formed; q_k, u_k lead at even k
-        r1, r2, rq, ru = rotation_bundle(w.rot)
-        for coef, rb in ((self.cx, rq), (self.cy, ru)):
-            coef[...] = [(r[2], r[3], w1 * r[0] + w2 * r[1])
-                         for r in ((r1, r2, rb) if self.k % 2 else (rb, r1, r2))]
-        self.update()
+        # w1 f1 + w2 f2 (its only use) are formed
+        r1, r2, rq, ru = [(r[2], r[3], w1 * r[0] + w2 * r[1])
+                          for r in rotation_bundle(w.rot)]
+        self.update([r1, r2], rq, ru)
         self.transfer = None
         return coeffs
 
     def attempt_transfer(self) -> bool:
         """The square-system iterate's two coefficients on the live pair at
         the current step, if it exists (``transfer_iterate`` forms it)."""
-        t = transfer_scalars(self.window, self.varpi,
-                             self.red.beta1, self.red.delta1)
+        t = transfer_scalars(self.window, self.varpi, self.unsubstituted)
         if t is None:
             self.transfer = None
             return False
@@ -198,11 +202,11 @@ class BiLQState(RecurrenceState):
         co = self.coeffs
         lam, mu = self.sys.lam, self.sys.mu
         z3, z4, z5, z6 = self._z_tail()
-        vartheta = co.beta_k * z4 + lam * z5 + co.alpha * z6
-        varrho = co.delta_k * z3 + co.theta * z5 + mu * z6
-        chi = co.beta_next * z6
-        varsigma = co.delta_next * z5
         red = self.red
+        vartheta = co.beta * z4 + lam * z5 + co.alpha * z6
+        varrho = co.delta * z3 + co.theta * z5 + mu * z6
+        chi = red.beta * z6
+        varsigma = red.delta * z5
         qq = float(red.q_prev @ red.q_cur)
         uu = float(red.u_prev @ red.u_cur)
         q_part = (vartheta * red.q_prev_norm) ** 2 \
@@ -219,10 +223,9 @@ class BiLQState(RecurrenceState):
         a, b = self.transfer
         _, _, z_odd, z_even = rotation_bundle(self.window.rot,
                                               (*self.varpi[2:], a, b))
-        co = self.coeffs
-        chi_t = co.beta_next * z_even
-        varsigma_t = co.delta_next * z_odd
         red = self.red
+        chi_t = red.beta * z_even
+        varsigma_t = red.delta * z_odd
         return float(np.hypot(chi_t * red.q_norm, varsigma_t * red.u_norm))
 
     # -- solve-loop protocol (see convergence._solve) ------------------------

@@ -62,49 +62,45 @@ def rotate_rhs(w: BandWindow, carry: tuple[float, float]):
 
 class QMRState(RecurrenceState):
     """gpqmr's QR policy on the shared recurrence state, six-column blocks
-    per side (``reduction.RecurrenceState``), and the rotated
-    right-hand-side carries.
+    per side (``reduction.RecurrenceState``, which owns the layout), and
+    the rotated right-hand side.
 
-    Before an odd step k, columns 1..4 of ``fx``/``fy`` hold d_{2k-5} ..
-    d_{2k-2} (zero below index 1), and ``reduction.mix`` writes d_{2k-1},
-    d_{2k} over the oldest two, in columns 1-2; before an even step they
-    hold d_{2k-3}, d_{2k-2}, d_{2k-5}, d_{2k-4}, and the new pair goes to
-    columns 3-4.  ``cx`` and ``cy`` differ in the basis vector's row only.
+    Columns 1..4 of ``fx``/``fy`` hold the last four directions d_{2k-5}
+    .. d_{2k-2} before step k (zero below index 1); ``update`` writes
+    d_{2k-1}, d_{2k} over the oldest two.  The rotated right-hand side
+    ``rhs`` starts from the reduction's beta_1, delta_1 as its carries.
     """
 
     def __init__(self, sys: PartitionedSystem):
         super().__init__(sys, 6)
         # rotated right-hand side: the two entries the last step finalized,
         # then the two carries whose norm is the quasi-residual
-        self.rhs = (0.0, 0.0, self.red.beta1, self.red.delta1)
+        self.rhs = (0.0, 0.0, self.red.beta, self.red.delta)
         self.quasi = float(np.hypot(*self.rhs[2:]))
 
     def advance(self):
         """One solver step: reduction, staged bundle, rhs rotation,
         direction back-recurrence, iterate update."""
-        coeffs = reduction_step(self.red, self.sys)
-        w = self.window
-        qr_step(w, coeffs.alpha, coeffs.theta, coeffs.beta_next,
-                coeffs.delta_next, coeffs.gamma_next, coeffs.eta_next)
-        self.k = coeffs.k
+        red, w = self.red, self.window
+        coeffs = reduction_step(red, self.sys)
+        qr_step(w, coeffs.alpha, coeffs.theta, red.beta, red.delta, red.gamma,
+                red.eta)
+        self.k += 1
         self.rhs = rotate_rhs(w, self.rhs[2:])
         w1, w2, b3, b4 = self.rhs
         self.quasi = float(np.hypot(b3, b4))
 
         # n1 = (q_k - (xi, zeta, omega, nu) . d_{2k-5..2k-2}) / rho_{2k-1}, n2
         # likewise over d_{2k-4..2k-2}, n1 with u_k; q_k enters the x side only,
-        # u_k the y side only, and n2's dependence on n1 is folded into b
+        # u_k the y side only (the last two rows), and n2's dependence on n1
+        # is folded into b
         (rho1, nu1, omega1, zeta1, xi1), (rho2, nu2, omega2, zeta2, xi2) = w.cols
         a = [-xi1 / rho1, -zeta1 / rho1, -omega1 / rho1, -nu1 / rho1]
         b = [(bj - nu2 * aj) / rho2 for aj, bj in
              zip(a, (0.0, -xi2, -zeta2, -omega2))]
-        rows, odd = [(aj, bj, w1 * aj + w2 * bj) for aj, bj in zip(a, b)], self.k % 2
-        self.cx[1 - odd:5 - odd] = rows if odd else rows[2:] + rows[:2]
-        self.cy[...] = self.cx  # the sides differ in the basis vector's row only
-        for coef, an, bn in ((self.cx, 1.0 / rho1, -nu2 / (rho1 * rho2)),
-                             (self.cy, 0.0, 1.0 / rho2)):
-            coef[4 * odd] = (an, bn, w1 * an + w2 * bn)  # last at odd k, first at even
-        self.update()
+        rows = [(aj, bj, w1 * aj + w2 * bj) for aj, bj in
+                zip(a + [1.0 / rho1, 0.0], b + [-nu2 / (rho1 * rho2), 1.0 / rho2])]
+        self.update(rows[:4], rows[4], rows[5])
         return coeffs
 
     def estimate(self) -> float:

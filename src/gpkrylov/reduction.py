@@ -71,37 +71,29 @@ class BreakdownReport:
 
 
 class StepCoeffs(NamedTuple):
-    """Scalars produced by one reduction step.
+    """What one reduction step consumed and the state forgets after it:
+    the step-k diagonal entries alpha, theta and the index-k couplings
+    beta, gamma, delta, eta that entered the recurrences.  The fresh
+    index-k+1 couplings are the state's own (``ReductionState``)."""
 
-    ``k`` is the step index: alpha/theta are the step-k diagonal entries,
-    the ``*_k`` fields are the index-k coupling scalars that entered the
-    recurrences, and the ``*_next`` fields are the freshly computed index-k+1
-    scalars (zero for a pair that broke down).
-    """
-
-    k: int
     alpha: float
     theta: float
-    beta_k: float
-    gamma_k: float
-    delta_k: float
-    eta_k: float
-    beta_next: float
-    gamma_next: float
-    delta_next: float
-    eta_next: float
+    beta: float
+    gamma: float
+    delta: float
+    eta: float
 
 
 class ReductionState:
-    """Single-owner sliding window of the reduction (index k = current).
+    """Single-owner sliding window of the reduction (index k = current),
+    couplings beta, gamma, delta, eta included (zero for a dead pair).
     A fresh one is the zero window at k = 0 (zero vectors, couplings and
     norms), from which ``_normalize`` forms index 1 as it forms the rest.
     Pairs ``q``, ``u`` of zero buffers, if given, take q_k, u_k, odd k first."""
 
     __slots__ = ("k", "p_prev", "p_cur", "q_prev", "q_cur", "u_prev", "u_cur",
-                 "v_prev", "v_cur", "beta", "gamma", "delta", "eta", "beta1",
-                 "delta1", "q_norm", "u_norm", "q_prev_norm", "u_prev_norm",
-                 "vec_scale", "breakdown")
+                 "v_prev", "v_cur", "beta", "gamma", "delta", "eta", "q_norm",
+                 "u_norm", "q_prev_norm", "u_prev_norm", "vec_scale", "breakdown")
 
     def __init__(self, m: int, n: int, q=None, u=None):
         self.k = 0
@@ -163,16 +155,15 @@ def reduction_init(sys: PartitionedSystem, q=None, u=None) -> ReductionState:
 
     The zero window (on ``q``, ``u``; see ``ReductionState``) takes (f, b)
     and (c, g), with whole-vector inner products and norms, through the
-    step's own normalization.  Returns the state at k = 1 with
-    ``beta1``/``delta1`` set; when f^T b or c^T g is negligible the process
-    cannot start, and its ``breakdown`` reports iteration 1.
+    step's own normalization.  Returns the state at k = 1, whose beta and
+    delta are the projected right-hand side; when f^T b or c^T g is
+    negligible the process cannot start, and ``breakdown`` reports it.
     """
     f, b, c, g = sys.f, sys.b, sys.c, sys.g
     nf, nb = np.linalg.norm(f), np.linalg.norm(b)
     nc, ng = np.linalg.norm(c), np.linalg.norm(g)
     st = ReductionState(sys.m, sys.n, q, u)
     _normalize(st, float(f @ b), f, b, nf, nb, float(c @ g), c, g, nc, ng)
-    st.beta1, st.delta1 = st.beta, st.delta
     return st
 
 
@@ -204,10 +195,10 @@ class RecurrenceState:
     Fortran-ordered (len x width) block ``fx``/``fy``, [basis slot |
     directions | basis slot], whose slots are red's q (u) buffers: q_k is
     last at odd k and first at even k, so block[:, 1:] or block[:, :-1] is
-    step k's input.  A subclass keeps its factorization policy: ``advance``
-    steps the reduction and the window, writes the (width-1 x 3) direction
-    coefficients, rows in the input's column order, into ``cx`` and ``cy``
-    and calls ``update``.  The rest is the solve-loop protocol (see
+    step k's input.  ``update`` alone knows this layout.  A subclass keeps
+    its factorization policy: ``advance`` steps the reduction and the
+    window, counts the step in k and hands ``update`` the direction
+    coefficients.  The rest is the solve-loop protocol (see
     ``convergence._solve``) of a method whose iterate is x, y.
     """
 
@@ -228,9 +219,15 @@ class RecurrenceState:
         self.views = [[(f[:, :-1], f[:, -3:-1]) for f in (self.fx, self.fy)],
                       [(f[:, 1:], f[:, 1:3]) for f in (self.fx, self.fy)]]
 
-    def update(self) -> None:
-        """Both sides' ``mix`` at the step's parity with ``cx``, ``cy``."""
-        (lx, dx), (ly, dy) = self.views[self.k % 2]
+    def update(self, rows, row_x, row_y) -> None:
+        """Both sides' ``mix`` at step k from the coefficient rows of the
+        shared directions, oldest first, and of each side's basis vector,
+        ordered as step k's input (the odd steps' pairs lead at even k)."""
+        odd = self.k % 2
+        self.cx[...] = rows + [row_x] if odd else [row_x] + rows[2:] + rows[:2]
+        self.cy[...] = self.cx
+        self.cy[-odd] = row_y
+        (lx, dx), (ly, dy) = self.views[odd]
         mix(lx, dx, self.sx, self.x, self.cx)
         mix(ly, dy, self.sy, self.y, self.cy)
 
@@ -280,7 +277,6 @@ def reduction_step(state: ReductionState, sys: PartitionedSystem) -> StepCoeffs:
     """
     if state.breakdown is not None:
         raise RuntimeError("reduction already broke down; cannot step further")
-    k = state.k
     beta, gamma, delta, eta = state.beta, state.gamma, state.delta, state.eta
     Au = sys.A.apply(state.u_cur)
     ATp = sys.A.apply_transpose(state.p_cur)
@@ -300,5 +296,4 @@ def reduction_step(state: ReductionState, sys: PartitionedSystem) -> StepCoeffs:
                         ATp, eta, theta, beta, alpha)
     _normalize(state, pq, BTv, Au, math.sqrt(pp), math.sqrt(qq),
                uv, Bq, ATp, math.sqrt(uu), math.sqrt(vv))
-    return StepCoeffs(k, alpha, theta, beta, gamma, delta, eta,
-                      state.beta, state.gamma, state.delta, state.eta)
+    return StepCoeffs(alpha, theta, beta, gamma, delta, eta)

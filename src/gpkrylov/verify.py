@@ -14,13 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .gpbilq import BiLQState
+from .gpbilq import BiLQState, corner_rotation
 from .gpqmr import QMRState
 from .linop import (DENSE_GUARD, Operator, PartitionedSystem, assemble_dense,
                     residual_norm)
 from .reduction import (BreakdownReport, ReductionState, StepCoeffs,
                         reduction_init, reduction_step)
-from .rotations import plane_rotation, rotation_block
+from .rotations import rotation_block
 
 __all__ = ["ReductionHistory", "build_projected_h",
            "oracle_minnorm", "oracle_lsq", "oracle_dense_solve",
@@ -66,10 +66,10 @@ class ReductionHistory:
         self.vs.append(state.v_cur.copy())
         self.alphas.append(coeffs.alpha)
         self.thetas.append(coeffs.theta)
-        self.betas.append(coeffs.beta_next)
-        self.gammas.append(coeffs.gamma_next)
-        self.deltas.append(coeffs.delta_next)
-        self.etas.append(coeffs.eta_next)
+        self.betas.append(state.beta)
+        self.gammas.append(state.gamma)
+        self.deltas.append(state.delta)
+        self.etas.append(state.eta)
 
     def W(self, k: int) -> np.ndarray:
         """Interleaved basis [q_1|0, 0|u_1, q_2|0, 0|u_2, ...] of width 2k."""
@@ -254,9 +254,7 @@ def dense_lq_factors(st: BiLQState, hist: ReductionHistory):
     """
     w = st.window
     dim = 2 * st.k
-    c_k, s_k, rho_dd1 = plane_rotation(w.rb1, w.tb)
-    nu_dd = c_k * w.nb1 + s_k * w.rb2
-    rho_dd2 = -s_k * w.nb1 + c_k * w.rb2
+    c_k, s_k, rho_dd1, nu_dd, rho_dd2 = corner_rotation(w)
     odd, even = w.ahead
     L = _banded(hist.columns + [(rho_dd1,) + odd, (rho_dd2, nu_dd) + even], dim).T
     gt = np.eye(dim)

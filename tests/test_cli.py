@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import gpkrylov
-from gpkrylov import cli, read_convergence_csv, write_matrix_market
+from gpkrylov import (build_system, cli, gpbilq_solve, read_convergence_csv,
+                      read_matrix_market, write_matrix_market)
 from gpkrylov.cli import main
 from gpkrylov.verify import CheckResult
 
@@ -56,6 +57,32 @@ def test_missing_matrix_args_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         run("solve", "--method", "gpqmr")
     assert exc.value.code == 1
+
+
+def test_start_vector_files_are_read(matrices, capsys):
+    rng = np.random.default_rng(403)
+    for name in ("f", "g"):
+        write_matrix_market(rng.standard_normal((6, 1)), matrices / f"{name}.mtx")
+    f, g = (np.asarray(read_matrix_market(matrices / f"{name}.mtx").todense()).ravel()
+            for name in ("f", "g"))
+    A, B = (read_matrix_market(matrices / name) for name in ("A.mtx", "B.mtx"))
+    run("solve", "--method", "gpbilq", "--a", str(matrices / "A.mtx"),
+        "--b", str(matrices / "B.mtx"), "--tol", "0", "--maxit", "3",
+        "--f-file", str(matrices / "f.mtx"), "--g-file", str(matrices / "g.mtx"))
+    out = capsys.readouterr().out
+    for start, seen in (((f, g), True), ((None, None), False)):
+        res = gpbilq_solve(build_system(A, B, 1.0, -1.0, *start), tol=0.0, maxit=3)
+        assert (f"residual {res.residual:.6e}" in out) == seen
+
+
+@pytest.mark.parametrize("flag", ["--f-file", "--g-file"])
+def test_start_vector_of_wrong_length_exits_one(matrices, capsys, flag):
+    write_matrix_market(np.ones((5, 1)), matrices / "v.mtx")
+    with pytest.raises(SystemExit) as exc:
+        run("solve", "--method", "gpbilq", "--a", str(matrices / "A.mtx"),
+            "--b", str(matrices / "B.mtx"), flag, str(matrices / "v.mtx"))
+    assert exc.value.code == 1
+    assert "must have 6 entries, got 5" in capsys.readouterr().err
 
 
 def test_breakdown_exits_three(tmp_path):

@@ -59,7 +59,7 @@ def test_substitution_startup_rows():
     w = BandWindow(1.0, 1.0)
     w.i = 1  # bundle 1 finalized columns 1 and 2: diagonal 4 and 2, no band
     w.cols = ((4.0, 0.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0, 0.0))
-    *_, w1, w2 = substitute_step(w, (0.0,) * 4, 2.0, 1.0)
+    *_, w1, w2 = substitute_step(w, (0.0,) * 4, (2.0, 1.0))
     assert_allclose(w1, 0.5)   # beta1 / rho_1
     assert_allclose(w2, 0.5)   # (delta1 - nu_2 w1) / rho_2
 
@@ -141,7 +141,7 @@ def test_transfer_exact_on_one_by_one(one_by_one):
 def test_transfer_guard_on_zero_determinant():
     w = BandWindow(0.0, 0.0)
     lq_step(w, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)  # det = 0*0 - 1*0 = 0
-    assert transfer_scalars(w, (0.0,) * 4, 1.0, 1.0) is None
+    assert transfer_scalars(w, (0.0,) * 4, (1.0, 1.0)) is None
 
 
 def test_transfer_matches_square_solve():

@@ -87,6 +87,17 @@ def test_complex_rejected(tmp_path):
         read_matrix_market(path)
 
 
+def test_array_symmetry_rejected(tmp_path):
+    path = write(tmp_path, """%%MatrixMarket matrix array real symmetric
+2 2
+1.0
+2.0
+3.0
+""")
+    with pytest.raises(MatrixMarketError, match="unsupported array symmetry 'symmetric'"):
+        read_matrix_market(path)
+
+
 def test_malformed_header(tmp_path):
     path = write(tmp_path, "1 1 1\n1 1 2.0\n")
     with pytest.raises(MatrixMarketError, match="header"):
@@ -239,10 +250,13 @@ def test_round_trip(tmp_path):
         assert a.transfer_defined == b.transfer_defined
 
 
-def test_record_validation():
+def test_record_validation(tmp_path):
     rec = ConvergenceRecord()
     rec.append(1, 1.0)
     with pytest.raises(ValueError, match="increasing"):
         rec.append(1, 0.5)
     with pytest.raises(ValueError, match="nonnegative"):
         rec.append(2, -1.0)
+    path = write(tmp_path, "k,residual\n0,1.0\n", name="r.csv")
+    with pytest.raises(ValueError, match="unexpected header 'k,residual'"):
+        read_convergence_csv(path)

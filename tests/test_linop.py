@@ -88,6 +88,12 @@ def test_operator_shape_checks():
         op.apply(np.ones(3))
     with pytest.raises(ValueError, match="length"):
         op.apply_transpose(np.ones(2))
+    # callbacks that return a vector of the wrong length
+    bad = Operator(3, 2, lambda x: np.ones(2), lambda y: np.ones(3))
+    with pytest.raises(ValueError, match="apply callback returned"):
+        bad.apply(np.ones(2))
+    with pytest.raises(ValueError, match="apply_transpose callback returned"):
+        bad.apply_transpose(np.ones(3))
 
 
 def test_sparse_and_dense_agree():
@@ -109,6 +115,15 @@ def test_system_validation():
     with pytest.raises(ValueError, match="B must be"):
         PartitionedSystem(1.0, 1.0, A, Operator.from_matrix(np.ones((3, 3))),
                           np.ones(3), np.ones(3))
+    with pytest.raises(ValueError, match="b must have length 3"):
+        PartitionedSystem(1.0, 1.0, A, B, np.ones(2), np.ones(2))
+
+
+@pytest.mark.parametrize("x_len, y_len", [(2, 2), (3, 3)])
+def test_apply_partitioned_rejects_wrong_lengths(x_len, y_len):
+    sys_ = make_system(3, 2, seed=12)
+    with pytest.raises(ValueError, match="expected x of length 3 and y of length 2"):
+        apply_partitioned(sys_, np.ones(x_len), np.ones(y_len))
 
 
 def test_default_start_vectors_are_rhs():

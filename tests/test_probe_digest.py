@@ -44,3 +44,49 @@ def test_digest_has_five_fields(method):
     assert reason in (CONVERGED, MAXIT, BREAKDOWN, NONFINITE)
     assert int(k) >= 0 and float(residual) >= 0.0
     assert re.fullmatch("[0-9a-f]{40}", xy) and re.fullmatch("[0-9a-f]{40}", est)
+
+
+def _run(name, method):
+    return next(r for r in probe_digest.runs() if r[:2] == (name, method))
+
+
+@pytest.mark.parametrize("name, method, cls", [
+    ("desk-0-0", "gpbilq", "stable"),
+    ("probe-1045-30x30", "gpbilq", "chaotic"),  # breakdown at k = 30, a draw converges
+    ("probe-1045-30x30", "gpmr", "stable"),
+])
+def test_draws_classify_named_runs(name, method, cls):
+    run = _run(name, method)
+    res, outcomes, got = probe_digest.classify(run, 3)
+    assert got == cls and len(outcomes) == 4
+    assert outcomes[0] == (res.reason, res.iterations)
+    assert probe_digest.digest(res) == probe_digest.digest(
+        probe_digest.METHODS[method](*run[2:]))
+
+
+def test_perturbation_moves_b_and_c_at_rounding_level_and_f_follows():
+    _, _, s, _, _ = _run("probe-1000-40x25", "gpbilq")
+    moved = probe_digest.perturbed("probe-1000-40x25", s, 1)
+    for new, old in ((moved.b, s.b), (moved.c, s.c)):
+        rel = np.abs(new / old - 1.0)
+        assert 0.0 < rel.max() <= 40 * np.finfo(float).eps
+    assert np.array_equal(moved.f, moved.b) and np.array_equal(moved.g, moved.c)
+    _, _, fperp, _, _ = _run("fperp-1000-40x25", "gpbilq")
+    moved = probe_digest.perturbed("fperp-1000-40x25", fperp, 1)
+    assert np.array_equal(moved.f, fperp.f) and not np.array_equal(moved.g, fperp.g)
+
+
+def test_judge_applies_the_rounding_rule():
+    stable = [("converged", 5)] * 4
+    classified = [("a", "gpbilq", "stable", stable),
+                  ("b", "gpbilq", "chaotic", [("breakdown", 30), ("converged", 59),
+                                              ("breakdown", 30), ("breakdown", 31)])]
+    # the draws' spread: solved 0..1, median k 30..59
+    assert probe_digest.judge(["a gpbilq converged 5 x", "b gpbilq converged 40 x"],
+                              classified) == []
+    assert probe_digest.judge(["a gpbilq converged 6 x", "b gpbilq breakdown 60 x"],
+                              classified) == ["a gpbilq converged 6 (stable)",
+                                              "gpbilq median k 60 outside 30..59"]
+    with pytest.raises(ValueError, match="same runs"):
+        probe_digest.judge(["b gpbilq converged 5 x", "a gpbilq converged 5 x"],
+                           classified)

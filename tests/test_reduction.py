@@ -80,7 +80,7 @@ def test_one_by_one_lucky_breakdown(one_by_one):
     assert_allclose([coeffs.alpha, coeffs.theta], [2.0, 3.0])
     assert red.breakdown is not None
     assert red.breakdown.lucky and red.breakdown.iteration == 2
-    assert coeffs.beta_next == 0.0
+    assert red.beta == 0.0
     with pytest.raises(RuntimeError, match="broke"):
         reduction_step(red, one_by_one)
 

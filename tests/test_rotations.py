@@ -72,17 +72,17 @@ def test_both_stage_orders_give_the_same_factorization():
     wq, wl = BandWindow(sys_.lam, sys_.mu), BandWindow(sys_.lam, sys_.mu)
     assert wq.rot == (1.0, 0.0) * 4 and wq.rb2 == sys_.mu
     early_q = []
-    for _ in range(24):
+    for k in range(1, 25):
         c = reduction_step(red, sys_)
         assert red.breakdown is None
-        qr_step(wq, c.alpha, c.theta, c.beta_next, c.delta_next, c.gamma_next, c.eta_next)
+        qr_step(wq, c.alpha, c.theta, red.beta, red.delta, red.gamma, red.eta)
         # transposed roles: alpha<->theta, beta<->eta, gamma<->delta
-        lq_step(wl, c.delta_k, c.beta_k, c.theta, c.alpha, c.eta_next, c.gamma_next)
+        lq_step(wl, c.delta, c.beta, c.theta, c.alpha, red.eta, red.gamma)
         late = [(w.ahead, w.far, w.rb1, w.tb, w.nb1, w.zb1, w.omega_bar, w.nu_bar)
                 for w in (wq, wl)]
-        if c.k == 1:
+        if k == 1:
             late.append((((0.0,) * 4, (0.0,) * 3), (0.0,) * 3, sys_.lam,
-                         c.theta, c.alpha, c.gamma_next, 0.0, c.eta_next))
+                         c.theta, c.alpha, red.gamma, 0.0, red.eta))
         assert all(slots == late[0] for slots in late)
         if early_q:
             assert early_q[-1] == (wl.i, wl.cols, wl.rot, wl.rb2, wl.omega_check,

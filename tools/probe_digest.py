@@ -31,17 +31,45 @@ iteration count and estimates digest, fields 1-4 and 7:
 
 is then empty, and the x/y digest and residual fields may differ on
 gpbilq, gpbicg and gpqmr runs only; gpmr and gpmr9 lines stay identical.
+
+A change that moves rounding in the reduction moves exits too: on the
+probe systems the short recurrences run past the dimension after
+biorthogonality is lost, and there a rounding-level change of the input
+moves most of their exits.  Such a change is judged against rounding.
+``--draws K`` re-runs every run on K seeded perturbations of the input
+(each entry of b and c multiplied by 1 + 4 eps N(0, 1); f and g follow
+b and c wherever they equal them, which leaves only fperp's f) and appends
+one field per line: ``stable`` when the reason and iteration count of
+every draw equal the run's own, else ``chaotic``.  Per method it also
+writes to stderr the spread, over the run and its draws, of the chaotic
+runs' solved count (``converged`` exits) and median iteration count.
+The rule for a change that moves rounding, against the digest of the
+version before it:
+
+* on ``stable`` lines fields 1-4 (name, method, reason, iteration count)
+  are identical;
+* on ``chaotic`` lines, per method, the solved count and the median
+  iteration count each lie within the spread the draws show.
+
+``--judge BEFORE`` applies the rule to BEFORE, a digest of the other
+version, with the spread of this version's draws, and exits 1 if it fails:
+
+    PYTHONPATH=src python tools/probe_digest.py --draws 3 --judge before.txt
+
+Without ``--draws`` the output is the plain digest, unchanged.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
 
-from gpkrylov import Operator, PartitionedSystem, gpmr_solve
+from gpkrylov import CONVERGED, Operator, PartitionedSystem, gpmr_solve
 from gpkrylov.verify import random_system
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -52,6 +80,7 @@ SHAPES = [(40, 25), (25, 40), (60, 45), (45, 60), (40, 30), (30, 40),
           (30, 30), (50, 50)]
 SCALARS = [(1.0, -0.5), (0.0, 0.0), (1.0, 0.0), (0.0, -1.0), (2.0, 1.0)]
 DESK = WORKLOADS["desk-dense"]
+EPS = np.finfo(float).eps
 METHODS = {**SOLVERS, "gpmr9": lambda s, tol, maxit: gpmr_solve(s, tol=tol, maxit=maxit,
                                                                  restart=9)}
 
@@ -90,9 +119,92 @@ def digest(res) -> str:
     return f"{res.reason} {res.iterations} {res.residual!r} {xy} {est}"
 
 
-def main() -> int:
-    for name, method, s, tol, maxit in runs():
-        print(f"{name} {method} {digest(METHODS[method](s, tol, maxit))}", flush=True)
+def perturbed(name: str, s: PartitionedSystem, draw: int) -> PartitionedSystem:
+    """Draw ``draw`` of run ``name``'s system: each entry of b and c times
+    1 + 4 eps N(0, 1), seeded by the draw and the name; f and g follow b and
+    c where they equal them."""
+    rng = np.random.default_rng([draw, zlib.crc32(name.encode())])
+    b, c = (v * (1.0 + 4.0 * EPS * rng.standard_normal(len(v))) for v in (s.b, s.c))
+    f = b if np.array_equal(s.f, s.b) else s.f
+    g = c if np.array_equal(s.g, s.c) else s.g
+    return PartitionedSystem(s.lam, s.mu, s.A, s.B, b, c, f, g)
+
+
+def classify(run, draws: int):
+    """(result, outcomes, class) of one run: ``outcomes`` holds the
+    (reason, iterations) of the run itself and then of each of ``draws``
+    perturbations of it, and the class is stable when they are all equal."""
+    name, method, s, tol, maxit = run
+    res = METHODS[method](s, tol, maxit)
+    outcomes = [(res.reason, res.iterations)]
+    for draw in range(1, draws + 1):
+        moved = METHODS[method](perturbed(name, s, draw), tol, maxit)
+        outcomes.append((moved.reason, moved.iterations))
+    return res, outcomes, "stable" if len(set(outcomes)) == 1 else "chaotic"
+
+
+def _summary(outcomes):
+    """Solved count and median iteration count of a list of outcomes."""
+    return (sum(reason == CONVERGED for reason, _ in outcomes),
+            float(np.median([k for _, k in outcomes])))
+
+
+def spreads(classified):
+    """{method: ((solved lo, hi), (median k lo, hi))} over the chaotic runs
+    of ``classified`` (name, method, class, outcomes), each summary taken
+    once for the runs themselves and once per draw."""
+    out = {}
+    for method in METHODS:
+        rows = [oc for _, m, cls, oc in classified if m == method and cls == "chaotic"]
+        if rows:
+            per_draw = [_summary(col) for col in zip(*rows)]
+            out[method] = tuple((min(v), max(v)) for v in zip(*per_draw))
+    return out
+
+
+def judge(before, classified) -> list[str]:
+    """The rule's failures for ``before``, the digest lines of another
+    version, against ``classified``: the stable runs whose fields 1-4
+    differ, and per method the chaotic runs' solved count or median
+    iteration count outside the spread of the draws."""
+    fields = [line.split()[:4] for line in before]
+    if [f[:2] for f in fields] != [[name, m] for name, m, _, _ in classified]:
+        raise ValueError("the reference digest does not list the same runs")
+    failures = [" ".join(f) + " (stable)" for f, (_, _, cls, oc) in zip(fields, classified)
+                if cls == "stable" and (f[2], int(f[3])) != oc[0]]
+    for method, ranges in spreads(classified).items():
+        ref = _summary([(f[2], int(f[3])) for f, (_, m, cls, _) in zip(fields, classified)
+                        if m == method and cls == "chaotic"])
+        for what, value, (lo, hi) in zip(("solved", "median k"), ref, ranges):
+            if not lo <= value <= hi:
+                failures.append(f"{method} {what} {value:g} outside {lo:g}..{hi:g}")
+    return failures
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--draws", type=int, default=0,
+                    help="classify each run against this many perturbed draws")
+    ap.add_argument("--judge", metavar="BEFORE",
+                    help="apply the rounding rule to this digest (needs --draws)")
+    args = ap.parse_args(argv)
+    if args.draws < 0 or (args.judge and not args.draws):
+        ap.error("--draws must be >= 0, and --judge needs --draws")
+    classified = []
+    for run in runs():
+        name, method = run[:2]
+        res, outcomes, cls = classify(run, args.draws)
+        classified.append((name, method, cls, outcomes))
+        tail = f" {cls}" if args.draws else ""
+        print(f"{name} {method} {digest(res)}{tail}", flush=True)
+    for method, ((s_lo, s_hi), (k_lo, k_hi)) in spreads(classified).items():
+        print(f"spread {method}: solved {s_lo}..{s_hi}, median k {k_lo:g}..{k_hi:g}",
+              file=sys.stderr)
+    if args.judge:
+        failures = judge(Path(args.judge).read_text().splitlines(), classified)
+        for line in failures or ["rule: pass"]:
+            print(line, file=sys.stderr)
+        return 1 if failures else 0
     return 0
 
 
