@@ -156,9 +156,7 @@ class BiLQState(RecurrenceState):
         # the trailing 4x4 of the latest bundle mixes [ft1, ft2, q_k, u_k]
         # into (f1, f2, ft1', ft2'); only ft1', ft2' and the increment
         # w1 f1 + w2 f2 (its only use) are formed
-        r1, r2, rq, ru = [(r[2], r[3], w1 * r[0] + w2 * r[1])
-                          for r in rotation_bundle(w.rot)]
-        self.update([r1, r2], rq, ru)
+        self.update([(r[2], r[3], w1 * r[0] + w2 * r[1]) for r in rotation_bundle(w.rot)])
         self.transfer = None
         return coeffs
 

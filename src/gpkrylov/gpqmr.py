@@ -100,7 +100,7 @@ class QMRState(RecurrenceState):
              zip(a, (0.0, -xi2, -zeta2, -omega2))]
         rows = [(aj, bj, w1 * aj + w2 * bj) for aj, bj in
                 zip(a + [1.0 / rho1, 0.0], b + [-nu2 / (rho1 * rho2), 1.0 / rho2])]
-        self.update(rows[:4], rows[4], rows[5])
+        self.update(rows)
         return coeffs
 
     def estimate(self) -> float:

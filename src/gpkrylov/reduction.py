@@ -219,12 +219,14 @@ class RecurrenceState:
         self.views = [[(f[:, :-1], f[:, -3:-1]) for f in (self.fx, self.fy)],
                       [(f[:, 1:], f[:, 1:3]) for f in (self.fx, self.fy)]]
 
-    def update(self, rows, row_x, row_y) -> None:
+    def update(self, rows) -> None:
         """Both sides' ``mix`` at step k from the coefficient rows of the
-        shared directions, oldest first, and of each side's basis vector,
-        ordered as step k's input (the odd steps' pairs lead at even k)."""
+        shared directions, oldest first, then of the x and of the y side's
+        basis vector, ordered as step k's input (the odd steps' pairs lead
+        at even k)."""
+        *shared, row_x, row_y = rows
         odd = self.k % 2
-        self.cx[...] = rows + [row_x] if odd else [row_x] + rows[2:] + rows[:2]
+        self.cx[...] = shared + [row_x] if odd else [row_x] + shared[2:] + shared[:2]
         self.cy[...] = self.cx
         self.cy[-odd] = row_y
         (lx, dx), (ly, dy) = self.views[odd]

@@ -75,18 +75,3 @@ def test_perturbation_moves_b_and_c_at_rounding_level_and_f_follows():
     moved = probe_digest.perturbed("fperp-1000-40x25", fperp, 1)
     assert np.array_equal(moved.f, fperp.f) and not np.array_equal(moved.g, fperp.g)
 
-
-def test_judge_applies_the_rounding_rule():
-    stable = [("converged", 5)] * 4
-    classified = [("a", "gpbilq", "stable", stable),
-                  ("b", "gpbilq", "chaotic", [("breakdown", 30), ("converged", 59),
-                                              ("breakdown", 30), ("breakdown", 31)])]
-    # the draws' spread: solved 0..1, median k 30..59
-    assert probe_digest.judge(["a gpbilq converged 5 x", "b gpbilq converged 40 x"],
-                              classified) == []
-    assert probe_digest.judge(["a gpbilq converged 6 x", "b gpbilq breakdown 60 x"],
-                              classified) == ["a gpbilq converged 6 (stable)",
-                                              "gpbilq median k 60 outside 30..59"]
-    with pytest.raises(ValueError, match="same runs"):
-        probe_digest.judge(["b gpbilq converged 5 x", "a gpbilq converged 5 x"],
-                           classified)
