@@ -21,7 +21,7 @@ BREAKDOWN = "breakdown"
 NONFINITE = "nonfinite"
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRow:
     k: int
     est_residual: float

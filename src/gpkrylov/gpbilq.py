@@ -33,14 +33,12 @@ from .convergence import SolveResult, _solve
 from .linop import PartitionedSystem
 from .reduction import RecurrenceState, StepCoeffs, reduction_step, strips
 # rotation_block is not called here: the benchmark tracer reads gpbilq.rotation_block
-from .rotations import (BandWindow, plane_rotation, rotation_block,
-                        rotation_bundle)
+from .rotations import BandWindow, rotation_block, rotation_bundle
 
 __all__ = [
     "BiLQState",
     "lq_step",
     "substitute_step",
-    "corner_rotation",
     "transfer_scalars",
     "gpbilq_solve",
 ]
@@ -82,20 +80,13 @@ def substitute_step(w: BandWindow, varpi, rhs) -> tuple:
     return varpi[2:] + _row_pair(*w.cols, varpi, rhs)
 
 
-def corner_rotation(w: BandWindow):
-    """(c, s, rho_1, nu, rho_2): the column rotation that turns the hand-off
-    corner [[rb1, tb], [nb1, rb2]] of L into [[rho_1, 0], [nu, rho_2]]."""
-    c, s, rho1 = plane_rotation(w.rb1, w.tb)
-    return c, s, rho1, c * w.nb1 + s * w.rb2, -s * w.nb1 + c * w.rb2
-
-
 def transfer_scalars(w: BandWindow, varpi, rhs):
     """Rotation and substitution scalars for the square-system iterate.
 
     ``varpi`` holds substitution entries 2i-3..2i and ``rhs`` the
     right-hand side's rows 2i+1 and 2i+2.  These rows of the square factor
     are the off-diagonal entries the late stage finished and the hand-off
-    corner of L (``corner_rotation``).  Returns (c_k, s_k, w_odd, w_even)
+    corner of L (``BandWindow.corner``).  Returns (c_k, s_k, w_odd, w_even)
     for the current step k = i+1, or None when the corner's determinant is
     at most 1e-13 of its two products (iterate does not exist).
     """
@@ -103,10 +94,8 @@ def transfer_scalars(w: BandWindow, varpi, rhs):
     det = rb1 * rb2 - tb * nb1
     if abs(det) <= 1e-13 * (abs(rb1 * rb2) + abs(tb * nb1)):
         return None
-    c_k, s_k, rho_dd1, nu_dd, rho_dd2 = corner_rotation(w)
-    odd, even = w.ahead
-    return (c_k, s_k) + _row_pair((rho_dd1,) + odd, (rho_dd2, nu_dd) + even,
-                                  varpi, rhs)
+    c_k, s_k, odd, even = w.corner()
+    return (c_k, s_k) + _row_pair(odd, even, varpi, rhs)
 
 
 # -- solver ------------------------------------------------------------------

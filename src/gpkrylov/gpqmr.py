@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convergence import _solve
+from .convergence import SolveResult, _solve
 from .linop import PartitionedSystem
 from .reduction import RecurrenceState, reduction_step
-from .rotations import BandWindow
+from .rotations import BandWindow, rotation_bundle_transposed
 
 __all__ = [
     "QMRState",
@@ -41,23 +41,13 @@ def qr_step(w: BandWindow, alpha_k, theta_k, beta_next, delta_next,
 
 
 def rotate_rhs(w: BandWindow, carry: tuple[float, float]):
-    """Apply the newest bundle to the right-hand-side window.
+    """Apply the newest bundle, transposed, to the right-hand-side window.
 
     Returns (w_odd, w_even, carry_odd, carry_even): the two finalized entries
     for the triangular solve and the carries whose norm is the current
     quasi-residual.
     """
-    c1, s1, c2, s2, c3, s3, c4, s4 = w.rot
-    b1, b2 = carry
-    t1 = c1 * b1
-    t4 = -s1 * b1
-    f1 = c2 * t1 + s2 * b2
-    h2 = -s2 * t1 + c2 * b2
-    c2v = c3 * h2 + s3 * t4
-    b4 = -s3 * h2 + c3 * t4
-    f2 = c4 * c2v
-    b3 = -s4 * c2v
-    return f1, f2, b3, b4
+    return rotation_bundle_transposed(w.rot, (*carry, 0.0, 0.0))
 
 
 class QMRState(RecurrenceState):

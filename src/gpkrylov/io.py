@@ -111,23 +111,19 @@ def build_experiment(name: str, matrix_dir) -> PartitionedSystem:
                          f"choose from {sorted(EXPERIMENTS)}")
     spec = EXPERIMENTS[name]
     matrix_dir = Path(matrix_dir)
-    a_path = matrix_dir / f"{spec.a_file}.mtx"
-    if not a_path.exists():
-        raise FileNotFoundError(
-            f"{a_path} not found; download '{spec.a_file}' from the "
-            f"SuiteSparse collection into {matrix_dir}")
-    A = read_matrix_market(a_path)
+
+    def read(file):
+        path = matrix_dir / f"{file}.mtx"
+        if not path.exists():
+            raise FileNotFoundError(
+                f"{path} not found; download '{file}' from the "
+                f"SuiteSparse collection into {matrix_dir}")
+        return read_matrix_market(path)
+
+    A = read(spec.a_file)
     if spec.transpose_a:
         A = A.T.tocsr()
-    if spec.b_file is None:
-        B = A.T.tocsr()
-    else:
-        b_path = matrix_dir / f"{spec.b_file}.mtx"
-        if not b_path.exists():
-            raise FileNotFoundError(
-                f"{b_path} not found; download '{spec.b_file}' from the "
-                f"SuiteSparse collection into {matrix_dir}")
-        B = read_matrix_market(b_path)
+    B = A.T.tocsr() if spec.b_file is None else read(spec.b_file)
     if B.shape != (A.shape[1], A.shape[0]):
         raise ValueError(f"experiment '{name}': incompatible shapes "
                          f"A {A.shape} vs B {B.shape}")

@@ -5,8 +5,8 @@ import math
 
 import numpy as np
 
-__all__ = ["plane_rotation", "rotation_bundle", "rotation_block",
-           "BandWindow", "SingularWindowError"]
+__all__ = ["plane_rotation", "rotation_bundle", "rotation_bundle_transposed",
+           "rotation_block", "BandWindow", "SingularWindowError"]
 
 
 class SingularWindowError(RuntimeError):
@@ -48,6 +48,17 @@ def rotation_bundle(rot, v=None):
             (s1 * c2, b * c4, -b * s4, s1 * s2 * s3 + c1 * c3))
 
 
+def rotation_bundle_transposed(rot, v):
+    """M^T @ v as four floats: r1^T, r2^T, r3^T, r4^T of ``rotation_bundle``."""
+    c1, s1, c2, s2, c3, s3, c4, s4 = rot
+    v0, v1, v2, v3 = v
+    v0, v3 = c1 * v0 + s1 * v3, -s1 * v0 + c1 * v3
+    v0, v1 = c2 * v0 + s2 * v1, -s2 * v0 + c2 * v1
+    v1, v3 = c3 * v1 + s3 * v3, -s3 * v1 + c3 * v3
+    v1, v2 = c4 * v1 + s4 * v2, -s4 * v1 + c4 * v2
+    return v0, v1, v2, v3
+
+
 def rotation_block(c1, s1, c2, s2, c3, s3, c4, s4) -> np.ndarray:
     """4x4 matrix of one column-rotation bundle (dense reconstruction only;
     a row-rotation bundle is its transpose)."""
@@ -85,10 +96,10 @@ class BandWindow:
     stage adds) and in ``far`` those of columns 2j+3 and 2j+4.  The
     hand-off (rb1, tb, nb1, zb1, rb2) holds the partly rotated entries the
     next early stage starts from; its leading 2x2 [[rb1, nb1], [tb, rb2]]
-    is the trailing corner of the square projection's factor.  A fresh
-    window holds bundle 0, the identity, and rb2 = mu; its late stage, the
-    general one, seeds (rb1, tb, nb1, zb1) with its (lam, theta, alpha,
-    gamma) and nu_bar with eta.  rb1 is None until then.
+    is the trailing corner of the square projection's factor (``corner``).
+    A fresh window holds bundle 0, the identity, and rb2 = mu; its late
+    stage, the general one, seeds (rb1, tb, nb1, zb1) with its (lam, theta,
+    alpha, gamma) and nu_bar with eta.  rb1 is None until then.
     """
 
     __slots__ = ("lam", "mu", "i", "cols", "rot", "ahead", "far", "rb1", "tb",
@@ -142,26 +153,27 @@ class BandWindow:
 
     def late(self, alpha, theta, eta, gamma) -> None:
         """Late stage of bundle i: the rest of rows 2i-1 and 2i (into
-        ``ahead`` and ``far``) and the hand-off to bundle i+1."""
-        lam = self.lam
-        c1, s1, c2, s2, c3, s3, c4, s4 = self.rot
-        ob, nb, oc = self.omega_bar, self.nu_bar, self.omega_check
-        omega_t = c1 * ob + s1 * theta
-        theta_t = -s1 * ob + c1 * theta
-        xi_t = s1 * eta
-        nu_t_far = c1 * eta
-        omega_odd = c2 * omega_t + s2 * nb
-        nu_h = -s2 * omega_t + c2 * nb
-        xi_odd = c2 * xi_t
-        zeta_h = -s2 * xi_t
-        nu_c = c3 * nu_h + s3 * theta_t
-        zeta_c = c3 * zeta_h + s3 * nu_t_far
+        ``ahead`` and ``far``) and the hand-off to bundle i+1.  r1..r3 act
+        on alpha's column in the early stage and miss gamma's, so r4 alone
+        finishes those; the other two columns take the whole M^T."""
+        rot, oc = self.rot, self.omega_check
+        c4, s4 = rot[6:]
+        omega_odd, nu_odd, self.rb1, self.tb = rotation_bundle_transposed(
+            rot, (self.omega_bar, self.nu_bar, self.lam, theta))
+        xi_odd, zeta_odd, self.omega_bar, self.nu_bar = \
+            rotation_bundle_transposed(rot, (0.0, 0.0, 0.0, eta))
         z_odd, x_odd, x_even = self.far
         # rows 2i and 2i-1 of columns 2i+1 and 2i+2, then of 2i+3 and 2i+4
-        self.ahead = ((c4 * nu_c + s4 * lam, omega_odd, z_odd, x_odd),
+        self.ahead = ((nu_odd, omega_odd, z_odd, x_odd),
                       (c4 * oc + s4 * alpha, self.zeta_odd, x_even))
-        self.far = (c4 * zeta_c, xi_odd, s4 * gamma)
-        self.rb1, self.tb = -s4 * nu_c + c4 * lam, -s3 * nu_h + c3 * theta_t
+        self.far = (zeta_odd, xi_odd, s4 * gamma)
         self.nb1, self.zb1 = -s4 * oc + c4 * alpha, c4 * gamma
-        self.omega_bar = -s4 * zeta_c
-        self.nu_bar = -s3 * zeta_h + c3 * nu_t_far
+
+    def corner(self):
+        """(c, s, odd, even): the rotation turning the hand-off corner
+        [[rb1, tb], [nb1, rb2]] of L into [[rho_1, 0], [nu, rho_2]] and the
+        square projection's last two factor columns, in ``cols`` layout."""
+        c, s, rho1 = plane_rotation(self.rb1, self.tb)
+        odd, even = self.ahead
+        return (c, s, (rho1,) + odd,
+                (-s * self.nb1 + c * self.rb2, c * self.nb1 + s * self.rb2) + even)

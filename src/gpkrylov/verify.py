@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .gpbilq import BiLQState, corner_rotation
+from .gpbilq import BiLQState
 from .gpqmr import QMRState
 from .linop import (DENSE_GUARD, Operator, PartitionedSystem, assemble_dense,
                     residual_norm)
@@ -252,11 +252,9 @@ def dense_lq_factors(st: BiLQState, hist: ReductionHistory):
     history, columns 2k-1 and 2k from the window's finished entries and its
     hand-off corner.
     """
-    w = st.window
     dim = 2 * st.k
-    c_k, s_k, rho_dd1, nu_dd, rho_dd2 = corner_rotation(w)
-    odd, even = w.ahead
-    L = _banded(hist.columns + [(rho_dd1,) + odd, (rho_dd2, nu_dd) + even], dim).T
+    c_k, s_k, odd, even = st.window.corner()
+    L = _banded(hist.columns + [odd, even], dim).T
     gt = np.eye(dim)
     gt[dim - 2:, dim - 2:] = np.array([[c_k, -s_k], [s_k, c_k]])
     return L, (bundle_product(hist.bundles, dim) @ gt).T

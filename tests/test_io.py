@@ -201,8 +201,13 @@ def test_build_experiment_sqd_uses_transpose(tmp_path):
     assert_allclose(sys_.B.to_dense(), A.T, atol=1e-14)
 
 
-def test_build_experiment_missing_file(tmp_path):
-    with pytest.raises(FileNotFoundError, match="SuiteSparse"):
+@pytest.mark.parametrize("present,missing", [((), "well1850"),
+                                             (("well1850",), "illc1850")])
+def test_build_experiment_missing_file(tmp_path, present, missing):
+    for name in present:
+        write_matrix_market(np.ones((7, 4)), tmp_path / f"{name}.mtx")
+    with pytest.raises(FileNotFoundError, match=f"{missing}.mtx not found; "
+                       f"download '{missing}' from the SuiteSparse"):
         build_experiment("well1850", tmp_path)
 
 

@@ -3,10 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gpkrylov.gpbilq import lq_step
-from gpkrylov.gpqmr import qr_step
+from gpkrylov.gpqmr import qr_step, rotate_rhs
 from gpkrylov.reduction import reduction_init, reduction_step
 from gpkrylov.rotations import (BandWindow, SingularWindowError,
-                                rotation_block, rotation_bundle)
+                                rotation_block, rotation_bundle,
+                                rotation_bundle_transposed)
 from gpkrylov.verify import random_system
 
 
@@ -31,6 +32,13 @@ def test_scalar_kernel_matches_explicit_product():
         assert_allclose(rotation_block(*rot), M, rtol=0, atol=1e-15)
         v = rng.uniform(-1.0, 1.0, 4)
         assert_allclose(rotation_bundle(rot, tuple(v)), M @ v, rtol=0, atol=1e-15)
+        assert_allclose(rotation_bundle_transposed(rot, tuple(v)), M.T @ v,
+                        rtol=0, atol=1e-15)
+        w = BandWindow(1.0, -1.0)
+        w.rot = rot
+        carry = tuple(float(x) for x in v[:2])
+        assert_allclose(rotate_rhs(w, carry),
+                        rotation_block(*w.rot).T @ (*carry, 0.0, 0.0), rtol=0, atol=1e-15)
 
 
 # -- the shared sliding window ------------------------------------------------
