@@ -16,12 +16,13 @@ from .io import (EXPERIMENTS, build_experiment, build_system,
                  read_convergence_csv, read_matrix_market,
                  write_convergence_csv, write_matrix_market)
 from .linop import (Operator, PartitionedSystem, apply_partitioned,
-                    assemble_dense, residual_norm)
+                    residual_norm)
 from .reduction import (BreakdownReport, ReductionState, reduction_init,
                         reduction_step)
 from .rotations import SingularWindowError
-from .verify import (ReductionHistory, build_projected_h, oracle_dense_solve,
-                     oracle_lsq, oracle_minnorm, run_invariant_suite)
+from .verify import (ReductionHistory, assemble_dense, build_projected_h,
+                     oracle_dense_solve, oracle_lsq, oracle_minnorm,
+                     run_invariant_suite)
 
 __version__ = "0.1.0"
 

@@ -146,6 +146,8 @@ def cmd_compare(args, parser) -> int:
     for m in methods:
         if m not in METHODS:
             parser.error(f"unknown method '{m}' (choose from {', '.join(METHODS)})")
+    if len(set(methods)) < len(methods):
+        parser.error(f"--methods names a method more than once: {args.methods}")
     if not methods:
         parser.error("--methods must name at least one method")
     sys_ = _build_from_args(args, parser)

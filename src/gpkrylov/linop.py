@@ -17,18 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-__all__ = [
-    "Operator",
-    "PartitionedSystem",
-    "apply_partitioned",
-    "residual_norm",
-    "assemble_dense",
-    "adjoint_mismatch",
-    "DENSE_GUARD",
-]
-
-# Largest m+n for which dense assembly is allowed (oracle support only).
-DENSE_GUARD = 2000
+__all__ = ["Operator", "PartitionedSystem", "apply_partitioned", "residual_norm"]
 
 
 class Operator:
@@ -55,7 +44,10 @@ class Operator:
     def from_matrix(cls, mat) -> "Operator":
         """Wrap a dense ndarray or scipy sparse matrix.  A float64 ndarray is
         kept by reference; other dense input is converted (a copy), and sparse
-        input is copied to float CSR with a CSR snapshot of its transpose."""
+        input is copied to float CSR with a CSR snapshot of its transpose.
+        Complex input is rejected, not truncated to its real part."""
+        if np.iscomplexobj(mat):
+            raise ValueError("matrix must be real, got complex input")
         if sparse.issparse(mat):
             mat = mat.tocsr().astype(float)
             mat_t = mat.T.tocsr()
@@ -89,34 +81,10 @@ class Operator:
             raise ValueError("apply_transpose callback returned a vector of wrong length")
         return out
 
-    def to_dense(self, guard: int = DENSE_GUARD) -> np.ndarray:
-        """Materialize the matrix column by column (desk-scale sizes only)."""
-        if max(self.nrows, self.ncols) > guard:
-            raise ValueError(f"operator too large to densify ({self.shape})")
-        cols = np.zeros((self.nrows, self.ncols))
-        e = np.zeros(self.ncols)
-        for j in range(self.ncols):
-            e[j] = 1.0
-            cols[:, j] = self.apply(e)
-            e[j] = 0.0
-        return cols
-
-
-def adjoint_mismatch(op: Operator, rng=None, trials: int = 3) -> float:
-    """Largest relative gap between <y, A x> and <A^T y, x> on random probes."""
-    rng = np.random.default_rng(rng)
-    worst = 0.0
-    for _ in range(trials):
-        x = rng.standard_normal(op.ncols)
-        y = rng.standard_normal(op.nrows)
-        lhs = float(y @ op.apply(x))
-        rhs = float(op.apply_transpose(y) @ x)
-        scale = max(1.0, abs(lhs), abs(rhs))
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
-
 
 def _as_nonzero_vector(vec, length, name):
+    if np.iscomplexobj(vec):
+        raise ValueError(f"{name} must be real, got complex input")
     arr = np.ascontiguousarray(vec, dtype=float)
     if arr.shape != (length,):
         raise ValueError(f"{name} must have length {length}, got shape {arr.shape}")
@@ -187,16 +155,3 @@ def residual_norm(sys: PartitionedSystem, x, y) -> float:
     """Euclidean norm of [b; c] - K [x; y] for the assembled block matrix K."""
     top, bot = apply_partitioned(sys, x, y)
     return float(np.hypot(np.linalg.norm(sys.b - top), np.linalg.norm(sys.c - bot)))
-
-
-def assemble_dense(sys: PartitionedSystem, guard: int = DENSE_GUARD) -> np.ndarray:
-    """Explicit (m+n) x (m+n) matrix [lam*I, A; B, mu*I] (oracle support)."""
-    m, n = sys.m, sys.n
-    if m + n > guard:
-        raise ValueError(f"system too large for dense assembly (m+n={m + n} > {guard})")
-    K = np.zeros((m + n, m + n))
-    K[:m, :m] = sys.lam * np.eye(m)
-    K[m:, m:] = sys.mu * np.eye(n)
-    K[:m, m:] = sys.A.to_dense(guard)
-    K[m:, :m] = sys.B.to_dense(guard)
-    return K

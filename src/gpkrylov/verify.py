@@ -1,10 +1,14 @@
 """Dense ground truth for the sliding-window solvers (desk scale only).
 
-The full reduction and factor history, the dense oracles and factor
-reconstructions, seeded systems, stepped gpbilq/gpqmr runs, and one measure
-per invariant of the paper.  A measure returns the raw errors at one step;
-its caller picks the tolerance and the normalisation.  ``gpkrylov check``
-and the tests share these functions; no solver module imports this one.
+Every dense materialization of an operator or a system, under one size
+guard, and the adjoint probe; the full reduction and factor history, the
+dense oracles and factor reconstructions, seeded systems, stepped
+gpbilq/gpqmr runs, and one measure per invariant of the paper.  A measure
+returns the raw errors at one step; its caller picks the tolerance and the
+normalisation.  ``gpkrylov check`` and the tests share these functions; no
+solver module imports this one.  The one dense helper left in a solver
+module is ``rotations.rotation_block``: the benchmark tracer reads it as
+``gpbilq.rotation_block``.
 """
 
 from __future__ import annotations
@@ -16,19 +20,50 @@ from scipy import sparse
 
 from .gpbilq import BiLQState
 from .gpqmr import QMRState
-from .linop import (DENSE_GUARD, Operator, PartitionedSystem, assemble_dense,
-                    residual_norm)
+from .linop import Operator, PartitionedSystem, residual_norm
 from .reduction import (BreakdownReport, ReductionState, StepCoeffs,
                         reduction_init, reduction_step)
 from .rotations import rotation_block
 
-__all__ = ["ReductionHistory", "build_projected_h",
+__all__ = ["DENSE_GUARD", "to_dense", "assemble_dense", "adjoint_mismatch",
+           "ReductionHistory", "build_projected_h",
            "oracle_minnorm", "oracle_lsq", "oracle_dense_solve",
            "random_system", "stepped", "live_directions", "projected_system",
            "bundle_product", "dense_lq_factors", "dense_qr_factors",
            "reduction_errors", "minnorm_gap", "transfer_gap", "lsq_gaps",
            "estimate_gaps", "lq_errors", "qr_errors",
            "CheckResult", "run_invariant_suite"]
+
+# Largest m+n of a system, and largest dimension of an operator, made dense.
+DENSE_GUARD = 2000
+
+
+def to_dense(op: Operator) -> np.ndarray:
+    """Materialize an operator column by column."""
+    if max(op.shape) > DENSE_GUARD:
+        raise ValueError(f"operator too large to densify ({op.shape})")
+    return np.column_stack([op.apply(e) for e in np.eye(op.ncols)])
+
+
+def assemble_dense(sys: PartitionedSystem) -> np.ndarray:
+    """Explicit (m+n) x (m+n) matrix [lam*I, A; B, mu*I]."""
+    m, n = sys.m, sys.n
+    if m + n > DENSE_GUARD:
+        raise ValueError(f"system too large for dense assembly (m+n={m + n} > {DENSE_GUARD})")
+    return np.block([[sys.lam * np.eye(m), to_dense(sys.A)],
+                     [to_dense(sys.B), sys.mu * np.eye(n)]])
+
+
+def adjoint_mismatch(op: Operator, rng=None) -> float:
+    """Largest relative gap between <y, A x> and <A^T y, x> over three
+    random probe pairs."""
+    rng = np.random.default_rng(rng)
+    worst = 0.0
+    for _ in range(3):
+        x, y = rng.standard_normal(op.ncols), rng.standard_normal(op.nrows)
+        lhs, rhs = float(y @ op.apply(x)), float(op.apply_transpose(y) @ x)
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+    return worst
 
 
 class ReductionHistory:
@@ -127,10 +162,11 @@ def build_projected_h(alphas, thetas, betas, gammas, deltas, etas,
 # -- dense oracles ----------------------------------------------------------
 
 
-def oracle_minnorm(H: np.ndarray, rhs: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+def oracle_minnorm(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimum-norm solution of a consistent underdetermined system.
 
-    Raises when H is row-rank deficient or the system is inconsistent.
+    Raises when H is row-rank deficient or the system is inconsistent, that
+    is, when ||H z - rhs|| exceeds 1e-10 max(1, ||rhs||).
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     rhs = np.asarray(rhs, dtype=float)
@@ -138,7 +174,7 @@ def oracle_minnorm(H: np.ndarray, rhs: np.ndarray, rtol: float = 1e-10) -> np.nd
     if rank < H.shape[0]:
         raise ValueError(f"constraint matrix is rank deficient (rank {rank} < {H.shape[0]})")
     gap = np.linalg.norm(H @ z - rhs)
-    if gap > rtol * max(1.0, np.linalg.norm(rhs)):
+    if gap > 1e-10 * max(1.0, np.linalg.norm(rhs)):
         raise ValueError(f"constraints are inconsistent (residual {gap:.3e})")
     return z
 
@@ -382,7 +418,7 @@ def run_invariant_suite(size: int = 12, seed: int = 7) -> list[CheckResult]:
         results.append(CheckResult(name, bool(err <= tol), f"{err:.3e} (tol {tol:g})"))
 
     sys_ = random_system(size, size, seed)
-    A, B = sys_.A.to_dense(), sys_.B.to_dense()
+    A, B = to_dense(sys_.A), to_dense(sys_.B)
     nA, nB = np.linalg.norm(A), np.linalg.norm(B)
     steps = max(2, size // 2)
     bi, rel, mn, lq, est_l, tr, est_c = [], [], [], [], [], [], []

@@ -19,7 +19,7 @@ from gpkrylov.baselines import GPMRState
 from gpkrylov.verify import (ReductionHistory, build_projected_h,
                              estimate_gaps, lq_errors, lsq_gaps, minnorm_gap,
                              projected_system, qr_errors, reduction_errors,
-                             stepped, transfer_gap)
+                             stepped, to_dense, transfer_gap)
 
 from gpk_support import make_system, record_acceptance
 
@@ -29,7 +29,7 @@ def test_criterion_1_reduction_invariants():
     worst_bi = worst_rel = 0.0
     for seed in range(10):
         sys_ = make_system(20, 20, seed=500 + seed)
-        A, B = sys_.A.to_dense(), sys_.B.to_dense()
+        A, B = to_dense(sys_.A), to_dense(sys_.B)
         red = reduction_init(sys_)
         hist = ReductionHistory(red)
         for _ in range(10):

@@ -15,7 +15,7 @@ from gpkrylov import baselines
 from gpkrylov.baselines import GPMRState
 from gpkrylov.linop import Operator, PartitionedSystem
 from gpkrylov.verify import (oracle_dense_solve, oracle_lsq, oracle_minnorm,
-                             random_system)
+                             random_system, to_dense)
 
 from gpk_support import make_system
 
@@ -26,7 +26,7 @@ def test_bases_orthonormal_and_projections_match():
     # each step hands over one column of H = V^T A U and of F = U^T B V:
     # A u_j = V h + hn v_new and B v_i = U f + fn u_new
     sys_ = make_system(10, 8, seed=200)
-    A, B = sys_.A.to_dense(), sys_.B.to_dense()
+    A, B = to_dense(sys_.A), to_dense(sys_.B)
     proc = HessenbergProcessState(sys_)
     for k in range(6):
         nv, nu = proc.nv, proc.nu

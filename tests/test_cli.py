@@ -9,7 +9,7 @@ import gpkrylov
 from gpkrylov import (build_system, cli, gpbilq_solve, read_convergence_csv,
                       read_matrix_market, write_matrix_market)
 from gpkrylov.cli import main
-from gpkrylov.verify import CheckResult
+from gpkrylov.verify import CheckResult, to_dense
 
 from gpk_support import make_system
 
@@ -59,6 +59,16 @@ def test_missing_matrix_args_exit_one(capsys):
     assert exc.value.code == 1
 
 
+def test_incompatible_shapes_exit_one(tmp_path, capsys):
+    write_matrix_market(np.ones((6, 4)), tmp_path / "A.mtx")
+    write_matrix_market(np.ones((5, 6)), tmp_path / "B.mtx")
+    with pytest.raises(SystemExit) as exc:
+        run("solve", "--method", "gpqmr", "--a", str(tmp_path / "A.mtx"),
+            "--b", str(tmp_path / "B.mtx"))
+    assert exc.value.code == 1
+    assert "incompatible shapes: A (6, 4), B (5, 6)" in capsys.readouterr().err
+
+
 def test_start_vector_files_are_read(matrices, capsys):
     rng = np.random.default_rng(403)
     for name in ("f", "g"):
@@ -98,7 +108,7 @@ def test_breakdown_exits_three(tmp_path):
 
 def test_zero_pivot_exits_three(tmp_path, capsys):
     # B = 0 with lam = 0: gpqmr's first QR pivot vanishes
-    A = make_system(6, 4, seed=600).A.to_dense()
+    A = to_dense(make_system(6, 4, seed=600).A)
     write_matrix_market(A, tmp_path / "A.mtx")
     write_matrix_market(np.zeros((4, 6)), tmp_path / "B.mtx")
     code = run("solve", "--method", "gpqmr", "--a", str(tmp_path / "A.mtx"),
@@ -168,9 +178,10 @@ def test_compare_restarted_not_faster(matrices):
     assert code in (0, 2)
 
 
-def test_compare_malformed_methods_exit_one(matrices):
+@pytest.mark.parametrize("methods", ["gpqmr,bogus", "gpqmr,gpqmr"])
+def test_compare_malformed_methods_exit_one(matrices, methods):
     with pytest.raises(SystemExit) as exc:
-        run("compare", "--methods", "gpqmr,bogus",
+        run("compare", "--methods", methods,
             "--a", str(matrices / "A.mtx"), "--b", str(matrices / "B.mtx"))
     assert exc.value.code == 1
 

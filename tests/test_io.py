@@ -6,6 +6,7 @@ from gpkrylov import (ConvergenceRecord, apply_partitioned, build_experiment,
                       build_system, read_convergence_csv, read_matrix_market,
                       write_convergence_csv, write_matrix_market)
 from gpkrylov.io import EXPERIMENTS, MatrixMarketError
+from gpkrylov.verify import to_dense
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -198,7 +199,7 @@ def test_build_experiment_sqd_uses_transpose(tmp_path):
     A = rng.standard_normal((5, 3))
     write_matrix_market(A, tmp_path / "lp_osa_07.mtx")
     sys_ = build_experiment("lp_osa_07", tmp_path)
-    assert_allclose(sys_.B.to_dense(), A.T, atol=1e-14)
+    assert_allclose(to_dense(sys_.B), A.T, atol=1e-14)
 
 
 @pytest.mark.parametrize("present,missing", [((), "well1850"),
@@ -209,6 +210,14 @@ def test_build_experiment_missing_file(tmp_path, present, missing):
     with pytest.raises(FileNotFoundError, match=f"{missing}.mtx not found; "
                        f"download '{missing}' from the SuiteSparse"):
         build_experiment("well1850", tmp_path)
+
+
+def test_build_experiment_incompatible_shapes(tmp_path):
+    write_matrix_market(np.ones((7, 4)), tmp_path / "well1033.mtx")
+    write_matrix_market(np.ones((5, 5)), tmp_path / "illc1033.mtx")
+    with pytest.raises(ValueError, match=r"experiment 'well1033': incompatible "
+                       r"shapes A \(4, 7\) vs B \(5, 5\)"):
+        build_experiment("well1033", tmp_path)
 
 
 def test_build_experiment_unknown_name(tmp_path):

@@ -5,7 +5,7 @@ from scipy import sparse
 
 from gpkrylov import (Operator, PartitionedSystem, apply_partitioned,
                       assemble_dense, residual_norm)
-from gpkrylov.linop import adjoint_mismatch
+from gpkrylov.verify import adjoint_mismatch, to_dense
 
 from gpk_support import make_system
 
@@ -65,14 +65,21 @@ def test_assemble_dense_blocks():
     K = assemble_dense(sys_)
     assert_allclose(K[:3, :3], 0.0)
     assert_allclose(K[3:, 3:], 0.0)
-    assert_allclose(K[:3, 3:], sys_.A.to_dense())
-    assert_allclose(K[3:, :3], sys_.B.to_dense())
+    assert_allclose(K[:3, 3:], to_dense(sys_.A))
+    assert_allclose(K[3:, :3], to_dense(sys_.B))
 
 
 def test_assemble_dense_guard():
-    sys_ = make_system(4, 4, seed=0)
+    def never(v):
+        raise AssertionError("a column was formed above the guard")
+
+    sys_ = PartitionedSystem(1.0, 1.0, Operator(1500, 600, never, never),
+                             Operator(600, 1500, never, never),
+                             np.ones(1500), np.ones(600))
     with pytest.raises(ValueError, match="dense"):
-        assemble_dense(sys_, guard=6)
+        assemble_dense(sys_)
+    with pytest.raises(ValueError, match="operator too large to densify"):
+        to_dense(Operator(2001, 1, never, never))
 
 
 @pytest.mark.parametrize("sparse_ops", [False, True])
@@ -117,6 +124,18 @@ def test_system_validation():
                           np.ones(3), np.ones(3))
     with pytest.raises(ValueError, match="b must have length 3"):
         PartitionedSystem(1.0, 1.0, A, B, np.ones(2), np.ones(2))
+    for name in "bcfg":
+        vecs = dict(b=np.ones(3), c=np.ones(2), f=np.ones(3), g=np.ones(2))
+        vecs[name] = vecs[name] + 1j
+        with pytest.raises(ValueError, match=f"{name} must be real"):
+            PartitionedSystem(1.0, 1.0, A, B, **vecs)
+
+
+@pytest.mark.parametrize("to_matrix", [np.asarray, sparse.csr_matrix],
+                         ids=["dense", "sparse"])
+def test_from_matrix_rejects_complex(to_matrix):
+    with pytest.raises(ValueError, match="matrix must be real"):
+        Operator.from_matrix(to_matrix(np.eye(3) + 1j * np.ones((3, 3))))
 
 
 @pytest.mark.parametrize("x_len, y_len", [(2, 2), (3, 3)])

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from gpkrylov import (BreakdownReport, Operator, PartitionedSystem,
                       assemble_dense, reduction_init, reduction_step)
 from gpkrylov.verify import (ReductionHistory, build_projected_h,
-                             reduction_errors)
+                             reduction_errors, to_dense)
 
 from gpk_support import make_system
 
@@ -96,7 +96,7 @@ def test_symmetric_coupling_collapses_pairs():
 
 def test_matrix_relations_hold():
     sys_ = make_system(5, 5, seed=21, fg_random=True)
-    A, B = sys_.A.to_dense(), sys_.B.to_dense()
+    A, B = to_dense(sys_.A), to_dense(sys_.B)
     red, hist = run_steps(sys_, 4)
     _, relations = reduction_errors(hist, A, B)
     assert len(hist.alphas) == 4
@@ -106,7 +106,7 @@ def test_matrix_relations_hold():
 def test_biorthogonality():
     sys_ = make_system(20, 20, seed=22, fg_random=True)
     red, hist = run_steps(sys_, 10)
-    biortho, _ = reduction_errors(hist, sys_.A.to_dense(), sys_.B.to_dense())
+    biortho, _ = reduction_errors(hist, to_dense(sys_.A), to_dense(sys_.B))
     assert len(hist.alphas) == 10
     assert biortho <= 1e-8
 
@@ -168,7 +168,7 @@ def test_four_operator_applications_per_step():
 def test_krylov_span_membership():
     # q_k lies in the union Krylov space grown from b and A c
     sys_ = make_system(14, 14, seed=25, fg_random=True)
-    A, B = sys_.A.to_dense(), sys_.B.to_dense()
+    A, B = to_dense(sys_.A), to_dense(sys_.B)
     red, hist = run_steps(sys_, 6)
     basis = [sys_.b]
     v = sys_.c
