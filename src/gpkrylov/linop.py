@@ -13,6 +13,7 @@ transposes, so they are wrapped as callback operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -42,15 +43,17 @@ class Operator:
 
     @classmethod
     def from_matrix(cls, mat) -> "Operator":
-        """Wrap a dense ndarray or scipy sparse matrix.  A float64 ndarray is
-        kept by reference; other dense input is converted (a copy), and sparse
-        input is copied to float CSR with a CSR snapshot of its transpose.
-        Complex input is rejected, not truncated to its real part."""
+        """Wrap a dense ndarray or scipy sparse matrix.  A float64 ndarray or
+        float64 CSR is kept by reference; other input is converted once (a
+        copy), sparse input to one float64 CSR.  The transposed action runs
+        on that CSR's ``.T``, a CSC view of the same arrays, so a sparse
+        block is stored once.  Complex input is rejected, not truncated to
+        its real part."""
         if np.iscomplexobj(mat):
             raise ValueError("matrix must be real, got complex input")
         if sparse.issparse(mat):
-            mat = mat.tocsr().astype(float)
-            mat_t = mat.T.tocsr()
+            mat = mat.tocsr().astype(float, copy=False)
+            mat_t = mat.T
             return cls(mat.shape[0], mat.shape[1],
                        lambda x: mat @ x, lambda y: mat_t @ y)
         arr = np.asarray(mat, dtype=float)
@@ -132,7 +135,7 @@ class PartitionedSystem:
     def n(self) -> int:
         return self.A.ncols
 
-    @property
+    @cached_property
     def rhs_norm(self) -> float:
         return float(np.hypot(np.linalg.norm(self.b), np.linalg.norm(self.c)))
 

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse
 
 from gpkrylov import (Operator, PartitionedSystem, apply_partitioned,
-                      assemble_dense, residual_norm)
+                      assemble_dense, gpbilq_solve, gpmr_solve, gpqmr_solve,
+                      residual_norm)
 from gpkrylov.verify import adjoint_mismatch, to_dense
 
 from gpk_support import make_system
@@ -151,3 +154,112 @@ def test_default_start_vectors_are_rhs():
     assert_allclose(sys_.g, sys_.c)
     sys2 = make_system(4, 3, seed=9, fg_random=True)
     assert not np.allclose(sys2.f, sys2.b)
+
+
+def test_rhs_norm_is_computed_once():
+    sys_ = make_system(6, 4, seed=13)
+    expected = float(np.hypot(np.linalg.norm(sys_.b), np.linalg.norm(sys_.c)))
+    assert sys_.rhs_norm == expected
+    assert vars(sys_)["rhs_norm"] is sys_.rhs_norm
+
+
+def _messy_csr(rng, m, n, per_row, integer=False):
+    """Random m x n CSR built from raw arrays: column indices unsorted within
+    a row and repeated (duplicate entries), some stored values exactly zero,
+    every fourth row empty and the last columns never used."""
+    counts = rng.integers(0, per_row + 1, m)
+    counts[::4] = 0
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    nnz = int(indptr[-1])
+    indices = rng.integers(0, max(1, n - 2), nnz)
+    indices[1::5] = indices[::5][:len(indices[1::5])]
+    data = (rng.integers(-3, 4, nnz) if integer else rng.standard_normal(nnz))
+    data[::7] = 0
+    return sparse.csr_matrix((data, indices, indptr), shape=(m, n))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sparse_transpose_matches_csr_snapshot_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    m, n = (int(v) for v in rng.integers(1, 40, 2))
+    mat = _messy_csr(rng, m, n, per_row=int(rng.integers(3, 9)), integer=seed % 3 == 0)
+    assert not mat.has_canonical_format
+    op = Operator.from_matrix(mat)
+    # Integer data is compared on its float copy, which is what the operator
+    # stores: scipy's product on the integer matrix is not bit-equal to it.
+    snapshot = mat.astype(float)
+    y = rng.standard_normal(m)
+    assert op.apply_transpose(y).tobytes() == (snapshot.T.tocsr() @ y).tobytes()
+    x = rng.standard_normal(n)
+    assert op.apply(x).tobytes() == (snapshot @ x).tobytes()
+
+
+def _snapshot_operator(mat):
+    """The operator as a private float CSR plus a CSR snapshot of its
+    transpose, wrapped as callbacks."""
+    csr = sparse.csr_matrix(mat, dtype=float, copy=True)
+    csr_t = csr.T.tocsr()
+    return Operator(csr.shape[0], csr.shape[1], lambda x: csr @ x, lambda y: csr_t @ y)
+
+
+def _grid_gradient(N):
+    D = sparse.diags([-np.ones(N - 1), np.ones(N - 1)], [0, 1], shape=(N - 1, N))
+    eye = sparse.identity(N)
+    return (N * sparse.vstack([sparse.kron(eye, D), sparse.kron(D, eye)])).tocsr()
+
+
+def _sparse_pairs():
+    A = _grid_gradient(8)
+    rng = np.random.default_rng(21)
+    b, c = rng.standard_normal(A.shape[0]), rng.standard_normal(A.shape[1])
+    yield "grid8", 1.0, -1e-2, A, (-A.T).tocsr(), b, c
+    rng = np.random.default_rng(22)
+    A, B = _messy_csr(rng, 45, 30, 8), _messy_csr(rng, 30, 45, 8)
+    yield "random", 1.0, -0.5, A, B, rng.standard_normal(45), rng.standard_normal(30)
+
+
+SOLVES = {
+    "gpbilq": lambda s, tol: gpbilq_solve(s, tol=tol),
+    "gpbicg": lambda s, tol: gpbilq_solve(s, tol=tol, monitor="c"),
+    "gpqmr": lambda s, tol: gpqmr_solve(s, tol=tol),
+    "gpmr": lambda s, tol: gpmr_solve(s, tol=tol),
+}
+
+
+@pytest.mark.parametrize("method", SOLVES)
+@pytest.mark.parametrize("pair", list(_sparse_pairs()), ids=lambda p: p[0])
+def test_sparse_solve_matches_csr_snapshots_bit_for_bit(pair, method):
+    _, lam, mu, A, B, b, c = pair
+    wrapped = PartitionedSystem(lam, mu, Operator.from_matrix(A), Operator.from_matrix(B), b, c)
+    snap = PartitionedSystem(lam, mu, _snapshot_operator(A), _snapshot_operator(B), b, c)
+    tol = 1e-6 * wrapped.rhs_norm
+    got, ref = SOLVES[method](wrapped, tol), SOLVES[method](snap, tol)
+    assert got.iterations > 1
+    assert (got.reason, got.iterations, got.residual) == (ref.reason, ref.iterations,
+                                                          ref.residual)
+    assert got.x.tobytes() == ref.x.tobytes() and got.y.tobytes() == ref.y.tobytes()
+
+
+def test_sparse_operator_keeps_one_copy():
+    """A float64 CSR is wrapped by reference, and its transposed action
+    allocates only its output."""
+    rng = np.random.default_rng(5)
+    m, n, per_row = 20_000, 15_000, 5
+    indptr = np.arange(0, per_row * m + 1, per_row)
+    mat = sparse.csr_matrix((rng.standard_normal(per_row * m),
+                             rng.integers(0, n, per_row * m), indptr), shape=(m, n))
+    csr_bytes = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+    y = rng.standard_normal(m)
+    tracemalloc.start()
+    try:
+        op = Operator.from_matrix(mat)
+        _, build_peak = tracemalloc.get_traced_memory()
+        op.apply_transpose(y)
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        out = op.apply_transpose(y)
+        _, apply_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert build_peak < csr_bytes / 10
+    assert apply_peak - before <= out.nbytes + 1024

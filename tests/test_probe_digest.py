@@ -22,18 +22,21 @@ METHODS = ["gpbilq", "gpbicg", "gpqmr", "gpmr", "gpmr9"]
 def test_runs_cover_the_probe_grid_and_the_desk_batches():
     runs = list(probe_digest.runs())
     assert list(probe_digest.METHODS) == METHODS
-    assert [method for _, method, *_ in runs] == METHODS * 148
+    assert [method for _, method, *_ in runs] == METHODS * 150
     probe = [f"probe-{base + 7 * si + ci}-{m}x{n}" for base in (1000, 2000)
              for si, (m, n) in enumerate(probe_digest.SHAPES) for ci in range(5)]
     desk = [f"desk-{seed}-{i}" for seed in (0, 1) for i in range(32)]
     early = [f"{case}-{shape}" for shape in ("1000-40x25", "1007-25x40")
              for case in ("maxit0", "fperp")]
-    assert [name for name, *_ in runs] == [name for name in probe + desk + early
+    grid = ["grid6-60x36", "grid9-144x81"]
+    assert [name for name, *_ in runs] == [name for name in probe + desk + early + grid
                                            for _ in METHODS]
     assert [maxit for name, _, _, _, maxit in runs if name.startswith("maxit0")] == [0] * 10
-    for name, _, s, _, _ in runs:
+    for name, _, s, _, maxit in runs:
         if name.startswith("fperp"):
             assert abs(s.f @ s.b) <= 1e-12 * np.linalg.norm(s.f) * np.linalg.norm(s.b)
+        if name.startswith("grid"):
+            assert (s.lam, s.mu, maxit) == (1.0, -1e-2, None)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -1,5 +1,5 @@
-"""One line per solve on the probe grid and the desk batches, for bit-for-bit
-comparison of two versions of gpkrylov.
+"""One line per solve on the probe grid, the desk batches and two sparse
+grids, for bit-for-bit comparison of two versions of gpkrylov.
 
 Runs gpbilq, gpbicg, gpqmr, gpmr and gpmr9 (gpmr restarted every 9 steps,
 the CLI's default cycle) on:
@@ -13,7 +13,11 @@ the CLI's default cycle) on:
 * the exits before a first step, on ``random_system(40, 25, 1000)`` and
   ``random_system(25, 40, 1007)``: ``maxit = 0`` ("maxit0"), and a start
   vector f made orthogonal to b ("fperp"; only the short recurrences read
-  f), at tol 1e-8 ||[b; c]||.
+  f), at tol 1e-8 ||[b; c]||;
+* two small grids of perfbench's grid family, N = 6 and 9: sparse CSR
+  blocks A = ``gen.grid_gradient(N)`` and B = -A^T through
+  ``Operator.from_matrix``, b and c from ``gen.grid_rhs(N, 0, 0)``, the grid
+  workloads' lam and mu, tol 1e-6 ||[b; c]|| and the default maxit.
 
 Each line names the run and gives the exit reason, the iteration count,
 ``repr`` of the reported residual, a SHA-1 of the bytes of x then y, and a
@@ -85,13 +89,15 @@ SHAPES = [(40, 25), (25, 40), (60, 45), (45, 60), (40, 30), (30, 40),
           (30, 30), (50, 50)]
 SCALARS = [(1.0, -0.5), (0.0, 0.0), (1.0, 0.0), (0.0, -1.0), (2.0, 1.0)]
 DESK = WORKLOADS["desk-dense"]
+GRID = WORKLOADS["grid-35k"]
 EPS = np.finfo(float).eps
 METHODS = {**SOLVERS, "gpmr9": lambda s, tol, maxit: gpmr_solve(s, tol=tol, maxit=maxit,
                                                                  restart=9)}
 
 
 def runs():
-    """(name, method, system, tol, maxit) of every run, probe grid first."""
+    """(name, method, system, tol, maxit) of every run, probe grid first and
+    the sparse grids last."""
     for symmetric, base in ((False, 1000), (True, 2000)):
         for si, (m, n) in enumerate(SHAPES):
             for ci, (lam, mu) in enumerate(SCALARS):
@@ -115,6 +121,12 @@ def runs():
         for name, sys_, maxit in (("maxit0", s, 0), ("fperp", fperp, None)):
             for method in METHODS:
                 yield f"{name}-{seed}-{m}x{n}", method, sys_, 1e-8 * s.rhs_norm, maxit
+    for N in (6, 9):
+        A = gen.grid_gradient(N)
+        s = PartitionedSystem(GRID.lam, GRID.mu, Operator.from_matrix(A),
+                              Operator.from_matrix((-A.T).tocsr()), *gen.grid_rhs(N, 0, 0))
+        for method in METHODS:
+            yield f"grid{N}-{s.m}x{s.n}", method, s, 1e-6 * s.rhs_norm, None
 
 
 def digest(res) -> str:
