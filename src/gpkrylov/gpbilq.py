@@ -6,8 +6,8 @@ block-tridiagonal matrix), computed with a sliding LQ factorization whose
 orthogonal factor is a product of two-column rotation bundles.  The LQ is
 gpqmr's sliding QR (``rotations.BandWindow``) run on the transposed
 projection, and the lower factor is the transposed upper one, of bandwidth
-4; one forward-substitution pair and one four-column direction update
-advance the iterate per step.
+4; one forward-substitution pair per step and one four-column direction
+update per two steps advance the iterate.
 
 GPBiCG solves the square projected system instead.  Its iterate need not
 exist at every step; when the trailing 2x2 of the LQ factor is nonsingular
@@ -18,10 +18,10 @@ The steady-state loop performs exactly four operator applications per
 iteration and keeps seven m-vectors and seven n-vectors: the iterate, a
 basis pair and a (len x 4) block per side whose end columns hold the other
 pair, plus a scratch of one strip; the transfer iterate adds one vector per
-side, allocated on its first read.  Each side's direction update and
-iterate increment are one matmul per row strip (``reduction.mix``), and no
-length-m/n array is allocated after startup.  The scalars are fixed in
-size too: the window keeps two factor columns, one rotation bundle and its
+side, allocated on its first read.  Two steps' direction updates and
+iterate increments are one matmul per row strip of a side (``reduction.mix``),
+and no length-m/n array is allocated after startup.  The scalars are fixed
+in size: the window keeps two factor columns, one rotation bundle and its
 carries, and the state the bundle before it and four substitution entries.
 """
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .convergence import SolveResult, _solve
 from .linop import PartitionedSystem
-from .reduction import RecurrenceState, StepCoeffs, reduction_step, strips
+from .reduction import RecurrenceState, StepCoeffs, commit, reduction_step, strips
 # rotation_block is not called here: the benchmark tracer reads gpbilq.rotation_block
 from .rotations import BandWindow, rotation_block, rotation_bundle
 
@@ -132,21 +132,22 @@ class BiLQState(RecurrenceState):
         """One solver step: reduction and window step, then past the k=1
         seeding substitution, direction update and iterate update."""
         red, w = self.red, self.window
-        coeffs = reduction_step(red, self.sys)
+        coeffs = reduction_step(red, self.sys, defer=True)
         self.rot_prev = w.rot
         lq_step(w, coeffs.gamma, coeffs.eta, coeffs.alpha, coeffs.theta,
                 red.beta, red.delta)
         self.k, self.coeffs = self.k + 1, coeffs
-        if w.i == 0:
-            return coeffs
-        self.varpi = substitute_step(w, self.varpi, self.unsubstituted)
-        self.unsubstituted = (0.0, 0.0)
-        _, _, w1, w2 = self.varpi
-        # the trailing 4x4 of the latest bundle mixes [ft1, ft2, q_k, u_k]
-        # into (f1, f2, ft1', ft2'); only ft1', ft2' and the increment
-        # w1 f1 + w2 f2 (its only use) are formed
-        self.update([(r[2], r[3], w1 * r[0] + w2 * r[1]) for r in rotation_bundle(w.rot)])
-        self.transfer = None
+        if w.i:
+            self.varpi = substitute_step(w, self.varpi, self.unsubstituted)
+            self.unsubstituted = (0.0, 0.0)
+            _, _, w1, w2 = self.varpi
+            # the trailing 4x4 of the latest bundle mixes [ft1, ft2, q_k, u_k]
+            # into (f1, f2, ft1', ft2'); only ft1', ft2' and the increment
+            # w1 f1 + w2 f2 (its only use) are formed
+            self.update([(r[2], r[3], w1 * r[0] + w2 * r[1])
+                         for r in rotation_bundle(w.rot)])
+            self.transfer = None
+        commit(red)
         return coeffs
 
     def attempt_transfer(self) -> bool:
@@ -162,6 +163,7 @@ class BiLQState(RecurrenceState):
 
     def transfer_iterate(self):
         """Form x_c, y_c (allocated on first use): one strip pass per side."""
+        self.flush()
         if self.x_c is None:
             self.x_c, self.y_c = np.empty(self.sys.m), np.empty(self.sys.n)
         for side in ((self.fx, self.x_c, self.x), (self.fy, self.y_c, self.y)):
@@ -226,7 +228,7 @@ class BiLQState(RecurrenceState):
         """The monitored iterate; gpbicg's is x_l where x_c does not exist."""
         if self.monitor == "c" and self.transfer is not None:
             return self.transfer_iterate()
-        return self.x, self.y
+        return super().iterate()
 
     def rescue(self):
         """gpbilq's transfer iterate, exact at a lucky breakdown, or None."""

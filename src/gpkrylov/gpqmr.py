@@ -5,10 +5,10 @@ subspace, computed through the sliding banded QR factorization of the
 projected block-tridiagonal matrix (``rotations.BandWindow``), each step
 running one bundle's late stage and the next bundle's early stage.  Each
 step forms two directions from the last four (a depth-4 back-recurrence) in
-the block layout and kernel it shares with gpbilq
-(``reduction.RecurrenceState``); the working set is nine vectors per side,
-the iterate, a basis pair and a six-column block of the other pair's two
-slots around the four directions, plus a scratch of at most one strip.
+the block layout and kernel it shares with gpbilq, two steps per pass
+(``reduction.RecurrenceState``); per side nine vectors, the iterate, a basis
+pair and a six-column block of the other pair's two slots around the four
+directions, and a five-column scratch of at most one strip.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .convergence import SolveResult, _solve
 from .linop import PartitionedSystem
-from .reduction import RecurrenceState, reduction_step
+from .reduction import RecurrenceState, commit, reduction_step
 from .rotations import BandWindow, rotation_bundle_transposed
 
 __all__ = [
@@ -72,7 +72,7 @@ class QMRState(RecurrenceState):
         """One solver step: reduction, staged bundle, rhs rotation,
         direction back-recurrence, iterate update."""
         red, w = self.red, self.window
-        coeffs = reduction_step(red, self.sys)
+        coeffs = reduction_step(red, self.sys, defer=True)
         qr_step(w, coeffs.alpha, coeffs.theta, red.beta, red.delta, red.gamma,
                 red.eta)
         self.k += 1
@@ -91,6 +91,7 @@ class QMRState(RecurrenceState):
         rows = [(aj, bj, w1 * aj + w2 * bj) for aj, bj in
                 zip(a + [1.0 / rho1, 0.0], b + [-nu2 / (rho1 * rho2), 1.0 / rho2])]
         self.update(rows)
+        commit(red)
         return coeffs
 
     def estimate(self) -> float:

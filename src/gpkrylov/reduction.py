@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "StepCoeffs",
     "reduction_init",
     "reduction_step",
+    "commit",
     "strips",
     "mix",
     "RecurrenceState",
@@ -91,9 +93,9 @@ class ReductionState:
     norms), from which ``_normalize`` forms index 1 as it forms the rest.
     Pairs ``q``, ``u`` of zero buffers, if given, take q_k, u_k, odd k first."""
 
-    __slots__ = ("k", "p_prev", "p_cur", "q_prev", "q_cur", "u_prev", "u_cur",
-                 "v_prev", "v_cur", "beta", "gamma", "delta", "eta", "q_norm",
-                 "u_norm", "q_prev_norm", "u_prev_norm", "vec_scale", "breakdown")
+    __slots__ = ("k", "p_prev", "p_cur", "q_prev", "q_cur", "u_prev", "u_cur", "v_prev",
+                 "v_cur", "beta", "gamma", "delta", "eta", "q_norm", "u_norm",
+                 "q_prev_norm", "u_prev_norm", "vec_scale", "breakdown", "pending")
 
     def __init__(self, m: int, n: int, q=None, u=None):
         self.k = 0
@@ -103,37 +105,33 @@ class ReductionState:
         self.beta = self.gamma = self.delta = self.eta = 0.0
         self.q_norm = self.u_norm = 0.0
         self.vec_scale = 1.0
-        self.breakdown = None
+        self.breakdown = self.pending = None
 
 
-def _scale(w, x, y, nx, ny, nb, out_x, out_y):
-    """Normalize one new pair x, y (inner product w, norms nx, ny) into
-    out_x, out_y: x takes the root r = sqrt|w| and y the signed quotient
-    w / r.  Returns (r, w / r, nb / |w / r|), where nb is the norm of the
-    one that becomes a basis vector.  A pair with |w| <= BREAKDOWN_RTOL *
-    max(1, nx ny) broke down: it is zeroed and all three are zero."""
+def _scale(w, nx, ny, nb):
+    """The divisors of one new pair x, y (inner product w, norms nx, ny): x
+    takes the root r = sqrt|w| and y the signed quotient w / r.  Returns
+    (r, w / r, nb / |w / r|), where nb is the norm of the one that becomes
+    a basis vector.  A pair with |w| <= BREAKDOWN_RTOL * max(1, nx ny)
+    broke down: all three are zero, and ``commit`` zeroes the pair."""
     if abs(w) <= BREAKDOWN_RTOL * max(1.0, nx * ny):
-        out_x.fill(0.0)
-        out_y.fill(0.0)
         return 0.0, 0.0, 0.0
     root = math.sqrt(abs(w))
     quot = w / root
-    np.divide(x, root, out=out_x)
-    np.divide(y, quot, out=out_y)
     return root, quot, nb / abs(quot)
 
 
 def _normalize(st: ReductionState, pq, p, q, np_, nq, uv, u, v, nu, nv) -> None:
     """The one normalization and breakdown rule of the start and of every
-    step: scale the new pairs (p, q) and (u, v), given with their inner
-    products and norms, into the retiring prev buffers (``_scale``), which
-    then swap roles with cur, and advance k.  A breakdown is reported at
-    iteration k+1 on the first dead pair, lucky if each dead pair has a
-    vector below LUCKY_VEC_RTOL * ``vec_scale``.
+    step: the new pairs (p, q) and (u, v), given with their inner products
+    and norms, get their divisors (``_scale``) and wait in ``pending`` for
+    ``commit``; prev and cur swap roles and k advances.  A breakdown is
+    reported at iteration k+1 on the first dead pair, lucky if each dead
+    pair has a vector below LUCKY_VEC_RTOL * ``vec_scale``.
     """
     st.vec_scale = max(st.vec_scale, np_, nq, nu, nv)
-    eta, beta, nq_next = _scale(pq, p, q, np_, nq, nq, st.p_prev, st.q_prev)
-    delta, gamma, nu_next = _scale(uv, u, v, nu, nv, nu, st.u_prev, st.v_prev)
+    eta, beta, nq_next = _scale(pq, np_, nq, nq)
+    delta, gamma, nu_next = _scale(uv, nu, nv, nu)
     if not (eta and delta):  # a live pair's root is positive
         vec_tol = LUCKY_VEC_RTOL * st.vec_scale
         dead = [(kind, abs(w), min(nx, ny) <= vec_tol) for kind, w, nx, ny, root
@@ -148,6 +146,19 @@ def _normalize(st: ReductionState, pq, p, q, np_, nq, uv, u, v, nu, nv) -> None:
     st.u_prev, st.u_cur = st.u_cur, st.u_prev
     st.v_prev, st.v_cur = st.v_cur, st.v_prev
     st.k += 1
+    st.pending = p, q, u, v
+
+
+def commit(st: ReductionState) -> None:
+    """A step's four normalizing divisions into its new basis buffers, a
+    dead pair zeroed; until then they keep the vectors the step retired."""
+    for out, new, d in zip((st.p_cur, st.q_cur, st.u_cur, st.v_cur), st.pending,
+                           (st.eta, st.beta, st.delta, st.gamma)):
+        if d:
+            np.divide(new, d, out=out)
+        else:
+            out.fill(0.0)
+    st.pending = None
 
 
 def reduction_init(sys: PartitionedSystem, q=None, u=None) -> ReductionState:
@@ -164,6 +175,7 @@ def reduction_init(sys: PartitionedSystem, q=None, u=None) -> ReductionState:
     nc, ng = np.linalg.norm(c), np.linalg.norm(g)
     st = ReductionState(sys.m, sys.n, q, u)
     _normalize(st, float(f @ b), f, b, nf, nb, float(c @ g), c, g, nc, ng)
+    commit(st)
     return st
 
 
@@ -180,13 +192,13 @@ def strips(*arrays):
 
 def mix(live, dead, scratch, it, coef):
     """A short recurrence's direction update and iterate increment, per row
-    strip: scratch rows take live @ coef, whose first two columns overwrite
+    strip: scratch rows take live @ coef, whose leading columns overwrite
     the ``dead`` directions and whose last is added to ``it``."""
     for ls, ds, its in strips(live, dead, it):
         ss = scratch[:len(ls)]
         np.matmul(ls, coef, out=ss)
-        ds[...] = ss[:, :2]
-        its += ss[:, 2]
+        ds[...] = ss[:, :-1]
+        its += ss[:, -1]
 
 
 class RecurrenceState:
@@ -195,11 +207,12 @@ class RecurrenceState:
     Fortran-ordered (len x width) block ``fx``/``fy``, [basis slot |
     directions | basis slot], whose slots are red's q (u) buffers: q_k is
     last at odd k and first at even k, so block[:, 1:] or block[:, :-1] is
-    step k's input.  ``update`` alone knows this layout.  A subclass keeps
-    its factorization policy: ``advance`` steps the reduction and the
-    window, counts the step in k and hands ``update`` the direction
-    coefficients.  The rest is the solve-loop protocol (see
-    ``convergence._solve``) of a method whose iterate is x, y.
+    step k's input.  ``update`` alone knows this layout; it holds step k
+    (``held``) and runs it with step k+1, so x, y and the directions are
+    current only after ``flush``, which ``iterate()`` and every other
+    reader of them runs.  A subclass's ``advance`` steps the reduction, the
+    window and k, and hands ``update`` the direction coefficients before
+    the reduction's ``commit``.  The rest is the solve-loop protocol.
     """
 
     tracks_transfer = False
@@ -213,37 +226,76 @@ class RecurrenceState:
         self.window = BandWindow(sys.lam, sys.mu)
         self.x, self.y = np.zeros(sys.m), np.zeros(sys.n)
         # only a scratch's first strip of rows is touched, and held in memory
-        self.sx, self.sy = (np.empty((rows, 3), order="F") for rows in (sys.m, sys.n))
+        self.sx, self.sy = (np.empty((rows, width - 1), order="F") for rows in (sys.m, sys.n))
         self.cx, self.cy = np.zeros((width - 1, 3)), np.zeros((width - 1, 3))
-        # per parity of k, each side's input and the two directions it retires
-        self.views = [[(f[:, :-1], f[:, -3:-1]) for f in (self.fx, self.fy)],
-                      [(f[:, 1:], f[:, 1:3]) for f in (self.fx, self.fy)]]
+        self.pair, self.held = np.zeros(2 * width * (width - 1)), None
+        self.views = [(f, f[:, 1:-1], s, it, c) for f, s, it, c in zip(
+            (self.fx, self.fy), (self.sx, self.sy), (self.x, self.y),
+            self.pair.reshape(2, width, width - 1))]
+        # by lead (see _pair): held shared rows in column order, output columns
+        keep = (0, 1)[:width - 4]  # gpqmr's pair from step k-1 outlives step k
+        self.order = (tuple(range(2, width - 2)) + (0, 1), tuple(range(width - 2)))
+        self.pick = (itemgetter(2, 3, *keep, 4), itemgetter(*keep, 2, 3, 4))
 
     def update(self, rows) -> None:
-        """Both sides' ``mix`` at step k from the coefficient rows of the
-        shared directions, oldest first, then of the x and of the y side's
-        basis vector, ordered as step k's input (the odd steps' pairs lead
-        at even k)."""
-        *shared, row_x, row_y = rows
-        odd = self.k % 2
+        """Step k's direction update from the coefficient rows of the shared
+        directions, oldest first, then of the x and of the y side's basis
+        vector: held, or run with the held step k-1 as one ``mix`` per side."""
+        if self.held is None:
+            self.held = rows
+            return
+        self.pair[:] = self._pair(self.held, rows)
+        self.held = None
+        for view in self.views:
+            mix(*view)
+
+    def _pair(self, held, rows) -> list:
+        """Steps k-1 (held) and k as one map per side, x side first: rows for
+        the block's columns, columns for its directions and increment.  Step
+        k-1's new pair (a, b) reaches step k's outputs (late) through step
+        k's last two shared rows, gpqmr's older pair also through its first."""
+        (pa, pb, pc), (qa, qb, qc) = rows[-4:-2]
+        lead = self.k % 2 == 0  # step k-1's pair sits in columns 1, 2
+        pick = self.pick[lead]
+
+        def through(i, o=(0.0, 0.0, 0.0)):  # held input i's (a, b, late)
+            a, b, c = held[i]
+            return pick((a, b, a * pa + b * qa + o[0], a * pb + b * qb + o[1],
+                         a * pc + b * qc + c + o[2]))
+        mid, out = [], []
+        for i in self.order[lead]:
+            mid += through(i, rows[i - 2]) if i >= 2 else through(i)
+        for side in (-2, -1):
+            new, old = pick((0.0, 0.0, *rows[side])), through(side)  # q_k, q_{k-1}
+            out += (*new, *mid, *old) if lead else (*old, *mid, *new)
+        return out
+
+    def flush(self) -> None:
+        """Apply a held step alone: one ``mix`` per side over its input,
+        ordered for its parity (the odd steps' pairs lead at even k)."""
+        if self.held is None:
+            return
+        *shared, row_x, row_y = self.held
+        self.held, odd = None, self.k % 2
         self.cx[...] = shared + [row_x] if odd else [row_x] + shared[2:] + shared[:2]
         self.cy[...] = self.cx
         self.cy[-odd] = row_y
-        (lx, dx), (ly, dy) = self.views[odd]
-        mix(lx, dx, self.sx, self.x, self.cx)
-        mix(ly, dy, self.sy, self.y, self.cy)
+        for f, s, it, c in ((self.fx, self.sx, self.x, self.cx), (self.fy, self.sy, self.y, self.cy)):
+            mix(f[:, 1:] if odd else f[:, :-1], f[:, 1:3] if odd else f[:, -3:-1], s[:, :3], it, c)
 
     @property
     def stopped(self) -> bool:
         return self.red.breakdown is not None
 
     def iterate(self):
+        self.flush()
         return self.x, self.y
 
     def rescue(self):
         """None: the stopped step's iterate is the only candidate."""
 
     def result(self, x, y, reason, residual, record) -> SolveResult:
+        self.flush()
         return SolveResult(x, y, self.k, reason, float(residual), record,
                            breakdown=self.red.breakdown)
 
@@ -251,31 +303,33 @@ class RecurrenceState:
 def _sweep(p1, c1, n1, p2, c2, n2, a1, b1, a2, b2):
     """The three-term updates n1 -= a1 p1 + b1 c1 and n2 -= a2 p2 + b2 c2
     of a pair, strip by strip, with its inner product and squared norms.
-    p1 and p2 are dead after their own terms and double as scratch."""
+    p1 is dead after its own terms and doubles as scratch; p2 survives."""
     dot = sq1 = sq2 = 0.0
     for sp1, sc1, sn1, sp2, sc2, sn2 in strips(p1, c1, n1, p2, c2, n2):
         for prev, cur, new, a, b in ((sp1, sc1, sn1, a1, b1),
                                      (sp2, sc2, sn2, a2, b2)):
-            prev *= a
-            new -= prev
-            np.multiply(cur, b, out=prev)
-            new -= prev
+            np.multiply(prev, a, out=sp1)
+            new -= sp1
+            np.multiply(cur, b, out=sp1)
+            new -= sp1
         dot += sn1.dot(sn2)
         sq1 += sn1.dot(sn1)
         sq2 += sn2.dot(sn2)
     return float(dot), sq1, sq2
 
 
-def reduction_step(state: ReductionState, sys: PartitionedSystem) -> StepCoeffs:
+def reduction_step(state: ReductionState, sys: PartitionedSystem,
+                   defer: bool = False) -> StepCoeffs:
     """Advance the window from index k to k+1 (four operator applications).
 
     All vector updates reuse the window buffers; the only fresh arrays are
     the four operator results.  The three-term updates, the two inner
-    products and the four norms take one pass over row strips per side;
-    alpha, theta and the normalizations are whole-vector calls.  After a
-    breakdown (see ``_normalize``) the coefficients of step k are still
-    returned so a driver can finish its in-flight iteration, and further
-    calls raise.
+    products and the four norms take one pass over row strips per side,
+    with p_{k-1} and v_{k-1} as scratch; alpha, theta and the normalizations
+    are whole-vector calls.  ``defer`` leaves the normalizations to
+    ``commit``, keeping q_{k-1}, u_{k-1} in their buffers until then.  After
+    a breakdown (see ``_normalize``) step k's coefficients are still
+    returned for the in-flight iteration, and further calls raise.
     """
     if state.breakdown is not None:
         raise RuntimeError("reduction already broke down; cannot step further")
@@ -294,8 +348,10 @@ def reduction_step(state: ReductionState, sys: PartitionedSystem) -> StepCoeffs:
     # product and squared norms, in one sweep per side
     pq, pp, qq = _sweep(state.p_prev, state.p_cur, BTv, state.q_prev, state.q_cur,
                         Au, delta, theta, gamma, alpha)
-    uv, uu, vv = _sweep(state.u_prev, state.u_cur, Bq, state.v_prev, state.v_cur,
-                        ATp, eta, theta, beta, alpha)
+    uv, vv, uu = _sweep(state.v_prev, state.v_cur, ATp, state.u_prev, state.u_cur,
+                        Bq, beta, alpha, eta, theta)
     _normalize(state, pq, BTv, Au, math.sqrt(pp), math.sqrt(qq),
                uv, Bq, ATp, math.sqrt(uu), math.sqrt(vv))
+    if not defer:
+        commit(state)
     return StepCoeffs(alpha, theta, beta, gamma, delta, eta)

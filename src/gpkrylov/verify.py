@@ -230,6 +230,7 @@ def stepped(state_cls, sys: PartitionedSystem, steps: int):
     hist = ReductionHistory(st.red)
     for _ in range(steps):
         hist.update(st.red, st.advance())
+        st.flush()
         if st.window.i > len(hist.bundles):
             hist.columns += st.window.cols
             hist.bundles.append(st.window.rot)

@@ -60,8 +60,9 @@ def test_rotated_rhs_accumulates_orthogonally():
 def test_one_by_one_rhs_solves_exactly(one_by_one):
     st = QMRState(one_by_one)
     st.advance()
-    assert_allclose(st.x, [0.2], atol=1e-14)
-    assert_allclose(st.y, [0.4], atol=1e-14)
+    x, y = st.iterate()
+    assert_allclose(x, [0.2], atol=1e-14)
+    assert_allclose(y, [0.4], atol=1e-14)
     assert st.quasi <= 1e-14
 
 
