@@ -12,16 +12,16 @@ update per two steps advance the iterate.
 GPBiCG solves the square projected system instead.  Its iterate need not
 exist at every step; when the trailing 2x2 of the LQ factor is nonsingular
 it is obtained from the GPBiLQ iterate with one extra rotation, and formed
-only where it is read by one two-column matmul per row strip of a side.
+only where it is read, by the kernel of the direction updates.
 
 The steady-state loop performs exactly four operator applications per
-iteration and keeps seven m-vectors and seven n-vectors: the iterate, a
-basis pair and a (len x 4) block per side whose end columns hold the other
-pair, plus a scratch of one strip; the transfer iterate adds one vector per
-side, allocated on its first read.  Two steps' direction updates and
-iterate increments are one matmul per row strip of a side (``reduction.mix``),
-and no length-m/n array is allocated after startup.  The scalars are fixed
-in size: the window keeps two factor columns, one rotation bundle and its
+iteration, whose results are its only length-m/n allocations after startup,
+and keeps seven m-vectors and seven n-vectors: the iterate, a basis pair and a
+(len x 4) block per side whose end columns hold the other pair, plus a scratch
+of one strip; the transfer iterate adds one vector per side, allocated on its
+first read.  Two steps' direction updates and iterate increments are one
+matmul per row strip of a side (``reduction.mix``).  The scalars are fixed in
+size: the window keeps two factor columns, one rotation bundle and its
 carries, and the state the bundle before it and four substitution entries.
 """
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .convergence import SolveResult, _solve
 from .linop import PartitionedSystem
-from .reduction import RecurrenceState, StepCoeffs, commit, reduction_step, strips
+from .reduction import RecurrenceState, StepCoeffs, commit, mix, reduction_step
 # rotation_block is not called here: the benchmark tracer reads gpbilq.rotation_block
 from .rotations import BandWindow, rotation_block, rotation_bundle
 
@@ -162,14 +162,15 @@ class BiLQState(RecurrenceState):
         return True
 
     def transfer_iterate(self):
-        """Form x_c, y_c (allocated on first use): one strip pass per side."""
+        """Form x_c, y_c (allocated on first use): x + live pair @ transfer
+        per side, one ``mix`` with no dead directions."""
         self.flush()
         if self.x_c is None:
             self.x_c, self.y_c = np.empty(self.sys.m), np.empty(self.sys.n)
-        for side in ((self.fx, self.x_c, self.x), (self.fy, self.y_c, self.y)):
-            for f, out, it in strips(*side):
-                np.matmul(f[:, 1:3], self.transfer, out=out)
-                out += it
+        coef = np.reshape(self.transfer, (2, 1))
+        for (f, _, s, it, _), out in zip(self.views, (self.x_c, self.y_c)):
+            out[...] = it
+            mix(f[:, 1:3], f[:, :0], s[:, :1], out, coef)
         return self.x_c, self.y_c
 
     # -- residual estimates -------------------------------------------------

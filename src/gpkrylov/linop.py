@@ -53,36 +53,32 @@ class Operator:
             raise ValueError("matrix must be real, got complex input")
         if sparse.issparse(mat):
             mat = mat.tocsr().astype(float, copy=False)
-            mat_t = mat.T
-            return cls(mat.shape[0], mat.shape[1],
-                       lambda x: mat @ x, lambda y: mat_t @ y)
-        arr = np.asarray(mat, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("expected a 2-d matrix")
-        return cls(arr.shape[0], arr.shape[1],
-                   lambda x: arr @ x, lambda y: arr.T @ y)
+        else:
+            mat = np.asarray(mat, dtype=float)
+            if mat.ndim != 2:
+                raise ValueError("expected a 2-d matrix")
+        mat_t = mat.T
+        return cls(*mat.shape, lambda x: mat @ x, lambda y: mat_t @ y)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[0] != self.ncols:
+    def _call(self, action, vec, size, out_size, name, what):
+        if vec.shape[0] != size:
             raise ValueError(f"operator is {self.nrows}x{self.ncols}, "
-                             f"got input of length {x.shape[0]}")
-        out = self._apply(x)
-        if out.shape[0] != self.nrows:
-            raise ValueError("apply callback returned a vector of wrong length")
+                             f"got {what}input of length {vec.shape[0]}")
+        out = action(vec)
+        if out.shape[0] != out_size:
+            raise ValueError(f"{name} callback returned a vector of wrong length")
         return out
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self._call(self._apply, x, self.ncols, self.nrows, "apply", "")
+
     def apply_transpose(self, y: np.ndarray) -> np.ndarray:
-        if y.shape[0] != self.nrows:
-            raise ValueError(f"operator is {self.nrows}x{self.ncols}, "
-                             f"got transpose input of length {y.shape[0]}")
-        out = self._apply_t(y)
-        if out.shape[0] != self.ncols:
-            raise ValueError("apply_transpose callback returned a vector of wrong length")
-        return out
+        return self._call(self._apply_t, y, self.nrows, self.ncols, "apply_transpose",
+                          "transpose ")
 
 
 def _as_nonzero_vector(vec, length, name):

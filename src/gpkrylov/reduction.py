@@ -207,12 +207,14 @@ class RecurrenceState:
     Fortran-ordered (len x width) block ``fx``/``fy``, [basis slot |
     directions | basis slot], whose slots are red's q (u) buffers: q_k is
     last at odd k and first at even k, so block[:, 1:] or block[:, :-1] is
-    step k's input.  ``update`` alone knows this layout; it holds step k
-    (``held``) and runs it with step k+1, so x, y and the directions are
-    current only after ``flush``, which ``iterate()`` and every other
-    reader of them runs.  A subclass's ``advance`` steps the reduction, the
-    window and k, and hands ``update`` the direction coefficients before
-    the reduction's ``commit``.  The rest is the solve-loop protocol.
+    step k's input.  ``update`` and ``flush`` alone know this layout: a step k
+    that ``update`` holds (``held``) runs with step k+1, or in ``flush`` with
+    an idle step, as one ``_pair`` map per side through ``mix``, so x, y and
+    the directions are current only after ``flush``, which ``iterate()`` and
+    every other reader of them runs.  A subclass's ``advance`` steps the
+    reduction, the window and k, and hands ``update`` the direction
+    coefficients before the reduction's ``commit``.  The rest is the solve-loop
+    protocol.
     """
 
     tracks_transfer = False
@@ -227,8 +229,8 @@ class RecurrenceState:
         self.x, self.y = np.zeros(sys.m), np.zeros(sys.n)
         # only a scratch's first strip of rows is touched, and held in memory
         self.sx, self.sy = (np.empty((rows, width - 1), order="F") for rows in (sys.m, sys.n))
-        self.cx, self.cy = np.zeros((width - 1, 3)), np.zeros((width - 1, 3))
         self.pair, self.held = np.zeros(2 * width * (width - 1)), None
+        self.idle = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)] + [(0.0, 0.0, 0.0)] * (width - 2)
         self.views = [(f, f[:, 1:-1], s, it, c) for f, s, it, c in zip(
             (self.fx, self.fy), (self.sx, self.sy), (self.x, self.y),
             self.pair.reshape(2, width, width - 1))]
@@ -244,18 +246,18 @@ class RecurrenceState:
         if self.held is None:
             self.held = rows
             return
-        self.pair[:] = self._pair(self.held, rows)
+        self.pair[:] = self._pair(self.held, rows, self.k)
         self.held = None
         for view in self.views:
             mix(*view)
 
-    def _pair(self, held, rows) -> list:
+    def _pair(self, held, rows, k) -> list:
         """Steps k-1 (held) and k as one map per side, x side first: rows for
         the block's columns, columns for its directions and increment.  Step
         k-1's new pair (a, b) reaches step k's outputs (late) through step
         k's last two shared rows, gpqmr's older pair also through its first."""
         (pa, pb, pc), (qa, qb, qc) = rows[-4:-2]
-        lead = self.k % 2 == 0  # step k-1's pair sits in columns 1, 2
+        lead = k % 2 == 0  # step k-1's pair sits in columns 1, 2
         pick = self.pick[lead]
 
         def through(i, o=(0.0, 0.0, 0.0)):  # held input i's (a, b, late)
@@ -271,17 +273,16 @@ class RecurrenceState:
         return out
 
     def flush(self) -> None:
-        """Apply a held step alone: one ``mix`` per side over its input,
-        ordered for its parity (the odd steps' pairs lead at even k)."""
+        """Apply a held step k alone, as the pair (k, idle k+1): the idle
+        step's new pair is its two oldest inputs, so the composite leaves
+        what step k alone would, column for column.  ``mix`` reads step
+        k's input only, never q_{k+1}'s slot (its row is zero)."""
         if self.held is None:
             return
-        *shared, row_x, row_y = self.held
-        self.held, odd = None, self.k % 2
-        self.cx[...] = shared + [row_x] if odd else [row_x] + shared[2:] + shared[:2]
-        self.cy[...] = self.cx
-        self.cy[-odd] = row_y
-        for f, s, it, c in ((self.fx, self.sx, self.x, self.cx), (self.fy, self.sy, self.y, self.cy)):
-            mix(f[:, 1:] if odd else f[:, :-1], f[:, 1:3] if odd else f[:, -3:-1], s[:, :3], it, c)
+        self.pair[:] = self._pair(self.held, self.idle, self.k + 1)
+        self.held, cols = None, slice(1, None) if self.k % 2 else slice(None, -1)
+        for f, dead, s, it, c in self.views:
+            mix(f[:, cols], dead, s, it, c[cols])
 
     @property
     def stopped(self) -> bool:

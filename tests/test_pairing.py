@@ -10,6 +10,7 @@ from numpy.testing import assert_array_equal
 from gpkrylov import (BiLQState, QMRState, gpbilq_solve, gpqmr_solve, reduction,
                       reduction_init, reduction_step)
 from gpkrylov.convergence import _solve
+from gpkrylov.verify import live_directions
 
 from gpk_support import make_system
 from test_strips import desk_family, relative_gap
@@ -170,3 +171,68 @@ def test_public_solvers_pair_their_steps():
         assert_array_equal(res.y, paired.y)
     flushed, _ = run("gpqmr", sys_, 0.0, 9, None)
     assert not np.array_equal(flushed.x, paired.x)
+
+
+def held_exits(method, sys_):
+    """States whose last ``advance()`` left a held step, on both parities:
+    a fresh state per shift of SHIFTS and number of steps up to 9."""
+    for flush_at in SHIFTS:
+        for count in range(2, 10):
+            st = state(method, sys_, flush_at)
+            for _ in range(count):
+                st.advance()
+            if st.held is not None:
+                yield st
+
+
+def held_step_input(st):
+    """Step k's input, x side over y side, in the order of ``st.held``'s
+    rows: the directions oldest first as step k-1 left them (after an odd
+    step its new pair leads), then [q_k; 0] and [0; u_k]."""
+    dirs = np.vstack((st.fx, st.fy))[:, 1:-1]
+    if st.k % 2 == 0:
+        dirs = np.hstack((dirs[:, 2:], dirs[:, :2]))
+    q_k = np.concatenate((st.red.q_prev, np.zeros(st.sys.n)))
+    u_k = np.concatenate((np.zeros(st.sys.m), st.red.u_prev))
+    return np.column_stack((dirs, q_k, u_k))
+
+
+@pytest.mark.parametrize("method", ["gpbilq", "gpqmr"])
+def test_flush_applies_the_held_step_as_its_rows_say(method):
+    # the reference sums the rows' terms column by column; a result may
+    # differ by 1e-14 of the summed term magnitudes, which no summation
+    # order of at most six terms reaches
+    sys_ = desk_family(61, 45, 90)
+    parities = set()
+    for st in held_exits(method, sys_):
+        inputs, rows = held_step_input(st), np.array(st.held)
+        new = sum(np.outer(col, row[:2]) for col, row in zip(inputs.T, rows))
+        incr = sum(col * row[2] for col, row in zip(inputs.T, rows))
+        dirs, xy = inputs[:, :-2], np.concatenate((st.x, st.y))
+        expect = [(np.hstack((dirs[:, 2:], new)),
+                   np.hstack((abs(dirs[:, 2:]), abs(inputs) @ abs(rows[:, :2])))),
+                  (xy + incr, abs(xy) + abs(inputs) @ abs(rows[:, 2]))]
+        st.flush()
+        got = (live_directions(st), np.concatenate((st.x, st.y)))
+        for value, (want, size) in zip(got, expect):
+            assert np.all(abs(value - want) <= 1e-14 * size)
+        parities.add(st.k % 2)
+    assert parities == {0, 1}
+
+
+@pytest.mark.parametrize("method", ["gpbilq", "gpqmr"])
+def test_flush_never_reads_the_next_basis_slot(method):
+    # at a held step the slots of q_{k+1} and u_{k+1} are outside step k's
+    # input: poisoned, they must not reach the iterate or the directions
+    sys_ = desk_family(61, 45, 91)
+    parities = set()
+    for st, twin in zip(held_exits(method, sys_), held_exits(method, sys_)):
+        st.red.q_cur.fill(np.nan)
+        st.red.u_cur.fill(np.nan)
+        st.flush()
+        twin.flush()
+        for a, b in ((st.x, twin.x), (st.y, twin.y), (st.fx[:, 1:-1], twin.fx[:, 1:-1]),
+                     (st.fy[:, 1:-1], twin.fy[:, 1:-1])):
+            assert_array_equal(a, b)
+        parities.add(st.k % 2)
+    assert parities == {0, 1}
