@@ -33,7 +33,7 @@ from .convergence import SolveResult, _solve
 from .linop import PartitionedSystem
 from .reduction import RecurrenceState, StepCoeffs, commit, mix, reduction_step
 # rotation_block is not called here: the benchmark tracer reads gpbilq.rotation_block
-from .rotations import BandWindow, rotation_block, rotation_bundle
+from .rotations import BandWindow, rotation_block, rotation_bundle, substitute_pair
 
 __all__ = [
     "BiLQState",
@@ -59,25 +59,13 @@ def lq_step(w: BandWindow, gamma_k, eta_k, alpha_k, theta_k,
     w.late(theta_k, alpha_k, beta_next, delta_next)
 
 
-def _row_pair(odd, even, v, rhs):
-    """Rows r, r+1 of the banded lower solve L w = rhs from the upper
-    columns r and r+1 of R = L^T and the entries ``v`` of w at r-4..r-1:
-    row r is (rhs_r - xi_r w_{r-4} - zeta_r w_{r-3} - omega_r w_{r-2} -
-    nu_r w_{r-1}) / rho_r."""
-    rho1, nu1, omega1, zeta1, xi1 = odd
-    rho2, nu2, omega2, zeta2, xi2 = even
-    w1 = (rhs[0] - xi1 * v[0] - zeta1 * v[1] - omega1 * v[2] - nu1 * v[3]) / rho1
-    w2 = (rhs[1] - xi2 * v[1] - zeta2 * v[2] - omega2 * v[3] - nu2 * w1) / rho2
-    return w1, w2
-
-
 def substitute_step(w: BandWindow, varpi, rhs) -> tuple:
     """Forward-substitute rows 2i-1 and 2i of the banded lower solve.
 
     ``varpi`` holds entries 2i-5..2i-2 and ``rhs`` the right-hand side's
     rows 2i-1 and 2i; returns entries 2i-3..2i.
     """
-    return varpi[2:] + _row_pair(*w.cols, varpi, rhs)
+    return varpi[2:] + substitute_pair(w.cols, varpi, rhs)
 
 
 def transfer_scalars(w: BandWindow, varpi, rhs):
@@ -94,8 +82,8 @@ def transfer_scalars(w: BandWindow, varpi, rhs):
     det = rb1 * rb2 - tb * nb1
     if abs(det) <= 1e-13 * (abs(rb1 * rb2) + abs(tb * nb1)):
         return None
-    c_k, s_k, odd, even = w.corner()
-    return (c_k, s_k) + _row_pair(odd, even, varpi, rhs)
+    c_k, s_k, *cols = w.corner()
+    return (c_k, s_k) + substitute_pair(cols, varpi, rhs)
 
 
 # -- solver ------------------------------------------------------------------

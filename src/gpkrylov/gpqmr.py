@@ -4,8 +4,9 @@ The iterate minimizes the projected residual norm over the interleaved
 subspace, computed through the sliding banded QR factorization of the
 projected block-tridiagonal matrix (``rotations.BandWindow``), each step
 running one bundle's late stage and the next bundle's early stage.  Each
-step forms two directions from the last four (a depth-4 back-recurrence) in
-the block layout and kernel it shares with gpbilq, two steps per pass
+step forms two directions from the last four (a depth-4 back-recurrence
+whose coefficients are gpbilq's substitution step on unit inputs) in the
+block layout and kernel it shares with gpbilq, two steps per pass
 (``reduction.RecurrenceState``); per side nine vectors, the iterate, a basis
 pair and a six-column block of the other pair's two slots around the four
 directions, and a five-column scratch of at most one strip.
@@ -18,7 +19,7 @@ import numpy as np
 from .convergence import SolveResult, _solve
 from .linop import PartitionedSystem
 from .reduction import RecurrenceState, commit, reduction_step
-from .rotations import BandWindow, rotation_bundle_transposed
+from .rotations import BandWindow, rotation_bundle_transposed, substitute_pair
 
 __all__ = [
     "QMRState",
@@ -26,6 +27,11 @@ __all__ = [
     "rotate_rhs",
     "gpqmr_solve",
 ]
+
+# substitution inputs, one per direction-block column: d_{2k-5}..d_{2k-2}
+# (entries r-4..r-1), then q_k and u_k (right-hand-side rows r and r+1)
+_UNIT_INPUTS = [(e[:4], e[4:]) for e in
+                [tuple(float(i == j) for j in range(6)) for i in range(6)]]
 
 
 def qr_step(w: BandWindow, alpha_k, theta_k, beta_next, delta_next,
@@ -80,17 +86,8 @@ class QMRState(RecurrenceState):
         w1, w2, b3, b4 = self.rhs
         self.quasi = float(np.hypot(b3, b4))
 
-        # n1 = (q_k - (xi, zeta, omega, nu) . d_{2k-5..2k-2}) / rho_{2k-1}, n2
-        # likewise over d_{2k-4..2k-2}, n1 with u_k; q_k enters the x side only,
-        # u_k the y side only (the last two rows), and n2's dependence on n1
-        # is folded into b
-        (rho1, nu1, omega1, zeta1, xi1), (rho2, nu2, omega2, zeta2, xi2) = w.cols
-        a = [-xi1 / rho1, -zeta1 / rho1, -omega1 / rho1, -nu1 / rho1]
-        b = [(bj - nu2 * aj) / rho2 for aj, bj in
-             zip(a, (0.0, -xi2, -zeta2, -omega2))]
-        rows = [(aj, bj, w1 * aj + w2 * bj) for aj, bj in
-                zip(a + [1.0 / rho1, 0.0], b + [-nu2 / (rho1 * rho2), 1.0 / rho2])]
-        self.update(rows)
+        ab = [substitute_pair(w.cols, v, rhs) for v, rhs in _UNIT_INPUTS]
+        self.update([(a, b, w1 * a + w2 * b) for a, b in ab])
         commit(red)
         return coeffs
 

@@ -33,6 +33,9 @@ class Operator:
         length-``nrows`` vectors.
     apply_transpose : callable
         Action ``y -> M.T @ y``.
+
+    A result must be 1-d of the output length; one that shares memory with
+    its input (``lambda x: x``) is copied, as the solvers update it in place.
     """
 
     def __init__(self, nrows, ncols, apply, apply_transpose):
@@ -69,9 +72,9 @@ class Operator:
             raise ValueError(f"operator is {self.nrows}x{self.ncols}, "
                              f"got {what}input of length {vec.shape[0]}")
         out = action(vec)
-        if out.shape[0] != out_size:
+        if out.shape != (out_size,):
             raise ValueError(f"{name} callback returned a vector of wrong length")
-        return out
+        return out.copy() if np.may_share_memory(out, vec) else out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self._call(self._apply, x, self.ncols, self.nrows, "apply", "")

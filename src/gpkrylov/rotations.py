@@ -6,7 +6,9 @@ import math
 import numpy as np
 
 __all__ = ["plane_rotation", "rotation_bundle", "rotation_bundle_transposed",
-           "rotation_block", "BandWindow", "SingularWindowError"]
+           "rotation_block", "BandWindow", "substitute_pair", "SingularWindowError"]
+
+_UNITS = [tuple(float(i == j) for j in range(4)) for i in range(4)]
 
 
 class SingularWindowError(RuntimeError):
@@ -31,21 +33,16 @@ def rotation_bundle(rot, v=None):
     ``rot`` is (c1, s1, c2, s2, c3, s3, c4, s4); r1, r2, r3 and r4 rotate
     coordinate pairs (0, 3), (0, 1), (1, 3) and (1, 2) of a 4-vector, each
     as [[c, -s], [s, c]].  Returns M @ v as four floats when a 4-vector
-    ``v`` is given, else the rows of M as four 4-tuples.
+    ``v`` is given, else the rows of M as four 4-tuples (row i is M^T e_i).
     """
+    if v is None:
+        return [rotation_bundle_transposed(rot, e) for e in _UNITS]
     c1, s1, c2, s2, c3, s3, c4, s4 = rot
-    if v is not None:
-        v0, v1, v2, v3 = v
-        v1, v2 = c4 * v1 - s4 * v2, s4 * v1 + c4 * v2
-        v1, v3 = c3 * v1 - s3 * v3, s3 * v1 + c3 * v3
-        v0, v1 = c2 * v0 - s2 * v1, s2 * v0 + c2 * v1
-        return c1 * v0 - s1 * v3, v1, v2, s1 * v0 + c1 * v3
-    a = -c1 * s2 * c3 - s1 * s3
-    b = -s1 * s2 * c3 + c1 * s3
-    return ((c1 * c2, a * c4, -a * s4, c1 * s2 * s3 - s1 * c3),
-            (s2, c2 * c3 * c4, -c2 * c3 * s4, -c2 * s3),
-            (0.0, s4, c4, 0.0),
-            (s1 * c2, b * c4, -b * s4, s1 * s2 * s3 + c1 * c3))
+    v0, v1, v2, v3 = v
+    v1, v2 = c4 * v1 - s4 * v2, s4 * v1 + c4 * v2
+    v1, v3 = c3 * v1 - s3 * v3, s3 * v1 + c3 * v3
+    v0, v1 = c2 * v0 - s2 * v1, s2 * v0 + c2 * v1
+    return c1 * v0 - s1 * v3, v1, v2, s1 * v0 + c1 * v3
 
 
 def rotation_bundle_transposed(rot, v):
@@ -177,3 +174,14 @@ class BandWindow:
         odd, even = self.ahead
         return (c, s, (rho1,) + odd,
                 (-s * self.nb1 + c * self.rb2, c * self.nb1 + s * self.rb2) + even)
+
+
+def substitute_pair(cols, v, rhs):
+    """Rows r, r+1 of the banded lower solve L w = rhs from the upper
+    columns r and r+1 of R = L^T (``cols``, in ``BandWindow.cols`` layout)
+    and the entries ``v`` of w at r-4..r-1: row r is (rhs_r - xi_r w_{r-4}
+    - zeta_r w_{r-3} - omega_r w_{r-2} - nu_r w_{r-1}) / rho_r."""
+    (rho1, nu1, omega1, zeta1, xi1), (rho2, nu2, omega2, zeta2, xi2) = cols
+    w1 = (rhs[0] - xi1 * v[0] - zeta1 * v[1] - omega1 * v[2] - nu1 * v[3]) / rho1
+    w2 = (rhs[1] - xi2 * v[1] - zeta2 * v[2] - omega2 * v[3] - nu2 * w1) / rho2
+    return w1, w2

@@ -263,3 +263,32 @@ def test_sparse_operator_keeps_one_copy():
         tracemalloc.stop()
     assert build_peak < csr_bytes / 10
     assert apply_peak - before <= out.nbytes + 1024
+
+
+def _identity_coupled(identity):
+    """A 30 + 30 system whose block A is ``identity(30)``."""
+    n = 30
+    rng = np.random.default_rng(0)
+    B = Operator.from_matrix(rng.standard_normal((n, n)))
+    b, c = rng.standard_normal(n), rng.standard_normal(n)
+    return PartitionedSystem(1.0, -0.5, identity(n), B, b, c)
+
+
+@pytest.mark.parametrize("method", SOLVES)
+def test_callback_returning_its_input_solves_like_the_identity_matrix(method):
+    """An identity callback returns its input itself; the solvers update
+    operator results in place, so without a copy they overwrite a basis
+    vector or the iterate."""
+    aliased = _identity_coupled(lambda n: Operator(n, n, lambda x: x, lambda y: y))
+    dense = _identity_coupled(lambda n: Operator.from_matrix(np.eye(n)))
+    got, ref = SOLVES[method](aliased, 1e-8), SOLVES[method](dense, 1e-8)
+    assert (got.reason, got.iterations) == (ref.reason, ref.iterations)
+    assert got.x.tobytes() == ref.x.tobytes() and got.y.tobytes() == ref.y.tobytes()
+
+
+def test_callback_returning_a_column_is_rejected():
+    col = Operator(3, 2, lambda x: np.ones((3, 1)), lambda y: np.ones((2, 1)))
+    with pytest.raises(ValueError, match="apply callback returned"):
+        col.apply(np.ones(2))
+    with pytest.raises(ValueError, match="apply_transpose callback returned"):
+        col.apply_transpose(np.ones(3))

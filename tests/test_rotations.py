@@ -7,7 +7,7 @@ from gpkrylov.gpqmr import qr_step, rotate_rhs
 from gpkrylov.reduction import reduction_init, reduction_step
 from gpkrylov.rotations import (BandWindow, SingularWindowError,
                                 rotation_block, rotation_bundle,
-                                rotation_bundle_transposed)
+                                rotation_bundle_transposed, substitute_pair)
 from gpkrylov.verify import random_system
 
 
@@ -39,6 +39,29 @@ def test_scalar_kernel_matches_explicit_product():
         carry = tuple(float(x) for x in v[:2])
         assert_allclose(rotate_rhs(w, carry),
                         rotation_block(*w.rot).T @ (*carry, 0.0, 0.0), rtol=0, atol=1e-15)
+
+
+def test_substitution_kernel_matches_dense_lower_solve():
+    """Rows r, r+1 of L w = rhs, with w_{r-4..r-1} given, form a linear map
+    of the six inputs (w_{r-4..r-1}, rhs_r, rhs_{r+1}); its rows from the
+    kernel on unit inputs (gpqmr's direction coefficients) equal the last
+    two rows of the inverse of the dense 6x6 lower triangle [[I, 0], [L21,
+    L22]] holding the band columns r and r+1 of R = L^T."""
+    rng = np.random.default_rng(710)
+    units = [tuple(float(x) for x in e) for e in np.eye(6)]
+
+    def band_column():  # |rho| in [0.5, 2], then nu, omega, zeta, xi
+        return (float(rng.uniform(0.5, 2.0) * rng.choice([-1, 1])),
+                *(float(x) for x in rng.uniform(-1.0, 1.0, 4)))
+    for _ in range(20):
+        odd, even = band_column(), band_column()
+        L = np.eye(6)
+        for row, col in ((4, odd), (5, even)):
+            for d, entry in enumerate(col):  # (rho, nu, omega, zeta, xi): L[row, row-d]
+                L[row, row - d] = entry
+        ref = np.linalg.solve(L, np.eye(6))[4:].T
+        got = np.array([substitute_pair((odd, even), e[:4], e[4:]) for e in units])
+        assert_allclose(got, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
 
 
 # -- the shared sliding window ------------------------------------------------
