@@ -98,20 +98,16 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
     ``result(x, y, reason, residual, record)``, which builds every exit's
     SolveResult.
 
-    The record starts with a k=0 row at the initial residual norm.  A state
-    stopped at the start exits as breakdown, and ``maxit`` 0 as maxit,
-    both with the zero iterate and that norm.  Otherwise an iteration ends
-    the run as breakdown if the process stopped, else tests converged,
-    nonfinite (NaN or infinite) and maxit in turn.  With
-    ``explicit_residual`` the true residual is recorded next to the
-    estimate and replaces it in the stopping test.
-
-    Exit rule: the true residual of ``iterate()`` (its certificate)
-    replaces an estimate that is missing or unreliable: at a stopped step
-    (a dead pair's scalars vanish from it), a zero pivot in a sliding
-    factorization and a gpbicg exit without its iterate.  A breakdown is
-    converged or nonfinite by its certificate; failing both, a stopped step
-    returns ``rescue()``'s iterate as converged if that meets tol.
+    The record starts with a k=0 row at ||[b; c]||; ``explicit_residual``
+    records the true residual too and stops on it.  Exit rule: a run ends
+    as breakdown where the process stopped or a window pivot vanished, else
+    as converged, nonfinite or maxit by its residual (maxit at once for
+    ``maxit`` 0).  Where the loop trusts no residual (a breakdown after a
+    first step, a missing estimate) the exit reports the true residual of
+    ``iterate()``; a stopped step whose residual is finite and above tol
+    also certifies ``rescue()``'s iterate and returns the better one.  A
+    breakdown whose reported residual meets tol is converged, and one whose
+    residual is not finite is nonfinite.
     """
     if maxit is None:
         maxit = 2 * (sys.m + sys.n)
@@ -125,11 +121,9 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
     record = ConvergenceRecord()
     record.append(0, rhs_norm, rhs_norm if explicit_residual else None,
                   elapsed=time.perf_counter() - t0)
-    if state.stopped or maxit == 0:
-        reason = BREAKDOWN if state.stopped else MAXIT
-        record.finalize(reason)
-        return state.result(*state.iterate(), reason, rhs_norm, record)
-    while True:
+    reason = BREAKDOWN if state.stopped else MAXIT if maxit == 0 else None
+    res = rhs_norm
+    while reason is None:
         try:
             state.advance()
         except SingularWindowError:
@@ -151,20 +145,16 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
             reason = NONFINITE
         elif state.k >= maxit:
             reason = MAXIT
-        else:
-            continue
-        break
     x, y = state.iterate()
     if res is None:
         res = certificate(x, y)
-    if reason == BREAKDOWN and res <= tol:
-        reason = CONVERGED
-    elif reason == BREAKDOWN and not math.isfinite(res):
-        reason = NONFINITE
-    elif reason == BREAKDOWN and state.stopped:
+    if state.stopped and state.k and tol < res < math.inf:
         rescued = state.rescue()
         cert = math.inf if rescued is None else certificate(*rescued)
-        if cert <= tol:
-            (x, y), res, reason = rescued, cert, CONVERGED
+        if cert < res:
+            (x, y), res = rescued, cert
+    if reason == BREAKDOWN:
+        reason = (CONVERGED if res <= tol else BREAKDOWN if math.isfinite(res)
+                  else NONFINITE)
     record.finalize(reason)
     return state.result(x, y, reason, res, record)

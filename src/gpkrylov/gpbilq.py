@@ -245,7 +245,7 @@ def gpbilq_solve(sys: PartitionedSystem, tol: float = 1e-8,
         minimum-norm iterate ("l") or the square-system iterate ("c",
         skipped at steps where it does not exist).  Its coefficients are
         found each step only when monitored; at a stopped step gpbilq tries
-        it too, since a lucky breakdown makes it exact.
+        it too (a lucky breakdown makes it exact) and keeps the better one.
     explicit_residual : bool
         Evaluate true residuals of the monitored iterate each iteration and
         stop on them (two extra operator applications per step); otherwise

@@ -100,8 +100,8 @@ class PartitionedSystem:
     """Immutable description of one partitioned system.
 
     ``f`` and ``g`` are the auxiliary starting vectors of the two-sided
-    reduction; they default to ``b`` and ``c``.  All four right-hand-side
-    vectors must be nonzero.
+    reduction; omitted, each is ``b`` or ``c`` itself (the same array, which
+    nothing writes).  All four vectors must be nonzero.
     """
 
     lam: float
@@ -121,8 +121,8 @@ class PartitionedSystem:
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "b", _as_nonzero_vector(self.b, m, "b"))
         object.__setattr__(self, "c", _as_nonzero_vector(self.c, n, "c"))
-        f = self.b.copy() if self.f is None else _as_nonzero_vector(self.f, m, "f")
-        g = self.c.copy() if self.g is None else _as_nonzero_vector(self.g, n, "g")
+        f = self.b if self.f is None else _as_nonzero_vector(self.f, m, "f")
+        g = self.c if self.g is None else _as_nonzero_vector(self.g, n, "g")
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "g", g)
 

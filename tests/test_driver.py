@@ -52,13 +52,18 @@ def test_explicit_residual_is_that_of_the_returned_iterate(method):
                                          rel=1e-12)
 
 
-@pytest.mark.parametrize("method", ["gpbilq", "gpbicg", "gpqmr"])
-def test_orthogonal_start_vectors_break_down_at_once(method):
-    sys_ = desk_system()
+def _orthogonal_start(sys_):
+    """``sys_`` with a start vector f orthogonal to b: the reduction cannot
+    start."""
     f = np.random.default_rng(601).standard_normal(sys_.m)
     f -= (f @ sys_.b) / (sys_.b @ sys_.b) * sys_.b
-    sys_ = PartitionedSystem(sys_.lam, sys_.mu, sys_.A, sys_.B, sys_.b, sys_.c,
+    return PartitionedSystem(sys_.lam, sys_.mu, sys_.A, sys_.B, sys_.b, sys_.c,
                              f=f)
+
+
+@pytest.mark.parametrize("method", ["gpbilq", "gpbicg", "gpqmr"])
+def test_orthogonal_start_vectors_break_down_at_once(method):
+    sys_ = _orthogonal_start(desk_system())
     res = SOLVERS[method](sys_, tol=1e-10, maxit=10)
     assert res.reason == "breakdown" and res.iterations == 0
     assert res.breakdown.iteration == 1
@@ -67,6 +72,51 @@ def test_orthogonal_start_vectors_break_down_at_once(method):
     assert res.record.reason == "breakdown"
     if method != "gpqmr":
         assert not res.x_l.any() and not res.y_l.any() and res.x_c is None
+
+
+@pytest.mark.parametrize("method", ["gpbilq", "gpbicg", "gpqmr"])
+def test_stopped_start_goes_through_the_common_exit(method, monkeypatch):
+    # no operator application, and no rescue at k = 0, where the window holds
+    # no hand-off for gpbilq's transfer iterate; the zero iterate's residual
+    # ||[b; c]|| decides converged against breakdown
+    from gpkrylov.gpbilq import BiLQState
+
+    def no_rescue(self):
+        raise AssertionError("rescue() called before a first step")
+    monkeypatch.setattr(BiLQState, "rescue", no_rescue)
+    calls = [0]
+
+    def wrap(fn):
+        def apply(v):
+            calls[0] += 1
+            return fn(v)
+        return apply
+
+    sys_ = _wrapped(_orthogonal_start(desk_system()), wrap)
+    for tol, reason in ((0.5 * sys_.rhs_norm, "breakdown"), (sys_.rhs_norm, "converged")):
+        res = SOLVERS[method](sys_, tol=tol)
+        assert (res.reason, res.iterations) == (reason, 0) and res.record.reason == reason
+        assert not res.x.any() and not res.y.any() and res.residual == sys_.rhs_norm
+    assert calls[0] == 0
+    res = SOLVERS[method](desk_system(), tol=2 * sys_.rhs_norm, maxit=0)
+    assert (res.reason, res.residual) == ("maxit", sys_.rhs_norm)
+
+
+def test_gpbilq_breakdown_returns_the_better_certified_iterate():
+    # the identity-coupled reduction stops at k = n, where the minimum-norm
+    # iterate's residual is 62.0 and the transfer iterate's 1.8e-7
+    n = 30
+    rng = np.random.default_rng(0)
+    B = rng.standard_normal((n, n))
+    b, c = rng.standard_normal(n), rng.standard_normal(n)
+    sys_ = PartitionedSystem(1.0, -0.5, Operator.from_matrix(np.eye(n)),
+                             Operator.from_matrix(B), b, c)
+    res = gpbilq_solve(sys_, tol=1e-8)
+    assert (res.reason, res.iterations) == ("breakdown", n)
+    assert res.residual <= 1e-6
+    assert res.residual == residual_norm(sys_, res.x, res.y)
+    assert res.x is res.x_c and res.y is res.y_c
+    assert residual_norm(sys_, res.x_l, res.y_l) == pytest.approx(62.0, abs=0.1)
 
 
 def test_gpbicg_without_transfer_at_exit_returns_the_gpbilq_iterate():
@@ -118,7 +168,7 @@ def _wrapped(sys_, wrap):
         sys_.lam, sys_.mu,
         Operator(A.nrows, A.ncols, wrap(A.apply), wrap(A.apply_transpose)),
         Operator(B.nrows, B.ncols, wrap(B.apply), wrap(B.apply_transpose)),
-        sys_.b, sys_.c)
+        sys_.b, sys_.c, sys_.f, sys_.g)
 
 
 def _nan_from_call(sys_, first):

@@ -1,0 +1,44 @@
+"""Exit certification over shapes and scalars: where the solve loop trusts
+no residual, what it reports is the true residual of what it returns."""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gpkrylov import gpbilq_solve, gpmr_solve, gpqmr_solve, residual_norm
+
+from gpk_support import make_system
+
+SCALARS = (-1.0, -0.5, 0.0, 1.0, 2.0)
+METHODS = {
+    "gpbilq": lambda s, tol: gpbilq_solve(s, tol),
+    "gpbicg": lambda s, tol: gpbilq_solve(s, tol, monitor="c"),
+    "gpqmr": gpqmr_solve,
+    "gpmr": gpmr_solve,
+    "gpmr3": lambda s, tol: gpmr_solve(s, tol, restart=3),
+}
+
+
+def _agrees(reported, true):
+    return math.isclose(reported, true, rel_tol=1e-12) or (
+        math.isnan(reported) and math.isnan(true))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.sampled_from(SCALARS),
+       st.sampled_from(SCALARS), st.booleans(), st.integers(0, 2**16))
+def test_certified_exits_report_the_returned_iterate(m, n, lam, mu, symmetric, seed):
+    # certified: every breakdown, every exit at a stopped reduction and every
+    # exit without an estimate (recorded as NaN); gpbilq's rescue may only
+    # replace its minimum-norm iterate by a better one
+    sys_ = make_system(m, n, seed, lam, mu, symmetric=symmetric)
+    tol = 1e-8 * sys_.rhs_norm
+    for method, solve in METHODS.items():
+        res = solve(sys_, tol)
+        true = residual_norm(sys_, res.x, res.y)
+        if (res.reason == "breakdown" or res.breakdown is not None
+                or math.isnan(res.record.rows[-1].est_residual)):
+            assert _agrees(res.residual, true), (method, res.reason, res.iterations)
+        if method == "gpbilq" and res.x is not res.x_l:
+            assert true <= residual_norm(sys_, res.x_l, res.y_l)

@@ -156,6 +156,16 @@ def test_default_start_vectors_are_rhs():
     assert not np.allclose(sys2.f, sys2.b)
 
 
+def test_omitted_start_vectors_are_the_rhs_arrays():
+    sys_ = make_system(4, 3, seed=9)
+    assert sys_.f is sys_.b and sys_.g is sys_.c
+    blocks = (sys_.lam, sys_.mu, sys_.A, sys_.B, sys_.b, sys_.c)
+    with pytest.raises(ValueError, match="f must be nonzero"):
+        PartitionedSystem(*blocks, f=np.zeros(4))
+    with pytest.raises(ValueError, match="g must have length 3"):
+        PartitionedSystem(*blocks, g=np.ones(4))
+
+
 def test_rhs_norm_is_computed_once():
     sys_ = make_system(6, 4, seed=13)
     expected = float(np.hypot(np.linalg.norm(sys_.b), np.linalg.norm(sys_.c)))
