@@ -61,7 +61,8 @@ class SolveResult:
     ``x``/``y`` is the iterate the solve loop chose at termination.
     gpbilq/gpbicg also fills ``x_l``/``y_l`` at every exit (the
     minimum-norm iterate, zero before a first step) and ``x_c``/``y_c``
-    (the transfer iterate if it exists at the final step, else None).
+    (the transfer iterate if it exists at the final step, else None); at a
+    breakdown ``x`` may be ``x_l`` for gpbicg too, with ``x_c`` set.
     ``residual`` is that of ``x``/``y``: its true norm where the solve loop
     certified it (see ``_solve``), else the method's estimate.
     """
@@ -94,7 +95,7 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
     ``iterate()`` (the x, y an exit returns), ``stopped`` (the process can
     build nothing more, already at the start where it cannot start),
     ``tracks_transfer`` (rows record whether the iterate existed),
-    ``rescue()`` (another iterate for a stopped step, or None) and
+    ``rescue()`` (the other iterate the state holds, or None) and
     ``result(x, y, reason, residual, record)``, which builds every exit's
     SolveResult.
 
@@ -104,10 +105,10 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
     as converged, nonfinite or maxit by its residual (maxit at once for
     ``maxit`` 0).  Where the loop trusts no residual (a breakdown after a
     first step, a missing estimate) the exit reports the true residual of
-    ``iterate()``; a stopped step whose residual is finite and above tol
-    also certifies ``rescue()``'s iterate and returns the better one.  A
-    breakdown whose reported residual meets tol is converged, and one whose
-    residual is not finite is nonfinite.
+    ``iterate()``; a stopped step after the first whose residual is finite
+    and above tol also certifies the other iterate the state holds and
+    returns the better one.  A breakdown whose reported residual meets tol
+    is converged, and one whose residual is not finite is nonfinite.
     """
     if maxit is None:
         maxit = 2 * (sys.m + sys.n)

@@ -129,11 +129,12 @@ class BiLQState(RecurrenceState):
             self.varpi = substitute_step(w, self.varpi, self.unsubstituted)
             self.unsubstituted = (0.0, 0.0)
             _, _, w1, w2 = self.varpi
-            # the trailing 4x4 of the latest bundle mixes [ft1, ft2, q_k, u_k]
-            # into (f1, f2, ft1', ft2'); only ft1', ft2' and the increment
-            # w1 f1 + w2 f2 (its only use) are formed
-            self.update([(r[2], r[3], w1 * r[0] + w2 * r[1])
-                         for r in rotation_bundle(w.rot)])
+            # M, the latest bundle's trailing 4x4, mixes [ft1, ft2, q_k, u_k]
+            # into (f1, f2, ft1', ft2'); f1, f2 are read only as w1 f1 + w2 f2;
+            # built by a comprehension: list(zip) trips the retention audit
+            self.update([r for r in zip(rotation_bundle(w.rot, (0.0, 0.0, 1.0, 0.0)),
+                                        rotation_bundle(w.rot, (0.0, 0.0, 0.0, 1.0)),
+                                        rotation_bundle(w.rot, (w1, w2, 0.0, 0.0)))])
             self.transfer = None
         commit(red)
         return coeffs
@@ -220,10 +221,11 @@ class BiLQState(RecurrenceState):
         return super().iterate()
 
     def rescue(self):
-        """gpbilq's transfer iterate, exact at a lucky breakdown, or None."""
-        if self.monitor == "l" and self.attempt_transfer():
-            return self.transfer_iterate()
-        return None
+        """The iterate ``iterate()`` passed over, or None: gpbilq's transfer
+        iterate (exact at a lucky breakdown), or gpbicg's x_l."""
+        if self.monitor == "c":
+            return None if self.transfer is None else super().iterate()
+        return self.transfer_iterate() if self.attempt_transfer() else None
 
     def result(self, x, y, reason, residual, record) -> SolveResult:
         res = super().result(x, y, reason, residual, record)
@@ -243,9 +245,10 @@ def gpbilq_solve(sys: PartitionedSystem, tol: float = 1e-8,
     monitor : {"l", "c"}
         Which iterate drives the stopping test: the always-defined
         minimum-norm iterate ("l") or the square-system iterate ("c",
-        skipped at steps where it does not exist).  Its coefficients are
-        found each step only when monitored; at a stopped step gpbilq tries
-        it too (a lucky breakdown makes it exact) and keeps the better one.
+        skipped at steps where it does not exist; its coefficients are found
+        each step only when monitored).  At a stopped step the solve also
+        tries the other iterate (a lucky breakdown makes gpbilq's transfer
+        iterate exact) and returns the better one.
     explicit_residual : bool
         Evaluate true residuals of the monitored iterate each iteration and
         stop on them (two extra operator applications per step); otherwise

@@ -8,8 +8,6 @@ import numpy as np
 __all__ = ["plane_rotation", "rotation_bundle", "rotation_bundle_transposed",
            "rotation_block", "BandWindow", "substitute_pair", "SingularWindowError"]
 
-_UNITS = [tuple(float(i == j) for j in range(4)) for i in range(4)]
-
 
 class SingularWindowError(RuntimeError):
     """A diagonal of the sliding factorization vanished."""
@@ -27,16 +25,13 @@ def plane_rotation(a: float, b: float) -> tuple[float, float, float]:
     return a / r, b / r, r
 
 
-def rotation_bundle(rot, v=None):
-    """Scalar form of one four-rotation bundle M = r1 r2 r3 r4.
+def rotation_bundle(rot, v):
+    """M @ v as four floats, for one four-rotation bundle M = r1 r2 r3 r4.
 
     ``rot`` is (c1, s1, c2, s2, c3, s3, c4, s4); r1, r2, r3 and r4 rotate
     coordinate pairs (0, 3), (0, 1), (1, 3) and (1, 2) of a 4-vector, each
-    as [[c, -s], [s, c]].  Returns M @ v as four floats when a 4-vector
-    ``v`` is given, else the rows of M as four 4-tuples (row i is M^T e_i).
+    as [[c, -s], [s, c]].
     """
-    if v is None:
-        return [rotation_bundle_transposed(rot, e) for e in _UNITS]
     c1, s1, c2, s2, c3, s3, c4, s4 = rot
     v0, v1, v2, v3 = v
     v1, v2 = c4 * v1 - s4 * v2, s4 * v1 + c4 * v2
@@ -59,7 +54,8 @@ def rotation_bundle_transposed(rot, v):
 def rotation_block(c1, s1, c2, s2, c3, s3, c4, s4) -> np.ndarray:
     """4x4 matrix of one column-rotation bundle (dense reconstruction only;
     a row-rotation bundle is its transpose)."""
-    return np.array(rotation_bundle((c1, s1, c2, s2, c3, s3, c4, s4)))
+    rot = (c1, s1, c2, s2, c3, s3, c4, s4)
+    return np.array([rotation_bundle_transposed(rot, e) for e in np.eye(4)])
 
 
 class BandWindow:

@@ -290,6 +290,14 @@ def test_restarted_needs_at_least_as_many_iterations():
         assert part.iterations >= full.iterations
 
 
+@pytest.mark.parametrize("start", ["b0", "c0"])
+def test_zero_start_vector_is_rejected(start):
+    sys_ = make_system(4, 3, seed=201)
+    zero = np.zeros(sys_.m if start == "b0" else sys_.n)
+    with pytest.raises(ValueError, match="nonzero"):
+        HessenbergProcessState(sys_, **{start: zero})
+
+
 @pytest.mark.parametrize("restart", [0, -2])
 def test_restart_below_one_is_rejected(restart):
     with pytest.raises(ValueError, match="restart"):

@@ -53,10 +53,13 @@ def test_unknown_method_exits_one(matrices, capsys):
     assert exc.value.code == 1
 
 
-def test_missing_matrix_args_exit_one(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run("solve", "--method", "gpqmr")
-    assert exc.value.code == 1
+def test_missing_matrix_args_exit_one(matrices, capsys):
+    for args, message in (((), "either --experiment or --a is required"),
+                          (("--a", str(matrices / "A.mtx")), "provide --b or --b-transpose-a")):
+        with pytest.raises(SystemExit) as exc:
+            run("solve", "--method", "gpqmr", *args)
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
 
 
 def test_incompatible_shapes_exit_one(tmp_path, capsys):
@@ -178,7 +181,7 @@ def test_compare_restarted_not_faster(matrices):
     assert code in (0, 2)
 
 
-@pytest.mark.parametrize("methods", ["gpqmr,bogus", "gpqmr,gpqmr"])
+@pytest.mark.parametrize("methods", ["gpqmr,bogus", "gpqmr,gpqmr", ","])
 def test_compare_malformed_methods_exit_one(matrices, methods):
     with pytest.raises(SystemExit) as exc:
         run("compare", "--methods", methods,

@@ -192,13 +192,14 @@ CERTIFIED = {"gpbilq": (6, "breakdown", 1), "gpbicg": (6, "breakdown", 1),
 
 @pytest.mark.parametrize("method", CERTIFIED)
 def test_failed_breakdown_certificate_evaluates_the_residual_once(method):
-    # gpbicg and gpqmr: step 1 (four applications) breaks down with an
-    # estimate below tol; the certificate's true residual (two more) misses
-    # tol and is the one the run reports, not evaluated again.  gpbilq: its
-    # step-1 iterate is zero, certified as ||[b; c]|| without an
-    # application; the rescue's transfer iterate (two more) misses tol too.
-    # gpmr: the space closes at step 2 (three applications) and the
-    # certificate's true residual (two more) meets tol
+    # gpqmr: step 1 (four applications) breaks down with an estimate below
+    # tol; the certificate's true residual (two more) misses tol and is the
+    # one the run reports, not evaluated again.  gpbilq and gpbicg hold two
+    # iterates at step 1: the zero minimum-norm one, certified as ||[b; c]||
+    # = 3.39 without an application, and the transfer iterate, whose
+    # certificate (two more) reads 5.15; both return the zero one.  gpmr:
+    # the space closes at step 2 (three applications) and the certificate's
+    # true residual (two more) meets tol
     calls = [0]
 
     def wrap(fn):
@@ -213,8 +214,9 @@ def test_failed_breakdown_certificate_evaluates_the_residual_once(method):
     assert calls[0] == applications
     assert (res.reason, res.iterations) == (reason, iterations)
     assert res.residual == residual_norm(sys_, res.x, res.y)
-    if method == "gpbilq":
+    if method in ("gpbilq", "gpbicg"):
         assert not res.x.any() and res.residual == sys_.rhs_norm
+        assert residual_norm(sys_, res.x_c, res.y_c) == pytest.approx(5.15, abs=0.01)
     elif reason == "breakdown":
         assert res.residual == pytest.approx(5.15, abs=0.01)
 

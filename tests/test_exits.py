@@ -30,8 +30,8 @@ def _agrees(reported, true):
        st.sampled_from(SCALARS), st.booleans(), st.integers(0, 2**16))
 def test_certified_exits_report_the_returned_iterate(m, n, lam, mu, symmetric, seed):
     # certified: every breakdown, every exit at a stopped reduction and every
-    # exit without an estimate (recorded as NaN); gpbilq's rescue may only
-    # replace its minimum-norm iterate by a better one
+    # exit without an estimate (recorded as NaN); at a stopped reduction
+    # gpbilq and gpbicg return the better of the two iterates they hold
     sys_ = make_system(m, n, seed, lam, mu, symmetric=symmetric)
     tol = 1e-8 * sys_.rhs_norm
     for method, solve in METHODS.items():
@@ -40,5 +40,8 @@ def test_certified_exits_report_the_returned_iterate(m, n, lam, mu, symmetric, s
         if (res.reason == "breakdown" or res.breakdown is not None
                 or math.isnan(res.record.rows[-1].est_residual)):
             assert _agrees(res.residual, true), (method, res.reason, res.iterations)
-        if method == "gpbilq" and res.x is not res.x_l:
-            assert true <= residual_norm(sys_, res.x_l, res.y_l)
+        if method in ("gpbilq", "gpbicg") and res.breakdown is not None:
+            for x, y in ((res.x_l, res.y_l), (res.x_c, res.y_c)):
+                if x is not None:
+                    assert true <= residual_norm(sys_, x, y) * (1 + 1e-12), (
+                        method, res.iterations)

@@ -104,6 +104,9 @@ def test_operator_shape_checks():
         bad.apply(np.ones(2))
     with pytest.raises(ValueError, match="apply_transpose callback returned"):
         bad.apply_transpose(np.ones(3))
+    for shape in ((3,), (3, 2, 1)):
+        with pytest.raises(ValueError, match="2-d"):
+            Operator.from_matrix(np.ones(shape))
 
 
 def test_sparse_and_dense_agree():

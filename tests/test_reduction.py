@@ -192,6 +192,8 @@ def test_projected_block_stencil():
     H = build_projected_h([2.0], [3.0], [9.0, 0.0], [9.0], [9.0, 0.0], [9.0],
                           1.0, 1.0, 1)
     assert_allclose(H, [[1.0, 2.0], [3.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="coupling coefficients"):
+        build_projected_h([2.0], [3.0], [9.0], [9.0], [9.0], [9.0], 1.0, 1.0, 1)
 
 
 def test_projected_identity_with_permuted_basis():

@@ -22,13 +22,14 @@ def explicit_bundle(c1, s1, c2, s2, c3, s3, c4, s4):
 
 def test_scalar_kernel_matches_explicit_product():
     rng = np.random.default_rng(700)
+    units = [tuple(float(x) for x in e) for e in np.eye(4)]
     for _ in range(20):
         angles = rng.uniform(-np.pi, np.pi, 4)
         rot = tuple(float(x) for a in angles for x in (np.cos(a), np.sin(a)))
         M = explicit_bundle(*rot)
-        rows = rotation_bundle(rot)
-        assert all(type(x) is float for row in rows for x in row)
-        assert_allclose(np.array(rows), M, rtol=0, atol=1e-15)
+        cols = [rotation_bundle(rot, e) for e in units]  # M e_j
+        assert all(type(x) is float for col in cols for x in col)
+        assert_allclose(np.array(cols).T, M, rtol=0, atol=1e-15)
         assert_allclose(rotation_block(*rot), M, rtol=0, atol=1e-15)
         v = rng.uniform(-1.0, 1.0, 4)
         assert_allclose(rotation_bundle(rot, tuple(v)), M @ v, rtol=0, atol=1e-15)
