@@ -61,8 +61,8 @@ class SolveResult:
     ``x``/``y`` is the iterate the solve loop chose at termination.
     gpbilq/gpbicg also fills ``x_l``/``y_l`` at every exit (the
     minimum-norm iterate, zero before a first step) and ``x_c``/``y_c``
-    (the transfer iterate if it exists at the final step, else None); at a
-    breakdown ``x`` may be ``x_l`` for gpbicg too, with ``x_c`` set.
+    (the transfer iterate if it exists at the final step, else None); ``x``
+    is one of the two.
     ``residual`` is that of ``x``/``y``: its true norm where the solve loop
     certified it (see ``_solve``), else the method's estimate.
     """

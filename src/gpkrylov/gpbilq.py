@@ -12,7 +12,8 @@ update per two steps advance the iterate.
 GPBiCG solves the square projected system instead.  Its iterate need not
 exist at every step; when the trailing 2x2 of the LQ factor is nonsingular
 it is obtained from the GPBiLQ iterate with one extra rotation, and formed
-only where it is read, by the kernel of the direction updates.
+only where it is read, by the kernel of the direction updates.  GPBiLQ
+follows the smaller of the two iterates' closed-form residual norms.
 
 The steady-state loop performs exactly four operator applications per
 iteration, whose results are its only length-m/n allocations after startup,
@@ -26,6 +27,8 @@ carries, and the state the bundle before it and four substitution entries.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -97,9 +100,9 @@ class BiLQState(RecurrenceState):
     the next step, between the basis slots; the retired pair is never
     formed.  ``coeffs`` keeps the last step's scalars beside ``red``'s
     couplings, and ``unsubstituted`` the right-hand side (beta_1, delta_1)
-    until the first substitution, then (0, 0).  ``monitor`` picks the
-    iterate the solve loop follows: the minimum-norm one ("l") or the
-    square-system one ("c"), formed in ``x_c``/``y_c`` where it is read.
+    until the first substitution, then (0, 0).  ``monitor`` picks what the
+    solve loop follows: the smaller residual of the two iterates ("l") or
+    the square-system one ("c"), formed in ``x_c``/``y_c`` where it is read.
     """
 
     def __init__(self, sys: PartitionedSystem, monitor: str = "l"):
@@ -114,6 +117,7 @@ class BiLQState(RecurrenceState):
         self.fx[:, 1], self.fy[:, 2] = self.red.q_cur, self.red.u_cur  # q_1|0, 0|u_1
         self.coeffs: StepCoeffs | None = None
         self.transfer = None  # transfer coefficients on the live pair, this step
+        self.follows_c = False  # estimate() returned x_c's residual
         self.x_c = self.y_c = None
 
     def advance(self) -> StepCoeffs:
@@ -186,13 +190,13 @@ class BiLQState(RecurrenceState):
         varrho = co.delta * z3 + co.theta * z5 + mu * z6
         chi = red.beta * z6
         varsigma = red.delta * z5
-        qq = float(red.q_prev @ red.q_cur)
-        uu = float(red.u_prev @ red.u_cur)
+        qq = float(red.q_prev.dot(red.q_cur))
+        uu = float(red.u_prev.dot(red.u_cur))
         q_part = (vartheta * red.q_prev_norm) ** 2 \
             + 2.0 * vartheta * chi * qq + (chi * red.q_norm) ** 2
         u_part = (varrho * red.u_prev_norm) ** 2 \
             + 2.0 * varrho * varsigma * uu + (varsigma * red.u_norm) ** 2
-        return float(np.sqrt(max(q_part, 0.0) + max(u_part, 0.0)))
+        return math.sqrt(max(q_part, 0.0) + max(u_part, 0.0))
 
     def estimate_residual_c(self) -> float:
         """Residual norm of the square-system iterate at the current step
@@ -210,28 +214,32 @@ class BiLQState(RecurrenceState):
     # -- solve-loop protocol (see convergence._solve) ------------------------
 
     def estimate(self) -> float | None:
+        """The monitored residual, x_c's ("c", None where x_c does not exist)
+        or the smaller of x_l's and x_c's ("l"); ``follows_c`` says whose."""
+        est_c = self.estimate_residual_c() if self.attempt_transfer() else None
         if self.monitor == "c":
-            return self.estimate_residual_c() if self.attempt_transfer() else None
-        return self.sys.rhs_norm if self.k < 2 else self.estimate_residual_l()
+            self.follows_c = est_c is not None
+            return est_c
+        est_l = self.sys.rhs_norm if self.k < 2 else self.estimate_residual_l()
+        self.follows_c = est_c is not None and est_c < est_l
+        return est_c if self.follows_c else est_l
 
     def iterate(self):
-        """The monitored iterate; gpbicg's is x_l where x_c does not exist."""
-        if self.monitor == "c" and self.transfer is not None:
-            return self.transfer_iterate()
-        return super().iterate()
+        """The iterate whose estimate ``estimate()`` returned: x_c or x_l."""
+        return self.transfer_iterate() if self.follows_c else super().iterate()
 
     def rescue(self):
-        """The iterate ``iterate()`` passed over, or None: gpbilq's transfer
-        iterate (exact at a lucky breakdown), or gpbicg's x_l."""
-        if self.monitor == "c":
-            return None if self.transfer is None else super().iterate()
-        return self.transfer_iterate() if self.attempt_transfer() else None
+        """The iterate ``iterate()`` passed over, or None: x_l after x_c, else
+        x_c where it exists (exact at gpbilq's lucky breakdown)."""
+        if self.follows_c:
+            return super().iterate()
+        return None if self.transfer is None else self.transfer_iterate()
 
     def result(self, x, y, reason, residual, record) -> SolveResult:
         res = super().result(x, y, reason, residual, record)
         res.x_l, res.y_l = self.x, self.y
-        if self.transfer is not None:  # formed by the loop's iterate() or rescue()
-            res.x_c, res.y_c = self.x_c, self.y_c
+        if self.transfer is not None:  # iterate() may have formed an older one
+            res.x_c, res.y_c = (x, y) if x is self.x_c else self.transfer_iterate()
         return res
 
 
@@ -243,12 +251,13 @@ def gpbilq_solve(sys: PartitionedSystem, tol: float = 1e-8,
     Parameters
     ----------
     monitor : {"l", "c"}
-        Which iterate drives the stopping test: the always-defined
-        minimum-norm iterate ("l") or the square-system iterate ("c",
-        skipped at steps where it does not exist; its coefficients are found
-        each step only when monitored).  At a stopped step the solve also
-        tries the other iterate (a lucky breakdown makes gpbilq's transfer
-        iterate exact) and returns the better one.
+        What drives the stopping test: gpbilq ("l") follows the smaller of
+        the two closed-form residuals at every step, of the minimum-norm
+        iterate and of the square-system iterate where it exists, and
+        returns that iterate; gpbicg ("c") follows the square-system iterate,
+        skipped at steps where it does not exist.  At a stopped step the
+        solve also tries the other iterate (a lucky breakdown makes the
+        transfer iterate exact) and returns the better one.
     explicit_residual : bool
         Evaluate true residuals of the monitored iterate each iteration and
         stop on them (two extra operator applications per step); otherwise

@@ -61,7 +61,7 @@ class Operator:
             if mat.ndim != 2:
                 raise ValueError("expected a 2-d matrix")
         mat_t = mat.T
-        return cls(*mat.shape, lambda x: mat @ x, lambda y: mat_t @ y)
+        return cls(*mat.shape, mat.dot, mat_t.dot)
 
     @property
     def shape(self) -> tuple[int, int]:

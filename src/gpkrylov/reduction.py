@@ -340,8 +340,8 @@ def reduction_step(state: ReductionState, sys: PartitionedSystem,
     Bq = sys.B.apply(state.q_cur)
     BTv = sys.B.apply_transpose(state.v_cur)
 
-    alpha = float(state.p_cur @ Au)
-    theta = float(state.v_cur @ Bq)
+    alpha = float(state.p_cur.dot(Au))
+    theta = float(state.v_cur.dot(Bq))
 
     # ptilde = B^T v - delta_k p_{k-1} - theta p_k, qtilde = A u - gamma_k
     # q_{k-1} - alpha q_k, utilde = B q - eta_k u_{k-1} - theta u_k and

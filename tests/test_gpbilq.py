@@ -1,3 +1,7 @@
+import math
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +15,11 @@ from gpkrylov.verify import (bundle_product, dense_lq_factors, estimate_gaps,
                              projected_system, stepped, transfer_gap)
 
 from gpk_support import make_system
+
+ROOT = str(Path(__file__).resolve().parents[1])
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
+from perfbench import gen  # noqa: E402
 
 
 # -- rotation kernel and window ----------------------------------------------
@@ -227,12 +236,95 @@ def test_solve_records_transfer_gaps():
     assert res.reason == "maxit"  # undefined steps never abort the run
 
 
+def _stepped_estimates(sys_, tol, maxit):
+    """(k, est_l, est_c) of a ``BiLQState`` driven by hand, est_c inf where
+    the transfer iterate does not exist, until both estimates have met tol
+    or the process stops or reaches maxit."""
+    st, rows, met_l, met_c = BiLQState(sys_), [], False, False
+    while st.k < maxit and not st.stopped and not (met_l and met_c):
+        st.advance()
+        est_l = sys_.rhs_norm if st.k < 2 else st.estimate_residual_l()
+        est_c = st.estimate_residual_c() if st.attempt_transfer() else math.inf
+        rows.append((st.k, est_l, est_c))
+        met_l, met_c = met_l or est_l <= tol, met_c or est_c <= tol
+    return rows
+
+
 def test_monitor_l_tracks_min_norm_iterate():
+    """gpbilq monitors the smaller of its two estimates at every step; with
+    explicit residuals it stops on the true residual of that estimate's
+    iterate."""
     sys_ = make_system(9, 9, seed=73)
     res = gpbilq_solve(sys_, tol=1e-9, maxit=40, monitor="l",
                        explicit_residual=True)
     assert res.converged
-    assert residual_norm(sys_, res.x, res.y) <= 1e-9 * 10
+    rows = _stepped_estimates(sys_, 0.0, res.iterations)
+    assert res.record.est_residuals()[1:].tolist() == [min(l, c) for _, l, c in rows]
+    _, est_l, est_c = rows[-1]
+    assert (res.x is res.x_c) == (est_c < est_l)
+    assert res.residual == residual_norm(sys_, res.x, res.y) <= 1e-9 * 10
+
+
+def _desk(i):
+    A, B, b, c = gen.desk_arrays(0, i)
+    return PartitionedSystem(1.0, -0.5, Operator.from_matrix(A),
+                             Operator.from_matrix(B), b, c)
+
+
+# desk systems at the benchmark's rtol, where x_c meets it first, and at
+# 1e-2, where desk 4's x_l does; probe systems of tools/probe_digest.py (2018
+# ends at maxit when stopped on x_l alone); symmetric ones where x_l meets a
+# loose tol first; a small grid of the benchmark's sparse family
+RULE_CASES = [(f"desk-{i}-{rtol}", lambda i=i: _desk(i), rtol)
+              for i in range(8) for rtol in (1e-6, 1e-2)] + [
+    ("probe-1042", lambda: make_system(30, 30, 1042, 1.0, -0.5), 1e-8),
+    ("probe-2004", lambda: make_system(40, 25, 2004, 2.0, 1.0, symmetric=True), 1e-8),
+    ("probe-2018", lambda: make_system(60, 45, 2018, 2.0, 1.0, symmetric=True), 1e-8),
+    ("sym-0", lambda: make_system(40, 30, 0, 1.0, -0.5, symmetric=True), 1e-1),
+    ("sym-3", lambda: make_system(40, 30, 3, 1.0, -0.5, symmetric=True), 1e-2),
+    ("grid9", lambda: _grid(9), 1e-6),
+]
+
+
+def _grid(N):
+    A = gen.grid_gradient(N)
+    return PartitionedSystem(1.0, -1e-2, Operator.from_matrix(A),
+                             Operator.from_matrix((-A.T).tocsr()), *gen.grid_rhs(N, 0, 0))
+
+
+@pytest.mark.parametrize("name, build, rtol", RULE_CASES, ids=[c[0] for c in RULE_CASES])
+def test_gpbilq_stops_where_either_estimate_first_meets_tol(name, build, rtol):
+    sys_ = build()
+    tol, maxit = rtol * sys_.rhs_norm, 1000
+    rows = _stepped_estimates(sys_, tol, maxit)
+    k_l = next((k for k, est_l, _ in rows if est_l <= tol), math.inf)
+    k_c = next((k for k, _, est_c in rows if est_c <= tol), math.inf)
+    res = gpbilq_solve(sys_, tol=tol, maxit=maxit)
+    assert (res.reason, res.iterations) == ("converged", min(k_l, k_c))
+    _, est_l, est_c = rows[res.iterations - 1]
+    assert (res.x is res.x_c) == (k_c < k_l if k_c != k_l else est_c < est_l)
+    assert residual_norm(sys_, res.x, res.y) <= tol
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_result_reports_the_final_steps_transfer_iterate(explicit):
+    """x_c is the transfer iterate of the final step wherever it exists
+    there (gpbicg's, run to the same step, within rounding), also at exits
+    that return x_l; with explicit residuals the loop may have formed an
+    older one."""
+    behind_x_l = 0
+    for seed in range(4):
+        sys_ = make_system(30, 30, seed)
+        for maxit in range(2, 40, 3):
+            res = gpbilq_solve(sys_, tol=0.0, maxit=maxit, explicit_residual=explicit)
+            ref = gpbilq_solve(sys_, tol=0.0, maxit=res.iterations, monitor="c")
+            assert ref.iterations == res.iterations
+            assert (res.x_c is None) == (ref.x_c is None)
+            if ref.x_c is not None:
+                behind_x_l += res.x is res.x_l
+                for a, b in ((res.x_c, ref.x_c), (res.y_c, ref.y_c)):
+                    assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+    assert behind_x_l >= 10
 
 
 # -- storage audit -----------------------------------------------------------
