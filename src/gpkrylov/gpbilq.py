@@ -19,11 +19,12 @@ The steady-state loop performs exactly four operator applications per
 iteration, whose results are its only length-m/n allocations after startup,
 and keeps seven m-vectors and seven n-vectors: the iterate, a basis pair and a
 (len x 4) block per side whose end columns hold the other pair, plus a scratch
-of one strip; the transfer iterate adds one vector per side, allocated on its
-first read.  Two steps' direction updates and iterate increments are one
-matmul per row strip of a side (``reduction.mix``).  The scalars are fixed in
-size: the window keeps two factor columns, one rotation bundle and its
-carries, and the state the bundle before it and four substitution entries.
+whose first direction-update strip of rows alone is touched; the transfer
+iterate adds one vector per side, allocated on its first read.  Two steps'
+direction updates and iterate increments are one matmul per row strip of a
+side (``reduction.mix``).  The scalars are fixed in size: the window keeps
+two factor columns, one rotation bundle and its carries, and the state the
+bundle before it and four substitution entries.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ whose coefficients are gpbilq's substitution step on unit inputs) in the
 block layout and kernel it shares with gpbilq, two steps per pass
 (``reduction.RecurrenceState``); per side nine vectors, the iterate, a basis
 pair and a six-column block of the other pair's two slots around the four
-directions, and a five-column scratch of at most one strip.
+directions, and a five-column scratch touched in one direction-update strip.
 """
 
 from __future__ import annotations

@@ -50,8 +50,11 @@ BREAKDOWN_RTOL = 1e-14
 # A breakdown is "lucky" when one of the offending vectors itself vanished
 # relative to the largest unnormalized vector seen so far.
 LUCKY_VEC_RTOL = 1e-13
-# Rows per strip, sized for L2: gpqmr's m-side direction update at m = 233,244
-# took 1.3-1.4 ms in 2**13- to 2**15-row strips, 1.8-1.9 ms in 2**16 or whole.
+# Rows per strip of the reduction's sweep, and a quarter of it of ``mix``, for
+# a 2 MB L2: a sweep row is 6 vectors (48 B, 1.5 MB a strip), a row of gpqmr's
+# paired update 12 columns (96 B), whose m = 233,244 pass took 1,544 us in
+# 2**15-row strips (3 MB) and 1,217 in 2**13 (0.75 MB); 2**14-row sweep strips
+# made gpbilq's grid-35k iteration 11% slower.
 STRIP_ROWS = 2 ** 15
 
 
@@ -179,10 +182,11 @@ def reduction_init(sys: PartitionedSystem, q=None, u=None) -> ReductionState:
     return st
 
 
-def strips(*arrays):
-    """Matching row strips of same-length arrays, STRIP_ROWS rows each,
-    made one strip at a time; arrays that fit one strip come whole."""
-    rows, size = len(arrays[0]), STRIP_ROWS
+def strips(*arrays, size=None):
+    """Matching row strips of same-length arrays, ``size`` (by default
+    STRIP_ROWS) rows each, made one strip at a time; arrays that fit one
+    strip come whole."""
+    rows, size = len(arrays[0]), size or STRIP_ROWS
     if rows <= size:
         yield arrays
         return
@@ -192,9 +196,9 @@ def strips(*arrays):
 
 def mix(live, dead, scratch, it, coef):
     """A short recurrence's direction update and iterate increment, per row
-    strip: scratch rows take live @ coef, whose leading columns overwrite
-    the ``dead`` directions and whose last is added to ``it``."""
-    for ls, ds, its in strips(live, dead, it):
+    strip of STRIP_ROWS // 4: scratch rows take live @ coef, whose leading
+    columns overwrite the ``dead`` directions and whose last is added to ``it``."""
+    for ls, ds, its in strips(live, dead, it, size=max(1, STRIP_ROWS // 4)):
         ss = scratch[:len(ls)]
         np.matmul(ls, coef, out=ss)
         ds[...] = ss[:, :-1]
@@ -227,7 +231,8 @@ class RecurrenceState:
                                   (self.fy[:, -1], self.fy[:, 0]))
         self.window = BandWindow(sys.lam, sys.mu)
         self.x, self.y = np.zeros(sys.m), np.zeros(sys.n)
-        # only a scratch's first strip of rows is touched, and held in memory
+        # only a scratch's first direction-update strip of rows is touched and
+        # resident; one-strip scratches measured worse on grid-350k (CHANGES.md)
         self.sx, self.sy = (np.empty((rows, width - 1), order="F") for rows in (sys.m, sys.n))
         self.pair, self.held = np.zeros(2 * width * (width - 1)), None
         self.idle = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)] + [(0.0, 0.0, 0.0)] * (width - 2)

@@ -397,5 +397,5 @@ def test_criterion_10_storage_audit():
                       "2 m-vectors + 2 n-vectors per iteration, traced peak "
                       f"above them {above} B; working set per side: "
                       "7 vectors (gpbilq), 9 (gpqmr), plus a scratch "
-                      "of at most one strip")
+                      "touched in one direction-update strip")
     assert ok

@@ -126,8 +126,9 @@ def test_transfer_iterate_read_at_a_held_step():
 
 @pytest.mark.parametrize("method", STATES)
 def test_paired_map_in_several_strips(method, monkeypatch):
-    # 61 and 45 rows end in a partial 7-row strip; both runs sum the
-    # reduction in the same strips, so only the direction updates differ
+    # 61 and 45 rows end in a partial 7-row sweep strip, and the direction
+    # updates run in 1-row strips; both runs sum the reduction in the same
+    # strips, so only the direction updates differ
     monkeypatch.setattr(reduction, "STRIP_ROWS", 7)
     sys_ = desk_family(61, 45, 86)
     assert_paired_matches_flushed(method, sys_, 1e-6 * sys_.rhs_norm, None)

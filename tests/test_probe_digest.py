@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gpkrylov import reduction
 from gpkrylov.convergence import BREAKDOWN, CONVERGED, MAXIT, NONFINITE
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "probe_digest.py"
@@ -78,3 +79,19 @@ def test_perturbation_moves_b_and_c_at_rounding_level_and_f_follows():
     moved = probe_digest.perturbed("fperp-1000-40x25", fperp, 1)
     assert np.array_equal(moved.f, fperp.f) and not np.array_equal(moved.g, fperp.g)
 
+
+def test_strip_rows_runs_every_probe_at_that_strip_size(monkeypatch, capsys):
+    # grid9's 144 and 81 rows span several 7-row sweep strips and, at a
+    # quarter of that, 1-row direction-update strips; the flag lasts one call
+    run = _run("grid9-144x81", "gpqmr")
+    monkeypatch.setattr(probe_digest, "runs", lambda: iter([run]))
+    plain = probe_digest.digest(probe_digest.METHODS["gpqmr"](*run[2:]))
+    with monkeypatch.context() as mp:
+        mp.setattr(reduction, "STRIP_ROWS", 7)
+        striped = probe_digest.digest(probe_digest.METHODS["gpqmr"](*run[2:]))
+    assert striped != plain
+    assert probe_digest.main(["--strip-rows", "7"]) == 0
+    assert capsys.readouterr().out == f"grid9-144x81 gpqmr {striped}\n"
+    assert reduction.STRIP_ROWS == 2 ** 15
+    with pytest.raises(SystemExit):
+        probe_digest.main(["--strip-rows", "0"])

@@ -43,17 +43,17 @@ def perturbed(sys_, seed):
                              sys_.c * (1 + ROUNDING * rng.standard_normal(sys_.n)))
 
 
-def check_strips(method, sys_, **kw):
-    """A run in 7-row strips against the whole run: the same iterations and
-    exit reason, and each iterate within 1e-13 relative or within 100 times
-    the largest move that two rounding-level perturbations of b and c cause
-    in the whole run.  Striped sums round differently, and the two-sided
-    recurrences carry any rounding difference forward as they carry those
-    of the input."""
+def check_strips(method, sys_, rows=7, **kw):
+    """A run at STRIP_ROWS = ``rows`` against the whole run: the same
+    iterations and exit reason, and each iterate within 1e-13 relative or
+    within 100 times the largest move that two rounding-level perturbations
+    of b and c cause in the whole run.  Striped sums round differently, and
+    the two-sided recurrences carry any rounding difference forward as they
+    carry those of the input."""
     whole = SOLVERS[method](sys_, **kw)
     moved = [SOLVERS[method](perturbed(sys_, seed), **kw) for seed in (1, 2)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reduction, "STRIP_ROWS", 7)
+        mp.setattr(reduction, "STRIP_ROWS", rows)
         striped = SOLVERS[method](sys_, **kw)
     assert (striped.iterations, striped.reason) == (whole.iterations, whole.reason)
     for name in FIELDS:
@@ -152,6 +152,44 @@ STATES = {"gpbilq": (BiLQState, ("l",)), "gpbicg": (BiLQState, ("c",)),
           "gpqmr": (QMRState, ())}
 
 
+@pytest.mark.parametrize("method", STATES)
+def test_direction_updates_touch_one_strip_of_scratch(method, monkeypatch):
+    # at STRIP_ROWS = 28 the direction updates write scratch rows 0-6 alone,
+    # so the rest of each full-length scratch is never written or resident
+    cls, args = STATES[method]
+    monkeypatch.setattr(reduction, "STRIP_ROWS", 28)
+    st = cls(desk_family(61, 45, seed=74), *args)
+    for scratch in (st.sx, st.sy):
+        scratch.fill(np.nan)
+    for _ in range(6):
+        st.advance()
+        st.estimate()
+    st.iterate()
+    for scratch in (st.sx, st.sy):
+        assert not np.isnan(scratch[:7]).any() and np.isnan(scratch[7:]).all()
+
+
+def test_patched_strip_rows_splits_the_sweep_and_the_direction_update(monkeypatch):
+    # the striped run (STRIP_ROWS = 28) sweeps in 28-row strips and updates
+    # directions, the only caller that passes a size, in 7-row strips
+    seen = {}
+    split = reduction.strips
+
+    def recorded(*arrays, size=None):
+        for strip in split(*arrays, size=size):
+            if reduction.STRIP_ROWS == 28:
+                seen.setdefault(size, set()).add((len(arrays[0]), len(strip[0])))
+            yield strip
+
+    sys_ = desk_family(61, 45, seed=75)
+    monkeypatch.setattr(reduction, "strips", recorded)
+    for method in SOLVERS:
+        seen.clear()
+        check_strips(method, sys_, rows=28, tol=1e-6 * sys_.rhs_norm)
+        assert seen == {None: {(61, 28), (61, 5), (45, 28), (45, 17)},
+                        7: {(61, 7), (61, 5), (45, 7), (45, 3)}}, method
+
+
 def stepped_iterates(method, sys_, steps):
     """The monitored iterate x|y after each of ``steps`` solve-loop steps,
     with a check that the reduction's q and u buffers are the blocks'
@@ -173,7 +211,7 @@ def stepped_iterates(method, sys_, steps):
 
 @pytest.mark.parametrize("method", STATES)
 def test_direction_update_in_strips_matches_one_strip(method, monkeypatch):
-    # 40 and 25 rows end in a partial 7-row strip; k = 1..8 covers both
+    # 40 and 25 rows in 1-row direction-update strips; k = 1..8 covers both
     # parities of the block layout and gpbilq's k = 1 step, which has no
     # direction update.  The reduction's sums stay in one strip: their
     # order moves its scalars, which the two-sided recurrences amplify (to

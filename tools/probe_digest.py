@@ -66,6 +66,16 @@ either: judged the other way round (the change's draws, the reference's
 digest), a change that passes can still fall just outside.
 
 Without ``--draws`` the output is the plain digest, unchanged.
+
+No probe vector is longer than 200 rows, so at the default
+``reduction.STRIP_ROWS`` every vector pass runs whole and the plain digest
+never reaches the row-strip code.  ``--strip-rows N`` runs every probe with
+``reduction.STRIP_ROWS = N``: the reduction's sweeps in N-row strips and the
+direction updates in strips of a quarter of that.  A refactor keeps this
+striped digest bit-identical as well:
+
+    PYTHONPATH=src python tools/probe_digest.py --strip-rows 7 > after7.txt
+    diff before7.txt after7.txt
 """
 
 from __future__ import annotations
@@ -78,7 +88,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gpkrylov import CONVERGED, Operator, PartitionedSystem, gpmr_solve
+from gpkrylov import CONVERGED, Operator, PartitionedSystem, gpmr_solve, reduction
 from gpkrylov.verify import random_system
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -183,16 +193,24 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--draws", type=int, default=0,
                     help="classify each run against this many perturbed draws")
+    ap.add_argument("--strip-rows", type=int, default=None,
+                    help="run every probe with reduction.STRIP_ROWS set to this")
     args = ap.parse_args(argv)
     if args.draws < 0:
         ap.error("--draws must be >= 0")
-    classified = []
-    for run in runs():
-        name, method = run[:2]
-        res, outcomes, cls = classify(run, args.draws)
-        classified.append((name, method, cls, outcomes))
-        tail = f" {cls}" if args.draws else ""
-        print(f"{name} {method} {digest(res)}{tail}", flush=True)
+    if args.strip_rows is not None and args.strip_rows < 1:
+        ap.error("--strip-rows must be >= 1")
+    classified, saved = [], reduction.STRIP_ROWS
+    reduction.STRIP_ROWS = args.strip_rows or saved
+    try:
+        for run in runs():
+            name, method = run[:2]
+            res, outcomes, cls = classify(run, args.draws)
+            classified.append((name, method, cls, outcomes))
+            tail = f" {cls}" if args.draws else ""
+            print(f"{name} {method} {digest(res)}{tail}", flush=True)
+    finally:
+        reduction.STRIP_ROWS = saved
     for method, ((s_lo, s_hi), (k_lo, k_hi)) in spreads(classified).items():
         print(f"spread {method}: solved {s_lo}..{s_hi}, median k {k_lo:g}..{k_hi:g}",
               file=sys.stderr)
