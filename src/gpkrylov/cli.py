@@ -13,7 +13,6 @@ check failed).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -134,9 +133,6 @@ def cmd_solve(args, parser) -> int:
     if args.output:
         write_convergence_csv(result.record, args.output)
         print(f"wrote {args.output}")
-    if args.svg:
-        write_convergence_svg([(args.method, result.record)], args.svg)
-        print(f"wrote {args.svg}")
     _summarize(args.method, result)
     return _EXIT_FOR_REASON[result.reason]
 
@@ -161,9 +157,6 @@ def cmd_compare(args, parser) -> int:
     merged = os.path.join(args.output_dir, "compare.csv")
     _write_merged_csv(results, methods, merged)
     print(f"wrote {merged}")
-    if args.svg:
-        write_convergence_svg([(m, results[m].record) for m in methods], args.svg)
-        print(f"wrote {args.svg}")
     return max(_EXIT_FOR_REASON[r.reason] for r in results.values())
 
 
@@ -196,74 +189,6 @@ def cmd_check(args, parser) -> int:
     return 0 if ok else 4
 
 
-# -- minimal SVG plotting ----------------------------------------------------
-
-_COLORS = ("#1b6ca8", "#c0392b", "#27ae60", "#8e44ad", "#e67e22", "#16a085")
-
-
-def write_convergence_svg(series, path, width=720, height=480) -> None:
-    """Log-scale residual curves, one polyline per (label, record) pair."""
-    pts = []
-    for _, record in series:
-        for row in record.rows:
-            if row.est_residual > 0 and math.isfinite(row.est_residual):
-                pts.append((row.k, row.est_residual))
-    if not pts:
-        raise ValueError("nothing to plot: no positive residuals recorded")
-    kmax = max(1, max(p[0] for p in pts))
-    lo = math.floor(math.log10(min(p[1] for p in pts)))
-    hi = math.ceil(math.log10(max(p[1] for p in pts)))
-    if hi == lo:
-        hi = lo + 1
-    mleft, mright, mtop, mbot = 70, 20, 20, 50
-
-    def sx(k):
-        return mleft + (width - mleft - mright) * k / kmax
-
-    def sy(r):
-        t = (math.log10(r) - lo) / (hi - lo)
-        return height - mbot - (height - mtop - mbot) * t
-
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-           f'height="{height}" viewBox="0 0 {width} {height}">',
-           f'<rect width="{width}" height="{height}" fill="white"/>']
-    for d in range(lo, hi + 1):
-        yy = sy(10.0 ** d)
-        out.append(f'<line x1="{mleft}" y1="{yy:.1f}" x2="{width - mright}" '
-                   f'y2="{yy:.1f}" stroke="#dddddd"/>')
-        out.append(f'<text x="{mleft - 8}" y="{yy + 4:.1f}" text-anchor="end" '
-                   f'font-size="12">1e{d}</text>')
-    xticks = max(1, kmax // 8)
-    for k in range(0, kmax + 1, xticks):
-        xx = sx(k)
-        out.append(f'<line x1="{xx:.1f}" y1="{height - mbot}" x2="{xx:.1f}" '
-                   f'y2="{height - mbot + 5}" stroke="black"/>')
-        out.append(f'<text x="{xx:.1f}" y="{height - mbot + 20}" '
-                   f'text-anchor="middle" font-size="12">{k}</text>')
-    out.append(f'<line x1="{mleft}" y1="{height - mbot}" x2="{width - mright}" '
-               f'y2="{height - mbot}" stroke="black"/>')
-    out.append(f'<line x1="{mleft}" y1="{mtop}" x2="{mleft}" '
-               f'y2="{height - mbot}" stroke="black"/>')
-    out.append(f'<text x="{(mleft + width - mright) / 2}" y="{height - 10}" '
-               f'text-anchor="middle" font-size="13">iteration</text>')
-    for idx, (label, record) in enumerate(series):
-        color = _COLORS[idx % len(_COLORS)]
-        coords = " ".join(f"{sx(row.k):.1f},{sy(row.est_residual):.1f}"
-                          for row in record.rows
-                          if row.est_residual > 0 and math.isfinite(row.est_residual))
-        out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                   f'stroke-width="1.5"/>')
-        ly = mtop + 16 * (idx + 1)
-        out.append(f'<line x1="{width - mright - 150}" y1="{ly}" '
-                   f'x2="{width - mright - 120}" y2="{ly}" stroke="{color}" '
-                   f'stroke-width="2"/>')
-        out.append(f'<text x="{width - mright - 114}" y="{ly + 4}" '
-                   f'font-size="12">{label}</text>')
-    out.append("</svg>")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(out))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gpkrylov",
                      description="Krylov solvers for 2x2 block partitioned systems")
@@ -274,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_args(ps)
     _add_solver_args(ps)
     ps.add_argument("--output", metavar="OUT.csv", help="convergence CSV path")
-    ps.add_argument("--svg", metavar="OUT.svg", help="convergence plot path")
     ps.set_defaults(run=cmd_solve)
 
     pc = sub.add_parser("compare", help="run several methods on the same system")
@@ -284,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_args(pc)
     pc.add_argument("--output-dir", default="compare-out",
                     help="directory for per-method and merged CSVs")
-    pc.add_argument("--svg", metavar="OUT.svg", help="combined plot path")
     pc.set_defaults(run=cmd_compare)
 
     pk = sub.add_parser("check", help="run the invariant suite")

@@ -114,6 +114,8 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
         maxit = 2 * (sys.m + sys.n)
     if maxit < 0:
         raise ValueError(f"maxit must be >= 0, got {maxit}")
+    if not tol >= 0:  # NaN fails this too; 0 and inf are valid
+        raise ValueError(f"tol must be >= 0, got {tol}")
     t0 = time.perf_counter()
     rhs_norm = sys.rhs_norm
 

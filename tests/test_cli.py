@@ -1,6 +1,8 @@
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +47,15 @@ def test_solve_maxit_zero_exits_two(matrices):
                "--a", str(matrices / "A.mtx"), "--b-transpose-a",
                "--maxit", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("tol", ["-0.5", "nan"])
+def test_negative_or_nan_tol_exits_one(matrices, capsys, tol):
+    code = run("solve", "--method", "gpqmr",
+               "--a", str(matrices / "A.mtx"), "--b", str(matrices / "B.mtx"),
+               "--tol", tol)
+    assert code == 1
+    assert "tol must be >= 0" in capsys.readouterr().err
 
 
 def test_unknown_method_exits_one(matrices, capsys):
@@ -129,14 +140,15 @@ def test_nonfinite_exits_four(tmp_path):
     assert code == 4
 
 
-def test_solve_svg_output(matrices):
-    svg = matrices / "run.svg"
-    code = run("solve", "--method", "gpmr",
-               "--a", str(matrices / "A.mtx"), "--b", str(matrices / "B.mtx"),
-               "--tol", "1e-8", "--svg", str(svg))
-    assert code == 0
-    text = svg.read_text()
-    assert text.startswith("<svg") and "polyline" in text
+def test_svg_option_is_a_usage_error(matrices, capsys):
+    # the convergence CSVs are the files to plot; there is no built-in plotter
+    for command in (["solve", "--method", "gpmr"], ["compare", "--methods", "gpmr"]):
+        with pytest.raises(SystemExit) as exc:
+            run(*command, "--a", str(matrices / "A.mtx"), "--b", str(matrices / "B.mtx"),
+                "--svg", str(matrices / "run.svg"))
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --svg" in capsys.readouterr().err
+    assert not (matrices / "run.svg").exists()
 
 
 def test_compare_writes_all_outputs(matrices, capsys):
@@ -144,13 +156,12 @@ def test_compare_writes_all_outputs(matrices, capsys):
     code = run("compare", "--methods", "gpbilq,gpqmr,gpmr",
                "--a", str(matrices / "A.mtx"), "--b", str(matrices / "B.mtx"),
                "--lambda", "1", "--mu", "-0.5", "--tol", "1e-8",
-               "--output-dir", str(outdir), "--svg", str(outdir / "all.svg"))
+               "--output-dir", str(outdir))
     assert code == 0
     for name in ("gpbilq", "gpqmr", "gpmr"):
         assert (outdir / f"{name}.csv").exists()
     merged = (outdir / "compare.csv").read_text().splitlines()
     assert merged[0] == "k,gpbilq,gpqmr,gpmr"
-    assert (outdir / "all.svg").exists()
 
 
 def test_compare_one_by_one_converges_first_step(tmp_path):
@@ -234,3 +245,19 @@ def test_import_leaves_scipy_linalg_unloaded():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def _readme_commands():
+    """Every ``gpkrylov ...`` command in README's "Command line" block, with
+    lines ending in a backslash joined to the next."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("gpkrylov ")]
+
+
+def test_readme_command_examples_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"solve", "compare", "check"}
+    for argv in commands:
+        cli.build_parser().parse_args(argv)

@@ -37,6 +37,20 @@ def test_negative_maxit_is_rejected(method):
 
 
 @pytest.mark.parametrize("method", SOLVERS)
+@pytest.mark.parametrize("tol", [-1e-10, np.nan])
+def test_negative_or_nan_tol_is_rejected(method, tol):
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        SOLVERS[method](desk_system(), tol=tol, maxit=5)
+
+
+@pytest.mark.parametrize("method", SOLVERS)
+@pytest.mark.parametrize("tol, reason", [(0.0, "maxit"), (np.inf, "converged")])
+def test_zero_and_infinite_tol_are_valid(method, tol, reason):
+    res = SOLVERS[method](desk_system(), tol=tol, maxit=5)
+    assert res.reason == reason
+
+
+@pytest.mark.parametrize("method", SOLVERS)
 def test_budget_exhaustion_records_every_iteration(method):
     res = SOLVERS[method](desk_system(), tol=1e-30, maxit=5)
     assert res.reason == "maxit" and res.iterations == 5
