@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import zip_longest
 
 import numpy as np
 
@@ -161,17 +162,13 @@ def cmd_compare(args, parser) -> int:
 
 
 def _write_merged_csv(results, methods, path):
-    maxk = max((r.record.rows[-1].k for r in results.values() if r.record.rows),
-               default=0)
-    series = {}
-    for m in methods:
-        series[m] = {row.k: row.est_residual for row in results[m].record.rows}
+    # row k of every record is step k, so a column is its record's estimates
+    columns = [results[m].record.est_residuals() for m in methods]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("k," + ",".join(methods) + "\n")
-        for k in range(maxk + 1):
-            cells = [f"{series[m][k]:.17g}" if k in series[m] else ""
-                     for m in methods]
-            fh.write(f"{k}," + ",".join(cells) + "\n")
+        for k, cells in enumerate(zip_longest(*columns)):
+            fh.write(f"{k}," + ",".join("" if v is None else f"{v:.17g}"
+                                        for v in cells) + "\n")
 
 
 def cmd_check(args, parser) -> int:

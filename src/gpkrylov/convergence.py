@@ -39,16 +39,9 @@ class ConvergenceRecord:
 
     def append(self, k, est_residual, true_residual=None,
                transfer_defined=None, elapsed=0.0) -> None:
-        if self.rows and k <= self.rows[-1].k:
-            raise ValueError("iteration indices must be strictly increasing")
-        if est_residual < 0 or (true_residual is not None and true_residual < 0):
-            raise ValueError("residual norms must be nonnegative")
         self.rows.append(IterationRow(int(k), float(est_residual),
                                       None if true_residual is None else float(true_residual),
                                       transfer_defined, float(elapsed)))
-
-    def finalize(self, reason: str) -> None:
-        self.reason = reason
 
     def est_residuals(self) -> np.ndarray:
         return np.array([r.est_residual for r in self.rows])
@@ -135,7 +128,7 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
         est = state.estimate()
         true = None
         if explicit_residual and est is not None:
-            true = residual_norm(sys, *state.iterate())
+            true = certificate(*state.iterate())
         res = true if explicit_residual else est
         record.append(state.k, np.nan if est is None else est, true,
                       (est is not None) if state.tracks_transfer else None,
@@ -159,5 +152,5 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
     if reason == BREAKDOWN:
         reason = (CONVERGED if res <= tol else BREAKDOWN if math.isfinite(res)
                   else NONFINITE)
-    record.finalize(reason)
+    record.reason = reason
     return state.result(x, y, reason, res, record)

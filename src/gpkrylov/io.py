@@ -27,7 +27,6 @@ __all__ = [
     "build_system",
     "build_experiment",
     "write_convergence_csv",
-    "read_convergence_csv",
 ]
 
 
@@ -146,26 +145,3 @@ def write_convergence_csv(record: ConvergenceRecord, path) -> None:
                      f"{row.elapsed:.6g}\n")
         if record.reason is not None:
             fh.write(f"# terminated: {record.reason}\n")
-
-
-def read_convergence_csv(path) -> ConvergenceRecord:
-    """Inverse of write_convergence_csv (used for round-trip checks)."""
-    record = ConvergenceRecord()
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != _CSV_HEADER:
-            raise ValueError(f"{path}: unexpected header '{header}'")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith("# terminated:"):
-                    record.reason = line.split(":", 1)[1].strip()
-                continue
-            k_s, est_s, true_s, flag_s, el_s = line.split(",")
-            record.append(int(k_s), float(est_s),
-                          float(true_s) if true_s else None,
-                          bool(int(flag_s)) if flag_s else None,
-                          float(el_s))
-    return record

@@ -1,10 +1,13 @@
-"""Helpers the tier-1 modules import: the seeded system builder and the
-acceptance log that ``conftest.py`` prints at the end of a run.
+"""Helpers the tier-1 modules import: the seeded system builder, a reader
+for the CSVs the package writes, and the acceptance log that
+``conftest.py`` prints at the end of a run.
 
 A module of its own, with a name no other test directory uses, so that
 collecting ``tests`` and ``perfbench/tests`` together resolves it here
 (``conftest`` would resolve to whichever directory's was loaded last).
 """
+
+import csv
 
 from gpkrylov.verify import random_system as make_system
 
@@ -13,3 +16,13 @@ ACCEPTANCE_RESULTS = []
 
 def record_acceptance(criterion: str, passed: bool, detail: str = ""):
     ACCEPTANCE_RESULTS.append((criterion, passed, detail))
+
+
+def read_csv(path):
+    """The rows of a CSV the package wrote, as dicts of strings keyed by its
+    header, and the reason on its ``# terminated:`` line (None without one)."""
+    with open(path, newline="", encoding="ascii") as fh:
+        rows = list(csv.DictReader(fh))
+    if rows and rows[-1]["k"].startswith("# terminated:"):
+        return rows[:-1], rows[-1]["k"].split(":", 1)[1].strip()
+    return rows, None

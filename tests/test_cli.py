@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 import gpkrylov
-from gpkrylov import (build_system, cli, gpbilq_solve, read_convergence_csv,
-                      read_matrix_market, write_matrix_market)
+from gpkrylov import (build_system, cli, gpbilq_solve, read_matrix_market,
+                      write_matrix_market)
 from gpkrylov.cli import main
 from gpkrylov.verify import CheckResult, to_dense
 
-from gpk_support import make_system
+from gpk_support import make_system, read_csv
 
 
 @pytest.fixture
@@ -36,9 +36,9 @@ def test_solve_writes_csv_and_exits_zero(matrices, capsys):
                "--lambda", "1", "--mu", "-0.1", "--tol", "1e-8",
                "--maxit", "100", "--output", str(out))
     assert code == 0
-    rec = read_convergence_csv(out)
-    assert rec.reason == "converged"
-    assert rec.rows[-1].est_residual <= 1e-8
+    rows, reason = read_csv(out)
+    assert reason == "converged"
+    assert float(rows[-1]["est_residual"]) <= 1e-8
     assert "gpqmr: converged" in capsys.readouterr().out
 
 
@@ -152,16 +152,28 @@ def test_svg_option_is_a_usage_error(matrices, capsys):
 
 
 def test_compare_writes_all_outputs(matrices, capsys):
+    # gpmr_restarted (cycles of 3) stops at maxit 10, the others converge at
+    # k = 6, so compare.csv has ragged ends
     outdir = matrices / "cmp"
-    code = run("compare", "--methods", "gpbilq,gpqmr,gpmr",
+    methods = ["gpbilq", "gpmr_restarted", "gpqmr", "gpmr"]
+    code = run("compare", "--methods", ",".join(methods),
                "--a", str(matrices / "A.mtx"), "--b", str(matrices / "B.mtx"),
                "--lambda", "1", "--mu", "-0.5", "--tol", "1e-8",
-               "--output-dir", str(outdir))
-    assert code == 0
-    for name in ("gpbilq", "gpqmr", "gpmr"):
-        assert (outdir / f"{name}.csv").exists()
-    merged = (outdir / "compare.csv").read_text().splitlines()
-    assert merged[0] == "k,gpbilq,gpqmr,gpmr"
+               "--restart", "3", "--maxit", "10", "--output-dir", str(outdir))
+    assert code == 2
+    assert "gpmr_restarted: maxit after 10 iterations" in capsys.readouterr().out
+    assert (outdir / "compare.csv").read_text().startswith(
+        "k,gpbilq,gpmr_restarted,gpqmr,gpmr\n")
+    merged, _ = read_csv(outdir / "compare.csv")
+    assert [row["k"] for row in merged] == [str(k) for k in range(11)]
+    lengths = []
+    for name in methods:
+        rows, _ = read_csv(outdir / f"{name}.csv")
+        column = [row[name] for row in merged]
+        assert column[:len(rows)] == [row["est_residual"] for row in rows]
+        assert column[len(rows):] == [""] * (len(merged) - len(rows))
+        lengths.append(len(rows))
+    assert lengths == [7, 11, 7, 7]
 
 
 def test_compare_one_by_one_converges_first_step(tmp_path):
@@ -174,9 +186,9 @@ def test_compare_one_by_one_converges_first_step(tmp_path):
                "--tol", "1e-10", "--output-dir", str(outdir))
     assert code == 0
     for name in ("gpbicg", "gpqmr"):
-        rec = read_convergence_csv(outdir / f"{name}.csv")
-        assert rec.reason == "converged"
-        assert rec.rows[-1].k == 1
+        rows, reason = read_csv(outdir / f"{name}.csv")
+        assert reason == "converged"
+        assert rows[-1]["k"] == "1"
 
 
 def test_compare_restarted_not_faster(matrices):
@@ -185,10 +197,10 @@ def test_compare_restarted_not_faster(matrices):
                "--a", str(matrices / "A.mtx"), "--b", str(matrices / "B.mtx"),
                "--tol", "1e-8", "--restart", "3", "--maxit", "400",
                "--output-dir", str(outdir))
-    full = read_convergence_csv(outdir / "gpmr.csv")
-    part = read_convergence_csv(outdir / "gpmr_restarted.csv")
-    if part.reason == "converged":
-        assert part.rows[-1].k >= full.rows[-1].k
+    full, _ = read_csv(outdir / "gpmr.csv")
+    part, part_reason = read_csv(outdir / "gpmr_restarted.csv")
+    if part_reason == "converged":
+        assert int(part[-1]["k"]) >= int(full[-1]["k"])
     assert code in (0, 2)
 
 
@@ -247,12 +259,16 @@ def test_import_leaves_scipy_linalg_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def _readme_block(heading, lang):
+    """The first ``lang`` code block under README's ``## heading``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split(f"## {heading}", 1)[1].split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
 def _readme_commands():
     """Every ``gpkrylov ...`` command in README's "Command line" block, with
     lines ending in a backslash joined to the next."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = block.replace("\\\n", " ").splitlines()
+    lines = _readme_block("Command line", "sh").replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("gpkrylov ")]
 
 
@@ -261,3 +277,12 @@ def test_readme_command_examples_parse():
     assert {argv[0] for argv in commands} == {"solve", "compare", "check"}
     for argv in commands:
         cli.build_parser().parse_args(argv)
+
+
+def test_readme_library_example_runs():
+    # only that it runs: the example's solve ends in breakdown (ROADMAP item 5)
+    src = os.path.dirname(os.path.dirname(gpkrylov.__file__))
+    out = subprocess.run([sys.executable, "-c", _readme_block("Library use", "python")],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr

@@ -66,6 +66,24 @@ def test_explicit_residual_is_that_of_the_returned_iterate(method):
                                          rel=1e-12)
 
 
+# operator applications of six explicit-residual steps on make_system(30, 20, 5)
+EXPLICIT_APPLICATIONS = {"gpbilq": 34, "gpbicg": 36, "gpqmr": 36, "gpmr": 24}
+
+
+@pytest.mark.parametrize("method", EXPLICIT_APPLICATIONS)
+def test_explicit_residual_of_the_zero_iterate_costs_no_application(method):
+    # four applications a step (two for gpmr) and two for each step's true
+    # residual, except that of gpbilq's k = 1 minimum-norm iterate, which is
+    # zero and certified as ||[b; c]||
+    sys_ = make_system(30, 20, 5)
+    counted, calls = _counted(sys_)
+    res = SOLVERS[method](counted, tol=1e-30, maxit=6, explicit_residual=True)
+    assert (res.reason, res.iterations) == ("maxit", 6)
+    assert calls[0] == EXPLICIT_APPLICATIONS[method]
+    if method == "gpbilq":
+        assert res.record.rows[1].true_residual == sys_.rhs_norm
+
+
 def _orthogonal_start(sys_):
     """``sys_`` with a start vector f orthogonal to b: the reduction cannot
     start."""
@@ -98,15 +116,7 @@ def test_stopped_start_goes_through_the_common_exit(method, monkeypatch):
     def no_rescue(self):
         raise AssertionError("rescue() called before a first step")
     monkeypatch.setattr(BiLQState, "rescue", no_rescue)
-    calls = [0]
-
-    def wrap(fn):
-        def apply(v):
-            calls[0] += 1
-            return fn(v)
-        return apply
-
-    sys_ = _wrapped(_orthogonal_start(desk_system()), wrap)
+    sys_, calls = _counted(_orthogonal_start(desk_system()))
     for tol, reason in ((0.5 * sys_.rhs_norm, "breakdown"), (sys_.rhs_norm, "converged")):
         res = SOLVERS[method](sys_, tol=tol)
         assert (res.reason, res.iterations) == (reason, 0) and res.record.reason == reason
@@ -185,6 +195,20 @@ def _wrapped(sys_, wrap):
         sys_.b, sys_.c, sys_.f, sys_.g)
 
 
+def _counted(sys_):
+    """``sys_`` wrapped to count its operator applications (A, A^T, B and
+    B^T together), and the one-entry list that holds the count."""
+    calls = [0]
+
+    def wrap(fn):
+        def apply(v):
+            calls[0] += 1
+            return fn(v)
+        return apply
+
+    return _wrapped(sys_, wrap), calls
+
+
 def _nan_from_call(sys_, first):
     """``sys_`` with every operator result NaN from call ``first`` on
     (calls counted over A, A^T, B and B^T together)."""
@@ -214,16 +238,9 @@ def test_failed_breakdown_certificate_evaluates_the_residual_once(method):
     # certificate (two more) reads 5.15; both return the zero one.  gpmr:
     # the space closes at step 2 (three applications) and the certificate's
     # true residual (two more) meets tol
-    calls = [0]
-
-    def wrap(fn):
-        def apply(v):
-            calls[0] += 1
-            return fn(v)
-        return apply
-
     sys_ = _uncoupled(1.0, 1.0)
-    res = SOLVERS[method](_wrapped(sys_, wrap), tol=1e-10)
+    counted, calls = _counted(sys_)
+    res = SOLVERS[method](counted, tol=1e-10)
     applications, reason, iterations = CERTIFIED[method]
     assert calls[0] == applications
     assert (res.reason, res.iterations) == (reason, iterations)
