@@ -6,8 +6,8 @@ block-tridiagonal matrix), computed with a sliding LQ factorization whose
 orthogonal factor is a product of two-column rotation bundles.  The LQ is
 gpqmr's sliding QR (``rotations.BandWindow``) run on the transposed
 projection, and the lower factor is the transposed upper one, of bandwidth
-4; one forward-substitution pair per step and one four-column direction
-update per two steps advance the iterate.
+4; one forward-substitution pair per step and one direction update per
+four steps advance the iterate.
 
 GPBiCG solves the square projected system instead.  Its iterate need not
 exist at every step; when the trailing 2x2 of the LQ factor is nonsingular
@@ -17,14 +17,15 @@ follows the smaller of the two iterates' closed-form residual norms.
 
 The steady-state loop performs exactly four operator applications per
 iteration, whose results are its only length-m/n allocations after startup,
-and keeps seven m-vectors and seven n-vectors: the iterate, a basis pair and a
-(len x 4) block per side whose end columns hold the other pair, plus a scratch
-whose first direction-update strip of rows alone is touched; the transfer
-iterate adds one vector per side, allocated on its first read.  Two steps'
-direction updates and iterate increments are one matmul per row strip of a
-side (``reduction.mix``).  The scalars are fixed in size: the window keeps
-two factor columns, one rotation bundle and its carries, and the state the
-bundle before it and four substitution entries.
+and keeps nine m-vectors and nine n-vectors: the iterate, a basis pair and a
+(len x 6) block per side of the carried pair and a ring of four slots for
+the other basis vectors, plus a scratch whose first direction-update strip
+of rows alone is touched; the transfer iterate adds one vector per side,
+allocated on its first read.  Four steps' direction updates and iterate
+increments are one matmul per row strip of a side (``reduction.mix``).  The
+scalars are fixed in size: the window keeps two factor columns, one rotation
+bundle and its carries, and the state the bundle before it, four
+substitution entries and the group's composed map.
 """
 
 from __future__ import annotations
@@ -94,11 +95,11 @@ def transfer_scalars(w: BandWindow, varpi, rhs):
 
 
 class BiLQState(RecurrenceState):
-    """gpbilq's LQ policy on the shared recurrence state, four-column
+    """gpbilq's LQ policy on the shared recurrence state, six-column
     blocks per side (``reduction.RecurrenceState``, which owns the layout).
 
-    Columns 1 and 2 of ``fx``/``fy`` hold the provisional pair carried to
-    the next step, between the basis slots; the retired pair is never
+    Columns 0 and 1 of ``fx``/``fy`` hold the provisional pair carried to
+    the next step, before the four basis slots; the retired pair is never
     formed.  ``coeffs`` keeps the last step's scalars beside ``red``'s
     couplings, and ``unsubstituted`` the right-hand side (beta_1, delta_1)
     until the first substitution, then (0, 0).  ``monitor`` picks what the
@@ -109,13 +110,13 @@ class BiLQState(RecurrenceState):
     def __init__(self, sys: PartitionedSystem, monitor: str = "l"):
         if monitor not in ("l", "c"):
             raise ValueError("monitor must be 'l' or 'c'")
-        super().__init__(sys, 4)
+        super().__init__(sys, 2)
         self.monitor = monitor
         self.tracks_transfer = monitor == "c"
         self.rot_prev = None  # the bundle before the window's latest
         self.varpi = (0.0,) * 4  # the last four forward-substitution entries
         self.unsubstituted = (self.red.beta, self.red.delta)
-        self.fx[:, 1], self.fy[:, 2] = self.red.q_cur, self.red.u_cur  # q_1|0, 0|u_1
+        self.fx[:, 0], self.fy[:, 1] = self.red.q_cur, self.red.u_cur  # q_1|0, 0|u_1
         self.coeffs: StepCoeffs | None = None
         self.transfer = None  # transfer coefficients on the live pair, this step
         self.follows_c = False  # estimate() returned x_c's residual
@@ -162,9 +163,10 @@ class BiLQState(RecurrenceState):
         if self.x_c is None:
             self.x_c, self.y_c = np.empty(self.sys.m), np.empty(self.sys.n)
         coef = np.reshape(self.transfer, (2, 1))
-        for (f, _, s, it, _), out in zip(self.views, (self.x_c, self.y_c)):
+        for f, s, it, out in zip((self.fx, self.fy), (self.sx, self.sy),
+                                 (self.x, self.y), (self.x_c, self.y_c)):
             out[...] = it
-            mix(f[:, 1:3], f[:, :0], s[:, :1], out, coef)
+            mix(f[:, :2], f[:, :0], s[:, :1], out, coef)
         return self.x_c, self.y_c
 
     # -- residual estimates -------------------------------------------------

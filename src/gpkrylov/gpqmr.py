@@ -6,10 +6,11 @@ projected block-tridiagonal matrix (``rotations.BandWindow``), each step
 running one bundle's late stage and the next bundle's early stage.  Each
 step forms two directions from the last four (a depth-4 back-recurrence
 whose coefficients are gpbilq's substitution step on unit inputs) in the
-block layout and kernel it shares with gpbilq, two steps per pass
-(``reduction.RecurrenceState``); per side nine vectors, the iterate, a basis
-pair and a six-column block of the other pair's two slots around the four
-directions, and a five-column scratch touched in one direction-update strip.
+block layout and kernel it shares with gpbilq, four steps per pass
+(``reduction.RecurrenceState``); per side eleven vectors, the iterate, a
+basis pair and an eight-column block of the four directions and a ring of
+four slots for the other basis vectors, and a five-column scratch touched in
+one direction-update strip.
 """
 
 from __future__ import annotations
@@ -57,18 +58,19 @@ def rotate_rhs(w: BandWindow, carry: tuple[float, float]):
 
 
 class QMRState(RecurrenceState):
-    """gpqmr's QR policy on the shared recurrence state, six-column blocks
-    per side (``reduction.RecurrenceState``, which owns the layout), and
-    the rotated right-hand side.
+    """gpqmr's QR policy on the shared recurrence state, eight-column
+    blocks per side (``reduction.RecurrenceState``, which owns the layout),
+    and the rotated right-hand side.
 
-    Columns 1..4 of ``fx``/``fy`` hold the last four directions d_{2k-5}
-    .. d_{2k-2} before step k (zero below index 1); ``update`` writes
-    d_{2k-1}, d_{2k} over the oldest two.  The rotated right-hand side
-    ``rhs`` starts from the reduction's beta_1, delta_1 as its carries.
+    Columns 0..3 of ``fx``/``fy`` hold the last four directions d_{2k-5}
+    .. d_{2k-2} before step k (zero below index 1), once flushed; step k's
+    update drops the oldest two and appends d_{2k-1}, d_{2k}.  The rotated
+    right-hand side ``rhs`` starts from the reduction's beta_1, delta_1 as
+    its carries.
     """
 
     def __init__(self, sys: PartitionedSystem):
-        super().__init__(sys, 6)
+        super().__init__(sys, 4)
         # rotated right-hand side: the two entries the last step finalized,
         # then the two carries whose norm is the quasi-residual
         self.rhs = (0.0, 0.0, self.red.beta, self.red.delta)

@@ -68,9 +68,9 @@ class Operator:
         return (self.nrows, self.ncols)
 
     def _call(self, action, vec, size, out_size, name, what):
-        if vec.shape[0] != size:
-            raise ValueError(f"operator is {self.nrows}x{self.ncols}, "
-                             f"got {what}input of length {vec.shape[0]}")
+        if vec.shape != (size,):
+            raise ValueError(f"operator is {self.nrows}x{self.ncols}, {what}input "
+                             f"must have length {size}, got shape {vec.shape}")
         out = action(vec)
         if out.shape != (out_size,):
             raise ValueError(f"{name} callback returned a vector of wrong length")

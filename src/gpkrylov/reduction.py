@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +42,7 @@ __all__ = [
     "BREAKDOWN_RTOL",
     "LUCKY_VEC_RTOL",
     "STRIP_ROWS",
+    "GROUP",
 ]
 
 # Declare breakdown when |ptilde^T qtilde| <= BREAKDOWN_RTOL * max(1, |ptilde||qtilde|).
@@ -52,10 +52,14 @@ BREAKDOWN_RTOL = 1e-14
 LUCKY_VEC_RTOL = 1e-13
 # Rows per strip of the reduction's sweep, and a quarter of it of ``mix``, for
 # a 2 MB L2: a sweep row is 6 vectors (48 B, 1.5 MB a strip), a row of gpqmr's
-# paired update 12 columns (96 B), whose m = 233,244 pass took 1,544 us in
-# 2**15-row strips (3 MB) and 1,217 in 2**13 (0.75 MB); 2**14-row sweep strips
-# made gpbilq's grid-35k iteration 11% slower.
+# grouped update 14 columns (112 B, 0.9 MB a 2**13-row strip; gpbilq's 10,
+# 80 B).  gpqmr's paired update (12 columns) took 1,544 us a m = 233,244 pass
+# in 2**15-row strips (3 MB) and 1,217 in 2**13 (0.75 MB); 2**14-row sweep
+# strips made gpbilq's grid-35k iteration 11% slower.
 STRIP_ROWS = 2 ** 15
+# Steps per direction update, and basis slots per side of the solver blocks;
+# groups of 6 or 8 cut the direction passes 15-25% more but add 2-4 vectors.
+GROUP = 4
 
 
 @dataclass
@@ -94,17 +98,20 @@ class ReductionState:
     couplings beta, gamma, delta, eta included (zero for a dead pair).
     A fresh one is the zero window at k = 0 (zero vectors, couplings and
     norms), from which ``_normalize`` forms index 1 as it forms the rest.
-    Pairs ``q``, ``u`` of zero buffers, if given, take q_k, u_k, odd k first."""
+    Rings ``q``, ``u`` of two or more zero buffers, if given, take q_k, u_k
+    in buffer k modulo their length (by default two buffers each)."""
 
     __slots__ = ("k", "p_prev", "p_cur", "q_prev", "q_cur", "u_prev", "u_cur", "v_prev",
-                 "v_cur", "beta", "gamma", "delta", "eta", "q_norm", "u_norm",
-                 "q_prev_norm", "u_prev_norm", "vec_scale", "breakdown", "pending")
+                 "v_cur", "q_ring", "u_ring", "beta", "gamma", "delta", "eta", "q_norm",
+                 "u_norm", "q_prev_norm", "u_prev_norm", "vec_scale", "breakdown", "pending")
 
     def __init__(self, m: int, n: int, q=None, u=None):
         self.k = 0
         self.p_prev, self.p_cur, self.v_prev, self.v_cur = map(np.zeros, [m, m, n, n])
-        self.q_prev, self.q_cur = q or (np.zeros(m), np.zeros(m))
-        self.u_prev, self.u_cur = u or (np.zeros(n), np.zeros(n))
+        self.q_ring = q or (np.zeros(m), np.zeros(m))
+        self.u_ring = u or (np.zeros(n), np.zeros(n))
+        self.q_prev, self.q_cur = self.q_ring[-1], self.q_ring[0]
+        self.u_prev, self.u_cur = self.u_ring[-1], self.u_ring[0]
         self.beta = self.gamma = self.delta = self.eta = 0.0
         self.q_norm = self.u_norm = 0.0
         self.vec_scale = 1.0
@@ -128,9 +135,10 @@ def _normalize(st: ReductionState, pq, p, q, np_, nq, uv, u, v, nu, nv) -> None:
     """The one normalization and breakdown rule of the start and of every
     step: the new pairs (p, q) and (u, v), given with their inner products
     and norms, get their divisors (``_scale``) and wait in ``pending`` for
-    ``commit``; prev and cur swap roles and k advances.  A breakdown is
-    reported at iteration k+1 on the first dead pair, lucky if each dead
-    pair has a vector below LUCKY_VEC_RTOL * ``vec_scale``.
+    ``commit``; k advances, p and v swap prev and cur, and q and u move one
+    buffer along their rings.  A breakdown is reported at iteration k+1 on
+    the first dead pair, lucky if each dead pair has a vector below
+    LUCKY_VEC_RTOL * ``vec_scale``.
     """
     st.vec_scale = max(st.vec_scale, np_, nq, nu, nv)
     eta, beta, nq_next = _scale(pq, np_, nq, nq)
@@ -145,10 +153,10 @@ def _normalize(st: ReductionState, pq, p, q, np_, nq, uv, u, v, nu, nv) -> None:
     st.q_prev_norm, st.q_norm = st.q_norm, nq_next
     st.u_prev_norm, st.u_norm = st.u_norm, nu_next
     st.p_prev, st.p_cur = st.p_cur, st.p_prev
-    st.q_prev, st.q_cur = st.q_cur, st.q_prev
-    st.u_prev, st.u_cur = st.u_cur, st.u_prev
     st.v_prev, st.v_cur = st.v_cur, st.v_prev
     st.k += 1
+    st.q_prev, st.q_cur = st.q_cur, st.q_ring[st.k % len(st.q_ring)]
+    st.u_prev, st.u_cur = st.u_cur, st.u_ring[st.k % len(st.u_ring)]
     st.pending = p, q, u, v
 
 
@@ -208,86 +216,68 @@ def mix(live, dead, scratch, it, coef):
 class RecurrenceState:
     """What gpbilq's and gpqmr's solver states share: the reduction ``red``
     on ``sys``, the factor ``window``, the iterate x, y and per side one
-    Fortran-ordered (len x width) block ``fx``/``fy``, [basis slot |
-    directions | basis slot], whose slots are red's q (u) buffers: q_k is
-    last at odd k and first at even k, so block[:, 1:] or block[:, :-1] is
-    step k's input.  ``update`` and ``flush`` alone know this layout: a step k
-    that ``update`` holds (``held``) runs with step k+1, or in ``flush`` with
-    an idle step, as one ``_pair`` map per side through ``mix``, so x, y and
-    the directions are current only after ``flush``, which ``iterate()`` and
+    Fortran-ordered (len x ``dirs`` + GROUP) block ``fx``/``fy``, [directions,
+    oldest first | ring of GROUP basis slots], whose slots are red's q (u)
+    ring: q_k sits in column ``dirs`` + k % GROUP.  ``update`` and ``flush``
+    alone know this layout: the steps ``update`` holds (``held`` of them)
+    since the last step in slot GROUP - 1 run as one composed map per side
+    (``map``) through ``mix``, at that step or in ``flush``, so x, y and the
+    directions are current only after ``flush``, which ``iterate()`` and
     every other reader of them runs.  A subclass's ``advance`` steps the
     reduction, the window and k, and hands ``update`` the direction
-    coefficients before the reduction's ``commit``.  The rest is the solve-loop
-    protocol.
+    coefficients before the reduction's ``commit``, which overwrites the slot
+    of q_{k-3} only after the group's ``mix`` has read it.  The rest is the
+    solve-loop protocol.
     """
 
     tracks_transfer = False
 
-    def __init__(self, sys: PartitionedSystem, width: int):
-        self.sys, self.k = sys, 0
-        self.fx = np.zeros((sys.m, width), order="F")
-        self.fy = np.zeros((sys.n, width), order="F")
-        self.red = reduction_init(sys, (self.fx[:, -1], self.fx[:, 0]),
-                                  (self.fy[:, -1], self.fy[:, 0]))
+    def __init__(self, sys: PartitionedSystem, dirs: int):
+        self.sys, self.k, self.dirs = sys, 0, dirs
+        self.fx = np.zeros((sys.m, dirs + GROUP), order="F")
+        self.fy = np.zeros((sys.n, dirs + GROUP), order="F")
+        self.red = reduction_init(sys, [self.fx[:, dirs + j] for j in range(GROUP)],
+                                  [self.fy[:, dirs + j] for j in range(GROUP)])
         self.window = BandWindow(sys.lam, sys.mu)
         self.x, self.y = np.zeros(sys.m), np.zeros(sys.n)
         # only a scratch's first direction-update strip of rows is touched and
         # resident; one-strip scratches measured worse on grid-350k (CHANGES.md)
-        self.sx, self.sy = (np.empty((rows, width - 1), order="F") for rows in (sys.m, sys.n))
-        self.pair, self.held = np.zeros(2 * width * (width - 1)), None
-        self.idle = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)] + [(0.0, 0.0, 0.0)] * (width - 2)
-        self.views = [(f, f[:, 1:-1], s, it, c) for f, s, it, c in zip(
-            (self.fx, self.fy), (self.sx, self.sy), (self.x, self.y),
-            self.pair.reshape(2, width, width - 1))]
-        # by lead (see _pair): held shared rows in column order, output columns
-        keep = (0, 1)[:width - 4]  # gpqmr's pair from step k-1 outlives step k
-        self.order = (tuple(range(2, width - 2)) + (0, 1), tuple(range(width - 2)))
-        self.pick = (itemgetter(2, 3, *keep, 4), itemgetter(*keep, 2, 3, 4))
+        self.sx, self.sy = (np.empty((rows, dirs + 1), order="F") for rows in (sys.m, sys.n))
+        # per side, the block's rows by the directions and the increment;
+        # ``step`` is one step's map of [directions | increment] onto itself
+        self.map, self.spare = np.zeros((2, 2, dirs + GROUP, dirs + 1))
+        self.step = np.eye(dirs + 1, k=-2)  # old direction t + 2 is new t
+        self.step[dirs] = 0.0
+        self.step[dirs, dirs], self.held = 1.0, 0
 
     def update(self, rows) -> None:
-        """Step k's direction update from the coefficient rows of the shared
-        directions, oldest first, then of the x and of the y side's basis
-        vector: held, or run with the held step k-1 as one ``mix`` per side."""
-        if self.held is None:
-            self.held = rows
-            return
-        self.pair[:] = self._pair(self.held, rows, self.k)
-        self.held = None
-        for view in self.views:
-            mix(*view)
-
-    def _pair(self, held, rows, k) -> list:
-        """Steps k-1 (held) and k as one map per side, x side first: rows for
-        the block's columns, columns for its directions and increment.  Step
-        k-1's new pair (a, b) reaches step k's outputs (late) through step
-        k's last two shared rows, gpqmr's older pair also through its first."""
-        (pa, pb, pc), (qa, qb, qc) = rows[-4:-2]
-        lead = k % 2 == 0  # step k-1's pair sits in columns 1, 2
-        pick = self.pick[lead]
-
-        def through(i, o=(0.0, 0.0, 0.0)):  # held input i's (a, b, late)
-            a, b, c = held[i]
-            return pick((a, b, a * pa + b * qa + o[0], a * pb + b * qb + o[1],
-                         a * pc + b * qc + c + o[2]))
-        mid, out = [], []
-        for i in self.order[lead]:
-            mid += through(i, rows[i - 2]) if i >= 2 else through(i)
-        for side in (-2, -1):
-            new, old = pick((0.0, 0.0, *rows[side])), through(side)  # q_k, q_{k-1}
-            out += (*new, *mid, *old) if lead else (*old, *mid, *new)
-        return out
+        """Step k's direction update from the coefficient rows (new pair,
+        increment) of the shared directions, oldest first, then of the x and
+        of the y side's basis vector: composed into ``map``, which ``mix``
+        applies at the group's last slot."""
+        d, slot = self.dirs, self.k % GROUP
+        self.step[:d, d - 2:] = rows[:-2]
+        if self.held:
+            np.matmul(self.map, self.step, out=self.spare)
+            self.map, self.spare = self.spare, self.map
+        else:
+            self.map.fill(0.0)
+            self.map[:, :d] = self.step[:d]
+        self.map[:, d + slot, d - 2:] = rows[-2:]
+        self.held += 1
+        if slot == GROUP - 1:
+            self.flush()
 
     def flush(self) -> None:
-        """Apply a held step k alone, as the pair (k, idle k+1): the idle
-        step's new pair is its two oldest inputs, so the composite leaves
-        what step k alone would, column for column.  ``mix`` reads step
-        k's input only, never q_{k+1}'s slot (its row is zero)."""
-        if self.held is None:
+        """Apply the held steps as one ``mix`` per side over the directions
+        and the slots up to q_k's (earlier groups' with zero rows): the slot
+        of q_{k+1} and those after it are never read."""
+        if not self.held:
             return
-        self.pair[:] = self._pair(self.held, self.idle, self.k + 1)
-        self.held, cols = None, slice(1, None) if self.k % 2 else slice(None, -1)
-        for f, dead, s, it, c in self.views:
-            mix(f[:, cols], dead, s, it, c[cols])
+        cols, self.held = self.dirs + self.k % GROUP + 1, 0
+        for f, s, it, c in zip((self.fx, self.fy), (self.sx, self.sy),
+                               (self.x, self.y), self.map):
+            mix(f[:, :cols], f[:, :self.dirs], s, it, c[:cols])
 
     @property
     def stopped(self) -> bool:
@@ -333,7 +323,8 @@ def reduction_step(state: ReductionState, sys: PartitionedSystem,
     products and the four norms take one pass over row strips per side,
     with p_{k-1} and v_{k-1} as scratch; alpha, theta and the normalizations
     are whole-vector calls.  ``defer`` leaves the normalizations to
-    ``commit``, keeping q_{k-1}, u_{k-1} in their buffers until then.  After
+    ``commit``: until then the buffers of q_{k+1}, u_{k+1} keep what their
+    rings held there (q_{k-1}, u_{k-1} on two buffers).  After
     a breakdown (see ``_normalize``) step k's coefficients are still
     returned for the in-flight iteration, and further calls raise.
     """

@@ -242,9 +242,8 @@ def stepped(state_cls, sys: PartitionedSystem, steps: int):
 
 def live_directions(st) -> np.ndarray:
     """A BiLQState's or QMRState's live directions, oldest first, as columns
-    of x side over y side; after an odd step the newest pair leads."""
-    f = np.vstack((st.fx, st.fy))[:, 1:-1]
-    return np.hstack((f[:, 2:], f[:, :2])) if st.k % 2 else f
+    of x side over y side (current after ``flush``)."""
+    return np.vstack((st.fx, st.fy))[:, :st.dirs]
 
 
 def projected_system(st, hist: ReductionHistory, rows: int):

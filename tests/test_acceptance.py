@@ -396,6 +396,6 @@ def test_criterion_10_storage_audit():
                       "allocate only the four operator results", ok,
                       "2 m-vectors + 2 n-vectors per iteration, traced peak "
                       f"above them {above} B; working set per side: "
-                      "7 vectors (gpbilq), 9 (gpqmr), plus a scratch "
+                      "9 vectors (gpbilq), 11 (gpqmr), plus a scratch "
                       "touched in one direction-update strip")
     assert ok

@@ -344,7 +344,8 @@ def _tracked(arr):
 def test_steady_state_allocates_only_operator_results():
     """After warmup, each iteration allocates exactly the four operator
     results (two m-vectors, two n-vectors); every other vector update
-    reuses the fixed working set of eleven m- and eleven n-vectors."""
+    reuses the fixed working set of nine m- and nine n-vectors and a
+    three-column scratch per side."""
     m, n = 48, 40
     rng = np.random.default_rng(80)
     A = rng.standard_normal((m, n))

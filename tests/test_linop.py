@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -297,6 +298,20 @@ def test_callback_returning_its_input_solves_like_the_identity_matrix(method):
     got, ref = SOLVES[method](aliased, 1e-8), SOLVES[method](dense, 1e-8)
     assert (got.reason, got.iterations) == (ref.reason, ref.iterations)
     assert got.x.tobytes() == ref.x.tobytes() and got.y.tobytes() == ref.y.tobytes()
+
+
+@pytest.mark.parametrize("vec", [np.float64(1.0), np.ones((2, 1)), np.ones((1, 2))],
+                         ids=["0-d", "column", "row"])
+def test_input_of_wrong_shape_is_rejected_before_the_callback(vec):
+    calls = []
+    op = Operator(2, 2, lambda x: calls.append(x) or np.ones(2),
+                  lambda y: calls.append(y) or np.ones(2))
+    shape = re.escape(f"got shape {np.shape(vec)}")
+    with pytest.raises(ValueError, match=f"input must have length 2, {shape}"):
+        op.apply(vec)
+    with pytest.raises(ValueError, match=f"transpose input must have length 2, {shape}"):
+        op.apply_transpose(vec)
+    assert calls == []
 
 
 def test_callback_returning_a_column_is_rejected():

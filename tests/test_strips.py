@@ -192,28 +192,29 @@ def test_patched_strip_rows_splits_the_sweep_and_the_direction_update(monkeypatc
 
 def stepped_iterates(method, sys_, steps):
     """The monitored iterate x|y after each of ``steps`` solve-loop steps,
-    with a check that the reduction's q and u buffers are the blocks'
-    basis slots: q_k, u_k in the last column at odd k, column 0 at even k."""
+    with a check that the reduction's q and u buffers are the blocks' ring
+    of basis slots: q_k, u_k in column ``dirs`` + k % GROUP."""
     cls, args = STATES[method]
     st = cls(sys_, *args)
     red, out = st.red, []
     for _ in range(steps):
         st.advance()
         st.estimate()
-        odd = red.k % 2
-        for cur, prev, block in ((red.q_cur, red.q_prev, st.fx),
-                                 (red.u_cur, red.u_prev, st.fy)):
-            assert np.shares_memory(cur, block[:, -1 if odd else 0])
-            assert np.shares_memory(prev, block[:, 0 if odd else -1])
+        slot = st.dirs + red.k % reduction.GROUP  # red.k = k + 1
+        prev = st.dirs + (red.k - 1) % reduction.GROUP
+        for cur_vec, prev_vec, block in ((red.q_cur, red.q_prev, st.fx),
+                                         (red.u_cur, red.u_prev, st.fy)):
+            assert np.shares_memory(cur_vec, block[:, slot])
+            assert np.shares_memory(prev_vec, block[:, prev])
         out.append(np.concatenate(st.iterate()))
     return out
 
 
 @pytest.mark.parametrize("method", STATES)
 def test_direction_update_in_strips_matches_one_strip(method, monkeypatch):
-    # 40 and 25 rows in 1-row direction-update strips; k = 1..8 covers both
-    # parities of the block layout and gpbilq's k = 1 step, which has no
-    # direction update.  The reduction's sums stay in one strip: their
+    # 40 and 25 rows in 1-row direction-update strips; k = 1..8 covers every
+    # ring slot and gpbilq's k = 1 step, which has no direction update.  The
+    # reduction's sums stay in one strip: their
     # order moves its scalars, which the two-sided recurrences amplify (to
     # 1.7e-11 in 8 steps on this family; see test_one_reduction_step_in_strips
     # and check_strips), whereas the directions feed only the iterate
