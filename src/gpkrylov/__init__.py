@@ -13,8 +13,7 @@ from .convergence import (BREAKDOWN, CONVERGED, MAXIT, NONFINITE,
 from .gpbilq import BiLQState, gpbilq_solve
 from .gpqmr import QMRState, gpqmr_solve
 from .io import (EXPERIMENTS, build_experiment, build_system,
-                 read_matrix_market, write_convergence_csv,
-                 write_matrix_market)
+                 read_matrix_market, write_convergence_csv)
 from .linop import (Operator, PartitionedSystem, apply_partitioned,
                     residual_norm)
 from .reduction import (BreakdownReport, ReductionState, reduction_init,
@@ -36,7 +35,7 @@ __all__ = [
     "oracle_minnorm", "oracle_lsq", "oracle_dense_solve",
     "SolveResult", "ConvergenceRecord", "CONVERGED", "MAXIT", "BREAKDOWN",
     "NONFINITE",
-    "read_matrix_market", "write_matrix_market", "build_system",
+    "read_matrix_market", "build_system",
     "build_experiment", "EXPERIMENTS",
     "write_convergence_csv",
     "run_invariant_suite", "SingularWindowError",

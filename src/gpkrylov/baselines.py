@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .convergence import SolveResult, _solve
+from .convergence import SolveResult, _solve, check_count
 from .linop import PartitionedSystem, apply_partitioned
 from .rotations import plane_rotation
 
@@ -276,7 +276,8 @@ def gpmr_solve(sys: PartitionedSystem, tol: float = 1e-8, maxit: int | None = No
         Also evaluate the true residual of the assembled iterate each step
         (one extra pair of operator applications) and stop on it.
     """
-    if restart is not None and restart < 1:
-        raise ValueError(f"restart must be >= 1, got {restart}")
-    return _solve(sys, GPMRState(sys, restart, maxit), tol, maxit, explicit_residual)
+    if restart is not None:
+        check_count(restart, "restart", 1)
+    return _solve(sys, lambda: GPMRState(sys, restart, maxit), tol, maxit,
+                  explicit_residual)
 

@@ -4,6 +4,7 @@ solve loop that every method runs."""
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -77,12 +78,22 @@ class SolveResult:
         return self.reason == CONVERGED
 
 
-def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
+def check_count(value, name: str, least: int):
+    """``value``, where it is an integer (numpy integers are) >= ``least``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _solve(sys: PartitionedSystem, make_state, tol: float, maxit: int | None,
            explicit_residual: bool) -> SolveResult:
     """The loop behind every public solve function, and the one place that
     decides what an exit returns and reports.
 
-    ``state`` is a method state that steps, estimates and offers iterates:
+    ``make_state()`` builds the method state once ``maxit`` and ``tol`` are
+    checked.  The state steps, estimates and offers iterates:
     ``k`` (iterations done), ``advance()``, ``estimate()`` (the monitored
     residual, None where the monitored iterate does not exist),
     ``iterate()`` (the x, y an exit returns), ``stopped`` (the process can
@@ -103,12 +114,10 @@ def _solve(sys: PartitionedSystem, state, tol: float, maxit: int | None,
     returns the better one.  A breakdown whose reported residual meets tol
     is converged, and one whose residual is not finite is nonfinite.
     """
-    if maxit is None:
-        maxit = 2 * (sys.m + sys.n)
-    if maxit < 0:
-        raise ValueError(f"maxit must be >= 0, got {maxit}")
+    maxit = 2 * (sys.m + sys.n) if maxit is None else check_count(maxit, "maxit", 0)
     if not tol >= 0:  # NaN fails this too; 0 and inf are valid
         raise ValueError(f"tol must be >= 0, got {tol}")
+    state = make_state()
     t0 = time.perf_counter()
     rhs_norm = sys.rhs_norm
 

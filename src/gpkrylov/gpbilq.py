@@ -270,5 +270,5 @@ def gpbilq_solve(sys: PartitionedSystem, tol: float = 1e-8,
     startup step whose minimum-norm iterate is zero.  The record starts with
     a k=0 row holding the initial residual norm.
     """
-    return _solve(sys, BiLQState(sys, monitor), tol, maxit, explicit_residual)
+    return _solve(sys, lambda: BiLQState(sys, monitor), tol, maxit, explicit_residual)
 

@@ -107,5 +107,5 @@ def gpqmr_solve(sys: PartitionedSystem, tol: float = 1e-8,
     evaluates and stops on true residuals instead (two extra operator
     applications per step), mirroring comparison-grade runs.
     """
-    return _solve(sys, QMRState(sys), tol, maxit, explicit_residual)
+    return _solve(sys, lambda: QMRState(sys), tol, maxit, explicit_residual)
 

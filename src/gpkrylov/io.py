@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
-from scipy.io import mminfo, mmread, mmwrite
+from scipy.io import mminfo, mmread
 
 from .convergence import ConvergenceRecord
 from .linop import Operator, PartitionedSystem
@@ -21,7 +21,6 @@ from .linop import Operator, PartitionedSystem
 __all__ = [
     "MatrixMarketError",
     "read_matrix_market",
-    "write_matrix_market",
     "EXPERIMENTS",
     "ExperimentSpec",
     "build_system",
@@ -58,12 +57,6 @@ def read_matrix_market(path) -> sparse.csr_matrix:
         raise MatrixMarketError(f"{path}: expected {entries} {fmt} entries, none out "
                                 f"of bounds for {rows}x{cols} ({exc})") from exc
     return sparse.csr_matrix(mat, dtype=np.float64)
-
-
-def write_matrix_market(mat, path) -> None:
-    """Write a matrix in real general coordinate format."""
-    with open(path, "wb") as fh:
-        mmwrite(fh, sparse.coo_matrix(mat), field="real", symmetry="general")
 
 
 # -- benchmark systems -------------------------------------------------------

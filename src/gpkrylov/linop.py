@@ -90,7 +90,7 @@ def _as_nonzero_vector(vec, length, name):
     arr = np.ascontiguousarray(vec, dtype=float)
     if arr.shape != (length,):
         raise ValueError(f"{name} must have length {length}, got shape {arr.shape}")
-    if not np.any(arr):
+    if not arr.any():
         raise ValueError(f"{name} must be nonzero")
     return arr
 

@@ -1,6 +1,7 @@
-"""Helpers the tier-1 modules import: the seeded system builder, a reader
-for the CSVs the package writes, and the acceptance log that
-``conftest.py`` prints at the end of a run.
+"""Helpers the tier-1 modules import: the seeded system builder, a
+Matrix Market writer for fixtures, a reader for the CSVs the package
+writes, and the acceptance log that ``conftest.py`` prints at the end of a
+run.
 
 A module of its own, with a name no other test directory uses, so that
 collecting ``tests`` and ``perfbench/tests`` together resolves it here
@@ -9,6 +10,9 @@ collecting ``tests`` and ``perfbench/tests`` together resolves it here
 
 import csv
 
+from scipy import sparse
+from scipy.io import mmwrite
+
 from gpkrylov.verify import random_system as make_system
 
 ACCEPTANCE_RESULTS = []
@@ -16,6 +20,12 @@ ACCEPTANCE_RESULTS = []
 
 def record_acceptance(criterion: str, passed: bool, detail: str = ""):
     ACCEPTANCE_RESULTS.append((criterion, passed, detail))
+
+
+def write_matrix_market(mat, path):
+    """Write a dense or sparse matrix in real general coordinate format."""
+    with open(path, "wb") as fh:
+        mmwrite(fh, sparse.coo_matrix(mat), field="real", symmetry="general")
 
 
 def read_csv(path):

@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 import gpkrylov
-from gpkrylov import (build_system, cli, gpbilq_solve, read_matrix_market,
-                      write_matrix_market)
+from gpkrylov import build_system, cli, gpbilq_solve, read_matrix_market
 from gpkrylov.cli import main
 from gpkrylov.verify import CheckResult, to_dense
 
-from gpk_support import make_system, read_csv
+from gpk_support import make_system, read_csv, write_matrix_market
 
 
 @pytest.fixture

@@ -37,6 +37,24 @@ def test_negative_maxit_is_rejected(method):
 
 
 @pytest.mark.parametrize("method", SOLVERS)
+@pytest.mark.parametrize("maxit", [2.5, 3.0])
+def test_non_integer_maxit_is_rejected(method, maxit):
+    with pytest.raises(ValueError, match=f"maxit must be an integer, got {maxit}"):
+        SOLVERS[method](desk_system(), tol=1e-10, maxit=maxit)
+
+
+def test_non_integer_restart_is_rejected():
+    with pytest.raises(ValueError, match="restart must be an integer, got 2.5"):
+        gpmr_solve(desk_system(), tol=1e-10, maxit=5, restart=2.5)
+
+
+@pytest.mark.parametrize("method", SOLVERS)
+def test_numpy_integer_maxit_is_valid(method):
+    res = SOLVERS[method](desk_system(), tol=1e-30, maxit=np.int64(3))
+    assert res.reason == "maxit" and res.iterations == 3
+
+
+@pytest.mark.parametrize("method", SOLVERS)
 @pytest.mark.parametrize("tol", [-1e-10, np.nan])
 def test_negative_or_nan_tol_is_rejected(method, tol):
     with pytest.raises(ValueError, match="tol must be >= 0"):

@@ -3,15 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gpkrylov import (ConvergenceRecord, apply_partitioned, build_experiment,
-                      build_system, read_matrix_market, write_convergence_csv,
-                      write_matrix_market)
+                      build_system, read_matrix_market, write_convergence_csv)
 from gpkrylov.io import EXPERIMENTS, MatrixMarketError
 from gpkrylov.verify import to_dense
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpk_support import read_csv
+from gpk_support import read_csv, write_matrix_market
 
 
 def write(tmp_path, text, name="m.mtx"):

@@ -138,6 +138,29 @@ def test_system_validation():
             PartitionedSystem(1.0, 1.0, A, B, **vecs)
 
 
+def _system_with(name, entries):
+    """A 3x2 system whose vector ``name`` (b, c, f or g) is ``entries`` in
+    its last slots and zero elsewhere; the other three are ones."""
+    vecs = dict(b=np.ones(3), c=np.ones(2), f=np.ones(3), g=np.ones(2))
+    vecs[name] = np.r_[np.zeros(len(vecs[name]) - len(entries)), entries]
+    return PartitionedSystem(1.0, 1.0, Operator.from_matrix(np.ones((3, 2))),
+                             Operator.from_matrix(np.ones((2, 3))), **vecs)
+
+
+@pytest.mark.parametrize("name", "bcfg")
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative_zero"])
+def test_all_zero_vector_is_rejected(name, zero):
+    with pytest.raises(ValueError, match=f"^{name} must be nonzero$"):
+        _system_with(name, [zero, zero])
+
+
+@pytest.mark.parametrize("name", "bcfg")
+@pytest.mark.parametrize("entry", [np.nan, 1e-300], ids=["nan", "tiny"])
+def test_one_nonzero_entry_is_accepted(name, entry):
+    vec = getattr(_system_with(name, [entry]), name)
+    assert_allclose(vec, [0.0] * (len(vec) - 1) + [entry], rtol=0, atol=0)
+
+
 @pytest.mark.parametrize("to_matrix", [np.asarray, sparse.csr_matrix],
                          ids=["dense", "sparse"])
 def test_from_matrix_rejects_complex(to_matrix):

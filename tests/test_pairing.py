@@ -16,7 +16,8 @@ from gpkrylov.rotations import BandWindow, SingularWindowError
 from gpkrylov.verify import live_directions
 
 from gpk_support import make_system
-from test_strips import desk_family, relative_gap
+from test_strips import (assert_within_rounding, desk_family, perturbed,
+                         relative_gap)
 
 STATES = {"gpbilq": (BiLQState, ("l",)), "gpbicg": (BiLQState, ("c",)),
           "gpqmr": (QMRState, ())}
@@ -53,21 +54,31 @@ def run(method, sys_, tol, maxit, flush_at=(), explicit=False):
         held.append((st.k, st.held))
         return iterate()
     st.iterate = exit_iterate
-    res = _solve(sys_, st, tol, maxit, explicit)
+    res = _solve(sys_, lambda: st, tol, maxit, explicit)
     return res, held[0] if held else None
 
 
-def assert_grouped_matches_flushed(method, sys_, tol, maxit, flush_at=()):
-    """Returns (k, held steps) at the grouped run's exit read."""
+def assert_grouped_matches_flushed(method, sys_, tol, maxit, flush_at=(),
+                                   rounding=False):
+    """Returns (k, held steps) at the grouped run's exit read.  With
+    ``rounding`` the iterates are held to ``check_strips``' rule in place
+    of GAP: within 1e-13 or 100 times the flushed run's move under two
+    rounding-level perturbations of b and c."""
     (grouped, held), (flushed, _) = (run(method, sys_, tol, maxit, flush_at),
                                      run(method, sys_, tol, maxit, None))
     assert (grouped.iterations, grouped.reason) == (flushed.iterations, flushed.reason)
     assert_array_equal(grouped.record.est_residuals(), flushed.record.est_residuals())
-    for name in ("x", "y", "x_l", "y_l", "x_c", "y_c"):
-        a, b = getattr(flushed, name), getattr(grouped, name)
-        assert (a is None) == (b is None), name
-        if a is not None:
-            assert relative_gap(a, b) <= GAP, name
+    names = ("x", "y", "x_l", "y_l", "x_c", "y_c")
+    if rounding:
+        moved = [run(method, perturbed(sys_, seed), tol, maxit, None)[0]
+                 for seed in (1, 2)]
+        assert_within_rounding(flushed, grouped, moved, names)
+    else:
+        for name in names:
+            a, b = getattr(flushed, name), getattr(grouped, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert relative_gap(a, b) <= GAP, name
     assert grouped.residual == pytest.approx(flushed.residual, rel=1e-9,
                                              abs=1e-12 * sys_.rhs_norm)
     return held
@@ -222,6 +233,20 @@ def test_grouped_iterates_stay_within_the_gap_over_seeds(method):
             sys_ = desk_family(m, n, seed)
             assert_grouped_matches_flushed(method, sys_, 1e-6 * sys_.rhs_norm, None)
             assert_grouped_matches_flushed(method, sys_, 0.0, 12)
+
+
+# Seeds where GAP does not hold (1.2e-12 on gpqmr 200 x 150 seed 317, whose
+# run moves 7.8e-10 under a rounding-level change of b and c; 1.0e-12 on
+# gpqmr 61 x 45 seed 315, which moves 4.3e-12): the gap follows each run's
+# own rounding move.
+@pytest.mark.parametrize("method", STATES)
+def test_grouped_iterates_stay_within_rounding_over_seeds(method):
+    for seed in range(300, 320):
+        for m, n in ((200, 150), (61, 45), (45, 61)):
+            sys_ = desk_family(m, n, seed)
+            assert_grouped_matches_flushed(method, sys_, 1e-6 * sys_.rhs_norm, None,
+                                           rounding=True)
+            assert_grouped_matches_flushed(method, sys_, 0.0, 12, rounding=True)
 
 
 def recorded(method, sys_, flush_at):

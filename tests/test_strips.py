@@ -56,8 +56,15 @@ def check_strips(method, sys_, rows=7, **kw):
         mp.setattr(reduction, "STRIP_ROWS", rows)
         striped = SOLVERS[method](sys_, **kw)
     assert (striped.iterations, striped.reason) == (whole.iterations, whole.reason)
-    for name in FIELDS:
-        a, b = getattr(whole, name), getattr(striped, name)
+    assert_within_rounding(whole, striped, moved, FIELDS)
+
+
+def assert_within_rounding(whole, other, moved, names):
+    """Each iterate ``names`` of ``other`` within 1e-13 relative of
+    ``whole``'s or within 100 times the largest move of it in ``moved``,
+    the runs of rounding-level perturbations of ``whole``'s system."""
+    for name in names:
+        a, b = getattr(whole, name), getattr(other, name)
         assert (a is None) == (b is None), name
         if a is not None:
             noise = max(np.inf if getattr(r, name) is None
