@@ -84,15 +84,13 @@ EXPERIMENTS = {
 def build_system(A, B, lam, mu, f=None, g=None) -> PartitionedSystem:
     """Partitioned system whose exact solution is the vector of ones.
 
-    The right-hand sides are b = lam*1 + A 1 and c = B 1 + mu*1; f and g
-    default to b and c.
+    The right-hand sides are b = A 1 + lam and c = B 1 + mu, each block
+    applied to the ones of its own width; f and g default to b and c.
     """
     opA = A if isinstance(A, Operator) else Operator.from_matrix(A)
     opB = B if isinstance(B, Operator) else Operator.from_matrix(B)
-    ones_m = np.ones(opA.nrows)
-    ones_n = np.ones(opA.ncols)
-    b = lam * ones_m + opA.apply(ones_n)
-    c = opB.apply(ones_m) + mu * ones_n
+    b = opA.apply(np.ones(opA.ncols)) + lam
+    c = opB.apply(np.ones(opB.ncols)) + mu
     return PartitionedSystem(lam, mu, opA, opB, b, c, f, g)
 
 
@@ -116,9 +114,6 @@ def build_experiment(name: str, matrix_dir) -> PartitionedSystem:
     if spec.transpose_a:
         A = A.T.tocsr()
     B = A.T.tocsr() if spec.b_file is None else read(spec.b_file)
-    if B.shape != (A.shape[1], A.shape[0]):
-        raise ValueError(f"experiment '{name}': incompatible shapes "
-                         f"A {A.shape} vs B {B.shape}")
     return build_system(A, B, spec.lam, spec.mu)
 
 

@@ -140,15 +140,13 @@ class PartitionedSystem:
 
 
 def apply_partitioned(sys: PartitionedSystem, x, y):
-    """Return (lam*x + A y, B x + mu*y)."""
+    """Return (lam*x + A y, B x + mu*y).  B x and A y come first, so the
+    operators reject an x or y of the wrong length."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != (sys.m,) or y.shape != (sys.n,):
-        raise ValueError(f"expected x of length {sys.m} and y of length {sys.n}, "
-                         f"got {x.shape} and {y.shape}")
+    bot = sys.B.apply(x)
     top = sys.A.apply(y)
     top += sys.lam * x
-    bot = sys.B.apply(x)
     bot += sys.mu * y
     return top, bot
 

@@ -379,6 +379,20 @@ def test_restarted_residual_is_the_true_residual(restart, maxit):
     assert res.residual == pytest.approx(residual_norm(sys_, res.x, res.y), rel=1e-10)
 
 
+def test_restart_stops_cleanly_on_an_exactly_zero_residual_block():
+    # A = 0 and lam = 1 make x = b = e_1 exact after a few cycles; the
+    # b-block of the next restart is then exactly zero and the run stops
+    rng = np.random.default_rng(0)
+    B = rng.standard_normal((2, 3))
+    sys_ = PartitionedSystem(1.0, 1.0, Operator.from_matrix(np.zeros((3, 2))),
+                             Operator.from_matrix(B), np.eye(3)[0],
+                             rng.standard_normal(2))
+    res = gpmr_solve(sys_, tol=0.0, maxit=20, restart=1)
+    assert (res.reason, res.iterations) == ("breakdown", 6)
+    assert np.array_equal(res.x, np.eye(3)[0])
+    assert res.residual == residual_norm(sys_, res.x, res.y) <= 1e-15
+
+
 SCALAR_PAIRS = [(1.0, -0.5), (0.0, 0.0), (1.0, 0.0), (0.0, -1.0), (2.0, 1.0)]
 
 

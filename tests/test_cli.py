@@ -75,11 +75,11 @@ def test_missing_matrix_args_exit_one(matrices, capsys):
 def test_incompatible_shapes_exit_one(tmp_path, capsys):
     write_matrix_market(np.ones((6, 4)), tmp_path / "A.mtx")
     write_matrix_market(np.ones((5, 6)), tmp_path / "B.mtx")
-    with pytest.raises(SystemExit) as exc:
-        run("solve", "--method", "gpqmr", "--a", str(tmp_path / "A.mtx"),
-            "--b", str(tmp_path / "B.mtx"))
-    assert exc.value.code == 1
-    assert "incompatible shapes: A (6, 4), B (5, 6)" in capsys.readouterr().err
+    for rhs in ("ones", "random"):
+        assert run("solve", "--method", "gpqmr", "--a", str(tmp_path / "A.mtx"),
+                   "--b", str(tmp_path / "B.mtx"), "--rhs", rhs) == 1
+        assert ("B must be 4x6 to pair with A 6x4, got (5, 6)"
+                in capsys.readouterr().err)
 
 
 def test_start_vector_files_are_read(matrices, capsys):
@@ -101,11 +101,10 @@ def test_start_vector_files_are_read(matrices, capsys):
 @pytest.mark.parametrize("flag", ["--f-file", "--g-file"])
 def test_start_vector_of_wrong_length_exits_one(matrices, capsys, flag):
     write_matrix_market(np.ones((5, 1)), matrices / "v.mtx")
-    with pytest.raises(SystemExit) as exc:
-        run("solve", "--method", "gpbilq", "--a", str(matrices / "A.mtx"),
-            "--b", str(matrices / "B.mtx"), flag, str(matrices / "v.mtx"))
-    assert exc.value.code == 1
-    assert "must have 6 entries, got 5" in capsys.readouterr().err
+    assert run("solve", "--method", "gpbilq", "--a", str(matrices / "A.mtx"),
+               "--b", str(matrices / "B.mtx"), flag, str(matrices / "v.mtx")) == 1
+    assert (f"{flag[2]} must have length 6, got shape (5,)"
+            in capsys.readouterr().err)
 
 
 def test_breakdown_exits_three(tmp_path):
@@ -231,17 +230,31 @@ def test_check_failure_exits_four(monkeypatch, capsys):
     assert "0/1 checks passed" in out
 
 
-def test_check_oversize_exits_one():
-    with pytest.raises(SystemExit) as exc:
-        run("check", "--size", "5000")
-    assert exc.value.code == 1
+def test_check_oversize_exits_one(capsys):
+    assert run("check", "--size", "5000") == 1
+    assert "size 5000 exceeds" in capsys.readouterr().err
 
 
 def test_check_size_one_exits_one(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run("check", "--size", "1")
-    assert exc.value.code == 1
+    assert run("check", "--size", "1") == 1
     assert "size 1" in capsys.readouterr().err
+
+
+def test_module_entry_point_exits_one_on_bad_input(tmp_path):
+    # ``python -m gpkrylov.cli``: main's return code becomes the exit status
+    write_matrix_market(np.ones((6, 4)), tmp_path / "A.mtx")
+    write_matrix_market(np.ones((5, 6)), tmp_path / "B.mtx")
+    src = os.path.dirname(os.path.dirname(gpkrylov.__file__))
+    for argv, message in (
+            (("check", "--size", "1"), "gpkrylov: error: size 1"),
+            (("solve", "--method", "gpqmr", "--a", str(tmp_path / "A.mtx"),
+              "--b", str(tmp_path / "B.mtx")),
+             "B must be 4x6 to pair with A 6x4, got (5, 6)")):
+        out = subprocess.run([sys.executable, "-m", "gpkrylov.cli", *argv],
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 1, out.stderr
+        assert message in out.stderr
 
 
 def test_experiment_missing_files_exit_one(tmp_path, capsys):
@@ -283,7 +296,7 @@ def test_readme_command_examples_parse():
 
 
 def test_readme_library_example_runs():
-    # only that it runs: the example's solve ends in breakdown (ROADMAP item 5)
+    # only that it runs: the example's solve ends in breakdown (ROADMAP item 6)
     src = os.path.dirname(os.path.dirname(gpkrylov.__file__))
     out = subprocess.run([sys.executable, "-c", _readme_block("Library use", "python")],
                          capture_output=True, text=True,

@@ -216,8 +216,8 @@ def test_build_experiment_missing_file(tmp_path, present, missing):
 def test_build_experiment_incompatible_shapes(tmp_path):
     write_matrix_market(np.ones((7, 4)), tmp_path / "well1033.mtx")
     write_matrix_market(np.ones((5, 5)), tmp_path / "illc1033.mtx")
-    with pytest.raises(ValueError, match=r"experiment 'well1033': incompatible "
-                       r"shapes A \(4, 7\) vs B \(5, 5\)"):
+    with pytest.raises(ValueError, match=r"B must be 7x4 to pair with A 4x7, "
+                       r"got \(5, 5\)"):
         build_experiment("well1033", tmp_path)
 
 

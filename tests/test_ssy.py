@@ -10,13 +10,30 @@ W(k)^T r_k = 0.  W(k) stays orthonormal to 3e-14 over the first
 loses orthogonality (3e-7 at k = 24), and the iterate and Galerkin checks
 are held to the early steps, while the residual check runs to
 k = min(m, n) - 1.
+
+At grid scale gpmr is the oracle, with no densification: GPMR with
+B = +-A^T, f = b and g = c minimizes the residual over the same subspace,
+its bases V(k), U(k) spanning W(k), and keeps them orthonormal to working
+precision.  On the benchmark's grid family (N = 20 and 60) gpqmr's iterate
+is gpmr's to 3e-16-4e-14 relative up to k = 200, and gpbicg's residual is
+orthogonal to V(k), U(k) to 4e-15-1.3e-11 relative to ||[b; c]||.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gpkrylov import BiLQState, Operator, PartitionedSystem, QMRState
+from gpkrylov import (BiLQState, Operator, PartitionedSystem, QMRState,
+                      apply_partitioned)
+from gpkrylov.baselines import GPMRState
 from gpkrylov.verify import assemble_dense, random_system, stepped, to_dense
+
+ROOT = str(Path(__file__).resolve().parents[1])
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
+from perfbench import gen  # noqa: E402
 
 SHAPES = [(30, 20, 5), (25, 25, 9), (20, 35, 11)]
 SCALARS = [(1.0, -0.5), (0.0, -1.0), (2.0, 1.0)]
@@ -69,3 +86,65 @@ def test_gpbicg_meets_the_galerkin_condition_over_the_ssy_basis(sign, shape, sca
         r = rhs - K @ np.concatenate(st.transfer_iterate())
         assert np.linalg.norm(hist.W(st.k).T @ r) <= 1e-10 * np.linalg.norm(rhs), st.k
     assert defined == ORTHONORMAL_STEPS
+
+
+# -- gpmr as the oracle on the grid family -----------------------------------
+
+GRID_CASES = [pytest.param(N, ks, sign, id=f"N{N}-{'+' if sign > 0 else '-'}AT")
+              for N, ks in ((20, (10, 40, 100)), (60, (50, 200))) for sign in (1, -1)]
+
+
+def grid_system(N, sign, E=None):
+    """The grid workloads' system at size N with B = sign * A^T (+ E), b and
+    c from ``gen.grid_rhs(N, 0, 0)``, f = b and g = c."""
+    A = gen.grid_gradient(N)
+    B = sign * A.T.tocsr()
+    return PartitionedSystem(1.0, -1e-2, Operator.from_matrix(A),
+                             Operator.from_matrix(B if E is None else B + E),
+                             *gen.grid_rhs(N, 0, 0))
+
+
+def alongside_gpmr(state, sys_, ks):
+    """Yield (k, state, gpmr's state) at each k in ``ks``, both advanced k
+    steps."""
+    ref = GPMRState(sys_, maxit=ks[-1])
+    for k in range(1, ks[-1] + 1):
+        state.advance()
+        ref.advance()
+        if k in ks:
+            yield k, state, ref
+
+
+def gpqmr_gaps(sys_, ks):
+    """Relative gap between gpqmr's and gpmr's iterates at each k in ``ks``."""
+    for _, st, ref in alongside_gpmr(QMRState(sys_), sys_, ks):
+        best = np.concatenate(ref.iterate())
+        yield np.linalg.norm(np.concatenate(st.iterate()) - best) / np.linalg.norm(best)
+
+
+@pytest.mark.parametrize("N, ks, sign", GRID_CASES)
+def test_gpqmr_iterate_is_gpmrs_on_the_grid_family(N, ks, sign):
+    gaps = list(gpqmr_gaps(grid_system(N, sign), ks))
+    assert max(gaps) <= 1e-12, gaps
+
+
+@pytest.mark.parametrize("N, ks, sign", GRID_CASES)
+def test_gpbicg_meets_the_galerkin_condition_over_gpmrs_bases(N, ks, sign):
+    sys_ = grid_system(N, sign)
+    for k, st, ref in alongside_gpmr(BiLQState(sys_, "c"), sys_, ks):
+        assert st.attempt_transfer(), k
+        top, bot = apply_partitioned(sys_, *st.transfer_iterate())
+        galerkin = np.hypot(np.linalg.norm(ref.proc.V(k).T @ (sys_.b - top)),
+                            np.linalg.norm(ref.proc.U(k).T @ (sys_.c - bot)))
+        assert galerkin <= 1e-10 * sys_.rhs_norm, k
+
+
+def test_a_planted_perturbation_fails_the_gpqmr_check():
+    # B = -A^T + E, E on A^T's pattern with ||E||_F = 1e-6 ||A||_F: the
+    # subspaces part, and gpqmr's iterate leaves gpmr's at every k
+    At = gen.grid_gradient(20).T.tocsr()
+    e = np.random.default_rng(0).standard_normal(At.nnz)
+    E = At.copy()
+    E.data = e * (1e-6 * np.linalg.norm(At.data) / np.linalg.norm(e))
+    gaps = list(gpqmr_gaps(grid_system(20, -1, E), (10, 40, 100)))
+    assert min(gaps) > 1e-12, gaps
