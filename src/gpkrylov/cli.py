@@ -1,13 +1,16 @@
-"""Command-line driver: solve, compare, and check subcommands.
+"""Command-line driver: ``solve`` runs one or more methods on one system,
+``check`` runs the invariant suite.
 
 The CLI is a thin shell over the library API.  Systems are built either
 from Matrix Market files (with the right-hand side constructed so the exact
 solution is the vector of ones, or drawn at random) or from one of the named
-benchmark recipes.
+benchmark recipes.  ``solve --output-dir DIR`` writes each method's
+convergence CSV and ``compare.csv``, every method's estimates against k.
 
 Exit codes: 0 tolerance reached (``check``: every check passed), 1 usage
-error, 2 iteration limit, 3 breakdown, 4 non-finite residual (``check``: a
-check failed).
+error or unwritable output, 2 iteration limit, 3 breakdown, 4 non-finite
+residual (``check``: a check failed); ``solve`` exits with the largest of
+its methods' codes.
 """
 
 from __future__ import annotations
@@ -119,35 +122,21 @@ def _summarize(method, result):
 
 
 def cmd_solve(args, parser) -> int:
+    if len(set(args.method)) < len(args.method):
+        parser.error(f"--method names a method more than once: {' '.join(args.method)}")
     sys_ = _build_from_args(args, parser)
-    result = _run_method(args.method, sys_, args)
-    if args.output:
-        write_convergence_csv(result.record, args.output)
-        print(f"wrote {args.output}")
-    _summarize(args.method, result)
-    return _EXIT_FOR_REASON[result.reason]
-
-
-def cmd_compare(args, parser) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in METHODS:
-            parser.error(f"unknown method '{m}' (choose from {', '.join(METHODS)})")
-    if len(set(methods)) < len(methods):
-        parser.error(f"--methods names a method more than once: {args.methods}")
-    if not methods:
-        parser.error("--methods must name at least one method")
-    sys_ = _build_from_args(args, parser)
-    os.makedirs(args.output_dir, exist_ok=True)
+    if args.output_dir:
+        os.makedirs(args.output_dir, exist_ok=True)
     results = {}
-    for m in methods:
+    for m in args.method:
         results[m] = _run_method(m, sys_, args)
-        path = os.path.join(args.output_dir, f"{m}.csv")
-        write_convergence_csv(results[m].record, path)
+        if args.output_dir:
+            write_convergence_csv(results[m].record, os.path.join(args.output_dir, f"{m}.csv"))
         _summarize(m, results[m])
-    merged = os.path.join(args.output_dir, "compare.csv")
-    _write_merged_csv(results, methods, merged)
-    print(f"wrote {merged}")
+    if args.output_dir:
+        merged = os.path.join(args.output_dir, "compare.csv")
+        _write_merged_csv(results, args.method, merged)
+        print(f"wrote {merged}")
     return max(_EXIT_FOR_REASON[r.reason] for r in results.values())
 
 
@@ -174,27 +163,20 @@ def cmd_check(args, parser) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="gpkrylov",
+    parser = _Parser(prog="gpkrylov", allow_abbrev=False,
                      description="Krylov solvers for 2x2 block partitioned systems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("solve", parents=[], help="run one method on one system")
-    ps.add_argument("--method", choices=METHODS, required=True)
+    ps = sub.add_parser("solve", allow_abbrev=False,
+                        help="run one or more methods on the same system")
+    ps.add_argument("--method", nargs="+", choices=METHODS, required=True)
     _add_system_args(ps)
     _add_solver_args(ps)
-    ps.add_argument("--output", metavar="OUT.csv", help="convergence CSV path")
+    ps.add_argument("--output-dir", metavar="DIR",
+                    help="directory for per-method CSVs and the merged compare.csv")
     ps.set_defaults(run=cmd_solve)
 
-    pc = sub.add_parser("compare", help="run several methods on the same system")
-    pc.add_argument("--methods", required=True,
-                    help="comma-separated list, e.g. gpbilq,gpqmr,gpmr")
-    _add_system_args(pc)
-    _add_solver_args(pc)
-    pc.add_argument("--output-dir", default="compare-out",
-                    help="directory for per-method and merged CSVs")
-    pc.set_defaults(run=cmd_compare)
-
-    pk = sub.add_parser("check", help="run the invariant suite")
+    pk = sub.add_parser("check", allow_abbrev=False, help="run the invariant suite")
     pk.add_argument("--size", type=int, default=12)
     pk.add_argument("--seed", type=int, default=7)
     pk.set_defaults(run=cmd_check)
@@ -206,7 +188,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args, parser)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"gpkrylov: error: {exc}", file=sys.stderr)
         return 1
 

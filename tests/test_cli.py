@@ -29,15 +29,18 @@ def run(*argv):
 
 
 def test_solve_writes_csv_and_exits_zero(matrices, capsys):
-    out = matrices / "run.csv"
+    out = matrices / "run"
     code = run("solve", "--method", "gpqmr",
                "--a", str(matrices / "A.mtx"), "--b", str(matrices / "B.mtx"),
                "--lambda", "1", "--mu", "-0.1", "--tol", "1e-8",
-               "--maxit", "100", "--output", str(out))
+               "--maxit", "100", "--output-dir", str(out))
     assert code == 0
-    rows, reason = read_csv(out)
+    rows, reason = read_csv(out / "gpqmr.csv")
     assert reason == "converged"
     assert float(rows[-1]["est_residual"]) <= 1e-8
+    merged, _ = read_csv(out / "compare.csv")
+    assert [row["gpqmr"] for row in merged] == [row["est_residual"] for row in rows]
+    assert sorted(os.listdir(out)) == ["compare.csv", "gpqmr.csv"]
     assert "gpqmr: converged" in capsys.readouterr().out
 
 
@@ -140,9 +143,10 @@ def test_nonfinite_exits_four(tmp_path):
 
 def test_svg_option_is_a_usage_error(matrices, capsys):
     # the convergence CSVs are the files to plot; there is no built-in plotter
-    for command in (["solve", "--method", "gpmr"], ["compare", "--methods", "gpmr"]):
+    for methods in (["gpmr"], ["gpqmr", "gpmr"]):
         with pytest.raises(SystemExit) as exc:
-            run(*command, "--a", str(matrices / "A.mtx"), "--b", str(matrices / "B.mtx"),
+            run("solve", "--method", *methods,
+                "--a", str(matrices / "A.mtx"), "--b", str(matrices / "B.mtx"),
                 "--svg", str(matrices / "run.svg"))
         assert exc.value.code == 1
         assert "unrecognized arguments: --svg" in capsys.readouterr().err
@@ -154,7 +158,7 @@ def test_compare_writes_all_outputs(matrices, capsys):
     # k = 6, so compare.csv has ragged ends
     outdir = matrices / "cmp"
     methods = ["gpbilq", "gpmr_restarted", "gpqmr", "gpmr"]
-    code = run("compare", "--methods", ",".join(methods),
+    code = run("solve", "--method", *methods,
                "--a", str(matrices / "A.mtx"), "--b", str(matrices / "B.mtx"),
                "--lambda", "1", "--mu", "-0.5", "--tol", "1e-8",
                "--restart", "3", "--maxit", "10", "--output-dir", str(outdir))
@@ -178,7 +182,7 @@ def test_compare_one_by_one_converges_first_step(tmp_path):
     write_matrix_market(np.array([[2.0]]), tmp_path / "A.mtx")
     write_matrix_market(np.array([[3.0]]), tmp_path / "B.mtx")
     outdir = tmp_path / "cmp"
-    code = run("compare", "--methods", "gpbicg,gpqmr",
+    code = run("solve", "--method", "gpbicg", "gpqmr",
                "--a", str(tmp_path / "A.mtx"), "--b", str(tmp_path / "B.mtx"),
                "--lambda", "1", "--mu", "1", "--rhs", "random",
                "--tol", "1e-10", "--output-dir", str(outdir))
@@ -196,7 +200,7 @@ def test_compare_restarted_not_faster(tmp_path):
     for name in ("A", "B"):
         write_matrix_market(0.3 * rng.standard_normal((6, 6)), tmp_path / f"{name}.mtx")
     outdir = tmp_path / "cmp2"
-    code = run("compare", "--methods", "gpmr,gpmr_restarted",
+    code = run("solve", "--method", "gpmr", "gpmr_restarted",
                "--a", str(tmp_path / "A.mtx"), "--b", str(tmp_path / "B.mtx"),
                "--tol", "1e-8", "--restart", "3", "--maxit", "400",
                "--output-dir", str(outdir))
@@ -206,12 +210,66 @@ def test_compare_restarted_not_faster(tmp_path):
     assert int(part[-1]["k"]) > int(full[-1]["k"]) == 6
 
 
-@pytest.mark.parametrize("methods", ["gpqmr,bogus", "gpqmr,gpqmr", ","])
-def test_compare_malformed_methods_exit_one(matrices, methods):
+@pytest.mark.parametrize("methods, messages", [
+    pytest.param(["gpqmr", "bogus"], ["invalid choice", "bogus"], id="gpqmr,bogus"),
+    pytest.param(["gpqmr", "gpqmr"], ["names a method more than once"], id="gpqmr,gpqmr"),
+    pytest.param([], ["--method: expected at least one argument"], id=","),
+])
+def test_compare_malformed_methods_exit_one(matrices, capsys, methods, messages):
+    # an unknown, a repeated and an empty method list are rejected before
+    # any solve, so the output directory is never made
+    outdir = matrices / "cmp"
     with pytest.raises(SystemExit) as exc:
-        run("compare", "--methods", methods,
-            "--a", str(matrices / "A.mtx"), "--b", str(matrices / "B.mtx"))
+        run("solve", "--method", *methods,
+            "--a", str(matrices / "A.mtx"), "--b", str(matrices / "B.mtx"),
+            "--output-dir", str(outdir))
     assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert all(message in err for message in messages), err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--method", "gpqmr", "--output", "x.csv"],
+    ["solve", "--method", "gpqmr", "--output-d", "x"],
+    ["compare", "--methods", "gpqmr"],
+])
+def test_removed_options_and_commands_exit_one_and_write_nothing(
+        matrices, monkeypatch, capsys, argv):
+    # options are not abbreviated: --output would otherwise match --output-dir
+    # and make a directory named x.csv; compare's default directory is gone
+    monkeypatch.chdir(matrices)
+    before = sorted(os.listdir(matrices))
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--a", "A.mtx", "--b", "B.mtx")
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "invalid choice: 'compare'" in err, err
+    assert sorted(os.listdir(matrices)) == before
+
+
+def test_solve_without_output_dir_writes_nothing(matrices, monkeypatch, capsys):
+    monkeypatch.chdir(matrices)
+    before = sorted(os.listdir(matrices))
+    assert run("solve", "--method", "gpqmr", "gpmr", "--a", "A.mtx", "--b", "B.mtx",
+               "--mu", "-0.5") == 0
+    assert sorted(os.listdir(matrices)) == before
+    assert "wrote" not in capsys.readouterr().out
+
+
+def test_unwritable_output_dir_exits_one_without_traceback(matrices):
+    # an OSError other than FileNotFoundError (here FileExistsError from a
+    # file where the directory should go) is a usage error, not a crash
+    src = os.path.dirname(os.path.dirname(gpkrylov.__file__))
+    out = subprocess.run([sys.executable, "-m", "gpkrylov.cli", "solve",
+                          "--method", "gpqmr", "--a", str(matrices / "A.mtx"),
+                          "--b", str(matrices / "B.mtx"),
+                          "--output-dir", str(matrices / "A.mtx")],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 1, out.stderr
+    assert "gpkrylov: error:" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_check_passes(capsys):
@@ -290,7 +348,7 @@ def _readme_commands():
 
 def test_readme_command_examples_parse():
     commands = _readme_commands()
-    assert {argv[0] for argv in commands} == {"solve", "compare", "check"}
+    assert {argv[0] for argv in commands} == {"solve", "check"}
     for argv in commands:
         cli.build_parser().parse_args(argv)
 

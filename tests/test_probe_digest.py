@@ -95,3 +95,20 @@ def test_strip_rows_runs_every_probe_at_that_strip_size(monkeypatch, capsys):
     assert reduction.STRIP_ROWS == 2 ** 15
     with pytest.raises(SystemExit):
         probe_digest.main(["--strip-rows", "0"])
+
+
+def test_table_has_four_method_rows_and_pins_gpmrs(capsys):
+    # gpmr's runs move under rounding in 0 of 80 cases, so its row is pinned;
+    # the short recurrences' rows move under rounding (ROADMAP item 7)
+    assert probe_digest.main(["--table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    cells = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines]
+    assert len(lines) == 6 and cells[0][0] == "method" and set(cells[1]) == {"---"}
+    rows = {row[0]: row[1:] for row in cells[2:]}
+    assert list(rows) == probe_digest.TABLE_METHODS == ["gpbilq", "gpbicg", "gpqmr", "gpmr"]
+    for row in rows.values():
+        assert [cell.split("/")[1] for cell in row[:4]] == ["30", "10", "30", "10"]
+        assert all(re.fullmatch(r"\d+; \d+", cell) for cell in row[4:]), row
+    assert rows["gpmr"] == ["18/30", "10/10", "18/30", "10/10", "0; 0", "0; 0"]
+    with pytest.raises(SystemExit):
+        probe_digest.main(["--table", "--draws", "1"])

@@ -67,6 +67,16 @@ digest), a change that passes can still fall just outside.
 
 Without ``--draws`` the output is the plain digest, unchanged.
 
+``--table`` prints, in place of the digest, the truthfulness table of
+gpbilq, gpbicg, gpqmr and gpmr over their 80 probe-grid runs, judged by the
+true residual of the returned iterate (two operator applications per run):
+per method, the runs solved (true residual <= tol) for m != n and m = n,
+with general B and with B = A^T; the runs that end ``converged`` with a true
+residual above tol; and the runs whose reported residual is off the true
+one by more than 1e-6 relative (each general; A^T).  It takes about 2 s:
+
+    PYTHONPATH=src python tools/probe_digest.py --table
+
 No probe vector is longer than 200 rows, so at the default
 ``reduction.STRIP_ROWS`` every vector pass runs whole and the plain digest
 never reaches the row-strip code.  ``--strip-rows N`` runs every probe with
@@ -88,7 +98,8 @@ from pathlib import Path
 
 import numpy as np
 
-from gpkrylov import CONVERGED, Operator, PartitionedSystem, gpmr_solve, reduction
+from gpkrylov import (CONVERGED, Operator, PartitionedSystem, gpmr_solve, reduction,
+                      residual_norm)
 from gpkrylov.verify import random_system
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -103,6 +114,9 @@ GRID = WORKLOADS["grid-35k"]
 EPS = np.finfo(float).eps
 METHODS = {**SOLVERS, "gpmr9": lambda s, tol, maxit: gpmr_solve(s, tol=tol, maxit=maxit,
                                                                  restart=9)}
+TABLE_METHODS = ["gpbilq", "gpbicg", "gpqmr", "gpmr"]
+# the table's run kinds, (B = A^T, m = n), in its column order
+KINDS = [(False, False), (False, True), (True, False), (True, True)]
 
 
 def runs():
@@ -189,20 +203,61 @@ def spreads(classified):
     return out
 
 
+def truthfulness():
+    """{method: {(B = A^T, m = n): [runs, solved, false converged,
+    misreported]}} over the probe-grid runs of ``TABLE_METHODS``, each
+    judged by the true residual of its iterate."""
+    counts = {method: {kind: np.zeros(4, dtype=int) for kind in KINDS}
+              for method in TABLE_METHODS}
+    for name, method, s, tol, maxit in runs():
+        if not name.startswith("probe-") or method not in counts:
+            continue
+        res = METHODS[method](s, tol, maxit)
+        true = residual_norm(s, res.x, res.y)
+        counts[method][int(name.split("-")[1]) >= 2000, s.m == s.n] += (
+            True, true <= tol, res.reason == CONVERGED and true > tol,
+            abs(res.residual - true) > 1e-6 * true)
+    return counts
+
+
+def table_lines(counts):
+    """The truthfulness table in Markdown: a header, a rule, one row per
+    method."""
+    head = ["method", "m≠n solved, general B", "m=n solved, general B",
+            "m≠n solved, B = Aᵀ", "m=n solved, B = Aᵀ",
+            "`converged` with true > tol (general; Aᵀ)",
+            "reported residual off the true one by > 1e-6 rel (general; Aᵀ)"]
+    lines = ["| " + " | ".join(head) + " |", "|" + " --- |" * len(head)]
+    for method, by_kind in counts.items():
+        solved = [f"{by_kind[kind][1]}/{by_kind[kind][0]}" for kind in KINDS]
+        general, transposed = (by_kind[sym, False] + by_kind[sym, True]
+                               for sym in (False, True))
+        lines.append(f"| {method} | " + " | ".join(solved)
+                     + f" | {general[2]}; {transposed[2]} | {general[3]}; {transposed[3]} |")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--draws", type=int, default=0,
                     help="classify each run against this many perturbed draws")
     ap.add_argument("--strip-rows", type=int, default=None,
                     help="run every probe with reduction.STRIP_ROWS set to this")
+    ap.add_argument("--table", action="store_true",
+                    help="print the probe grid's truthfulness table instead of the digest")
     args = ap.parse_args(argv)
     if args.draws < 0:
         ap.error("--draws must be >= 0")
+    if args.table and args.draws:
+        ap.error("--table takes no --draws")
     if args.strip_rows is not None and args.strip_rows < 1:
         ap.error("--strip-rows must be >= 1")
     classified, saved = [], reduction.STRIP_ROWS
     reduction.STRIP_ROWS = args.strip_rows or saved
     try:
+        if args.table:
+            print("\n".join(table_lines(truthfulness())))
+            return 0
         for run in runs():
             name, method = run[:2]
             res, outcomes, cls = classify(run, args.draws)
