@@ -174,20 +174,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_args(ps)
     ps.add_argument("--output-dir", metavar="DIR",
                     help="directory for per-method CSVs and the merged compare.csv")
-    ps.set_defaults(run=cmd_solve)
+    ps.set_defaults(run=cmd_solve, parser=ps)
 
     pk = sub.add_parser("check", allow_abbrev=False, help="run the invariant suite")
     pk.add_argument("--size", type=int, default=12)
     pk.add_argument("--seed", type=int, default=7)
-    pk.set_defaults(run=cmd_check)
+    pk.set_defaults(run=cmd_check, parser=pk)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse hands a subcommand's unknown options back to the top parser;
+    # reporting them through the subcommand prints that command's usage
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
-        return args.run(args, parser)
+        return args.run(args, args.parser)
     except (ValueError, OSError) as exc:
         print(f"gpkrylov: error: {exc}", file=sys.stderr)
         return 1

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
-from scipy.io import mminfo, mmread
 
 from .convergence import ConvergenceRecord
 from .linop import Operator, PartitionedSystem
@@ -33,7 +31,7 @@ class MatrixMarketError(ValueError):
     """Malformed or unsupported Matrix Market content."""
 
 
-def read_matrix_market(path) -> sparse.csr_matrix:
+def read_matrix_market(path):
     """Parse a real coordinate or array Matrix Market file into float64 CSR.
 
     Symmetric and skew-symmetric files are mirrored to full storage;
@@ -42,6 +40,9 @@ def read_matrix_market(path) -> sparse.csr_matrix:
     header and size line and ``scipy.io.mmread`` the entries; a file that
     either refuses raises MatrixMarketError.
     """
+    from scipy import sparse
+    from scipy.io import mminfo, mmread
+
     try:
         rows, cols, entries, fmt, field, symmetry = mminfo(path)
     except ValueError as exc:

@@ -12,11 +12,11 @@ transposes, so they are wrapped as callback operators.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 __all__ = ["Operator", "PartitionedSystem", "apply_partitioned", "residual_norm"]
 
@@ -54,7 +54,10 @@ class Operator:
         its real part."""
         if np.iscomplexobj(mat):
             raise ValueError("matrix must be real, got complex input")
-        if sparse.issparse(mat):
+        # A scipy sparse matrix cannot exist before scipy.sparse is loaded, so
+        # while it is not, the input is not sparse and scipy stays unimported.
+        sparse = sys.modules.get("scipy.sparse")
+        if sparse is not None and sparse.issparse(mat):
             mat = mat.tocsr().astype(float, copy=False)
         else:
             mat = np.asarray(mat, dtype=float)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .gpbilq import BiLQState
 from .gpqmr import QMRState
@@ -214,6 +213,7 @@ def random_system(m, n, seed, lam=1.0, mu=-0.5, symmetric=False,
     A = rng.standard_normal((m, n))
     B = A.T.copy() if symmetric else rng.standard_normal((n, m))
     if sparse_ops:
+        from scipy import sparse
         A, B = sparse.csr_matrix(A), sparse.csr_matrix(B)
     b = rng.standard_normal(m)
     c = rng.standard_normal(n)

@@ -248,6 +248,20 @@ def test_removed_options_and_commands_exit_one_and_write_nothing(
     assert sorted(os.listdir(matrices)) == before
 
 
+@pytest.mark.parametrize("argv, unknown", [
+    (["solve", "--method", "gpqmr", "--a", "x.mtx", "--output", "run.csv"],
+     "--output run.csv"),
+    (["check", "--bogus"], "--bogus"),
+])
+def test_unknown_option_prints_the_subcommands_usage(capsys, argv, unknown):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: gpkrylov {argv[0]} "), err
+    assert f"gpkrylov {argv[0]}: error: unrecognized arguments: {unknown}" in err, err
+
+
 def test_solve_without_output_dir_writes_nothing(matrices, monkeypatch, capsys):
     monkeypatch.chdir(matrices)
     before = sorted(os.listdir(matrices))
@@ -331,6 +345,53 @@ def test_import_leaves_scipy_linalg_unloaded():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+_MATRIX_FREE_RUN = """
+import sys
+import numpy as np
+import gpkrylov, gpkrylov.cli
+from gpkrylov import Operator, PartitionedSystem, gpbilq_solve, gpmr_solve, gpqmr_solve
+from gpkrylov.verify import random_system
+
+M = np.random.default_rng(3).standard_normal((7, 5))
+callback = PartitionedSystem(1.0, -0.5, Operator(7, 5, M.__matmul__, M.T.__matmul__),
+                             Operator(5, 7, M.T.__matmul__, M.__matmul__),
+                             np.ones(7), np.ones(5))
+for system in (random_system(7, 5, seed=2), callback):
+    gpbilq_solve(system, monitor="l")
+    gpbilq_solve(system, monitor="c")
+    gpqmr_solve(system)
+    gpmr_solve(system)
+    gpmr_solve(system, restart=3)
+gpkrylov.cli.main(["check"])
+print("scipy modules:", sorted(m for m in sys.modules if m.startswith("scipy")))
+
+mat = gpkrylov.read_matrix_market(sys.argv[1])
+assert mat.format == "csr" and mat.dtype == np.float64, (mat.format, mat.dtype)
+op = Operator.from_matrix(mat)
+view = op._apply_t.__self__  # the bound dot of the transposed action
+assert op._apply.__self__ is mat and view.format == "csc", view.format
+assert np.shares_memory(view.data, mat.data)
+y = np.arange(4.0)
+assert np.array_equal(op.apply_transpose(y), mat.T @ y)
+print("sparse branch: ok")
+"""
+
+
+def test_dense_and_callback_runs_leave_scipy_unloaded(tmp_path):
+    # scipy.sparse and scipy.io cost about 23 MB of resident memory on
+    # import; only reading a Matrix Market file or wrapping a sparse matrix
+    # needs them
+    path = tmp_path / "A.mtx"
+    write_matrix_market(np.arange(12.0).reshape(4, 3), path)
+    src = os.path.dirname(os.path.dirname(gpkrylov.__file__))
+    out = subprocess.run([sys.executable, "-c", _MATRIX_FREE_RUN, str(path)],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[-2:] == ["scipy modules: []", "sparse branch: ok"], lines[-3:]
 
 
 def _readme_block(heading, lang):
