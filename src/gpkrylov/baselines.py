@@ -237,9 +237,9 @@ class GPMRState:
         top, bot = apply_partitioned(self.sys, x, y)
         b0, c0 = self.sys.b - top, self.sys.c - bot
         nb0, nc0 = np.linalg.norm(b0), np.linalg.norm(c0)
+        self.res = float(np.hypot(nb0, nc0))  # the cycle end's true residual
         if nb0 == 0.0 or nc0 == 0.0:
             # one block already solved exactly; the process cannot restart
-            self.res = float(np.hypot(nb0, nc0))
             self.stopped = True
             return
         self.x, self.y = x, y

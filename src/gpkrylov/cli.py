@@ -5,7 +5,7 @@ The CLI is a thin shell over the library API.  Systems are built either
 from Matrix Market files (with the right-hand side constructed so the exact
 solution is the vector of ones, or drawn at random) or from one of the named
 benchmark recipes.  ``solve --output-dir DIR`` writes each method's
-convergence CSV and ``compare.csv``, every method's estimates against k.
+convergence CSV to ``DIR/<method>.csv`` and nothing else.
 
 Exit codes: 0 tolerance reached (``check``: every check passed), 1 usage
 error or unwritable output, 2 iteration limit, 3 breakdown, 4 non-finite
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import zip_longest
 
 import numpy as np
 
@@ -54,22 +53,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_system_args(p):
-    p.add_argument("--a", metavar="A.mtx", help="Matrix Market file for A")
-    p.add_argument("--b", metavar="B.mtx", help="Matrix Market file for B")
-    p.add_argument("--b-transpose-a", action="store_true",
-                   help="use B = A^T instead of reading --b")
-    p.add_argument("--experiment", choices=sorted(EXPERIMENTS),
-                   help="named benchmark system (fixes lambda/mu and files)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--a", metavar="A.mtx", help="Matrix Market file for A")
+    source.add_argument("--experiment", choices=sorted(EXPERIMENTS),
+                        help="named benchmark system (fixes B, lambda, mu and the rhs)")
+    second = p.add_mutually_exclusive_group()
+    second.add_argument("--b", metavar="B.mtx", help="Matrix Market file for B")
+    second.add_argument("--b-transpose-a", action="store_true",
+                        help="use B = A^T instead of reading --b")
     p.add_argument("--matrix-dir", default=".",
                    help="directory holding the experiment .mtx files")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                   help="scalar on the top-left identity block")
-    p.add_argument("--mu", type=float, default=-1.0,
-                   help="scalar on the bottom-right identity block")
-    p.add_argument("--rhs", choices=("ones", "random"), default="ones",
-                   help="right-hand side: exact solution of ones, or random")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for --rhs random")
+    # None marks an option as not given, which --experiment rejects
+    p.add_argument("--lambda", dest="lam", type=float,
+                   help="scalar on the top-left identity block (default 1)")
+    p.add_argument("--mu", type=float,
+                   help="scalar on the bottom-right identity block (default -1)")
+    p.add_argument("--rhs", choices=("ones", "random"),
+                   help="right-hand side: exact solution of ones (default), or random")
+    p.add_argument("--seed", type=int, help="seed for --rhs random (default 0)")
     p.add_argument("--f-file", metavar="F.mtx",
                    help="auxiliary start vector f (default: f = b)")
     p.add_argument("--g-file", metavar="G.mtx",
@@ -77,10 +78,8 @@ def _add_system_args(p):
 
 
 def _add_solver_args(p):
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="residual tolerance")
-    p.add_argument("--maxit", type=int, default=None,
-                   help="iteration limit (default 2(m+n))")
+    p.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
+    p.add_argument("--maxit", type=int, help="iteration limit (default 2(m+n))")
     p.add_argument("--restart", type=int, default=9,
                    help="cycle length for gpmr_restarted")
     p.add_argument("--residual", choices=("estimate", "explicit"),
@@ -90,9 +89,14 @@ def _add_solver_args(p):
 
 def _build_from_args(args, parser) -> PartitionedSystem:
     if args.experiment:
+        given = [flag for flag, value in (
+            ("--b", args.b), ("--b-transpose-a", args.b_transpose_a or None),
+            ("--lambda", args.lam), ("--mu", args.mu), ("--rhs", args.rhs),
+            ("--seed", args.seed), ("--f-file", args.f_file), ("--g-file", args.g_file))
+            if value is not None]
+        if given:
+            parser.error(f"--experiment fixes the system; drop {' '.join(given)}")
         return build_experiment(args.experiment, args.matrix_dir)
-    if not args.a:
-        parser.error("either --experiment or --a is required")
     A = read_matrix_market(args.a)
     if args.b_transpose_a:
         B = A.T.tocsr()
@@ -102,23 +106,14 @@ def _build_from_args(args, parser) -> PartitionedSystem:
         parser.error("provide --b or --b-transpose-a")
     f, g = (read_matrix_market(path).toarray().ravel() if path else None
             for path in (args.f_file, args.g_file))
-    if args.rhs == "ones":
-        return build_system(A, B, args.lam, args.mu, f=f, g=g)
-    rng = np.random.default_rng(args.seed)
-    return PartitionedSystem(args.lam, args.mu, Operator.from_matrix(A),
-                             Operator.from_matrix(B),
+    lam = 1.0 if args.lam is None else args.lam
+    mu = -1.0 if args.mu is None else args.mu
+    if args.rhs != "random":
+        return build_system(A, B, lam, mu, f=f, g=g)
+    rng = np.random.default_rng(args.seed or 0)
+    return PartitionedSystem(lam, mu, Operator.from_matrix(A), Operator.from_matrix(B),
                              rng.standard_normal(A.shape[0]),
                              rng.standard_normal(A.shape[1]), f=f, g=g)
-
-
-def _run_method(method, sys_, args):
-    return _SOLVERS[method](sys_, args, tol=args.tol, maxit=args.maxit,
-                            explicit_residual=args.residual == "explicit")
-
-
-def _summarize(method, result):
-    print(f"{method}: {result.reason} after {result.iterations} iterations, "
-          f"residual {result.residual:.6e}")
 
 
 def cmd_solve(args, parser) -> int:
@@ -127,27 +122,16 @@ def cmd_solve(args, parser) -> int:
     sys_ = _build_from_args(args, parser)
     if args.output_dir:
         os.makedirs(args.output_dir, exist_ok=True)
-    results = {}
+    code = 0
     for m in args.method:
-        results[m] = _run_method(m, sys_, args)
+        result = _SOLVERS[m](sys_, args, tol=args.tol, maxit=args.maxit,
+                             explicit_residual=args.residual == "explicit")
         if args.output_dir:
-            write_convergence_csv(results[m].record, os.path.join(args.output_dir, f"{m}.csv"))
-        _summarize(m, results[m])
-    if args.output_dir:
-        merged = os.path.join(args.output_dir, "compare.csv")
-        _write_merged_csv(results, args.method, merged)
-        print(f"wrote {merged}")
-    return max(_EXIT_FOR_REASON[r.reason] for r in results.values())
-
-
-def _write_merged_csv(results, methods, path):
-    # row k of every record is step k, so a column is its record's estimates
-    columns = [results[m].record.est_residuals() for m in methods]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("k," + ",".join(methods) + "\n")
-        for k, cells in enumerate(zip_longest(*columns)):
-            fh.write(f"{k}," + ",".join("" if v is None else f"{v:.17g}"
-                                        for v in cells) + "\n")
+            write_convergence_csv(result.record, os.path.join(args.output_dir, f"{m}.csv"))
+        print(f"{m}: {result.reason} after {result.iterations} iterations, "
+              f"residual {result.residual:.6e}")
+        code = max(code, _EXIT_FOR_REASON[result.reason])
+    return code
 
 
 def cmd_check(args, parser) -> int:
@@ -173,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_args(ps)
     _add_solver_args(ps)
     ps.add_argument("--output-dir", metavar="DIR",
-                    help="directory for per-method CSVs and the merged compare.csv")
+                    help="write each method's convergence CSV to DIR/<method>.csv")
     ps.set_defaults(run=cmd_solve, parser=ps)
 
     pk = sub.add_parser("check", allow_abbrev=False, help="run the invariant suite")

@@ -79,8 +79,8 @@ class SolveResult:
 
 
 def check_count(value, name: str, least: int):
-    """``value``, where it is an integer (numpy integers are) >= ``least``."""
-    if not isinstance(value, numbers.Integral):
+    """``value``, where it is a non-bool integer (numpy's too) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")

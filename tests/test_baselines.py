@@ -371,12 +371,24 @@ def test_long_limit_on_a_large_system_reserves_a_first_block():
     assert residual_norm(sys_, res.x, res.y) <= 1e-10
 
 
-@pytest.mark.parametrize("restart, maxit", [(1, 12), (5, 17), (20, 8)])
-def test_restarted_residual_is_the_true_residual(restart, maxit):
-    sys_ = make_system(30, 20, seed=213)
+@pytest.mark.parametrize("sys_, restart, maxit", [
+    pytest.param(make_system(30, 20, seed=213), 1, 12, id="1-12"),
+    pytest.param(make_system(30, 20, seed=213), 5, 17, id="5-17"),
+    pytest.param(make_system(30, 20, seed=213), 20, 8, id="20-8"),
+    # singular, with an iterate that grows to 1.8e11: the projected residual
+    # drifts from the true one by 2.4e-4, and a cycle end reports the latter
+    pytest.param(random_system(3, 6, 306, 0.0, 0.0, symmetric=True), 2, 18,
+                 id="singular-2-18"),
+])
+def test_restarted_residual_is_the_true_residual(sys_, restart, maxit):
     res = gpmr_solve(sys_, tol=0.0, maxit=maxit, restart=restart)
     assert (res.iterations, res.reason) == (maxit, "maxit")
-    assert res.residual == pytest.approx(residual_norm(sys_, res.x, res.y), rel=1e-10)
+    true = residual_norm(sys_, res.x, res.y)
+    if maxit % restart == 0:
+        # a cycle end reports the true residual it computed to restart
+        assert res.residual == true
+    else:
+        assert res.residual == pytest.approx(true, rel=1e-10)
 
 
 def test_restart_stops_cleanly_on_an_exactly_zero_residual_block():

@@ -38,10 +38,10 @@ def test_solve_writes_csv_and_exits_zero(matrices, capsys):
     rows, reason = read_csv(out / "gpqmr.csv")
     assert reason == "converged"
     assert float(rows[-1]["est_residual"]) <= 1e-8
-    merged, _ = read_csv(out / "compare.csv")
-    assert [row["gpqmr"] for row in merged] == [row["est_residual"] for row in rows]
-    assert sorted(os.listdir(out)) == ["compare.csv", "gpqmr.csv"]
-    assert "gpqmr: converged" in capsys.readouterr().out
+    assert os.listdir(out) == ["gpqmr.csv"]
+    stdout = capsys.readouterr().out
+    assert "gpqmr: converged" in stdout
+    assert "wrote" not in stdout
 
 
 def test_solve_maxit_zero_exits_two(matrices):
@@ -67,12 +67,67 @@ def test_unknown_method_exits_one(matrices, capsys):
 
 
 def test_missing_matrix_args_exit_one(matrices, capsys):
-    for args, message in (((), "either --experiment or --a is required"),
+    for args, message in (((), "one of the arguments --a --experiment is required"),
                           (("--a", str(matrices / "A.mtx")), "provide --b or --b-transpose-a")):
         with pytest.raises(SystemExit) as exc:
             run("solve", "--method", "gpqmr", *args)
         assert exc.value.code == 1
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    pytest.param(["--b-transpose-a", "--b", "Bbad.mtx"],
+                 "argument --b: not allowed with argument --b-transpose-a", id="b"),
+    pytest.param(["--experiment", "lp_osa_07"],
+                 "argument --experiment: not allowed with argument --a", id="experiment"),
+])
+def test_conflicting_system_sources_exit_one(tmp_path, monkeypatch, capsys, args, message):
+    # a 3x3 B cannot pair with a 6x4 A, so running on A^T would hide it
+    monkeypatch.chdir(tmp_path)
+    write_matrix_market(np.ones((6, 4)), tmp_path / "A.mtx")
+    write_matrix_market(np.ones((3, 3)), tmp_path / "Bbad.mtx")
+    with pytest.raises(SystemExit) as exc:
+        run("solve", "--method", "gpqmr", "--a", "A.mtx", *args)
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, named", [
+    pytest.param(["--rhs", "random", "--lambda", "5"], "--lambda --rhs", id="rhs-lambda"),
+    # explicit defaults count as given
+    pytest.param(["--mu", "-1", "--seed", "0", "--b-transpose-a"],
+                 "--b-transpose-a --mu --seed", id="mu-seed-b-transpose-a"),
+    pytest.param(["--b", "B.mtx", "--f-file", "f.mtx", "--g-file", "g.mtx"],
+                 "--b --f-file --g-file", id="b-f-file-g-file"),
+])
+def test_experiment_rejects_system_options_before_reading(tmp_path, capsys, args, named):
+    # the recipe fixes the system: each flag that would change it is named,
+    # and no file is looked for (the matrix directory is empty)
+    with pytest.raises(SystemExit) as exc:
+        run("solve", "--method", "gpqmr", "--experiment", "lp_osa_07",
+            "--matrix-dir", str(tmp_path), *args)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"--experiment fixes the system; drop {named}" in err, err
+    assert "SuiteSparse" not in err and "not found" not in err, err
+
+
+def test_omitted_system_options_take_their_stated_defaults(matrices, capsys):
+    # the parser leaves them None, so that --experiment can tell them apart
+    scalars = ("--lambda", "1", "--mu", "-1")
+    for omitted, spelt in (((), (*scalars, "--rhs", "ones")),
+                           (("--rhs", "random"), (*scalars, "--rhs", "random", "--seed", "0"))):
+        outputs = []
+        for args in (omitted, spelt):
+            assert run("solve", "--method", "gpbilq", "--a", str(matrices / "A.mtx"),
+                       "--b", str(matrices / "B.mtx"), *args, "--tol", "0", "--maxit", "3") == 2
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+    with pytest.raises(SystemExit):
+        run("solve", "--help")
+    help_text = capsys.readouterr().out
+    for stated in ("(default 1)", "(default -1)", "ones (default)", "(default 0)"):
+        assert stated in help_text
 
 
 def test_incompatible_shapes_exit_one(tmp_path, capsys):
@@ -155,7 +210,7 @@ def test_svg_option_is_a_usage_error(matrices, capsys):
 
 def test_compare_writes_all_outputs(matrices, capsys):
     # gpmr_restarted (cycles of 3) stops at maxit 10, the others converge at
-    # k = 6, so compare.csv has ragged ends
+    # k = 6; each method's history is its own CSV and nothing else is written
     outdir = matrices / "cmp"
     methods = ["gpbilq", "gpmr_restarted", "gpqmr", "gpmr"]
     code = run("solve", "--method", *methods,
@@ -163,19 +218,15 @@ def test_compare_writes_all_outputs(matrices, capsys):
                "--lambda", "1", "--mu", "-0.5", "--tol", "1e-8",
                "--restart", "3", "--maxit", "10", "--output-dir", str(outdir))
     assert code == 2
-    assert "gpmr_restarted: maxit after 10 iterations" in capsys.readouterr().out
-    assert (outdir / "compare.csv").read_text().startswith(
-        "k,gpbilq,gpmr_restarted,gpqmr,gpmr\n")
-    merged, _ = read_csv(outdir / "compare.csv")
-    assert [row["k"] for row in merged] == [str(k) for k in range(11)]
-    lengths = []
-    for name in methods:
-        rows, _ = read_csv(outdir / f"{name}.csv")
-        column = [row[name] for row in merged]
-        assert column[:len(rows)] == [row["est_residual"] for row in rows]
-        assert column[len(rows):] == [""] * (len(merged) - len(rows))
-        lengths.append(len(rows))
-    assert lengths == [7, 11, 7, 7]
+    stdout = capsys.readouterr().out
+    assert "gpmr_restarted: maxit after 10 iterations" in stdout
+    assert "wrote" not in stdout
+    assert sorted(os.listdir(outdir)) == sorted(f"{name}.csv" for name in methods)
+    histories = [read_csv(outdir / f"{name}.csv") for name in methods]
+    for rows, _ in histories:
+        assert [row["k"] for row in rows] == [str(k) for k in range(len(rows))]
+    assert [(len(rows), reason) for rows, reason in histories] == [
+        (7, "converged"), (11, "maxit"), (7, "converged"), (7, "converged")]
 
 
 def test_compare_one_by_one_converges_first_step(tmp_path):

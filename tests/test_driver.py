@@ -37,15 +37,16 @@ def test_negative_maxit_is_rejected(method):
 
 
 @pytest.mark.parametrize("method", SOLVERS)
-@pytest.mark.parametrize("maxit", [2.5, 3.0])
+@pytest.mark.parametrize("maxit", [2.5, 3.0, True, False])
 def test_non_integer_maxit_is_rejected(method, maxit):
     with pytest.raises(ValueError, match=f"maxit must be an integer, got {maxit}"):
         SOLVERS[method](desk_system(), tol=1e-10, maxit=maxit)
 
 
 def test_non_integer_restart_is_rejected():
-    with pytest.raises(ValueError, match="restart must be an integer, got 2.5"):
-        gpmr_solve(desk_system(), tol=1e-10, maxit=5, restart=2.5)
+    for restart in (2.5, True):
+        with pytest.raises(ValueError, match=f"restart must be an integer, got {restart}"):
+            gpmr_solve(desk_system(), tol=1e-10, maxit=5, restart=restart)
 
 
 @pytest.mark.parametrize("method", SOLVERS)
