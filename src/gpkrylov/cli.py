@@ -3,9 +3,10 @@
 
 The CLI is a thin shell over the library API.  Systems are built either
 from Matrix Market files (with the right-hand side constructed so the exact
-solution is the vector of ones, or drawn at random) or from one of the named
-benchmark recipes.  ``solve --output-dir DIR`` writes each method's
-convergence CSV to ``DIR/<method>.csv`` and nothing else.
+solution is the vector of ones, or drawn at random from ``--seed``) or from
+one of the named benchmark recipes.  ``solve`` runs every method before it
+writes anything, so a failing command leaves no output; ``--output-dir DIR``
+gets each method's convergence CSV as ``DIR/<method>.csv`` and nothing else.
 
 Exit codes: 0 tolerance reached (``check``: every check passed), 1 usage
 error or unwritable output, 2 iteration limit, 3 breakdown, 4 non-finite
@@ -52,48 +53,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_system_args(p):
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--a", metavar="A.mtx", help="Matrix Market file for A")
-    source.add_argument("--experiment", choices=sorted(EXPERIMENTS),
-                        help="named benchmark system (fixes B, lambda, mu and the rhs)")
-    second = p.add_mutually_exclusive_group()
-    second.add_argument("--b", metavar="B.mtx", help="Matrix Market file for B")
-    second.add_argument("--b-transpose-a", action="store_true",
-                        help="use B = A^T instead of reading --b")
-    p.add_argument("--matrix-dir", default=".",
-                   help="directory holding the experiment .mtx files")
-    # None marks an option as not given, which --experiment rejects
-    p.add_argument("--lambda", dest="lam", type=float,
-                   help="scalar on the top-left identity block (default 1)")
-    p.add_argument("--mu", type=float,
-                   help="scalar on the bottom-right identity block (default -1)")
-    p.add_argument("--rhs", choices=("ones", "random"),
-                   help="right-hand side: exact solution of ones (default), or random")
-    p.add_argument("--seed", type=int, help="seed for --rhs random (default 0)")
-    p.add_argument("--f-file", metavar="F.mtx",
-                   help="auxiliary start vector f (default: f = b)")
-    p.add_argument("--g-file", metavar="G.mtx",
-                   help="auxiliary start vector g (default: g = c)")
-
-
-def _add_solver_args(p):
-    p.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
-    p.add_argument("--maxit", type=int, help="iteration limit (default 2(m+n))")
-    p.add_argument("--restart", type=int, default=9,
-                   help="cycle length for gpmr_restarted")
-    p.add_argument("--residual", choices=("estimate", "explicit"),
-                   default="estimate",
-                   help="stopping quantity: recurrence estimates or explicit residuals")
+def _read_vector(path):
+    mat = read_matrix_market(path)  # flattening a matrix would hide its shape
+    if 1 not in mat.shape:
+        raise ValueError(f"{path}: a start vector must be one row or one column, "
+                         f"got {mat.shape[0]}x{mat.shape[1]}")
+    return mat.toarray().ravel()
 
 
 def _build_from_args(args, parser) -> PartitionedSystem:
     if args.experiment:
         given = [flag for flag, value in (
             ("--b", args.b), ("--b-transpose-a", args.b_transpose_a or None),
-            ("--lambda", args.lam), ("--mu", args.mu), ("--rhs", args.rhs),
-            ("--seed", args.seed), ("--f-file", args.f_file), ("--g-file", args.g_file))
-            if value is not None]
+            ("--lambda", args.lam), ("--mu", args.mu), ("--seed", args.seed),
+            ("--f-file", args.f_file), ("--g-file", args.g_file)) if value is not None]
         if given:
             parser.error(f"--experiment fixes the system; drop {' '.join(given)}")
         return build_experiment(args.experiment, args.matrix_dir)
@@ -104,13 +77,12 @@ def _build_from_args(args, parser) -> PartitionedSystem:
         B = read_matrix_market(args.b)
     else:
         parser.error("provide --b or --b-transpose-a")
-    f, g = (read_matrix_market(path).toarray().ravel() if path else None
-            for path in (args.f_file, args.g_file))
+    f, g = (_read_vector(path) if path else None for path in (args.f_file, args.g_file))
     lam = 1.0 if args.lam is None else args.lam
     mu = -1.0 if args.mu is None else args.mu
-    if args.rhs != "random":
+    if args.seed is None:
         return build_system(A, B, lam, mu, f=f, g=g)
-    rng = np.random.default_rng(args.seed or 0)
+    rng = np.random.default_rng(args.seed)
     return PartitionedSystem(lam, mu, Operator.from_matrix(A), Operator.from_matrix(B),
                              rng.standard_normal(A.shape[0]),
                              rng.standard_normal(A.shape[1]), f=f, g=g)
@@ -120,18 +92,18 @@ def cmd_solve(args, parser) -> int:
     if len(set(args.method)) < len(args.method):
         parser.error(f"--method names a method more than once: {' '.join(args.method)}")
     sys_ = _build_from_args(args, parser)
+    # every solve returns before anything is written, so an error leaves nothing
+    results = {m: _SOLVERS[m](sys_, args, tol=args.tol, maxit=args.maxit,
+                              explicit_residual=args.residual == "explicit")
+               for m in args.method}
     if args.output_dir:
         os.makedirs(args.output_dir, exist_ok=True)
-    code = 0
-    for m in args.method:
-        result = _SOLVERS[m](sys_, args, tol=args.tol, maxit=args.maxit,
-                             explicit_residual=args.residual == "explicit")
-        if args.output_dir:
+        for m, result in results.items():
             write_convergence_csv(result.record, os.path.join(args.output_dir, f"{m}.csv"))
+    for m, result in results.items():
         print(f"{m}: {result.reason} after {result.iterations} iterations, "
               f"residual {result.residual:.6e}")
-        code = max(code, _EXIT_FOR_REASON[result.reason])
-    return code
+    return max(_EXIT_FOR_REASON[result.reason] for result in results.values())
 
 
 def cmd_check(args, parser) -> int:
@@ -154,8 +126,33 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", allow_abbrev=False,
                         help="run one or more methods on the same system")
     ps.add_argument("--method", nargs="+", choices=METHODS, required=True)
-    _add_system_args(ps)
-    _add_solver_args(ps)
+    source = ps.add_mutually_exclusive_group(required=True)
+    source.add_argument("--a", metavar="A.mtx", help="Matrix Market file for A")
+    source.add_argument("--experiment", choices=sorted(EXPERIMENTS),
+                        help="named benchmark system (fixes B, lambda, mu and the rhs)")
+    second = ps.add_mutually_exclusive_group()
+    second.add_argument("--b", metavar="B.mtx", help="Matrix Market file for B")
+    second.add_argument("--b-transpose-a", action="store_true",
+                        help="use B = A^T instead of reading --b")
+    ps.add_argument("--matrix-dir", default=".",
+                    help="directory holding the experiment .mtx files")
+    # None marks an option as not given, which --experiment rejects
+    ps.add_argument("--lambda", dest="lam", type=float,
+                    help="scalar on the top-left identity block (default 1)")
+    ps.add_argument("--mu", type=float,
+                    help="scalar on the bottom-right identity block (default -1)")
+    ps.add_argument("--seed", type=int, help="draw the right-hand side at random from "
+                    "this seed (default: the exact solution is the vector of ones)")
+    ps.add_argument("--f-file", metavar="F.mtx",
+                    help="auxiliary start vector f, one row or column (default: f = b)")
+    ps.add_argument("--g-file", metavar="G.mtx",
+                    help="auxiliary start vector g, one row or column (default: g = c)")
+    ps.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
+    ps.add_argument("--maxit", type=int, help="iteration limit (default 2(m+n))")
+    ps.add_argument("--restart", type=int, default=9,
+                    help="cycle length for gpmr_restarted")
+    ps.add_argument("--residual", choices=("estimate", "explicit"), default="estimate",
+                    help="stopping quantity: recurrence estimates or explicit residuals")
     ps.add_argument("--output-dir", metavar="DIR",
                     help="write each method's convergence CSV to DIR/<method>.csv")
     ps.set_defaults(run=cmd_solve, parser=ps)

@@ -162,6 +162,17 @@ def test_criterion_5_transfer_iterate():
     assert gap_ok
 
 
+def test_transfer_checks_skip_the_step_without_a_transfer_iterate():
+    # at k = 2 of the engineered system the transfer iterate does not exist:
+    # its checks return None while the gpbilq iterate's estimate is checked
+    for st, hist in stepped(BiLQState, _singular_mid_run_system(), 3):
+        undefined = transfer_gap(st, hist) is None
+        assert undefined == (st.k == 2)
+        if st.k >= 2:
+            gap_l, gap_c = estimate_gaps(st)
+            assert gap_l <= 1e-8 and (gap_c is None) == undefined
+
+
 def test_criterion_6_residual_estimates():
     worst_l = worst_c = 0.0
     bound_ok = True

@@ -447,10 +447,15 @@ def test_minnorm_minimality_and_feasibility():
 
 
 def test_minnorm_flags_inconsistency():
-    H = np.zeros((2, 3))
-    H[0, 0] = 1.0  # second row zero: rank deficient
-    with pytest.raises(ValueError, match="rank"):
-        oracle_minnorm(H, np.array([1.0, 1.0]))
+    deficient = np.zeros((2, 3))
+    deficient[0, 0] = 1.0  # second row zero: rank deficient
+    # rows equal to within 1e-13 with right sides 1 and 2 have full numerical
+    # rank, but no computed z meets them to 1e-10
+    near = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-13, 0.0]])
+    for H, rhs, match in ((deficient, [1.0, 1.0], "rank"),
+                          (near, [1.0, 2.0], "inconsistent")):
+        with pytest.raises(ValueError, match=match):
+            oracle_minnorm(H, np.array(rhs))
 
 
 def test_lsq_identity_and_consistency():

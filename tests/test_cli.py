@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import gpkrylov
-from gpkrylov import build_system, cli, gpbilq_solve, read_matrix_market
+from gpkrylov import (Operator, PartitionedSystem, build_system, cli, gpbilq_solve,
+                      read_matrix_market)
 from gpkrylov.cli import main
 from gpkrylov.verify import CheckResult, to_dense
 
@@ -93,7 +94,7 @@ def test_conflicting_system_sources_exit_one(tmp_path, monkeypatch, capsys, args
 
 
 @pytest.mark.parametrize("args, named", [
-    pytest.param(["--rhs", "random", "--lambda", "5"], "--lambda --rhs", id="rhs-lambda"),
+    pytest.param(["--seed", "3", "--lambda", "5"], "--lambda --seed", id="seed-lambda"),
     # explicit defaults count as given
     pytest.param(["--mu", "-1", "--seed", "0", "--b-transpose-a"],
                  "--b-transpose-a --mu --seed", id="mu-seed-b-transpose-a"),
@@ -114,28 +115,35 @@ def test_experiment_rejects_system_options_before_reading(tmp_path, capsys, args
 
 def test_omitted_system_options_take_their_stated_defaults(matrices, capsys):
     # the parser leaves them None, so that --experiment can tell them apart
-    scalars = ("--lambda", "1", "--mu", "-1")
-    for omitted, spelt in (((), (*scalars, "--rhs", "ones")),
-                           (("--rhs", "random"), (*scalars, "--rhs", "random", "--seed", "0"))):
-        outputs = []
-        for args in (omitted, spelt):
-            assert run("solve", "--method", "gpbilq", "--a", str(matrices / "A.mtx"),
-                       "--b", str(matrices / "B.mtx"), *args, "--tol", "0", "--maxit", "3") == 2
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+    def solve(*args):
+        assert run("solve", "--method", "gpbilq", "--a", str(matrices / "A.mtx"),
+                   "--b", str(matrices / "B.mtx"), *args, "--tol", "0", "--maxit", "3") == 2
+        return capsys.readouterr().out
+
+    assert solve() == solve("--lambda", "1", "--mu", "-1")
+    # no --seed: the exact solution is the vector of ones; --seed 0: a draw
+    A, B = (read_matrix_market(matrices / name) for name in ("A.mtx", "B.mtx"))
+    rng = np.random.default_rng(0)
+    drawn = PartitionedSystem(1.0, -1.0, Operator.from_matrix(A), Operator.from_matrix(B),
+                              rng.standard_normal(6), rng.standard_normal(6))
+    expected = [f"gpbilq: maxit after 3 iterations, residual "
+                f"{gpbilq_solve(system, tol=0.0, maxit=3).residual:.6e}\n"
+                for system in (build_system(A, B, 1.0, -1.0), drawn)]
+    assert expected[0] != expected[1]
+    assert [solve(), solve("--seed", "0")] == expected
     with pytest.raises(SystemExit):
         run("solve", "--help")
     help_text = capsys.readouterr().out
-    for stated in ("(default 1)", "(default -1)", "ones (default)", "(default 0)"):
+    for stated in ("(default 1)", "(default -1)"):
         assert stated in help_text
 
 
 def test_incompatible_shapes_exit_one(tmp_path, capsys):
     write_matrix_market(np.ones((6, 4)), tmp_path / "A.mtx")
     write_matrix_market(np.ones((5, 6)), tmp_path / "B.mtx")
-    for rhs in ("ones", "random"):
+    for seed in ((), ("--seed", "0")):
         assert run("solve", "--method", "gpqmr", "--a", str(tmp_path / "A.mtx"),
-                   "--b", str(tmp_path / "B.mtx"), "--rhs", rhs) == 1
+                   "--b", str(tmp_path / "B.mtx"), *seed) == 1
         assert ("B must be 4x6 to pair with A 6x4, got (5, 6)"
                 in capsys.readouterr().err)
 
@@ -165,13 +173,37 @@ def test_start_vector_of_wrong_length_exits_one(matrices, capsys, flag):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("flag, shape", [pytest.param("--f-file", (3, 2), id="f"),
+                                         pytest.param("--g-file", (2, 2), id="g")])
+def test_start_vector_file_must_be_one_row_or_column(tmp_path, capsys, flag, shape):
+    # each matrix has as many entries as the vector needs (6 for f, 4 for
+    # g), so flattening it would run on; a row or a column is accepted
+    write_matrix_market(np.random.default_rng(404).standard_normal((6, 4)), tmp_path / "A.mtx")
+    write_matrix_market(np.ones(shape), tmp_path / "v.mtx")
+    length = shape[0] * shape[1]
+    write_matrix_market(np.ones((1, length)), tmp_path / "row.mtx")
+    write_matrix_market(np.ones((length, 1)), tmp_path / "col.mtx")
+    base = ("solve", "--method", "gpbilq", "--a", str(tmp_path / "A.mtx"),
+            "--b-transpose-a", "--tol", "0", "--maxit", "3", flag)
+    assert run(*base, str(tmp_path / "v.mtx")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"{tmp_path / 'v.mtx'}: a start vector must be one row or one column, "
+            f"got {shape[0]}x{shape[1]}") in captured.err, captured.err
+    outputs = []
+    for name in ("row.mtx", "col.mtx"):
+        assert run(*base, str(tmp_path / name)) == 2
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_breakdown_exits_three(tmp_path):
     # square blocks, orthogonal-start reduction dies at once via random rhs
     rng = np.random.default_rng(401)
     write_matrix_market(rng.standard_normal((4, 2)), tmp_path / "A.mtx")
     # m=4, n=2: the reduction exhausts at k=2 long before the 6-dim system
     code = run("solve", "--method", "gpqmr", "--a", str(tmp_path / "A.mtx"),
-               "--b-transpose-a", "--mu", "-1.0", "--rhs", "random",
+               "--b-transpose-a", "--mu", "-1.0", "--seed", "0",
                "--tol", "1e-12", "--maxit", "50")
     assert code == 3
 
@@ -235,7 +267,7 @@ def test_compare_one_by_one_converges_first_step(tmp_path):
     outdir = tmp_path / "cmp"
     code = run("solve", "--method", "gpbicg", "gpqmr",
                "--a", str(tmp_path / "A.mtx"), "--b", str(tmp_path / "B.mtx"),
-               "--lambda", "1", "--mu", "1", "--rhs", "random",
+               "--lambda", "1", "--mu", "1", "--seed", "0",
                "--tol", "1e-10", "--output-dir", str(outdir))
     assert code == 0
     for name in ("gpbicg", "gpqmr"):
@@ -311,6 +343,24 @@ def test_unknown_option_prints_the_subcommands_usage(capsys, argv, unknown):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: gpkrylov {argv[0]} "), err
     assert f"gpkrylov {argv[0]}: error: unrecognized arguments: {unknown}" in err, err
+
+
+@pytest.mark.parametrize("args, message", [
+    pytest.param(["--method", "gpqmr", "gpmr_restarted", "--restart", "0"],
+                 "restart must be >= 1, got 0", id="restart-after-another-method"),
+    pytest.param(["--method", "gpqmr", "--maxit", "-1"], "maxit must be >= 0, got -1",
+                 id="maxit"),
+    pytest.param(["--method", "gpqmr", "--tol", "nan"], "tol must be >= 0, got nan",
+                 id="tol"),
+])
+def test_failing_solve_prints_only_the_error_and_writes_nothing(
+        matrices, capsys, args, message):
+    # every method is run before the output directory is made
+    outdir = matrices / "D"
+    assert run("solve", "--a", str(matrices / "A.mtx"), "--b", str(matrices / "B.mtx"),
+               *args, "--output-dir", str(outdir)) == 1
+    assert capsys.readouterr() == ("", f"gpkrylov: error: {message}\n")
+    assert not outdir.exists()
 
 
 def test_solve_without_output_dir_writes_nothing(matrices, monkeypatch, capsys):
