@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .convergence import SolveResult, _solve, check_count
-from .linop import PartitionedSystem, apply_partitioned
+from .convergence import SolveResult, _solve
+from .linop import PartitionedSystem, apply_partitioned, check_count
 from .rotations import plane_rotation
 
 __all__ = [

@@ -4,13 +4,12 @@ solve loop that every method runs."""
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linop import PartitionedSystem, residual_norm
+from .linop import PartitionedSystem, check_count, residual_norm
 from .rotations import SingularWindowError
 
 __all__ = ["IterationRow", "ConvergenceRecord", "SolveResult",
@@ -76,15 +75,6 @@ class SolveResult:
     @property
     def converged(self) -> bool:
         return self.reason == CONVERGED
-
-
-def check_count(value, name: str, least: int):
-    """``value``, where it is a non-bool integer (numpy's too) >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return value
 
 
 def _solve(sys: PartitionedSystem, make_state, tol: float, maxit: int | None,

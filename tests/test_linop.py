@@ -1,4 +1,6 @@
+import dataclasses
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ from scipy import sparse
 from gpkrylov import (Operator, PartitionedSystem, apply_partitioned,
                       assemble_dense, gpbilq_solve, gpmr_solve, gpqmr_solve,
                       residual_norm)
+from gpkrylov import linop
 from gpkrylov.verify import adjoint_mismatch, to_dense
 
 from gpk_support import make_system
@@ -134,8 +137,10 @@ def test_system_validation():
     for name in "bcfg":
         vecs = dict(b=np.ones(3), c=np.ones(2), f=np.ones(3), g=np.ones(2))
         vecs[name] = vecs[name] + 1j
-        with pytest.raises(ValueError, match=f"{name} must be real"):
+        with pytest.raises(ValueError, match=f"^{name} must be real, got complex input$"):
             PartitionedSystem(1.0, 1.0, A, B, **vecs)
+    with pytest.raises(ValueError, match="^b must be real, got complex input$"):
+        PartitionedSystem(1.0, 1.0, A, B, [1j, 0, 0], np.ones(2))
 
 
 def _system_with(name, entries):
@@ -155,16 +160,18 @@ def test_all_zero_vector_is_rejected(name, zero):
 
 
 @pytest.mark.parametrize("name", "bcfg")
-@pytest.mark.parametrize("entry", [np.nan, 1e-300], ids=["nan", "tiny"])
+@pytest.mark.parametrize("entry", [np.nan, 1e-300, 1e-170, np.inf],
+                         ids=["nan", "tiny", "square_underflows", "inf"])
 def test_one_nonzero_entry_is_accepted(name, entry):
     vec = getattr(_system_with(name, [entry]), name)
     assert_allclose(vec, [0.0] * (len(vec) - 1) + [entry], rtol=0, atol=0)
 
 
-@pytest.mark.parametrize("to_matrix", [np.asarray, sparse.csr_matrix],
-                         ids=["dense", "sparse"])
+@pytest.mark.parametrize("to_matrix", [np.asarray, sparse.csr_matrix, sparse.coo_array,
+                                       lambda mat: mat.tolist()],
+                         ids=["dense", "sparse", "coo_array", "list"])
 def test_from_matrix_rejects_complex(to_matrix):
-    with pytest.raises(ValueError, match="matrix must be real"):
+    with pytest.raises(ValueError, match="^matrix must be real, got complex input$"):
         Operator.from_matrix(to_matrix(np.eye(3) + 1j * np.ones((3, 3))))
 
 
@@ -328,16 +335,32 @@ def test_callback_returning_its_input_solves_like_the_identity_matrix(method):
     assert got.x.tobytes() == ref.x.tobytes() and got.y.tobytes() == ref.y.tobytes()
 
 
-@pytest.mark.parametrize("vec", [np.float64(1.0), np.ones((2, 1)), np.ones((1, 2))],
-                         ids=["0-d", "column", "row"])
-def test_input_of_wrong_shape_is_rejected_before_the_callback(vec):
+def _recording_operator(calls):
+    return Operator(2, 2, lambda x: calls.append(x) or np.ones(2),
+                    lambda y: calls.append(y) or np.ones(2))
+
+
+def _matrix_operator(calls):
+    return Operator.from_matrix(np.ones((2, 2)))
+
+
+WRONG_SHAPES = {"0-d": np.float64(1.0), "column": np.ones((2, 1)), "row": np.ones((1, 2))}
+
+
+@pytest.mark.parametrize("make, vec", [
+    *(pytest.param(_recording_operator, vec, id=name) for name, vec in WRONG_SHAPES.items()),
+    *(pytest.param(_matrix_operator, vec, id=f"matrix-{name}")
+      for name, vec in WRONG_SHAPES.items())])
+def test_input_of_wrong_shape_is_rejected_before_the_callback(make, vec):
+    """Checked for matrix operators too: a matrix's own ``dot`` would
+    broadcast a 0-d input and return a column for a column."""
     calls = []
-    op = Operator(2, 2, lambda x: calls.append(x) or np.ones(2),
-                  lambda y: calls.append(y) or np.ones(2))
+    op = make(calls)
     shape = re.escape(f"got shape {np.shape(vec)}")
-    with pytest.raises(ValueError, match=f"input must have length 2, {shape}"):
+    with pytest.raises(ValueError, match=f"^operator is 2x2, input must have length 2, {shape}$"):
         op.apply(vec)
-    with pytest.raises(ValueError, match=f"transpose input must have length 2, {shape}"):
+    with pytest.raises(ValueError,
+                       match=f"^operator is 2x2, transpose input must have length 2, {shape}$"):
         op.apply_transpose(vec)
     assert calls == []
 
@@ -348,3 +371,141 @@ def test_callback_returning_a_column_is_rejected():
         col.apply(np.ones(2))
     with pytest.raises(ValueError, match="apply_transpose callback returned"):
         col.apply_transpose(np.ones(3))
+
+
+@pytest.mark.parametrize("size, message", [
+    (3.7, "nrows must be an integer, got 3.7"),
+    (True, "nrows must be an integer, got True"),
+    ("3", "nrows must be an integer, got '3'"),
+    (-3, "nrows must be >= 0, got -3")], ids=["float", "bool", "str", "negative"])
+def test_operator_rejects_a_shape_that_is_not_a_count(size, message):
+    never = lambda v: pytest.fail("called")  # noqa: E731
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Operator(size, 2, never, never)
+    with pytest.raises(ValueError, match=f"^{re.escape(message.replace('nrows', 'ncols'))}$"):
+        Operator(2, size, never, never)
+
+
+def test_operator_accepts_numpy_integer_shapes():
+    op = Operator(np.int64(3), np.int32(2), lambda x: np.ones(3), lambda y: np.ones(2))
+    assert op.shape == (3, 2) and all(type(v) is int for v in op.shape)
+    assert_allclose(op.apply(np.ones(2)), np.ones(3))
+
+
+_DENSE = np.arange(1.0, 13.0).reshape(4, 3) - 5.5
+FROM_MATRIX_INPUTS = {
+    "c_float64": lambda: np.ascontiguousarray(_DENSE),
+    "f_float64": lambda: np.asfortranarray(_DENSE),
+    "int": lambda: _DENSE.astype(int),
+    "float32": lambda: _DENSE.astype(np.float32),
+    "list": lambda: _DENSE.tolist(),
+    "csr": lambda: sparse.csr_matrix(_DENSE),
+    "csc": lambda: sparse.csc_matrix(_DENSE),
+    "coo": lambda: sparse.coo_matrix(_DENSE),
+    "csr_array": lambda: sparse.csr_array(_DENSE),
+}
+
+
+@pytest.mark.parametrize("kind", FROM_MATRIX_INPUTS)
+def test_from_matrix_results_are_fresh_vectors(kind):
+    """What lets from_matrix store the matrix's ``dot`` without the checks a
+    callback's results get: each result is a new float64 1-d array of the
+    output length, sharing memory with neither the input nor the matrix."""
+    mat = FROM_MATRIX_INPUTS[kind]()
+    op = Operator.from_matrix(mat)
+    dense = np.array(mat.toarray() if sparse.issparse(mat) else mat, dtype=float)
+    stored = op._apply.__self__
+    held = ([stored] if isinstance(stored, np.ndarray)
+            else [stored.data, stored.indices, stored.indptr])
+    rng = np.random.default_rng(0)
+    for action, expected in ((op.apply, dense), (op.apply_transpose, dense.T)):
+        vec = rng.standard_normal(expected.shape[1])
+        out, again = action(vec), action(vec)
+        assert out.shape == (expected.shape[0],) and out.dtype == np.float64
+        assert_allclose(out, expected @ vec, rtol=1e-6)
+        for other in [vec, again, *held]:
+            assert not np.may_share_memory(out, other)
+
+
+def _callback_twin(op):
+    """The same stored actions behind the callback wrapper."""
+    return Operator(op.nrows, op.ncols, op._apply, op._apply_t)
+
+
+@pytest.mark.parametrize("method", SOLVES)
+@pytest.mark.parametrize("sparse_ops", [False, True], ids=["dense", "sparse"])
+def test_callback_solves_match_matrix_solves_bit_for_bit(sparse_ops, method):
+    wrapped = make_system(40, 30, seed=14, sparse_ops=sparse_ops)
+    twin = PartitionedSystem(wrapped.lam, wrapped.mu, _callback_twin(wrapped.A),
+                             _callback_twin(wrapped.B), wrapped.b, wrapped.c)
+    tol = 1e-8 * wrapped.rhs_norm
+    got, ref = SOLVES[method](twin, tol), SOLVES[method](wrapped, tol)
+    assert got.iterations > 1
+    assert (got.reason, got.iterations, got.residual) == (ref.reason, ref.iterations,
+                                                          ref.residual)
+    assert got.x.tobytes() == ref.x.tobytes() and got.y.tobytes() == ref.y.tobytes()
+
+
+def _python_calls(fn, *args):
+    """The code objects of the Python frames that ``fn(*args)`` opens, in
+    order, itself included."""
+    codes = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.append(frame.f_code)
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return codes
+
+
+def test_matrix_application_is_one_python_frame():
+    op = Operator.from_matrix(np.ones((4, 3)))
+    assert _python_calls(op.apply, np.ones(3)) == [Operator.apply.__code__]
+    assert _python_calls(op.apply_transpose, np.ones(4)) == [Operator.apply_transpose.__code__]
+
+
+@pytest.mark.parametrize("method, per_iteration",
+                         [("gpbilq", 4), ("gpqmr", 4), ("gpmr", 2)])
+def test_iteration_makes_one_linop_call_per_operator_application(method, per_iteration):
+    """Python calls into linop per iteration of a desk-sized solve, taken as
+    the difference of an 80-step and a 40-step run so set-up and exit
+    cancel: exactly the operator applications, with no frame of their own
+    below them."""
+    sys_ = make_system(200, 150, seed=0)
+    sys_.rhs_norm  # cached before either run, so neither computes it
+    solve = {"gpbilq": gpbilq_solve, "gpqmr": gpqmr_solve, "gpmr": gpmr_solve}[method]
+    counts, results = {}, []
+    for maxit in (40, 80):
+        codes = _python_calls(lambda: results.append(solve(sys_, tol=0.0, maxit=maxit)))
+        counts[maxit] = sum(code.co_filename == linop.__file__ for code in codes)
+    assert [r.iterations for r in results] == [40, 80]
+    assert counts[80] - counts[40] == 40 * per_iteration
+
+
+def test_system_is_frozen_and_replace_revalidates():
+    sys_ = make_system(4, 3, seed=15)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sys_.lam = 2.0
+    moved = dataclasses.replace(sys_, lam=2.0)
+    assert moved.lam == 2.0 and moved.f is moved.b and moved.g is moved.c
+    assert dataclasses.replace(sys_) == sys_
+    assert repr(sys_).startswith("PartitionedSystem(lam=1.0, mu=-0.5, A=")
+    with pytest.raises(ValueError, match="^b must be nonzero$"):
+        dataclasses.replace(sys_, b=np.zeros(4))
+    with pytest.raises(ValueError, match="^B must be 3x4 to pair with A 4x3"):
+        dataclasses.replace(sys_, B=sys_.A)
+
+
+def test_system_keyword_construction():
+    A, B = Operator.from_matrix(np.ones((3, 2))), Operator.from_matrix(np.ones((2, 3)))
+    sys_ = PartitionedSystem(mu=-1, lam=2, A=A, B=B, c=[1, 2], b=(1.0, 0.0, 0.0),
+                             g=np.ones(2))
+    assert (sys_.lam, sys_.mu) == (2.0, -1.0)
+    assert type(sys_.lam) is float and type(sys_.mu) is float
+    assert sys_.f is sys_.b and sys_.b.dtype == np.float64
+    assert_allclose(sys_.c, [1.0, 2.0])
+    assert sys_.g is not sys_.c
