@@ -19,25 +19,18 @@ from .linop import (Operator, PartitionedSystem, apply_partitioned,
 from .reduction import (BreakdownReport, ReductionState, reduction_init,
                         reduction_step)
 from .rotations import SingularWindowError
-from .verify import (ReductionHistory, assemble_dense, build_projected_h,
-                     oracle_dense_solve, oracle_lsq, oracle_minnorm,
-                     run_invariant_suite)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Operator", "PartitionedSystem", "apply_partitioned", "residual_norm",
-    "assemble_dense",
-    "reduction_init", "reduction_step", "ReductionState", "ReductionHistory",
-    "BreakdownReport", "build_projected_h",
+    "reduction_init", "reduction_step", "ReductionState", "BreakdownReport",
     "gpbilq_solve", "BiLQState", "gpqmr_solve", "QMRState",
     "gpmr_solve", "HessenbergProcessState",
-    "oracle_minnorm", "oracle_lsq", "oracle_dense_solve",
     "SolveResult", "ConvergenceRecord", "CONVERGED", "MAXIT", "BREAKDOWN",
     "NONFINITE",
     "read_matrix_market", "build_system",
     "build_experiment", "EXPERIMENTS",
-    "write_convergence_csv",
-    "run_invariant_suite", "SingularWindowError",
+    "write_convergence_csv", "SingularWindowError",
     "__version__",
 ]

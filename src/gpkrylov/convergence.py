@@ -47,7 +47,7 @@ class ConvergenceRecord:
         return np.array([r.est_residual for r in self.rows])
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveResult:
     """Outcome of one solver run.
 

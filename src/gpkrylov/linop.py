@@ -119,13 +119,14 @@ def _as_nonzero_vector(vec, length, name):
     return arr
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class PartitionedSystem:
     """Immutable description of one partitioned system.
 
     ``f`` and ``g`` are the auxiliary starting vectors of the two-sided
-    reduction; omitted, each is ``b`` or ``c`` itself (the same array, which
-    nothing writes).  All four vectors must be nonzero.
+    reduction; omitted, each is None and the reduction starts from ``b``
+    or ``c``, so ``dataclasses.replace``, which re-validates, moves it
+    with them.  All given vectors must be nonzero; ``==`` is identity.
     """
 
     lam: float
@@ -144,8 +145,8 @@ class PartitionedSystem:
         lam, mu = float(lam), float(mu)
         b = _as_nonzero_vector(b, m, "b")
         c = _as_nonzero_vector(c, n, "c")
-        f = b if f is None else _as_nonzero_vector(f, m, "f")
-        g = c if g is None else _as_nonzero_vector(g, n, "g")
+        f = None if f is None else _as_nonzero_vector(f, m, "f")
+        g = None if g is None else _as_nonzero_vector(g, n, "g")
         # each field set once, into __dict__ past the frozen __setattr__
         vars(self).update(lam=lam, mu=mu, A=A, B=B, b=b, c=c, f=f, g=g)
 

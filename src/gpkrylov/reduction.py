@@ -176,12 +176,14 @@ def reduction_init(sys: PartitionedSystem, q=None, u=None) -> ReductionState:
     """Scale the starting vectors into the first biorthogonal quadruple.
 
     The zero window (on ``q``, ``u``; see ``ReductionState``) takes (f, b)
-    and (c, g), with whole-vector inner products and norms, through the
-    step's own normalization.  Returns the state at k = 1, whose beta and
-    delta are the projected right-hand side; when f^T b or c^T g is
-    negligible the process cannot start, and ``breakdown`` reports it.
+    and (c, g), b and c standing in for an omitted f or g, with whole-vector
+    inner products and norms, through the step's own normalization.  Returns
+    the state at k = 1, whose beta and delta are the projected right-hand
+    side; when f^T b or c^T g is negligible the process cannot start, and
+    ``breakdown`` reports it.
     """
     f, b, c, g = sys.f, sys.b, sys.c, sys.g
+    f, g = b if f is None else f, c if g is None else g
     nf, nb = np.linalg.norm(f), np.linalg.norm(b)
     nc, ng = np.linalg.norm(c), np.linalg.norm(g)
     st = ReductionState(sys.m, sys.n, q, u)

@@ -6,9 +6,9 @@ dense oracles and factor reconstructions, seeded systems, stepped
 gpbilq/gpqmr runs, and one measure per invariant of the paper.  A measure
 returns the raw errors at one step; its caller picks the tolerance and the
 normalisation.  ``gpkrylov check`` and the tests share these functions; no
-solver module imports this one.  The one dense helper left in a solver
-module is ``rotations.rotation_block``: the benchmark tracer reads it as
-``gpbilq.rotation_block``.
+solver module imports this one, nor does ``import gpkrylov``.  The one
+dense helper left in a solver module is ``rotations.rotation_block``: the
+benchmark tracer reads it as ``gpbilq.rotation_block``.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
-"""Helpers the tier-1 modules import: the seeded system builder, a
-Matrix Market writer for fixtures, a reader for the CSVs the package
-writes, and the acceptance log that ``conftest.py`` prints at the end of a
-run.
+"""Helpers the tier-1 modules import: the seeded system builder, the
+method tables, a Matrix Market writer for fixtures, a reader for the CSVs
+the package writes, and the acceptance log that ``conftest.py`` prints at
+the end of a run.
 
 A module of its own, with a name no other test directory uses, so that
 collecting ``tests`` and ``perfbench/tests`` together resolves it here
@@ -9,11 +9,26 @@ collecting ``tests`` and ``perfbench/tests`` together resolves it here
 """
 
 import csv
+from functools import partial
 
 from scipy import sparse
 from scipy.io import mmwrite
 
+from gpkrylov import (BiLQState, QMRState, gpbilq_solve, gpmr_solve,
+                      gpqmr_solve)
 from gpkrylov.verify import random_system as make_system
+
+# name -> public solve, gpbicg being gpbilq monitoring its transfer iterate
+SOLVERS = {
+    "gpbilq": gpbilq_solve,
+    "gpbicg": partial(gpbilq_solve, monitor="c"),
+    "gpqmr": gpqmr_solve,
+    "gpmr": gpmr_solve,
+}
+# name -> (state class, its arguments after the system) of the short
+# recurrences
+STATES = {"gpbilq": (BiLQState, ("l",)), "gpbicg": (BiLQState, ("c",)),
+          "gpqmr": (QMRState, ())}
 
 ACCEPTANCE_RESULTS = []
 

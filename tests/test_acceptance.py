@@ -21,7 +21,7 @@ from gpkrylov.verify import (ReductionHistory, build_projected_h,
                              projected_system, qr_errors, reduction_errors,
                              stepped, to_dense, transfer_gap)
 
-from gpk_support import make_system, record_acceptance
+from gpk_support import STATES, make_system, record_acceptance
 
 
 def test_criterion_1_reduction_invariants():
@@ -292,8 +292,6 @@ def test_criterion_9_benchmark_reproduction():
 # extra length-m/n temporary fails the audit.
 PEAK_SLACK = 4096
 AUDIT_M, AUDIT_N = 1200, 1000
-AUDITED = {"gpbilq": (BiLQState, "l"), "gpbicg": (BiLQState, "c"),
-           "gpqmr": (QMRState, None)}
 
 
 def audit_system():
@@ -310,8 +308,8 @@ def warmed_state(method, warmup=4):
     iterations (``advance`` plus ``estimate``, which runs
     ``attempt_transfer`` for gpbicg)."""
     sys_ = audit_system()
-    state_cls, monitor = AUDITED[method]
-    st = state_cls(sys_) if monitor is None else state_cls(sys_, monitor)
+    cls, args = STATES[method]
+    st = cls(sys_, *args)
     for _ in range(warmup):
         st.advance()
         st.estimate()
@@ -338,12 +336,12 @@ def peak_above_operator_results(method, steps=6):
     return max(peaks) - (16 * m + 16 * n)
 
 
-@pytest.mark.parametrize("method", AUDITED)
+@pytest.mark.parametrize("method", STATES)
 def test_steady_state_peak_is_the_operator_results(method):
     assert peak_above_operator_results(method) <= PEAK_SLACK
 
 
-@pytest.mark.parametrize("method", AUDITED)
+@pytest.mark.parametrize("method", STATES)
 def test_steady_state_peak_holds_in_several_strips(method, monkeypatch):
     # 5 m-strips and 4 n-strips: the strips' views are made one strip at a
     # time, so their headers stay within the same slack
@@ -351,7 +349,7 @@ def test_steady_state_peak_holds_in_several_strips(method, monkeypatch):
     assert peak_above_operator_results(method) <= PEAK_SLACK
 
 
-@pytest.mark.parametrize("method", AUDITED)
+@pytest.mark.parametrize("method", STATES)
 def test_short_recurrence_iteration_retains_nothing(method):
     # the scalar windows and the solution entries are fixed in size, and the
     # reduction keeps no operator result between steps
@@ -401,7 +399,7 @@ def test_gpmr_iteration_retains_less_than_one_vector():
 def test_criterion_10_storage_audit():
     from test_gpbilq import test_steady_state_allocates_only_operator_results
     test_steady_state_allocates_only_operator_results()
-    above = {method: peak_above_operator_results(method) for method in AUDITED}
+    above = {method: peak_above_operator_results(method) for method in STATES}
     ok = all(v <= PEAK_SLACK for v in above.values())
     record_acceptance("10 steady-state BiLQState and QMRState iterations "
                       "allocate only the four operator results", ok,

@@ -9,13 +9,12 @@ from numpy.testing import assert_allclose
 
 from scipy import sparse
 
-from gpkrylov import (HessenbergProcessState, assemble_dense, gpmr_solve,
-                      residual_norm)
+from gpkrylov import HessenbergProcessState, gpmr_solve, residual_norm
 from gpkrylov import baselines
 from gpkrylov.baselines import GPMRState
 from gpkrylov.linop import Operator, PartitionedSystem
-from gpkrylov.verify import (oracle_dense_solve, oracle_lsq, oracle_minnorm,
-                             random_system, to_dense)
+from gpkrylov.verify import (assemble_dense, oracle_dense_solve, oracle_lsq,
+                             oracle_minnorm, random_system, to_dense)
 
 from gpk_support import make_system
 

@@ -448,6 +448,18 @@ def test_import_leaves_scipy_linalg_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_verify_unloaded():
+    # the dense ground truth is imported by its own name, and `check` loads it
+    src = os.path.dirname(os.path.dirname(gpkrylov.__file__))
+    code = ("import sys, gpkrylov; print('gpkrylov.verify' in sys.modules); "
+            "from gpkrylov.cli import main; sys.exit(main(['check']))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "False" and lines[-1] == "12/12 checks passed", lines
+
+
 _MATRIX_FREE_RUN = """
 import sys
 import numpy as np

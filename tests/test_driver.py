@@ -4,16 +4,9 @@ import numpy as np
 import pytest
 
 from gpkrylov import (NONFINITE, Operator, PartitionedSystem, gpbilq_solve,
-                      gpmr_solve, gpqmr_solve, residual_norm)
+                      gpmr_solve, residual_norm)
 
-from gpk_support import make_system
-
-SOLVERS = {
-    "gpbilq": lambda s, **kw: gpbilq_solve(s, monitor="l", **kw),
-    "gpbicg": lambda s, **kw: gpbilq_solve(s, monitor="c", **kw),
-    "gpqmr": gpqmr_solve,
-    "gpmr": gpmr_solve,
-}
+from gpk_support import SOLVERS, make_system
 
 
 def desk_system(**kw):
@@ -298,3 +291,10 @@ def test_nan_operator_stops_as_nonfinite(method):
     assert res.reason == NONFINITE == res.record.reason
     assert 1 <= res.iterations <= 3
     assert np.isnan(res.residual)
+
+
+def test_results_compare_by_identity():
+    sys_ = desk_system()
+    for solve in SOLVERS.values():
+        first, second = solve(sys_, tol=1e-8), solve(sys_, tol=1e-8)
+        assert first == first and first != second and len({first, second}) == 2

@@ -2,22 +2,17 @@
 no residual, what it reports is the true residual of what it returns."""
 
 import math
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpkrylov import gpbilq_solve, gpmr_solve, gpqmr_solve, residual_norm
+from gpkrylov import gpmr_solve, residual_norm
 
-from gpk_support import make_system
+from gpk_support import SOLVERS, make_system
 
 SCALARS = (-1.0, -0.5, 0.0, 1.0, 2.0)
-METHODS = {
-    "gpbilq": lambda s, tol: gpbilq_solve(s, tol),
-    "gpbicg": lambda s, tol: gpbilq_solve(s, tol, monitor="c"),
-    "gpqmr": gpqmr_solve,
-    "gpmr": gpmr_solve,
-    "gpmr3": lambda s, tol: gpmr_solve(s, tol, restart=3),
-}
+METHODS = {**SOLVERS, "gpmr3": partial(gpmr_solve, restart=3)}
 
 
 def _agrees(reported, true):

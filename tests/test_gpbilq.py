@@ -1,6 +1,4 @@
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +13,7 @@ from gpkrylov.verify import (bundle_product, dense_lq_factors, estimate_gaps,
                              projected_system, stepped, transfer_gap)
 
 from gpk_support import make_system
-
-ROOT = str(Path(__file__).resolve().parents[1])
-if ROOT not in sys.path:
-    sys.path.insert(0, ROOT)
-from perfbench import gen  # noqa: E402
+from perfbench import gen
 
 
 # -- rotation kernel and window ----------------------------------------------

@@ -9,12 +9,12 @@ from numpy.testing import assert_allclose
 from scipy import sparse
 
 from gpkrylov import (Operator, PartitionedSystem, apply_partitioned,
-                      assemble_dense, gpbilq_solve, gpmr_solve, gpqmr_solve,
                       residual_norm)
 from gpkrylov import linop
-from gpkrylov.verify import adjoint_mismatch, to_dense
+from gpkrylov.verify import adjoint_mismatch, assemble_dense, to_dense
 
-from gpk_support import make_system
+from gpk_support import SOLVERS, make_system
+from perfbench import gen
 
 
 def test_apply_one_by_one(one_by_one):
@@ -188,16 +188,19 @@ def test_apply_partitioned_rejects_wrong_lengths(x_len, y_len):
 
 
 def test_default_start_vectors_are_rhs():
+    # omitted f and g start the reduction from b and c, bit for bit
     sys_ = make_system(4, 3, seed=9)
-    assert_allclose(sys_.f, sys_.b)
-    assert_allclose(sys_.g, sys_.c)
+    given = dataclasses.replace(sys_, f=sys_.b, g=sys_.c)
+    for solve in SOLVERS.values():
+        got, ref = (solve(s, tol=0.0, maxit=3) for s in (sys_, given))
+        assert got.x.tobytes() == ref.x.tobytes() and got.y.tobytes() == ref.y.tobytes()
     sys2 = make_system(4, 3, seed=9, fg_random=True)
     assert not np.allclose(sys2.f, sys2.b)
 
 
 def test_omitted_start_vectors_are_the_rhs_arrays():
     sys_ = make_system(4, 3, seed=9)
-    assert sys_.f is sys_.b and sys_.g is sys_.c
+    assert sys_.f is None and sys_.g is None
     blocks = (sys_.lam, sys_.mu, sys_.A, sys_.B, sys_.b, sys_.c)
     with pytest.raises(ValueError, match="f must be nonzero"):
         PartitionedSystem(*blocks, f=np.zeros(4))
@@ -251,14 +254,8 @@ def _snapshot_operator(mat):
     return Operator(csr.shape[0], csr.shape[1], lambda x: csr @ x, lambda y: csr_t @ y)
 
 
-def _grid_gradient(N):
-    D = sparse.diags([-np.ones(N - 1), np.ones(N - 1)], [0, 1], shape=(N - 1, N))
-    eye = sparse.identity(N)
-    return (N * sparse.vstack([sparse.kron(eye, D), sparse.kron(D, eye)])).tocsr()
-
-
 def _sparse_pairs():
-    A = _grid_gradient(8)
+    A = gen.grid_gradient(8)
     rng = np.random.default_rng(21)
     b, c = rng.standard_normal(A.shape[0]), rng.standard_normal(A.shape[1])
     yield "grid8", 1.0, -1e-2, A, (-A.T).tocsr(), b, c
@@ -267,22 +264,14 @@ def _sparse_pairs():
     yield "random", 1.0, -0.5, A, B, rng.standard_normal(45), rng.standard_normal(30)
 
 
-SOLVES = {
-    "gpbilq": lambda s, tol: gpbilq_solve(s, tol=tol),
-    "gpbicg": lambda s, tol: gpbilq_solve(s, tol=tol, monitor="c"),
-    "gpqmr": lambda s, tol: gpqmr_solve(s, tol=tol),
-    "gpmr": lambda s, tol: gpmr_solve(s, tol=tol),
-}
-
-
-@pytest.mark.parametrize("method", SOLVES)
+@pytest.mark.parametrize("method", SOLVERS)
 @pytest.mark.parametrize("pair", list(_sparse_pairs()), ids=lambda p: p[0])
 def test_sparse_solve_matches_csr_snapshots_bit_for_bit(pair, method):
     _, lam, mu, A, B, b, c = pair
     wrapped = PartitionedSystem(lam, mu, Operator.from_matrix(A), Operator.from_matrix(B), b, c)
     snap = PartitionedSystem(lam, mu, _snapshot_operator(A), _snapshot_operator(B), b, c)
     tol = 1e-6 * wrapped.rhs_norm
-    got, ref = SOLVES[method](wrapped, tol), SOLVES[method](snap, tol)
+    got, ref = SOLVERS[method](wrapped, tol), SOLVERS[method](snap, tol)
     assert got.iterations > 1
     assert (got.reason, got.iterations, got.residual) == (ref.reason, ref.iterations,
                                                           ref.residual)
@@ -323,14 +312,14 @@ def _identity_coupled(identity):
     return PartitionedSystem(1.0, -0.5, identity(n), B, b, c)
 
 
-@pytest.mark.parametrize("method", SOLVES)
+@pytest.mark.parametrize("method", SOLVERS)
 def test_callback_returning_its_input_solves_like_the_identity_matrix(method):
     """An identity callback returns its input itself; the solvers update
     operator results in place, so without a copy they overwrite a basis
     vector or the iterate."""
     aliased = _identity_coupled(lambda n: Operator(n, n, lambda x: x, lambda y: y))
     dense = _identity_coupled(lambda n: Operator.from_matrix(np.eye(n)))
-    got, ref = SOLVES[method](aliased, 1e-8), SOLVES[method](dense, 1e-8)
+    got, ref = SOLVERS[method](aliased, 1e-8), SOLVERS[method](dense, 1e-8)
     assert (got.reason, got.iterations) == (ref.reason, ref.iterations)
     assert got.x.tobytes() == ref.x.tobytes() and got.y.tobytes() == ref.y.tobytes()
 
@@ -432,14 +421,14 @@ def _callback_twin(op):
     return Operator(op.nrows, op.ncols, op._apply, op._apply_t)
 
 
-@pytest.mark.parametrize("method", SOLVES)
+@pytest.mark.parametrize("method", SOLVERS)
 @pytest.mark.parametrize("sparse_ops", [False, True], ids=["dense", "sparse"])
 def test_callback_solves_match_matrix_solves_bit_for_bit(sparse_ops, method):
     wrapped = make_system(40, 30, seed=14, sparse_ops=sparse_ops)
     twin = PartitionedSystem(wrapped.lam, wrapped.mu, _callback_twin(wrapped.A),
                              _callback_twin(wrapped.B), wrapped.b, wrapped.c)
     tol = 1e-8 * wrapped.rhs_norm
-    got, ref = SOLVES[method](twin, tol), SOLVES[method](wrapped, tol)
+    got, ref = SOLVERS[method](twin, tol), SOLVERS[method](wrapped, tol)
     assert got.iterations > 1
     assert (got.reason, got.iterations, got.residual) == (ref.reason, ref.iterations,
                                                           ref.residual)
@@ -477,7 +466,7 @@ def test_iteration_makes_one_linop_call_per_operator_application(method, per_ite
     below them."""
     sys_ = make_system(200, 150, seed=0)
     sys_.rhs_norm  # cached before either run, so neither computes it
-    solve = {"gpbilq": gpbilq_solve, "gpqmr": gpqmr_solve, "gpmr": gpmr_solve}[method]
+    solve = SOLVERS[method]
     counts, results = {}, []
     for maxit in (40, 80):
         codes = _python_calls(lambda: results.append(solve(sys_, tol=0.0, maxit=maxit)))
@@ -491,13 +480,33 @@ def test_system_is_frozen_and_replace_revalidates():
     with pytest.raises(dataclasses.FrozenInstanceError):
         sys_.lam = 2.0
     moved = dataclasses.replace(sys_, lam=2.0)
-    assert moved.lam == 2.0 and moved.f is moved.b and moved.g is moved.c
-    assert dataclasses.replace(sys_) == sys_
+    assert moved.lam == 2.0 and moved.f is None and moved.g is None
+    assert moved.b is sys_.b and moved.A is sys_.A
     assert repr(sys_).startswith("PartitionedSystem(lam=1.0, mu=-0.5, A=")
     with pytest.raises(ValueError, match="^b must be nonzero$"):
         dataclasses.replace(sys_, b=np.zeros(4))
     with pytest.raises(ValueError, match="^B must be 3x4 to pair with A 4x3"):
         dataclasses.replace(sys_, B=sys_.A)
+
+
+def test_replaced_rhs_moves_an_omitted_start_vector():
+    # with f omitted, replace(s, b=x) starts from x; x is orthogonal to the
+    # old b, so a stale f = b would break down at k = 0
+    sys_ = make_system(40, 30, 1)
+    x = np.random.default_rng(7).standard_normal(40)
+    x -= (x @ sys_.b) / (sys_.b @ sys_.b) * sys_.b
+    moved = dataclasses.replace(sys_, b=x)
+    fresh = PartitionedSystem(sys_.lam, sys_.mu, sys_.A, sys_.B, x, sys_.c)
+    for method in ("gpbilq", "gpqmr"):
+        got, ref = (SOLVERS[method](s, tol=0.0, maxit=30) for s in (moved, fresh))
+        assert (got.reason, got.iterations) == (ref.reason, ref.iterations) == ("maxit", 30)
+        assert got.x.tobytes() == ref.x.tobytes() and got.y.tobytes() == ref.y.tobytes()
+
+
+def test_system_equality_is_identity():
+    sys_ = make_system(4, 3, seed=0)
+    twin = dataclasses.replace(sys_, b=sys_.b.copy())
+    assert sys_ == sys_ and sys_ != twin and len({sys_, twin, sys_}) == 2
 
 
 def test_system_keyword_construction():
@@ -506,6 +515,6 @@ def test_system_keyword_construction():
                              g=np.ones(2))
     assert (sys_.lam, sys_.mu) == (2.0, -1.0)
     assert type(sys_.lam) is float and type(sys_.mu) is float
-    assert sys_.f is sys_.b and sys_.b.dtype == np.float64
+    assert sys_.f is None and sys_.b.dtype == np.float64
     assert_allclose(sys_.c, [1.0, 2.0])
-    assert sys_.g is not sys_.c
+    assert_allclose(sys_.g, [1.0, 1.0])

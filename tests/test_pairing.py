@@ -8,19 +8,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from gpkrylov import (BiLQState, QMRState, gpbilq_solve, gpqmr_solve, reduction,
-                      reduction_init, reduction_step)
+from gpkrylov import reduction, reduction_init, reduction_step
 from gpkrylov.convergence import _solve
 from gpkrylov.reduction import GROUP
 from gpkrylov.rotations import BandWindow, SingularWindowError
 from gpkrylov.verify import live_directions
 
-from gpk_support import make_system
+from gpk_support import SOLVERS, STATES, make_system
 from test_strips import (assert_within_rounding, desk_family, perturbed,
                          relative_gap)
 
-STATES = {"gpbilq": (BiLQState, ("l",)), "gpbicg": (BiLQState, ("c",)),
-          "gpqmr": (QMRState, ())}
 # Largest grouped-against-flushed gap over seeds 0-19 of the desk family at
 # 200 x 150, 61 x 45, 45 x 61 and 30 x 30, to tolerance and at 12 steps:
 # 5.1e-14, where paired steps read 4.1e-14.
@@ -216,8 +213,8 @@ def test_paired_reduction_is_the_bare_reduction_bit_for_bit(method):
 
 def test_public_solvers_pair_their_steps():
     sys_ = desk_family(61, 45, 89)
-    for solve, method in ((gpbilq_solve, "gpbilq"), (gpqmr_solve, "gpqmr")):
-        res = solve(sys_, tol=0.0, maxit=9)
+    for method in ("gpbilq", "gpqmr"):
+        res = SOLVERS[method](sys_, tol=0.0, maxit=9)
         grouped, _ = run(method, sys_, 0.0, 9)
         assert_array_equal(res.x, grouped.x)
         assert_array_equal(res.y, grouped.y)

@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gpkrylov import (BreakdownReport, Operator, PartitionedSystem,
-                      assemble_dense, reduction_init, reduction_step)
-from gpkrylov.verify import (ReductionHistory, build_projected_h,
+                      reduction_init, reduction_step)
+from gpkrylov.verify import (ReductionHistory, assemble_dense, build_projected_h,
                              reduction_errors, to_dense)
 
 from gpk_support import make_system

@@ -6,16 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpkrylov import (BiLQState, Operator, PartitionedSystem, QMRState,
-                      gpbilq_solve, gpqmr_solve, reduction, reduction_init,
+from gpkrylov import (Operator, PartitionedSystem, reduction, reduction_init,
                       reduction_step)
 from gpkrylov.reduction import strips
 
-SOLVERS = {
-    "gpbilq": lambda s, **kw: gpbilq_solve(s, monitor="l", **kw),
-    "gpbicg": lambda s, **kw: gpbilq_solve(s, monitor="c", **kw),
-    "gpqmr": gpqmr_solve,
-}
+from gpk_support import SOLVERS, STATES
+
 FIELDS = ("x", "y", "x_c", "y_c")
 ROUNDING = 2.2e-16
 
@@ -135,7 +131,7 @@ def test_one_reduction_step_in_strips(m, n, monkeypatch):
 # largest gap here is 9.0e-14, 1.6 times the rounding-level move.
 @pytest.mark.parametrize("seed", [71, 72])
 @pytest.mark.parametrize("m, n", [(200, 150), (150, 200), (61, 45), (45, 61)])
-@pytest.mark.parametrize("method", SOLVERS)
+@pytest.mark.parametrize("method", STATES)
 def test_striped_run_matches_the_whole_run(method, m, n, seed):
     assert m % 7 and n % 7
     sys_ = desk_family(m, n, seed)
@@ -151,12 +147,8 @@ def test_striped_run_matches_the_whole_run(method, m, n, seed):
        st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 def test_striped_run_matches_over_shapes_and_scalars(m, n, seed, lam, mu):
     sys_ = desk_family(m, n, seed, lam, mu)
-    for method in SOLVERS:
+    for method in STATES:
         check_strips(method, sys_, tol=0.0, maxit=8)
-
-
-STATES = {"gpbilq": (BiLQState, ("l",)), "gpbicg": (BiLQState, ("c",)),
-          "gpqmr": (QMRState, ())}
 
 
 @pytest.mark.parametrize("method", STATES)
@@ -190,7 +182,7 @@ def test_patched_strip_rows_splits_the_sweep_and_the_direction_update(monkeypatc
 
     sys_ = desk_family(61, 45, seed=75)
     monkeypatch.setattr(reduction, "strips", recorded)
-    for method in SOLVERS:
+    for method in STATES:
         seen.clear()
         check_strips(method, sys_, rows=28, tol=1e-6 * sys_.rhs_norm)
         assert seen == {None: {(61, 28), (61, 5), (45, 28), (45, 17)},

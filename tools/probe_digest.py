@@ -141,7 +141,7 @@ def runs():
         s = random_system(m, n, seed)
         f = np.random.default_rng(seed).standard_normal(m)
         f -= (f @ s.b) / (s.b @ s.b) * s.b
-        fperp = PartitionedSystem(s.lam, s.mu, s.A, s.B, s.b, s.c, f=f, g=s.g)
+        fperp = PartitionedSystem(s.lam, s.mu, s.A, s.B, s.b, s.c, f=f)
         for name, sys_, maxit in (("maxit0", s, 0), ("fperp", fperp, None)):
             for method in METHODS:
                 yield f"{name}-{seed}-{m}x{n}", method, sys_, 1e-8 * s.rhs_norm, maxit
@@ -162,13 +162,11 @@ def digest(res) -> str:
 
 def perturbed(name: str, s: PartitionedSystem, draw: int) -> PartitionedSystem:
     """Draw ``draw`` of run ``name``'s system: each entry of b and c times
-    1 + 4 eps N(0, 1), seeded by the draw and the name; f and g follow b and
-    c where they equal them."""
+    1 + 4 eps N(0, 1), seeded by the draw and the name; f and g pass through,
+    so an omitted one (None) follows the new b or c."""
     rng = np.random.default_rng([draw, zlib.crc32(name.encode())])
     b, c = (v * (1.0 + 4.0 * EPS * rng.standard_normal(len(v))) for v in (s.b, s.c))
-    f = b if np.array_equal(s.f, s.b) else s.f
-    g = c if np.array_equal(s.g, s.c) else s.g
-    return PartitionedSystem(s.lam, s.mu, s.A, s.B, b, c, f, g)
+    return PartitionedSystem(s.lam, s.mu, s.A, s.B, b, c, s.f, s.g)
 
 
 def classify(run, draws: int):
