@@ -33,7 +33,10 @@ def check_count(value, name: str, least: int):
 
 def _checked(action, out_size, name):
     def call(vec):
-        out = action(vec)
+        out = np.asanyarray(action(vec))
+        if out.dtype.kind == "c":
+            raise ValueError("matrix must be real, got complex input")
+        out = out.astype(float, copy=False)
         if out.shape != (out_size,):
             raise ValueError(f"{name} callback returned a vector of wrong length")
         return out.copy() if np.may_share_memory(out, vec) else out
@@ -53,11 +56,11 @@ class Operator:
     apply_transpose : callable
         Action ``y -> M.T @ y``.
 
-    An input of the wrong length is rejected.  A callback's result must be
-    1-d of the output length, and one that shares memory with its input
-    (``lambda x: x``) is copied, as the solvers update it in place.
-    ``from_matrix``'s results are not checked: its ``dot`` returns a fresh
-    1-d array of the output length for an input of the right length.
+    Input of the wrong length is rejected.  A callback's result must be real
+    and 1-d of the output length; it is made float64, and copied where it
+    shares memory with its input (``lambda x: x``), as the solvers update it
+    in place.  ``from_matrix``'s results are not checked: its ``dot`` returns
+    a fresh 1-d float64 array of the output length for valid input.
     """
 
     def __init__(self, nrows, ncols, apply, apply_transpose):

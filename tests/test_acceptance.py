@@ -1,4 +1,6 @@
 """Acceptance suite: one test per criterion, summarized at session end.
+Criteria 1-7 read one run of ``verify.run_invariant_suite``, which states
+their systems, measures and bounds (``gpkrylov check`` runs the same).
 
 Criterion 9 needs locally downloaded SuiteSparse matrices; point
 GPKRYLOV_MATRIX_DIR (or place the .mtx files in ./data) to enable it.
@@ -12,93 +14,53 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpkrylov import (BiLQState, Operator, PartitionedSystem, QMRState,
-                      build_experiment, gpbilq_solve, gpmr_solve, gpqmr_solve,
-                      reduction, reduction_init, reduction_step, residual_norm)
+from gpkrylov import (BiLQState, Operator, PartitionedSystem, build_experiment,
+                      gpbilq_solve, gpmr_solve, gpqmr_solve, reduction,
+                      residual_norm)
 from gpkrylov.baselines import GPMRState
-from gpkrylov.verify import (ReductionHistory, build_projected_h,
-                             estimate_gaps, lq_errors, lsq_gaps, minnorm_gap,
-                             projected_system, qr_errors, reduction_errors,
-                             stepped, to_dense, transfer_gap)
+from gpkrylov.verify import (build_projected_h, estimate_gaps, run_invariant_suite,
+                             stepped, transfer_gap)
 
 from gpk_support import STATES, make_system, record_acceptance
 
 
-def test_criterion_1_reduction_invariants():
+@pytest.fixture(scope="module")
+def suite():
+    """One run of the invariant suite, which states criteria 1-7, and its
+    wall time."""
     t0 = time.perf_counter()
-    worst_bi = worst_rel = 0.0
-    for seed in range(10):
-        sys_ = make_system(20, 20, seed=500 + seed)
-        A, B = to_dense(sys_.A), to_dense(sys_.B)
-        red = reduction_init(sys_)
-        hist = ReductionHistory(red)
-        for _ in range(10):
-            hist.update(red, reduction_step(red, sys_))
-        biortho, (au, atp, bq, btv) = reduction_errors(hist, A, B)
-        nA, nB = np.linalg.norm(A), np.linalg.norm(B)
-        worst_bi = max(worst_bi, biortho)
-        worst_rel = max(worst_rel, au / nA, atp / nA, bq / nB, btv / nB)
-    elapsed = time.perf_counter() - t0
-    ok = worst_bi <= 1e-8 and worst_rel <= 1e-10 and elapsed < 1.0
-    record_acceptance("1 reduction invariants (10 systems, k=10)", ok,
-                      f"biortho {worst_bi:.2e}, relations {worst_rel:.2e}, "
-                      f"{elapsed:.2f}s")
-    assert worst_bi <= 1e-8
-    assert worst_rel <= 1e-10
-    assert elapsed < 1.0
+    results = run_invariant_suite()
+    return results, time.perf_counter() - t0
 
 
-def test_criterion_2_symmetric_coupling_equivalence():
-    sys_ = make_system(15, 15, seed=510, symmetric=True, mu=-1.0)
-    red = reduction_init(sys_)
-    worst = 0.0
-    for _ in range(8):
-        reduction_step(red, sys_)
-        worst = max(worst, np.max(np.abs(red.p_cur - red.q_cur)),
-                    np.max(np.abs(red.u_cur - red.v_cur)))
-    record_acceptance("2 two-sided process collapses when B=A^T", worst <= 1e-10,
-                      f"max pair gap {worst:.2e}")
-    assert worst <= 1e-10
+def failed_checks(suite, number, title, *extra):
+    """Record criterion ``number``'s acceptance line from its checks in the
+    suite and the ``extra`` (passed, detail) pairs; return the details of
+    those that failed, or a note where the suite holds none."""
+    lines = [(r.passed, f"{r.name[2:]} {r.detail}") for r in suite[0]
+             if r.name.startswith(f"{number} ")] or [(False, "no check in the suite")]
+    lines += extra
+    record_acceptance(f"{number} {title}", all(passed for passed, _ in lines),
+                      "; ".join(detail for _, detail in lines))
+    return [detail for passed, detail in lines if not passed]
 
 
-def test_criterion_3_minimum_norm_oracle_equivalence():
-    worst = 0.0
-    rank_ok = True
-    for seed in range(5):
-        sys_ = make_system(12, 12, seed=520 + seed, fg_random=True)
-        for st, hist in stepped(BiLQState, sys_, 8):
-            if st.k < 2:
-                continue
-            H, _ = projected_system(st, hist, 2 * st.k - 2)
-            rank_ok = rank_ok and np.linalg.svd(H, compute_uv=False)[-1] > 1e-10
-            worst = max(worst, minnorm_gap(st, hist))
-    ok = worst <= 1e-8 and rank_ok
-    record_acceptance("3 minimum-norm iterate equals dense oracle", ok,
-                      f"worst {worst:.2e}, full row rank {rank_ok}")
-    assert worst <= 1e-8
-    assert rank_ok
+def test_criterion_1_reduction_invariants(suite):
+    elapsed = suite[1]
+    assert failed_checks(suite, 1, "reduction invariants",
+                         (elapsed < 1.0, f"suite run {elapsed:.2f}s")) == []
 
 
-def test_criterion_4_least_squares_oracle_equivalence():
-    worst = 0.0
-    rank_ok = True
-    mono_ok = True
-    for seed in range(5):
-        sys_ = make_system(12, 12, seed=530 + seed, fg_random=True)
-        prev = np.inf
-        for st, hist in stepped(QMRState, sys_, 8):
-            H, _ = projected_system(st, hist, 2 * st.k + 2)
-            rank_ok = rank_ok and np.linalg.svd(H, compute_uv=False)[-1] > 1e-10
-            worst = max(worst, lsq_gaps(st, hist)[0])
-            mono_ok = mono_ok and st.quasi <= prev + 1e-12
-            prev = st.quasi
-    ok = worst <= 1e-8 and rank_ok and mono_ok
-    record_acceptance("4 least-squares iterate equals dense oracle", ok,
-                      f"worst {worst:.2e}, full col rank {rank_ok}, "
-                      f"quasi monotone {mono_ok}")
-    assert worst <= 1e-8
-    assert rank_ok
-    assert mono_ok
+def test_criterion_2_symmetric_coupling_equivalence(suite):
+    assert failed_checks(suite, 2, "two-sided process collapses when B=A^T") == []
+
+
+def test_criterion_3_minimum_norm_oracle_equivalence(suite):
+    assert failed_checks(suite, 3, "minimum-norm iterate equals dense oracle") == []
+
+
+def test_criterion_4_least_squares_oracle_equivalence(suite):
+    assert failed_checks(suite, 4, "least-squares iterate equals dense oracle") == []
 
 
 def _singular_mid_run_system():
@@ -137,29 +99,16 @@ def _singular_mid_run_system():
                              np.linalg.inv(U).T[:, 0].copy())
 
 
-def test_criterion_5_transfer_iterate():
-    worst = 0.0
-    defined_steps = 0
-    for seed in range(5):
-        sys_ = make_system(12, 12, seed=540 + seed, fg_random=True)
-        for st, hist in stepped(BiLQState, sys_, 8):
-            gap = transfer_gap(st, hist)
-            if gap is not None:
-                defined_steps += 1
-                worst = max(worst, gap)
+def test_criterion_5_transfer_iterate(suite):
     # engineered singular step: flagged not-defined, run continues
     res = gpbilq_solve(_singular_mid_run_system(), tol=1e-30, maxit=5,
                        monitor="c")
     flags = {row.k: row.transfer_defined for row in res.record.rows if row.k >= 1}
     gap_ok = (flags[2] is False and flags[3] is True and res.reason == "maxit"
               and len(flags) == 5)
-    ok = worst <= 1e-8 and defined_steps > 0 and gap_ok
-    record_acceptance("5 transfer iterate: dense solve where defined, "
-                      "clean skip where not", ok,
-                      f"worst {worst:.2e} over {defined_steps} steps, "
-                      f"undefined-step handling {gap_ok}")
-    assert worst <= 1e-8
-    assert gap_ok
+    assert failed_checks(suite, 5, "transfer iterate: dense solve where defined, "
+                         "clean skip where not",
+                         (gap_ok, f"undefined-step handling {gap_ok}")) == []
 
 
 def test_transfer_checks_skip_the_step_without_a_transfer_iterate():
@@ -173,51 +122,12 @@ def test_transfer_checks_skip_the_step_without_a_transfer_iterate():
             assert gap_l <= 1e-8 and (gap_c is None) == undefined
 
 
-def test_criterion_6_residual_estimates():
-    worst_l = worst_c = 0.0
-    bound_ok = True
-    for seed in range(5):
-        sys_ = make_system(12, 12, seed=550 + seed, fg_random=True)
-        for st, _ in stepped(BiLQState, sys_, 8):
-            if st.k < 2:
-                continue
-            gap_l, gap_c = estimate_gaps(st)
-            worst_l = max(worst_l, gap_l)
-            if gap_c is not None:
-                worst_c = max(worst_c, gap_c)
-        for st, hist in stepped(QMRState, sys_, 8):
-            bound = np.linalg.norm(hist.W(st.k + 1), 2) * st.quasi
-            bound_ok = bound_ok and \
-                residual_norm(sys_, st.x, st.y) <= bound + 1e-9
-    ok = worst_l <= 1e-8 and worst_c <= 1e-8 and bound_ok
-    record_acceptance("6 closed-form residual norms are exact", ok,
-                      f"min-norm {worst_l:.2e}, transfer {worst_c:.2e}, "
-                      f"quasi bound {bound_ok}")
-    assert worst_l <= 1e-8
-    assert worst_c <= 1e-8
-    assert bound_ok
+def test_criterion_6_residual_estimates(suite):
+    assert failed_checks(suite, 6, "closed-form residual norms are exact") == []
 
 
-def test_criterion_7_factorization_checks():
-    sys_ = make_system(12, 12, seed=560, fg_random=True)
-    worst_lq = worst_qr = 0.0
-    band_ok = True
-    for st, hist in stepped(BiLQState, sys_, 7):
-        if st.k < 2:
-            continue
-        recon, orth, off_band = lq_errors(st, hist)
-        worst_lq = max(worst_lq, recon, orth)
-        band_ok = band_ok and off_band <= 1e-14
-    for st, hist in stepped(QMRState, sys_, 7):
-        recon, orth, off_band = qr_errors(st, hist)
-        worst_qr = max(worst_qr, recon, orth)
-        band_ok = band_ok and off_band <= 1e-14
-    ok = worst_lq <= 1e-12 and worst_qr <= 1e-12 and band_ok
-    record_acceptance("7 sliding LQ/QR reproduce the projected matrix", ok,
-                      f"LQ {worst_lq:.2e}, QR {worst_qr:.2e}, bands {band_ok}")
-    assert worst_lq <= 1e-12
-    assert worst_qr <= 1e-12
-    assert band_ok
+def test_criterion_7_factorization_checks(suite):
+    assert failed_checks(suite, 7, "sliding LQ/QR reproduce the projected matrix") == []
 
 
 def test_criterion_8_exact_termination():

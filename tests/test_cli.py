@@ -316,15 +316,19 @@ def test_compare_malformed_methods_exit_one(matrices, capsys, methods, messages)
     ["solve", "--method", "gpqmr", "--output", "x.csv"],
     ["solve", "--method", "gpqmr", "--output-d", "x"],
     ["compare", "--methods", "gpqmr"],
+    ["check", "--size", "12"],
+    ["check", "--seed", "7"],
 ])
 def test_removed_options_and_commands_exit_one_and_write_nothing(
         matrices, monkeypatch, capsys, argv):
     # options are not abbreviated: --output would otherwise match --output-dir
-    # and make a directory named x.csv; compare's default directory is gone
+    # and make a directory named x.csv; compare's default directory is gone;
+    # check runs its criteria on fixed systems, so takes no size or seed (and
+    # no system options, which would be unrecognized on their own)
     monkeypatch.chdir(matrices)
     before = sorted(os.listdir(matrices))
     with pytest.raises(SystemExit) as exc:
-        run(*argv, "--a", "A.mtx", "--b", "B.mtx")
+        run(*argv, *(["--a", "A.mtx", "--b", "B.mtx"] if argv[0] != "check" else []))
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "unrecognized arguments" in err or "invalid choice: 'compare'" in err, err
@@ -363,6 +367,32 @@ def test_failing_solve_prints_only_the_error_and_writes_nothing(
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("restart", ["3", "0", "-5"])
+def test_restart_without_gpmr_restarted_exits_one(matrices, capsys, restart):
+    # --restart sets the cycle of gpmr_restarted alone; given without it, it
+    # would be ignored, so it is rejected before the system is read
+    with pytest.raises(SystemExit) as exc:
+        run("solve", "--method", "gpqmr", "gpmr", "--a", str(matrices / "A.mtx"),
+            "--b-transpose-a", "--restart", restart)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "--restart applies only to --method gpmr_restarted" in err, err
+
+
+def test_gpmr_restarted_cycles_nine_steps_by_default(matrices, capsys):
+    def solve(*restart):
+        code = run("solve", "--method", "gpmr_restarted", "--a", str(matrices / "A.mtx"),
+                   "--b", str(matrices / "B.mtx"), "--tol", "0", "--maxit", "20", *restart)
+        return code, capsys.readouterr().out
+
+    assert solve() == solve("--restart", "9") != solve("--restart", "3")
+    with pytest.raises(SystemExit):
+        run("solve", "--help")
+    help_text = " ".join(capsys.readouterr().out.split())  # argparse wraps lines
+    assert "cycle length for gpmr_restarted (default 9; an error without that method)" \
+        in help_text
+
+
 def test_solve_without_output_dir_writes_nothing(matrices, monkeypatch, capsys):
     monkeypatch.chdir(matrices)
     before = sorted(os.listdir(matrices))
@@ -388,29 +418,19 @@ def test_unwritable_output_dir_exits_one_without_traceback(matrices):
 
 
 def test_check_passes(capsys):
-    assert run("check", "--size", "10", "--seed", "3") == 0
+    assert run("check") == 0
     out = capsys.readouterr().out
     assert "checks passed" in out
     assert "FAIL" not in out
 
 
 def test_check_failure_exits_four(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_invariant_suite", lambda size, seed: [
+    monkeypatch.setattr(cli, "run_invariant_suite", lambda: [
         CheckResult("forced failure", False, "1.000e+00 (tol 0)")])
     assert run("check") == 4
     out = capsys.readouterr().out
     assert "FAIL  forced failure" in out
     assert "0/1 checks passed" in out
-
-
-def test_check_oversize_exits_one(capsys):
-    assert run("check", "--size", "5000") == 1
-    assert "size 5000 exceeds" in capsys.readouterr().err
-
-
-def test_check_size_one_exits_one(capsys):
-    assert run("check", "--size", "1") == 1
-    assert "size 1" in capsys.readouterr().err
 
 
 def test_module_entry_point_exits_one_on_bad_input(tmp_path):
@@ -419,7 +439,8 @@ def test_module_entry_point_exits_one_on_bad_input(tmp_path):
     write_matrix_market(np.ones((5, 6)), tmp_path / "B.mtx")
     src = os.path.dirname(os.path.dirname(gpkrylov.__file__))
     for argv, message in (
-            (("check", "--size", "1"), "gpkrylov: error: size 1"),
+            (("check", "--size", "12"),
+             "gpkrylov check: error: unrecognized arguments: --size 12"),
             (("solve", "--method", "gpqmr", "--a", str(tmp_path / "A.mtx"),
               "--b", str(tmp_path / "B.mtx")),
              "B must be 4x6 to pair with A 6x4, got (5, 6)")):
@@ -457,7 +478,7 @@ def test_import_leaves_verify_unloaded():
                          text=True, env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert lines[0] == "False" and lines[-1] == "12/12 checks passed", lines
+    assert lines[0] == "False" and lines[-1] == "20/20 checks passed", lines
 
 
 _MATRIX_FREE_RUN = """

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from gpkrylov import (BiLQState, Operator, PartitionedSystem, gpbilq_solve,
                       residual_norm)
 from gpkrylov.gpbilq import lq_step, substitute_step, transfer_scalars
-from gpkrylov.rotations import BandWindow, plane_rotation, rotation_block
+from gpkrylov.rotations import BandWindow, rotation_block
 from gpkrylov.verify import (bundle_product, dense_lq_factors, estimate_gaps,
                              live_directions, lq_errors, minnorm_gap,
                              projected_system, stepped, transfer_gap)
@@ -16,17 +16,7 @@ from gpk_support import make_system
 from perfbench import gen
 
 
-# -- rotation kernel and window ----------------------------------------------
-
-def test_rotation_kernel_three_four_five():
-    c, s, r = plane_rotation(3.0, 4.0)
-    assert_allclose([c, s, r], [0.6, 0.8, 5.0])
-
-
-def test_rotation_kernel_zero_second_arg_is_identity():
-    c, s, r = plane_rotation(2.5, 0.0)
-    assert_allclose([c, s, r], [1.0, 0.0, 2.5])
-
+# -- factorization window --------------------------------------------------
 
 def test_first_rotation_identity_when_gamma_zero():
     w = BandWindow(2.0, 1.0)

@@ -362,6 +362,44 @@ def test_callback_returning_a_column_is_rejected():
         col.apply_transpose(np.ones(3))
 
 
+# a float64 result as a callback might hand it back instead
+RESULT_KINDS = {"int64": lambda v: np.rint(v).astype(np.int64), "list": list,
+                "float32": lambda v: v.astype(np.float32)}
+
+
+@pytest.mark.parametrize("kind", RESULT_KINDS)
+@pytest.mark.parametrize("method", SOLVERS)
+def test_callback_results_are_made_float64(method, kind):
+    """Integer-valued A and B as callbacks whose results are int64 arrays,
+    lists or float32 arrays: each is made float64 once, so the solve runs in
+    double precision, bit for bit as with the same values returned as
+    float64.  Unconverted, int64 fails an in-place update, a list has no
+    shape, and float32 keeps the basis vectors in single precision."""
+    base = make_system(6, 5, seed=1)
+    rng = np.random.default_rng(15)
+    A, B = rng.integers(-3, 4, (6, 5)).astype(float), rng.integers(-3, 4, (5, 6)).astype(float)
+
+    def system(out):
+        def op(mat):
+            return Operator(*mat.shape, lambda x: out(mat @ x), lambda y: out(mat.T @ y))
+        return PartitionedSystem(base.lam, base.mu, op(A), op(B), base.b, base.c)
+
+    convert = RESULT_KINDS[kind]
+    result = system(convert).A.apply(np.ones(5))
+    assert type(result) is np.ndarray and result.dtype == np.float64
+    got = SOLVERS[method](system(convert), 1e-10)
+    ref = SOLVERS[method](system(lambda v: np.array(convert(v), dtype=float)), 1e-10)
+    assert (got.reason, got.iterations) == (ref.reason, ref.iterations)
+    assert got.x.tobytes() == ref.x.tobytes() and got.y.tobytes() == ref.y.tobytes()
+
+
+def test_callback_returning_complex_values_is_rejected():
+    op = Operator(2, 2, lambda x: x * 1j, lambda y: y + 0j)
+    for action in (op.apply, op.apply_transpose):
+        with pytest.raises(ValueError, match="^matrix must be real, got complex input$"):
+            action(np.ones(2))
+
+
 @pytest.mark.parametrize("size, message", [
     (3.7, "nrows must be an integer, got 3.7"),
     (True, "nrows must be an integer, got True"),

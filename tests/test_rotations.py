@@ -5,10 +5,20 @@ from numpy.testing import assert_allclose
 from gpkrylov.gpbilq import lq_step
 from gpkrylov.gpqmr import qr_step, rotate_rhs
 from gpkrylov.reduction import reduction_init, reduction_step
-from gpkrylov.rotations import (BandWindow, SingularWindowError,
+from gpkrylov.rotations import (BandWindow, SingularWindowError, plane_rotation,
                                 rotation_block, rotation_bundle,
                                 rotation_bundle_transposed, substitute_pair)
 from gpkrylov.verify import random_system
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    pytest.param(3.0, 4.0, (0.6, 0.8, 5.0), id="three-four-five"),
+    pytest.param(2.5, 0.0, (1.0, 0.0, 2.5), id="zero-second"),
+    pytest.param(0.0, 1.0, (0.0, 1.0, 1.0), id="pure-swap"),
+    pytest.param(0.0, 0.0, (1.0, 0.0, 0.0), id="both-zero"),  # the identity, r = 0
+])
+def test_plane_rotation(a, b, expected):
+    assert_allclose(plane_rotation(a, b), expected)
 
 
 def explicit_bundle(c1, s1, c2, s2, c3, s3, c4, s4):
