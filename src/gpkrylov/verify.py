@@ -31,7 +31,7 @@ from .rotations import rotation_block
 __all__ = ["DENSE_GUARD", "to_dense", "assemble_dense", "adjoint_mismatch",
            "ReductionHistory", "build_projected_h",
            "oracle_minnorm", "oracle_lsq", "oracle_dense_solve",
-           "random_system", "stepped", "live_directions", "projected_system",
+           "random_system", "stepped", "live_directions",
            "bundle_product", "dense_lq_factors", "dense_qr_factors",
            "reduction_errors", "minnorm_gap", "transfer_gap", "lsq_gaps",
            "estimate_gaps", "lq_errors", "qr_errors",
@@ -78,7 +78,9 @@ class ReductionHistory:
     gpbilq's lower factor is their transpose), the
     rotation ``bundles``, the solution ``entries`` (gpbilq's forward
     substitution, gpqmr's rotated right-hand side) and gpqmr's stacked x|y
-    ``directions`` (direction c at index c-1).
+    ``directions`` (direction c at index c-1), and the step's full
+    projection ``H``, (2k+2) x 2k, with its right-hand side ``rhs``,
+    beta_1 e_1 + delta_1 e_2; each measure slices its own rows of both.
     """
 
     def __init__(self, state: ReductionState):
@@ -96,6 +98,7 @@ class ReductionHistory:
         self.bundles: list[tuple] = []
         self.entries: list[float] = []
         self.directions: list[np.ndarray] = []
+        self.H = self.rhs = None
 
     def update(self, state: ReductionState, coeffs: StepCoeffs) -> None:
         self.ps.append(state.p_cur.copy())
@@ -147,19 +150,20 @@ def build_projected_h(alphas, thetas, betas, gammas, deltas, etas,
     and (theta, delta, eta): 2x2 diagonal blocks [lam, alpha_i; theta_i,
     mu], subdiagonal [0, beta_i; delta_i, 0], superdiagonal [0, gamma_i;
     eta_i, 0].  The coefficient sequences are 1-based lists (``betas[i-1]``
-    is beta_i) and must extend through index k+1 for the subdiagonal
-    scalars.
+    is beta_i) and must extend through index k, the subdiagonals through
+    index k+1.
     """
-    if len(alphas) < k or len(betas) < k + 1:
-        raise ValueError(f"need k={k} diagonal and k+1 coupling coefficients")
-    zero = [0.0] * (k + 1)
-    lam_i, mu_i = (_tridiag([v] * k, zero, zero, k + 1, k) for v in (lam, mu))
-    S = _tridiag(alphas, betas, gammas, k + 1, k)
-    T = _tridiag(thetas, deltas, etas, k + 1, k)
+    if min(map(len, (alphas, thetas, gammas, etas, betas[1:], deltas[1:]))) < k:
+        raise ValueError(f"need k={k} diagonal and superdiagonal and k+1 "
+                         "subdiagonal coupling coefficients")
     # row (column) j of the top (left) half becomes row (column) 2j, of the
     # bottom (right) half 2j+1
-    blocks = np.block([[lam_i, S], [T, mu_i]]).reshape(2, k + 1, 2, k)
-    return blocks.transpose(1, 0, 3, 2).reshape(2 * k + 2, 2 * k)
+    H = np.zeros((2 * k + 2, 2 * k))
+    H[0::2, 0::2] = lam * np.eye(k + 1, k)
+    H[0::2, 1::2] = _tridiag(alphas, betas, gammas, k + 1, k)
+    H[1::2, 0::2] = _tridiag(thetas, deltas, etas, k + 1, k)
+    H[1::2, 1::2] = mu * np.eye(k + 1, k)
+    return H
 
 
 # -- dense oracles ----------------------------------------------------------
@@ -229,7 +233,8 @@ def random_system(m, n, seed, lam=1.0, mu=-0.5, symmetric=False,
 
 def stepped(state_cls, sys: PartitionedSystem, steps: int):
     """Yield (state, history) after each of ``steps`` steps of a BiLQState
-    or QMRState; the same two objects, advanced in place, every time."""
+    or QMRState; the same two objects, advanced in place, every time, the
+    history holding the step's projection and right-hand side."""
     st = state_cls(sys)
     hist = ReductionHistory(st.red)
     for _ in range(steps):
@@ -241,6 +246,8 @@ def stepped(state_cls, sys: PartitionedSystem, steps: int):
             hist.entries += st.varpi[2:] if state_cls is BiLQState else st.rhs[:2]
             if state_cls is QMRState:  # the newest two, d_{2k-1} and d_{2k}
                 hist.directions += list(live_directions(st)[:, -2:].T)
+        hist.H = hist.projected(sys.lam, sys.mu, st.k)
+        hist.rhs = np.array([hist.betas[0], hist.deltas[0]] + [0.0] * (2 * st.k))
         yield st, hist
 
 
@@ -248,15 +255,6 @@ def live_directions(st) -> np.ndarray:
     """A BiLQState's or QMRState's live directions, oldest first, as columns
     of x side over y side (current after ``flush``)."""
     return np.vstack((st.fx, st.fy))[:, :st.dirs]
-
-
-def projected_system(st, hist: ReductionHistory, rows: int):
-    """First ``rows`` rows of the projected matrix at the state's step k and
-    the matching right-hand side beta_1 e_1 + delta_1 e_2."""
-    H = hist.projected(st.sys.lam, st.sys.mu, st.k)[:rows]
-    rhs = np.zeros(rows)
-    rhs[0], rhs[1] = hist.betas[0], hist.deltas[0]
-    return H, rhs
 
 
 # -- dense factors from the recorded history ---------------------------------
@@ -267,9 +265,7 @@ def bundle_product(bundles, dim: int) -> np.ndarray:
     acting on coordinates 2i..2i+3."""
     G = np.eye(dim)
     for i, rot in enumerate(bundles):
-        emb = np.eye(dim)
-        emb[2 * i:2 * i + 4, 2 * i:2 * i + 4] = rotation_block(*rot)
-        G = G @ emb
+        G[:, 2 * i:2 * i + 4] = G[:, 2 * i:2 * i + 4] @ rotation_block(*rot)
     return G
 
 
@@ -295,9 +291,9 @@ def dense_lq_factors(st: BiLQState, hist: ReductionHistory):
     dim = 2 * st.k
     c_k, s_k, odd, even = st.window.corner()
     L = _banded(hist.columns + [odd, even], dim).T
-    gt = np.eye(dim)
-    gt[dim - 2:, dim - 2:] = np.array([[c_k, -s_k], [s_k, c_k]])
-    return L, (bundle_product(hist.bundles, dim) @ gt).T
+    G = bundle_product(hist.bundles, dim)
+    G[:, -2:] = G[:, -2:] @ np.array([[c_k, -s_k], [s_k, c_k]])
+    return L, G.T
 
 
 def dense_qr_factors(hist: ReductionHistory):
@@ -338,8 +334,8 @@ def _iterate_gap(x, y, hist, z):
 def minnorm_gap(st: BiLQState, hist: ReductionHistory):
     """Gap of the gpbilq iterate to the minimum-norm solution of the first
     2k-2 projected rows (k >= 2)."""
-    H, rhs = projected_system(st, hist, 2 * st.k - 2)
-    return _iterate_gap(st.x, st.y, hist, oracle_minnorm(H, rhs))
+    rows = 2 * st.k - 2
+    return _iterate_gap(st.x, st.y, hist, oracle_minnorm(hist.H[:rows], hist.rhs[:rows]))
 
 
 def transfer_gap(st: BiLQState, hist: ReductionHistory):
@@ -347,17 +343,17 @@ def transfer_gap(st: BiLQState, hist: ReductionHistory):
     system; None where the iterate does not exist."""
     if not st.attempt_transfer():
         return None
-    H, rhs = projected_system(st, hist, 2 * st.k)
-    return _iterate_gap(*st.transfer_iterate(), hist, np.linalg.solve(H, rhs))
+    rows = 2 * st.k
+    return _iterate_gap(*st.transfer_iterate(), hist,
+                        np.linalg.solve(hist.H[:rows], hist.rhs[:rows]))
 
 
 def lsq_gaps(st: QMRState, hist: ReductionHistory):
     """Gap of the gpqmr iterate to the projected least-squares solution, and
     |quasi-residual - projected residual|."""
-    H, rhs = projected_system(st, hist, 2 * st.k + 2)
-    z = oracle_lsq(H, rhs)
+    z = oracle_lsq(hist.H, hist.rhs)
     return (_iterate_gap(st.x, st.y, hist, z),
-            abs(st.quasi - np.linalg.norm(H @ z - rhs)))
+            abs(st.quasi - np.linalg.norm(hist.H @ z - hist.rhs)))
 
 
 def estimate_gaps(st: BiLQState):
@@ -384,9 +380,8 @@ def lq_errors(st: BiLQState, hist: ReductionHistory):
     (k >= 2)."""
     k = st.k
     L, Qf = dense_lq_factors(st, hist)
-    H, _ = projected_system(st, hist, 2 * k)
-    return (np.linalg.norm(L @ Qf - H), np.linalg.norm(Qf @ Qf.T - np.eye(2 * k)),
-            _off_band(L, 4, 0))
+    return (np.linalg.norm(L @ Qf - hist.H[:2 * k]),
+            np.linalg.norm(Qf @ Qf.T - np.eye(2 * k)), _off_band(L, 4, 0))
 
 
 def qr_errors(st: QMRState, hist: ReductionHistory):
@@ -394,8 +389,7 @@ def qr_errors(st: QMRState, hist: ReductionHistory):
     upper band of width 4, for the sliding QR of the projection."""
     k = st.k
     Qh, Rh = dense_qr_factors(hist)
-    H, _ = projected_system(st, hist, 2 * k + 2)
-    return (np.linalg.norm(Qh @ np.vstack([Rh, np.zeros((2, 2 * k))]) - H),
+    return (np.linalg.norm(Qh @ np.vstack([Rh, np.zeros((2, 2 * k))]) - hist.H),
             np.linalg.norm(Qh @ Qh.T - np.eye(2 * k + 2)), _off_band(Rh, 0, 4))
 
 
@@ -463,8 +457,8 @@ def run_invariant_suite() -> list[CheckResult]:
                 seen["5 transfer iterate vs dense", 1e-8].append(gap)
             if st.k < 2:
                 continue
-            H, _ = projected_system(st, hist, 2 * st.k - 2)
-            seen["3 row rank of the projection", 1e-10, ">"].append(norm(H, -2))
+            seen["3 row rank of the projection", 1e-10, ">"].append(
+                norm(hist.H[:2 * st.k - 2], -2))
             seen["3 minimum-norm iterate vs dense", 1e-8].append(minnorm_gap(st, hist))
             gap_l, gap_c = estimate_gaps(st)
             seen["6 residual estimate (min-norm iterate)", 1e-8].append(gap_l)
@@ -477,8 +471,7 @@ def run_invariant_suite() -> list[CheckResult]:
         seen["5 transfer iterate defined (steps k > 1 per run)", 4, ">"].append(defined)
         prev = np.inf
         for st, hist in stepped(QMRState, sys_, steps):
-            H, _ = projected_system(st, hist, 2 * st.k + 2)
-            seen["4 column rank of the projection", 1e-10, ">"].append(norm(H, -2))
+            seen["4 column rank of the projection", 1e-10, ">"].append(norm(hist.H, -2))
             iterate_gap, quasi_gap = lsq_gaps(st, hist)
             seen["4 least-squares iterate vs dense", 1e-8].append(iterate_gap)
             seen["4 quasi-residual vs projected residual", 1e-12].append(quasi_gap)

@@ -45,6 +45,21 @@ def failed_checks(suite, number, title, *extra):
     return [detail for passed, detail in lines if not passed]
 
 
+def test_suite_runs_every_check(suite):
+    # a refactor that drops a measure would still pass every check it kept
+    assert [r.name for r in suite[0]] == [
+        "1 biorthogonality", "1 reduction relations", "1 starting breakdown detection",
+        "2 symmetric-coupling collapse",
+        "3 minimum-norm iterate vs dense", "3 row rank of the projection",
+        "4 column rank of the projection", "4 least-squares iterate vs dense",
+        "4 quasi-residual monotonicity", "4 quasi-residual vs projected residual",
+        "5 transfer iterate defined (steps k > 1 per run)", "5 transfer iterate vs dense",
+        "6 residual estimate (min-norm iterate)", "6 residual estimate (transfer iterate)",
+        "6 true residual above ||W(k+1)|| quasi",
+        "7 L outside its lower band", "7 R diagonal", "7 R outside its upper band",
+        "7 sliding LQ reconstruction", "7 sliding QR reconstruction"]
+
+
 def test_criterion_1_reduction_invariants(suite):
     elapsed = suite[1]
     assert failed_checks(suite, 1, "reduction invariants",

@@ -9,8 +9,7 @@ from gpkrylov import (BiLQState, Operator, PartitionedSystem, gpbilq_solve,
 from gpkrylov.gpbilq import lq_step, substitute_step, transfer_scalars
 from gpkrylov.rotations import BandWindow, rotation_block
 from gpkrylov.verify import (bundle_product, dense_lq_factors, estimate_gaps,
-                             live_directions, lq_errors, minnorm_gap,
-                             projected_system, stepped, transfer_gap)
+                             live_directions, stepped)
 
 from gpk_support import make_system
 from perfbench import gen
@@ -24,18 +23,6 @@ def test_first_rotation_identity_when_gamma_zero():
     lq_step(w, 0.0, 1.0, 0.3, 0.4, 0.5, 0.6)  # gamma_k = 0
     c1, s1, *_ = w.rot
     assert_allclose([c1, s1], [1.0, 0.0])
-
-
-def test_lq_reconstruction_over_steps():
-    sys_ = make_system(10, 8, seed=30, fg_random=True)
-    for st, hist in stepped(BiLQState, sys_, 6):
-        if st.k < 2:
-            continue
-        H, _ = projected_system(st, hist, 2 * st.k)
-        recon, orth, off_band = lq_errors(st, hist)
-        assert recon <= 1e-12 * max(1.0, np.linalg.norm(H))
-        assert orth <= 1e-12
-        assert off_band <= 1e-14  # lower bandwidth 4 outside the rotated corner
 
 
 def test_rotation_factors_orthogonal():
@@ -64,7 +51,7 @@ def test_substitution_solves_banded_system():
     L, _ = dense_lq_factors(st, hist)
     Lk1 = L[:2 * k - 2, :2 * k - 2]
     t = np.array(hist.entries)  # entries 1..2k-2
-    _, rhs = projected_system(st, hist, 2 * k - 2)
+    rhs = hist.rhs[:2 * k - 2]
     assert np.linalg.norm(Lk1 @ t - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
 
 
@@ -111,14 +98,6 @@ def test_iterate_is_zero_at_startup():
     assert_allclose(st.y, 0.0)
 
 
-def test_iterate_matches_minimum_norm_oracle():
-    for seed in range(5):
-        sys_ = make_system(12, 12, seed=40 + seed, fg_random=True)
-        for st, hist in stepped(BiLQState, sys_, 8):
-            if st.k >= 2:
-                assert minnorm_gap(st, hist) <= 1e-8
-
-
 # -- transfer ----------------------------------------------------------------
 
 def test_transfer_exact_on_one_by_one(one_by_one):
@@ -135,17 +114,6 @@ def test_transfer_guard_on_zero_determinant():
     w = BandWindow(0.0, 0.0)
     lq_step(w, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)  # det = 0*0 - 1*0 = 0
     assert transfer_scalars(w, (0.0,) * 4, (1.0, 1.0)) is None
-
-
-def test_transfer_matches_square_solve():
-    sys_ = make_system(11, 11, seed=50, fg_random=True)
-    defined = 0
-    for st, hist in stepped(BiLQState, sys_, 8):
-        gap = transfer_gap(st, hist) if st.k >= 2 else None
-        if gap is not None:
-            defined += 1
-            assert gap <= 1e-8
-    assert defined >= 5  # generically defined
 
 
 # -- residual estimates ------------------------------------------------------

@@ -4,8 +4,7 @@ from numpy.testing import assert_allclose
 from gpkrylov import (Operator, PartitionedSystem, QMRState, gpqmr_solve,
                       residual_norm)
 from gpkrylov.rotations import rotation_block
-from gpkrylov.verify import (dense_qr_factors, live_directions, lsq_gaps,
-                             projected_system, qr_errors, stepped)
+from gpkrylov.verify import dense_qr_factors, live_directions, stepped
 
 from gpk_support import make_system
 
@@ -18,17 +17,6 @@ def test_first_step_diagonal_one_by_one(one_by_one):
     st.advance()
     col1, _ = st.window.cols
     assert_allclose(col1[0], np.sqrt(10.0))
-
-
-def test_qr_reconstruction_over_steps():
-    sys_ = make_system(10, 8, seed=90, fg_random=True)
-    for st, hist in stepped(QMRState, sys_, 6):
-        H, _ = projected_system(st, hist, 2 * st.k + 2)
-        recon, orth, off_band = qr_errors(st, hist)
-        assert recon <= 1e-12 * max(1.0, np.linalg.norm(H))
-        assert orth <= 1e-12
-        assert off_band <= 1e-14
-        assert all(col[0] > 0 for col in hist.columns)  # rows 1..2k
 
 
 def test_rotation_factors_orthogonal():
@@ -44,10 +32,8 @@ def test_rotation_factors_orthogonal():
 def test_rotated_rhs_accumulates_orthogonally():
     sys_ = make_system(9, 9, seed=92, fg_random=True)
     for st, hist in stepped(QMRState, sys_, 6):
-        k = st.k
         Qh, _ = dense_qr_factors(hist)
-        _, rhs = projected_system(st, hist, 2 * k + 2)
-        full = Qh.T @ rhs
+        full = Qh.T @ hist.rhs
         got = np.array(hist.entries + list(st.rhs[2:]))  # entries 1..2k, carries
         assert_allclose(got, full, atol=1e-12)
 
@@ -85,15 +71,6 @@ def test_directions_satisfy_back_recurrence_dense():
 
 
 # -- iterate and residuals -----------------------------------------------------
-
-def test_iterate_matches_least_squares_oracle():
-    for seed in range(5):
-        sys_ = make_system(12, 12, seed=100 + seed, fg_random=True)
-        for st, hist in stepped(QMRState, sys_, 8):
-            iterate_gap, quasi_gap = lsq_gaps(st, hist)
-            assert iterate_gap <= 1e-8
-            assert quasi_gap <= 1e-12
-
 
 def test_quasi_residual_monotone():
     sys_ = make_system(14, 14, seed=110, fg_random=True)

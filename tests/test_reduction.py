@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from gpkrylov import (BreakdownReport, Operator, PartitionedSystem,
                       reduction_init, reduction_step)
@@ -192,8 +192,25 @@ def test_projected_block_stencil():
     H = build_projected_h([2.0], [3.0], [9.0, 0.0], [9.0], [9.0, 0.0], [9.0],
                           1.0, 1.0, 1)
     assert_allclose(H, [[1.0, 2.0], [3.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+    # k = 2, every coefficient distinct: S has diagonal alpha, sub beta and
+    # super gamma, T theta, delta and eta; beta_1, gamma_1, delta_1 and eta_1
+    # (the negative entries) stay out of H
+    coeffs = [[2.0, 3.0], [5.0, 7.0], [-1.0, 11.0, 13.0], [-2.0, 17.0],
+              [-3.0, 19.0, 23.0], [-4.0, 29.0]]
+    H = build_projected_h(*coeffs, 0.5, -0.25, 2)
+    assert_array_equal(H, [[0.5, 2.0, 0.0, 17.0],
+                           [5.0, -0.25, 29.0, 0.0],
+                           [0.0, 11.0, 0.5, 3.0],
+                           [19.0, 0.0, 7.0, -0.25],
+                           [0.0, 0.0, 0.0, 13.0],
+                           [0.0, 0.0, 23.0, 0.0]])
     with pytest.raises(ValueError, match="coupling coefficients"):
         build_projected_h([2.0], [3.0], [9.0], [9.0], [9.0], [9.0], 1.0, 1.0, 1)
+    # theta, gamma or eta shorter than k, delta shorter than k+1
+    for short in (1, 3, 4, 5):
+        cut = [seq[:-1] if i == short else seq for i, seq in enumerate(coeffs)]
+        with pytest.raises(ValueError, match="coupling coefficients"):
+            build_projected_h(*cut, 0.5, -0.25, 2)
 
 
 def test_projected_identity_with_permuted_basis():
