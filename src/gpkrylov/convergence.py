@@ -77,6 +77,7 @@ class SolveResult:
         return self.reason == CONVERGED
 
 
+@np.errstate(all="ignore")
 def _solve(sys: PartitionedSystem, make_state, tol: float, maxit: int | None,
            explicit_residual: bool) -> SolveResult:
     """The loop behind every public solve function, and the one place that
@@ -103,6 +104,9 @@ def _solve(sys: PartitionedSystem, make_state, tol: float, maxit: int | None,
     and above tol also certifies the other iterate the state holds and
     returns the better one.  A breakdown whose reported residual meets tol
     is converged, and one whose residual is not finite is nonfinite.
+    numpy's floating-point warnings are off throughout, so an overflow or
+    an invalid operation does not raise; where it makes the residual
+    non-finite, the run ends nonfinite.
     """
     maxit = 2 * (sys.m + sys.n) if maxit is None else check_count(maxit, "maxit", 0)
     if not tol >= 0:  # NaN fails this too; 0 and inf are valid

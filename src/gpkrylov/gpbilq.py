@@ -195,10 +195,13 @@ class BiLQState(RecurrenceState):
         varsigma = red.delta * z5
         qq = float(red.q_prev.dot(red.q_cur))
         uu = float(red.u_prev.dot(red.u_cur))
-        q_part = (vartheta * red.q_prev_norm) ** 2 \
-            + 2.0 * vartheta * chi * qq + (chi * red.q_norm) ** 2
-        u_part = (varrho * red.u_prev_norm) ** 2 \
-            + 2.0 * varrho * varsigma * uu + (varsigma * red.u_norm) ** 2
+        try:  # float ** 2 raises where numpy would give inf
+            q_part = (vartheta * red.q_prev_norm) ** 2 \
+                + 2.0 * vartheta * chi * qq + (chi * red.q_norm) ** 2
+            u_part = (varrho * red.u_prev_norm) ** 2 \
+                + 2.0 * varrho * varsigma * uu + (varsigma * red.u_norm) ** 2
+        except OverflowError:
+            return math.inf
         return math.sqrt(max(q_part, 0.0) + max(u_part, 0.0))
 
     def estimate_residual_c(self) -> float:

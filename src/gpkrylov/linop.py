@@ -116,8 +116,7 @@ def _as_nonzero_vector(vec, length, name):
     arr = np.ascontiguousarray(arr, dtype=float)
     if arr.shape != (length,):
         raise ValueError(f"{name} must have length {length}, got shape {arr.shape}")
-    # a positive squared norm proves a nonzero entry; any() decides the rest
-    if not (arr.dot(arr) > 0.0 or arr.any()):
+    if not np.count_nonzero(arr):  # nan and inf count; -0.0 does not
         raise ValueError(f"{name} must be nonzero")
     return arr
 

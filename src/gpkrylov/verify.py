@@ -1,10 +1,10 @@
 """Dense ground truth for the sliding-window solvers (desk scale only).
 
 Every dense materialization of an operator or a system, under one size
-guard, and the adjoint probe; the full reduction and factor history, the
-dense oracles and factor reconstructions, seeded systems, stepped
-gpbilq/gpqmr runs, and one measure per invariant of the paper.  A measure
-returns the raw errors at one step; its caller picks the tolerance and the
+guard; the full reduction and factor history, the dense oracles and
+factor reconstructions, seeded systems, stepped gpbilq/gpqmr runs, and
+one measure per invariant of the paper.  A measure returns the raw
+errors at one step; its caller picks the tolerance and the
 normalisation.  ``run_invariant_suite`` is the one statement of acceptance
 criteria 1-7, their fixed systems and bounds, and both ``gpkrylov check``
 and the tests run it; biorthogonality is an invariant of its criterion-1
@@ -28,9 +28,8 @@ from .reduction import (BreakdownReport, ReductionState, StepCoeffs,
                         reduction_init, reduction_step)
 from .rotations import rotation_block
 
-__all__ = ["DENSE_GUARD", "to_dense", "assemble_dense", "adjoint_mismatch",
-           "ReductionHistory", "build_projected_h",
-           "oracle_minnorm", "oracle_lsq", "oracle_dense_solve",
+__all__ = ["DENSE_GUARD", "to_dense", "assemble_dense",
+           "ReductionHistory", "build_projected_h", "oracle_minnorm", "oracle_lsq",
            "random_system", "stepped", "live_directions",
            "bundle_product", "dense_lq_factors", "dense_qr_factors",
            "reduction_errors", "minnorm_gap", "transfer_gap", "lsq_gaps",
@@ -55,18 +54,6 @@ def assemble_dense(sys: PartitionedSystem) -> np.ndarray:
         raise ValueError(f"system too large for dense assembly (m+n={m + n} > {DENSE_GUARD})")
     return np.block([[sys.lam * np.eye(m), to_dense(sys.A)],
                      [to_dense(sys.B), sys.mu * np.eye(n)]])
-
-
-def adjoint_mismatch(op: Operator, rng=None) -> float:
-    """Largest relative gap between <y, A x> and <A^T y, x> over three
-    random probe pairs."""
-    rng = np.random.default_rng(rng)
-    worst = 0.0
-    for _ in range(3):
-        x, y = rng.standard_normal(op.ncols), rng.standard_normal(op.nrows)
-        lhs, rhs = float(y @ op.apply(x)), float(op.apply_transpose(y) @ x)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
-    return worst
 
 
 class ReductionHistory:
@@ -194,17 +181,6 @@ def oracle_lsq(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if rank < H.shape[1]:
         raise ValueError(f"matrix is column-rank deficient (rank {rank} < {H.shape[1]})")
     return z
-
-
-def oracle_dense_solve(sys: PartitionedSystem):
-    """Direct dense solution (ground truth for convergence tests)."""
-    K = assemble_dense(sys)
-    rhs = np.concatenate([sys.b, sys.c])
-    try:
-        sol = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("assembled system matrix is singular") from exc
-    return sol[:sys.m], sol[sys.m:]
 
 
 # -- seeded systems and stepped runs ------------------------------------------

@@ -1,5 +1,7 @@
 """Contract of the solve loop shared by every public solver."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -221,15 +223,15 @@ def _counted(sys_):
     return _wrapped(sys_, wrap), calls
 
 
-def _nan_from_call(sys_, first):
-    """``sys_`` with every operator result NaN from call ``first`` on
-    (calls counted over A, A^T, B and B^T together)."""
+def _scaled_from_call(sys_, first, scale):
+    """``sys_`` with every operator result times ``scale`` from call
+    ``first`` on (calls counted over A, A^T, B and B^T together)."""
     calls = [0]
 
     def wrap(fn):
         def apply(v):
             calls[0] += 1
-            return fn(v) * np.nan if calls[0] >= first else fn(v)
+            return fn(v) * scale if calls[0] >= first else fn(v)
         return apply
 
     return _wrapped(sys_, wrap)
@@ -284,13 +286,26 @@ def test_gpbicg_returns_its_transfer_iterate(n, maxit, reason):
     assert res.x is res.x_c and res.y is res.y_c
 
 
-@pytest.mark.parametrize("method", SOLVERS)
-def test_nan_operator_stops_as_nonfinite(method):
-    sys_ = _nan_from_call(make_system(30, 20, seed=602), first=5)
+def _nonfinite_exit(method, scale):
+    """The reported residual of a run whose operator results turn ``scale``
+    times their value at call 5, after checking that it ends nonfinite."""
+    sys_ = _scaled_from_call(make_system(30, 20, seed=602), first=5, scale=scale)
     res = SOLVERS[method](sys_, tol=1e-8, maxit=100)
     assert res.reason == NONFINITE == res.record.reason
     assert 1 <= res.iterations <= 3
-    assert np.isnan(res.residual)
+    return res.residual
+
+
+@pytest.mark.parametrize("method", SOLVERS)
+def test_nan_operator_stops_as_nonfinite(method):
+    assert math.isnan(_nonfinite_exit(method, np.nan))
+
+
+@pytest.mark.parametrize("scale", [np.inf, 1e300], ids=["inf", "overflow"])
+@pytest.mark.parametrize("method", SOLVERS)
+def test_inf_or_overflowing_operator_stops_as_nonfinite(method, scale):
+    # numpy warns on inf * 0 and on overflow; the solve ends instead of raising
+    assert not math.isfinite(_nonfinite_exit(method, scale))
 
 
 def test_results_compare_by_identity():

@@ -4,6 +4,7 @@ no residual, what it reports is the true residual of what it returns."""
 import math
 from functools import partial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,3 +41,16 @@ def test_certified_exits_report_the_returned_iterate(m, n, lam, mu, symmetric, s
                 if x is not None:
                     assert true <= residual_norm(sys_, x, y) * (1 + 1e-12), (
                         method, res.iterations)
+
+
+@pytest.mark.parametrize("lam, mu", [(1e12, -1.0), (1.0, -1e12)])
+@pytest.mark.parametrize("method", ["gpqmr", "gpmr"])
+def test_badly_scaled_shift_converges_truthfully(method, lam, mu):
+    # gpbilq and gpbicg stop here too, at k = 2, with a true residual about
+    # 1e4 x tol (ROADMAP item 2); gpqmr and gpmr meet tol and say so
+    sys_ = make_system(12, 12, 1, lam, mu)
+    tol = 1e-8 * sys_.rhs_norm
+    res = SOLVERS[method](sys_, tol)
+    true = residual_norm(sys_, res.x, res.y)
+    assert res.converged and true <= tol
+    assert true / 3 <= res.residual <= 3 * true

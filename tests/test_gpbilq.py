@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gpkrylov import (BiLQState, Operator, PartitionedSystem, gpbilq_solve,
-                      residual_norm)
+from gpkrylov import (BREAKDOWN, CONVERGED, MAXIT, NONFINITE, BiLQState, Operator,
+                      PartitionedSystem, gpbilq_solve, residual_norm)
 from gpkrylov.gpbilq import lq_step, substitute_step, transfer_scalars
 from gpkrylov.rotations import BandWindow, rotation_block
 from gpkrylov.verify import (bundle_product, dense_lq_factors, estimate_gaps,
@@ -147,20 +147,20 @@ def test_estimate_requires_a_full_step():
 
 # -- driver ------------------------------------------------------------------
 
-def test_solve_maxit_zero():
-    sys_ = make_system(5, 4, seed=70)
-    res = gpbilq_solve(sys_, tol=1e-10, maxit=0)
-    assert res.reason == "maxit" and res.iterations == 0
-    assert_allclose(res.x, 0.0)
-    assert res.record.rows[0].est_residual == pytest.approx(sys_.rhs_norm)
-
-
 def test_unknown_monitor_is_rejected_by_the_solver_and_the_state():
     sys_ = make_system(6, 5, seed=74)
     with pytest.raises(ValueError, match="monitor"):
         gpbilq_solve(sys_, monitor="x")
     with pytest.raises(ValueError, match="monitor"):
         BiLQState(sys_, "x")
+
+
+@pytest.mark.parametrize("lam", [1e200, 1e308])
+def test_overflowing_estimate_ends_the_solve(lam):
+    # x_l's estimate squares Python floats, which raise OverflowError where
+    # numpy gives inf; the solve must end by its exit rule instead
+    res = gpbilq_solve(make_system(6, 4, seed=0, lam=lam, mu=-1.0))
+    assert res.reason in (CONVERGED, MAXIT, BREAKDOWN, NONFINITE)
 
 
 def test_solve_converges_on_full_space():

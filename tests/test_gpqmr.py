@@ -88,13 +88,6 @@ def test_true_residual_bounded_by_basis_norm_times_quasi():
 
 # -- driver --------------------------------------------------------------------
 
-def test_solve_maxit_zero():
-    sys_ = make_system(5, 4, seed=120)
-    res = gpqmr_solve(sys_, tol=1e-10, maxit=0)
-    assert res.reason == "maxit" and res.iterations == 0
-    assert_allclose(res.x, 0.0)
-
-
 def test_solve_exact_at_full_dimension():
     sys_ = make_system(6, 6, seed=121)
     res = gpqmr_solve(sys_, tol=1e-10, maxit=40)
